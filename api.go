@@ -57,11 +57,11 @@ type Kernel = reorder.Kernel
 // Server.Explain so a kernel choice can be replayed and audited.
 type KernelFeatures = reorder.KernelFeatures
 
-// BatchOp is one Y = S·X operand pair of a batched SpMM pass
-// (Pipeline.SpMMBatchIntoCtx, OnlinePipeline.SpMMBatchIntoCtx): the
-// X operands of a batch are column-stacked into one pooled scratch
-// matrix, the kernel runs once at the combined width, and each op's
-// columns are scattered back into its Y.
+// BatchOp is one Y = S·X operand pair of a batched SpMM pass (one per
+// request in a Server coalescing window): the X operands of a batch
+// are column-stacked into one pooled scratch matrix, the kernel runs
+// once at the combined width, and each op's columns are scattered back
+// into its Y.
 type BatchOp = kernels.BatchOp
 
 // Kernel values for Config.Kernel and Pipeline.Kernel.
@@ -79,7 +79,7 @@ func ParseKernel(s string) (Kernel, error) { return reorder.ParseKernel(s) }
 
 // StageTimings is the per-stage wall-clock breakdown of preprocessing
 // (Plan.Stages), surfaced through Pipeline.PlanStages and
-// Server.PlanStages.
+// OnlinePipeline.PlanStages.
 type StageTimings = reorder.StageTimings
 
 // LSHParams configures the MinHash candidate-pair generation.
@@ -134,7 +134,9 @@ func SpMM(s *Matrix, x *Dense) (*Dense, error) { return kernels.SpMMRowWise(s, x
 // (S.Rows × X.Cols), overwriting its contents. Steady-state calls
 // perform no heap allocations; combine with GetDense/PutDense to keep a
 // serving loop allocation-free end to end.
-func SpMMInto(y *Dense, s *Matrix, x *Dense) error { return kernels.SpMMRowWiseInto(y, s, x) }
+func SpMMInto(y *Dense, s *Matrix, x *Dense) error {
+	return kernels.SpMMRowWiseIntoCtx(context.Background(), y, s, x)
+}
 
 // SpMMIntoCtx is SpMMInto with cooperative cancellation between kernel
 // chunks and panic isolation.
@@ -151,7 +153,7 @@ func SDDMM(s *Matrix, x, y *Dense) (*Matrix, error) { return kernels.SDDMMRowWis
 // previous result, or S itself for in-place value rewriting). Only
 // out.Val is written; steady-state calls perform no heap allocations.
 func SDDMMInto(out, s *Matrix, x, y *Dense) error {
-	return kernels.SDDMMRowWiseInto(out, s, x, y)
+	return kernels.SDDMMRowWiseIntoCtx(context.Background(), out, s, x, y)
 }
 
 // SDDMMIntoCtx is SDDMMInto with cooperative cancellation between

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/kernels"
 )
 
 // TestPipelineSpMMBatchMatchesInto checks the batched entry point on a
@@ -32,7 +33,7 @@ func TestPipelineSpMMBatchMatchesInto(t *testing.T) {
 		}
 		wants[i] = w
 	}
-	if err := p.SpMMBatchIntoCtx(ctx, ops); err != nil {
+	if err := kernels.SpMMBatchIntoCtx(ctx, p, ops); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ops {
@@ -68,7 +69,7 @@ func TestOnlinePipelineSpMMBatch(t *testing.T) {
 		{Y: repro.NewDense(m.Rows, 2), X: x1},
 		{Y: repro.NewDense(m.Rows, 3), X: x2},
 	}
-	if err := o.SpMMBatchIntoCtx(context.Background(), ops); err != nil {
+	if err := kernels.SpMMBatchIntoCtx(context.Background(), o, ops); err != nil {
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
@@ -85,7 +86,7 @@ func TestOnlinePipelineSpMMBatch(t *testing.T) {
 }
 
 // TestPipelineSpMMPooledOutput pins the pooled-output contract of
-// Pipeline.SpMM/SpMMCtx: the returned matrix may be recycled scratch
+// Pipeline.SpMM: the returned matrix may be recycled scratch
 // with arbitrary prior contents, so the pipeline must fully overwrite
 // it. Seed the pool with a poisoned matrix of exactly the result shape
 // and check the values still match the *Into path.
@@ -105,7 +106,7 @@ func TestPipelineSpMMPooledOutput(t *testing.T) {
 		poison.Data[i] = float32(math.NaN())
 	}
 	repro.PutDense(poison)
-	y, err := p.SpMMCtx(context.Background(), x)
+	y, err := p.SpMM(x)
 	if err != nil {
 		t.Fatal(err)
 	}

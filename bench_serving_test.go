@@ -23,9 +23,7 @@ import (
 // column); the coalesced variant column-stacks the operands and
 // traverses once at the combined width. The MB/s gap is the K-scaling
 // effect (arithmetic intensity rising with effective K) lifted to the
-// serving layer: on the corpus matrix here, coalescing 4 K=1 requests
-// into one pass yields well over 1.5x the aggregate MB/s of 4
-// independent passes.
+// serving layer; DESIGN.md §13.1 records measured ratios.
 func BenchmarkServingEffectiveK(b *testing.B) {
 	m := servingBenchMatrix(b)
 	flopsPerReq := kernels.Flops(m.NNZ(), 1) / 2

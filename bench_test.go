@@ -22,6 +22,7 @@ package repro_test
 // `cmd/experiments` runs the same drivers at full scale.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -242,7 +243,7 @@ func onlineBenchSetup(b *testing.B) (*repro.OnlinePipeline, *repro.Dense) {
 		b.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 64, 1)
-	if _, err := o.SpMM(x); err != nil { // run the trial; decide the winner
+	if _, err := spmmOf(context.Background(), o, x); err != nil { // run the trial; decide the winner
 		b.Fatal(err)
 	}
 	return o, x
@@ -260,7 +261,7 @@ func BenchmarkOnlineSpMMSerialized(b *testing.B) {
 		y := repro.NewDense(o.Pipeline().Matrix().Rows, x.Cols)
 		for pb.Next() {
 			mu.Lock()
-			err := o.SpMMInto(y, x)
+			err := o.SpMMIntoCtx(context.Background(), y, x)
 			mu.Unlock()
 			if err != nil {
 				b.Fatal(err)
@@ -280,7 +281,7 @@ func BenchmarkOnlineSpMMConcurrent(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		y := repro.NewDense(o.Pipeline().Matrix().Rows, x.Cols)
 		for pb.Next() {
-			if err := o.SpMMInto(y, x); err != nil {
+			if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -111,16 +111,9 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 	var plan *Plan
 	if o := st.online; o != nil {
 		ex.Mode = "online"
-		// Resolve the plan a call arriving now executes on, the same
-		// way OnlinePipeline.Kernel does: winner, else built reordered
-		// plan, else the no-reorder plan.
-		served, variant := o.nr, plancache.NR
-		if w := o.winner.Load(); w != nil {
-			if rr := o.rr.Load(); w == rr {
-				served, variant = rr, plancache.Full
-			}
-		} else if rr := o.rr.Load(); rr != nil {
-			served, variant = rr, plancache.Full
+		served, variant := o.current(), plancache.NR
+		if served == o.rr.Load() {
+			variant = plancache.Full
 		}
 		plan = served.plan
 		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, variant)

@@ -22,7 +22,7 @@ func decidedOnline(t *testing.T) *OnlinePipeline {
 		t.Fatal(err)
 	}
 	x := NewRandomDense(m.Cols, 8, 3)
-	if _, err := o.SpMM(x); err != nil {
+	if err := o.SpMMIntoCtx(context.Background(), NewDense(m.Rows, 8), x); err != nil {
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
@@ -116,7 +116,7 @@ func TestMispickWindowFromServing(t *testing.T) {
 	o.setMispickWindow(1)
 	x := NewRandomDense(o.Matrix().Cols, 8, 5)
 	before := o.fbCount.Load()
-	if _, err := o.SpMM(x); err != nil {
+	if err := o.SpMMIntoCtx(context.Background(), NewDense(o.Matrix().Rows, 8), x); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.fbCount.Load(); got != before+1 {

@@ -108,7 +108,7 @@ func TestOnlinePipelineCtxBudgetExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First call must not wait for preprocessing.
-	got, err := o.SpMM(x)
+	got, err := spmmOf(context.Background(), o, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestOnlinePipelineCtxBuildPanicDegrades(t *testing.T) {
 		t.Fatalf("Degraded = %v, %v; want true with *PanicError", deg, cause)
 	}
 	x := repro.NewRandomDense(m.Cols, 8, 3)
-	if _, err := o.SpMM(x); err != nil {
+	if _, err := spmmOf(context.Background(), o, x); err != nil {
 		t.Fatalf("degraded pipeline cannot serve: %v", err)
 	}
 }
@@ -181,7 +181,7 @@ func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 	x := repro.NewRandomDense(m.Cols, 16, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	restore := faultinject.Set("kernels.exec", func() error { cancel(); return nil })
-	_, err = o.SpMMCtx(ctx, x)
+	_, err = spmmOf(ctx, o, x)
 	restore()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled trial = %v, want context.Canceled", err)
@@ -194,7 +194,7 @@ func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.SpMM(x)
+	got, err := spmmOf(context.Background(), o, x)
 	if err != nil {
 		t.Fatalf("post-cancel trial: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestOnlinePipelineCtxConcurrentDegraded(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				y := repro.GetDense(m.Rows, x.Cols)
-				if err := o.SpMMInto(y, x); err != nil {
+				if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil {
 					errs[g] = err
 					repro.PutDense(y)
 					return
@@ -290,7 +290,7 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.SpMM(x)
+	got, err := spmmOf(context.Background(), o, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestOnlinePipelineCtxConstructorCancel(t *testing.T) {
 		t.Fatalf("Degraded = %v, %v; want true, context.Canceled", deg, cause)
 	}
 	x := repro.NewRandomDense(m.Cols, 8, 7)
-	if _, err := o.SpMM(x); err != nil {
+	if _, err := spmmOf(context.Background(), o, x); err != nil {
 		t.Fatalf("degraded pipeline cannot serve: %v", err)
 	}
 }

@@ -96,7 +96,7 @@ func TestServerIntegritySoak(t *testing.T) {
 	}
 	serveSDDMM := func() {
 		t.Helper()
-		out, err := s.SDDMM(ctx, xs, ys)
+		out, err := serverSDDMM(ctx, s, repro.DefaultTenant, xs, ys)
 		if err != nil {
 			t.Fatalf("SDDMM failed (quarantine re-route should absorb mismatches): %v", err)
 		}
@@ -207,7 +207,7 @@ func TestServerIntegritySoak(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.SDDMM(ctx, xs, ys)
+				got, err := serverSDDMM(ctx, s, repro.DefaultTenant, xs, ys)
 				if err != nil {
 					t.Fatalf("episode %s: quarantined SDDMM: %v", ep.name, err)
 				}

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aspt"
@@ -23,10 +24,7 @@ func TestIntoZeroAllocsAfterWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := zeroSpillHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -36,13 +34,13 @@ func TestIntoZeroAllocsAfterWarmup(t *testing.T) {
 	out := m.Clone()
 	yd := dense.NewRandom(m.Rows, 16, 2)
 	for name, call := range map[string]func() error{
-		"SpMMRowWiseInto":  func() error { return SpMMRowWiseInto(y, m, x) },
-		"SpMMMergeInto":    func() error { return SpMMMergeInto(y, m, x) },
-		"SpMMELLInto":      func() error { return SpMMELLInto(y, ell, x) },
-		"SpMMHybridInto":   func() error { return SpMMHybridInto(y, hyb, x) },
-		"SpMMASpTInto":     func() error { return SpMMASpTInto(y, tl, x) },
-		"SDDMMRowWiseInto": func() error { return SDDMMRowWiseInto(out, m, x, yd) },
-		"SDDMMASpTInto":    func() error { return SDDMMASpTInto(out, tl, x, yd) },
+		"SpMMRowWiseInto":    func() error { return SpMMRowWiseIntoCtx(context.Background(), y, m, x) },
+		"SpMMMergeInto":      func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) },
+		"SpMMHybridInto/ell": func() error { return SpMMHybridIntoCtx(context.Background(), y, ell, x) },
+		"SpMMHybridInto":     func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) },
+		"SpMMASpTInto":       func() error { return SpMMASpTIntoCtx(context.Background(), y, tl, x) },
+		"SDDMMRowWiseInto":   func() error { return SDDMMRowWiseIntoCtx(context.Background(), out, m, x, yd) },
+		"SDDMMASpTInto":      func() error { return SDDMMASpTIntoCtx(context.Background(), out, tl, x, yd) },
 	} {
 		call := call
 		assertZeroAllocsAfterWarmup(t, name, func() {

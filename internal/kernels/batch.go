@@ -35,8 +35,8 @@ type BatchOp struct {
 	X *dense.Matrix
 }
 
-// SpMMPass executes one SpMM into a caller-provided output. Pipeline,
-// OnlinePipeline, and ShardedPipeline all implement it, as does any
+// SpMMPass executes one SpMM into a caller-provided output. Every
+// repro pipeline type implements it, as does any
 // raw kernel wrapped in a small adapter (see SpMMRowWisePass).
 type SpMMPass interface {
 	SpMMIntoCtx(ctx context.Context, y *dense.Matrix, x *dense.Matrix) error

@@ -25,7 +25,7 @@ func TestSpMMBatchMatchesIndependent(t *testing.T) {
 			x := dense.NewRandom(m.Cols, 1+i%3, int64(10*n+i))
 			ops[i] = BatchOp{Y: dense.New(m.Rows, x.Cols), X: x}
 			w := dense.New(m.Rows, x.Cols)
-			if err := SpMMRowWiseInto(w, m, x); err != nil {
+			if err := SpMMRowWiseIntoCtx(context.Background(), w, m, x); err != nil {
 				t.Fatal(err)
 			}
 			wants[i] = w

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aspt"
@@ -128,9 +129,9 @@ func BenchmarkKernelCorpus(b *testing.B) {
 				b.ReportMetric(imbGPU, "imb@1k")
 			})
 		}
-		run("rowwise", func() error { return SpMMRowWiseInto(y, m, x) })
-		run("merge", func() error { return SpMMMergeInto(y, m, x) })
-		run("hyb", func() error { return SpMMHybridInto(y, hyb, x) })
-		run("aspt", func() error { return SpMMASpTInto(y, tl, x) })
+		run("rowwise", func() error { return SpMMRowWiseIntoCtx(context.Background(), y, m, x) })
+		run("merge", func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) })
+		run("hyb", func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) })
+		run("aspt", func() error { return SpMMASpTIntoCtx(context.Background(), y, tl, x) })
 	}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -126,7 +127,7 @@ func BenchmarkSpMMSkewBalanced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMRowWiseInto(y, m, x); err != nil {
+		if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func BenchmarkNativeSpMMRowWiseIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMRowWiseInto(y, m, x); err != nil {
+		if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +156,7 @@ func BenchmarkNativeSpMMASpTIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +169,7 @@ func BenchmarkNativeSDDMMASpTIntoK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SDDMMASpTInto(out, tl, x, y); err != nil {
+		if err := SDDMMASpTIntoCtx(context.Background(), out, tl, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

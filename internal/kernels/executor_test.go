@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,7 +184,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 
 	y := dense.New(m.Rows, 8)
 	y.Fill(123) // stale garbage must not leak into results
-	if err := SpMMRowWiseInto(y, m, x); err != nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), y, m, x); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := SpMMRowWise(m, x)
@@ -192,7 +193,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 
 	y.Fill(-7)
-	if err := SpMMASpTInto(y, tl, x); err != nil {
+	if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 		t.Fatal(err)
 	}
 	if d := dense.MaxAbsDiff(y, want); d > 1e-4 {
@@ -204,7 +205,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	for j := range out.Val {
 		out.Val[j] = 99
 	}
-	if err := SDDMMRowWiseInto(out, m, x, yin); err != nil {
+	if err := SDDMMRowWiseIntoCtx(context.Background(), out, m, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range out.Val {
@@ -213,7 +214,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 	}
 	out2 := m.Clone()
-	if err := SDDMMASpTInto(out2, tl, x, yin); err != nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), out2, tl, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range out2.Val {
@@ -232,29 +233,29 @@ func TestIntoValidation(t *testing.T) {
 	x := dense.NewRandom(m.Cols, 4, 1)
 	yin := dense.NewRandom(m.Rows, 4, 2)
 
-	if err := SpMMRowWiseInto(dense.New(m.Rows+1, 4), m, x); err == nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), dense.New(m.Rows+1, 4), m, x); err == nil {
 		t.Fatalf("accepted wrong output rows")
 	}
-	if err := SpMMRowWiseInto(dense.New(m.Rows, 5), m, x); err == nil {
+	if err := SpMMRowWiseIntoCtx(context.Background(), dense.New(m.Rows, 5), m, x); err == nil {
 		t.Fatalf("accepted wrong output cols")
 	}
-	if err := SpMMASpTInto(dense.New(m.Rows, 5), tl, x); err == nil {
+	if err := SpMMASpTIntoCtx(context.Background(), dense.New(m.Rows, 5), tl, x); err == nil {
 		t.Fatalf("ASpT accepted wrong output cols")
 	}
 	other := randomMatrix(rng, 20, 20, 5)
 	if other.SameStructure(m) {
 		t.Skip("random matrices collided")
 	}
-	if err := SDDMMRowWiseInto(other, m, x, yin); err == nil {
+	if err := SDDMMRowWiseIntoCtx(context.Background(), other, m, x, yin); err == nil {
 		t.Fatalf("accepted structurally different SDDMM output")
 	}
-	if err := SDDMMASpTInto(other, tl, x, yin); err == nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), other, tl, x, yin); err == nil {
 		t.Fatalf("ASpT accepted structurally different SDDMM output")
 	}
 	// In-place over the source is explicitly allowed.
 	inPlace := m.Clone()
 	tl2, _ := aspt.Build(inPlace, aspt.DefaultParams())
-	if err := SDDMMASpTInto(inPlace, tl2, x, yin); err != nil {
+	if err := SDDMMASpTIntoCtx(context.Background(), inPlace, tl2, x, yin); err != nil {
 		t.Fatalf("rejected in-place SDDMM: %v", err)
 	}
 }
@@ -273,12 +274,12 @@ func TestIntoSteadyStateAllocations(t *testing.T) {
 	y := dense.New(m.Rows, 16)
 	// Warm the job pool and worker pool.
 	for i := 0; i < 3; i++ {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := SpMMASpTInto(y, tl, x); err != nil {
+		if err := SpMMASpTIntoCtx(context.Background(), y, tl, x); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,14 +1,15 @@
 package kernels
 
-// ELL and HYB SpMM on the shared executor. ellpack's own SpMM methods
-// are single-threaded reference loops; these entry points give the
-// formats the same contract as SpMMRowWiseIntoCtx — nnz-balanced
-// chunking over the pooled worker set, cooperative cancellation, panic
-// isolation, obs spans, and zero steady-state allocations — so the
-// pipeline can select them per matrix (see the kernel autotuner in
-// internal/reorder).
+// HYB (ELL slab + COO spill) SpMM on the shared executor. ellpack's
+// own SpMM methods are single-threaded reference loops; this entry
+// point gives the format the same contract as SpMMRowWiseIntoCtx —
+// nnz-balanced chunking over the pooled worker set, cooperative
+// cancellation, panic isolation, obs spans, and zero steady-state
+// allocations — so the pipeline can select it per matrix (see the
+// kernel autotuner in internal/reorder). Pure ELL is the zero-spill
+// case of HYB, so it needs no entry point of its own.
 //
-// The ELL kernel walks the slab column-major (slot-major), mirroring
+// The ELL slab pass walks the slab column-major (slot-major), mirroring
 // the coalesced GPU access pattern: within a chunk the slab reads at
 // slot s are contiguous (Cols/Vals[s*rows+lo : s*rows+hi]) while the
 // chunk's output rows stay cache-resident. The HYB kernel runs the ELL
@@ -43,50 +44,8 @@ func checkELLOut(e *ellpack.Matrix, x, y *dense.Matrix) error {
 	return nil
 }
 
-// SpMMELL computes Y = E·X from the ELLPACK-R slab. It allocates and
-// returns Y (E.Rows × X.Cols).
-func SpMMELL(e *ellpack.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkELLShapes(e, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(e.Rows, x.Cols)
-	return y, SpMMELLInto(y, e, x)
-}
-
-// SpMMELLInto computes Y = E·X into the caller-provided y
-// (E.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMELLInto(y *dense.Matrix, e *ellpack.Matrix, x *dense.Matrix) error {
-	return SpMMELLIntoCtx(context.Background(), y, e, x)
-}
-
-// SpMMELLIntoCtx is SpMMELLInto with cooperative cancellation between
-// chunks and panic isolation. On error the output contents are
-// unspecified.
-func SpMMELLIntoCtx(ctx context.Context, y *dense.Matrix, e *ellpack.Matrix, x *dense.Matrix) error {
-	if err := checkELLShapes(e, x); err != nil {
-		return err
-	}
-	if err := checkELLOut(e, x, y); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_spmm_ell")
-	j := getJob()
-	j.run = runSpMMELL
-	j.ctx = ctx
-	j.attr = attrSpMMELL
-	j.ell, j.x, j.y = e, x, y
-	err := j.dispatch(e.Rows, e.CumWork)
-	if err == nil {
-		attrSpMMELL.recordPass(j, int(e.CumWork(e.Rows)), e.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSpMMELL.ObserveSince(start)
-	return err
-}
-
+// runSpMMELL computes rows [lo, hi) of the ELL slab's product. ELL is
+// served only inside HYB, whose kernel runs this slab pass first.
 func runSpMMELL(j *job, lo, hi int) {
 	e, x, y := j.ell, j.x, j.y
 	for i := lo; i < hi; i++ {
@@ -116,19 +75,14 @@ func SpMMHybrid(h *ellpack.Hybrid, x *dense.Matrix) (*dense.Matrix, error) {
 		return nil, err
 	}
 	y := dense.New(h.ELL.Rows, x.Cols)
-	return y, SpMMHybridInto(y, h, x)
+	return y, SpMMHybridIntoCtx(context.Background(), y, h, x)
 }
 
-// SpMMHybridInto computes Y = H·X into the caller-provided y
-// (H.ELL.Rows × X.Cols), overwriting its contents. At steady state the
-// call performs no heap allocations.
-func SpMMHybridInto(y *dense.Matrix, h *ellpack.Hybrid, x *dense.Matrix) error {
-	return SpMMHybridIntoCtx(context.Background(), y, h, x)
-}
-
-// SpMMHybridIntoCtx is SpMMHybridInto with cooperative cancellation
-// between chunks and panic isolation. On error the output contents are
-// unspecified.
+// SpMMHybridIntoCtx computes Y = H·X into the caller-provided y
+// (H.ELL.Rows × X.Cols), overwriting its contents, with cooperative
+// cancellation between chunks and panic isolation. On error the output
+// contents are unspecified. At steady state the call performs no heap
+// allocations.
 func SpMMHybridIntoCtx(ctx context.Context, y *dense.Matrix, h *ellpack.Hybrid, x *dense.Matrix) error {
 	if err := checkELLShapes(h.ELL, x); err != nil {
 		return err

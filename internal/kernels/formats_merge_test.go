@@ -93,11 +93,7 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 			}
 			approxEqual(t, name+"/merge", got, want)
 
-			ell, err := ellpack.FromCSR(m, 0)
-			if err != nil {
-				t.Fatalf("%s: FromCSR: %v", name, err)
-			}
-			got, err = SpMMELL(ell, x)
+			got, err = SpMMHybrid(zeroSpillHybrid(t, m), x)
 			if err != nil {
 				t.Fatalf("%s: ell: %v", name, err)
 			}
@@ -114,6 +110,21 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 			approxEqual(t, name+"/hyb", got, want)
 		}
 	}
+}
+
+// zeroSpillHybrid builds m's HYB form with the slab as wide as the
+// longest row, so nothing spills and the HYB kernel runs the ELL slab
+// pass alone — the pure ELL case.
+func zeroSpillHybrid(t *testing.T, m *sparse.CSR) *ellpack.Hybrid {
+	t.Helper()
+	h, err := ellpack.FromCSRHybrid(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Spill) != 0 {
+		t.Fatalf("zero-spill HYB spilled %d entries", len(h.Spill))
+	}
+	return h
 }
 
 // TestMergeManyChunksOneRow forces far more chunks than rows so a
@@ -143,10 +154,7 @@ func TestMergeManyChunksOneRow(t *testing.T) {
 
 func TestFormatShapeErrors(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := zeroSpillHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +163,7 @@ func TestFormatShapeErrors(t *testing.T) {
 	if _, err := SpMMMerge(m, badX); err == nil {
 		t.Fatal("merge accepted mismatched X")
 	}
-	if _, err := SpMMELL(ell, badX); err == nil {
+	if _, err := SpMMHybrid(ell, badX); err == nil {
 		t.Fatal("ELL accepted mismatched X")
 	}
 	if _, err := SpMMHybrid(hyb, badX); err == nil {
@@ -163,13 +171,13 @@ func TestFormatShapeErrors(t *testing.T) {
 	}
 	x := dense.New(m.Cols, 4)
 	badY := dense.New(m.Rows+1, 4)
-	if err := SpMMMergeInto(badY, m, x); err == nil {
+	if err := SpMMMergeIntoCtx(context.Background(), badY, m, x); err == nil {
 		t.Fatal("merge accepted mismatched Y")
 	}
-	if err := SpMMELLInto(badY, ell, x); err == nil {
+	if err := SpMMHybridIntoCtx(context.Background(), badY, ell, x); err == nil {
 		t.Fatal("ELL accepted mismatched Y")
 	}
-	if err := SpMMHybridInto(badY, hyb, x); err == nil {
+	if err := SpMMHybridIntoCtx(context.Background(), badY, hyb, x); err == nil {
 		t.Fatal("HYB accepted mismatched Y")
 	}
 }
@@ -178,10 +186,7 @@ func TestFormatShapeErrors(t *testing.T) {
 // contract to the merge, ELL, and HYB paths.
 func TestNewIntoSteadyStateAllocations(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := zeroSpillHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +194,9 @@ func TestNewIntoSteadyStateAllocations(t *testing.T) {
 	x := dense.NewRandom(m.Cols, 16, 1)
 	y := dense.New(m.Rows, 16)
 	for name, call := range map[string]func() error{
-		"merge": func() error { return SpMMMergeInto(y, m, x) },
-		"ell":   func() error { return SpMMELLInto(y, ell, x) },
-		"hyb":   func() error { return SpMMHybridInto(y, hyb, x) },
+		"merge": func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) },
+		"ell":   func() error { return SpMMHybridIntoCtx(context.Background(), y, ell, x) },
+		"hyb":   func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) },
 	} {
 		for i := 0; i < 3; i++ { // warm the job and worker pools
 			if err := call(); err != nil {
@@ -213,10 +218,7 @@ func TestNewIntoSteadyStateAllocations(t *testing.T) {
 // contract on the merge, ELL, and HYB paths.
 func TestNewKernelHardening(t *testing.T) {
 	m := hubMatrix(t)
-	ell, err := ellpack.FromCSR(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ell := zeroSpillHybrid(t, m)
 	hyb, err := ellpack.FromCSRHybrid(m, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +227,7 @@ func TestNewKernelHardening(t *testing.T) {
 	y := dense.New(m.Rows, 8)
 	calls := map[string]func(context.Context) error{
 		"merge": func(ctx context.Context) error { return SpMMMergeIntoCtx(ctx, y, m, x) },
-		"ell":   func(ctx context.Context) error { return SpMMELLIntoCtx(ctx, y, ell, x) },
+		"ell":   func(ctx context.Context) error { return SpMMHybridIntoCtx(ctx, y, ell, x) },
 		"hyb":   func(ctx context.Context) error { return SpMMHybridIntoCtx(ctx, y, hyb, x) },
 	}
 	for name, call := range calls {

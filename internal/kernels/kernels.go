@@ -80,19 +80,14 @@ func SpMMRowWise(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
 		return nil, err
 	}
 	y := dense.New(s.Rows, x.Cols)
-	return y, SpMMRowWiseInto(y, s, x)
+	return y, SpMMRowWiseIntoCtx(context.Background(), y, s, x)
 }
 
-// SpMMRowWiseInto computes Y = S·X into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMRowWiseInto(y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	return SpMMRowWiseIntoCtx(context.Background(), y, s, x)
-}
-
-// SpMMRowWiseIntoCtx is SpMMRowWiseInto with cooperative cancellation
-// between chunks and panic isolation (a kernel panic returns as a
-// *par.PanicError). On error the output contents are unspecified.
+// SpMMRowWiseIntoCtx computes Y = S·X into the caller-provided y
+// (S.Rows × X.Cols), overwriting its contents, with cooperative
+// cancellation between chunks and panic isolation (a kernel panic
+// returns as a *par.PanicError). On error the output contents are
+// unspecified. At steady state the call performs no heap allocations.
 func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
 	if err := checkSpMMShapes(s, x); err != nil {
 		return err
@@ -142,20 +137,15 @@ func SpMMASpT(t *aspt.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
 		return nil, err
 	}
 	y := dense.New(t.Src.Rows, x.Cols)
-	return y, SpMMASpTInto(y, t, x)
+	return y, SpMMASpTIntoCtx(context.Background(), y, t, x)
 }
 
-// SpMMASpTInto computes Y = S·X from the ASpT representation into the
-// caller-provided y, overwriting its contents. Work is balanced by each
-// row's combined tile+rest nonzero count. At steady state the call
-// performs no heap allocations.
-func SpMMASpTInto(y *dense.Matrix, t *aspt.Matrix, x *dense.Matrix) error {
-	return SpMMASpTIntoCtx(context.Background(), y, t, x)
-}
-
-// SpMMASpTIntoCtx is SpMMASpTInto with cooperative cancellation between
-// chunks and panic isolation. On error the output contents are
-// unspecified.
+// SpMMASpTIntoCtx computes Y = S·X from the ASpT representation into
+// the caller-provided y, overwriting its contents, with cooperative
+// cancellation between chunks and panic isolation. Work is balanced by
+// each row's combined tile+rest nonzero count. On error the output
+// contents are unspecified. At steady state the call performs no heap
+// allocations.
 func SpMMASpTIntoCtx(ctx context.Context, y *dense.Matrix, t *aspt.Matrix, x *dense.Matrix) error {
 	if err := checkSpMMShapes(t.Src, x); err != nil {
 		return err
@@ -241,21 +231,15 @@ func SDDMMRowWise(s *sparse.CSR, x, y *dense.Matrix) (*sparse.CSR, error) {
 		return nil, err
 	}
 	out := s.Clone()
-	return out, SDDMMRowWiseInto(out, s, x, y)
+	return out, SDDMMRowWiseIntoCtx(context.Background(), out, s, x, y)
 }
 
-// SDDMMRowWiseInto computes O = S ⊙ (Y·Xᵀ) into the caller-provided
+// SDDMMRowWiseIntoCtx computes O = S ⊙ (Y·Xᵀ) into the caller-provided
 // out, which must have S's sparsity structure (e.g. S.Clone(), a
-// previous result, or S itself for in-place value rewriting). Only
-// out.Val is written. At steady state the call performs no heap
-// allocations.
-func SDDMMRowWiseInto(out, s *sparse.CSR, x, y *dense.Matrix) error {
-	return SDDMMRowWiseIntoCtx(context.Background(), out, s, x, y)
-}
-
-// SDDMMRowWiseIntoCtx is SDDMMRowWiseInto with cooperative cancellation
-// between chunks and panic isolation. On error the output values are
-// unspecified.
+// previous result, or S itself for in-place value rewriting), with
+// cooperative cancellation between chunks and panic isolation. Only
+// out.Val is written. On error the output values are unspecified. At
+// steady state the call performs no heap allocations.
 func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Matrix) error {
 	if err := checkSDDMMShapes(s, x, y); err != nil {
 		return err
@@ -307,20 +291,14 @@ func SDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
 		return nil, err
 	}
 	out := t.Src.Clone()
-	return out, SDDMMASpTInto(out, t, x, y)
+	return out, SDDMMASpTIntoCtx(context.Background(), out, t, x, y)
 }
 
-// SDDMMASpTInto computes SDDMM from the ASpT representation into the
-// caller-provided out, which must have the source matrix's structure.
-// Only out.Val is written. At steady state the call performs no heap
-// allocations.
-func SDDMMASpTInto(out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
-	return SDDMMASpTIntoCtx(context.Background(), out, t, x, y)
-}
-
-// SDDMMASpTIntoCtx is SDDMMASpTInto with cooperative cancellation
-// between chunks and panic isolation. On error the output values are
-// unspecified.
+// SDDMMASpTIntoCtx computes SDDMM from the ASpT representation into
+// the caller-provided out, which must have the source matrix's
+// structure, with cooperative cancellation between chunks and panic
+// isolation. Only out.Val is written. On error the output values are
+// unspecified. At steady state the call performs no heap allocations.
 func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
 	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
 		return err

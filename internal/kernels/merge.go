@@ -52,19 +52,14 @@ func SpMMMerge(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
 		return nil, err
 	}
 	y := dense.New(s.Rows, x.Cols)
-	return y, SpMMMergeInto(y, s, x)
+	return y, SpMMMergeIntoCtx(context.Background(), y, s, x)
 }
 
-// SpMMMergeInto computes Y = S·X into the caller-provided y
-// (S.Rows × X.Cols), overwriting its contents. At steady state the call
-// performs no heap allocations.
-func SpMMMergeInto(y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
-	return SpMMMergeIntoCtx(context.Background(), y, s, x)
-}
-
-// SpMMMergeIntoCtx is SpMMMergeInto with cooperative cancellation
-// between chunks and panic isolation (a kernel panic returns as a
-// *par.PanicError). On error the output contents are unspecified.
+// SpMMMergeIntoCtx computes Y = S·X into the caller-provided y
+// (S.Rows × X.Cols), overwriting its contents, with cooperative
+// cancellation between chunks and panic isolation (a kernel panic
+// returns as a *par.PanicError). On error the output contents are
+// unspecified. At steady state the call performs no heap allocations.
 func SpMMMergeIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
 	if err := checkSpMMShapes(s, x); err != nil {
 		return err

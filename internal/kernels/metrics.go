@@ -21,9 +21,6 @@ var (
 	kernelSpMMMerge = obs.Default().Histogram("spmmrr_kernel_seconds",
 		"Kernel execution latency by kernel variant.",
 		obs.LatencyBuckets(), obs.L("kernel", "spmm_merge"))
-	kernelSpMMELL = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "spmm_ell"))
 	kernelSpMMHybrid = obs.Default().Histogram("spmmrr_kernel_seconds",
 		"Kernel execution latency by kernel variant.",
 		obs.LatencyBuckets(), obs.L("kernel", "spmm_hyb"))
@@ -172,7 +169,6 @@ var (
 	attrSpMMRowWise  = newKernelAttr("spmm_rowwise")
 	attrSpMMASpT     = newKernelAttr("spmm_aspt")
 	attrSpMMMerge    = newKernelAttr("spmm_merge")
-	attrSpMMELL      = newKernelAttr("spmm_ell")
 	attrSpMMHybrid   = newKernelAttr("spmm_hyb")
 	attrSDDMMRowWise = newKernelAttr("sddmm_rowwise")
 	attrSDDMMASpT    = newKernelAttr("sddmm_aspt")

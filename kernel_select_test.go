@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/kernels"
 )
 
 // TestPipelineKernelOverrides runs the same SpMM through every kernel
@@ -65,7 +66,7 @@ func TestPipelineKernelOverrides(t *testing.T) {
 			{Y: repro.NewDense(m.Rows, x.Cols), X: x},
 			{Y: repro.NewDense(m.Rows, x2.Cols), X: x2},
 		}
-		if err := p.SpMMBatchIntoCtx(context.Background(), ops); err != nil {
+		if err := kernels.SpMMBatchIntoCtx(context.Background(), p, ops); err != nil {
 			t.Fatalf("%v batch: %v", k, err)
 		}
 		agree(k, "batched", ops[0].Y, want)
@@ -92,7 +93,7 @@ func TestPipelineKernelOverrides(t *testing.T) {
 			{Y: repro.NewDense(m.Rows, x.Cols), X: x},
 			{Y: repro.NewDense(m.Rows, x2.Cols), X: x2},
 		}
-		if err := sh.SpMMBatchIntoCtx(context.Background(), shOps); err != nil {
+		if err := kernels.SpMMBatchIntoCtx(context.Background(), sh, shOps); err != nil {
 			t.Fatalf("%v sharded batch: %v", k, err)
 		}
 		agree(k, "sharded-batched", shOps[0].Y, want)

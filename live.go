@@ -259,12 +259,10 @@ type LivePipeline struct {
 
 	// sink receives decision events (plan swaps, overlay degradation;
 	// trial/mispick events flow through the online base's own sink).
-	// mispickWindow is the feedback window threaded to rebuilt bases;
 	// mispickCarry accumulates mispick counts of bases replaced by
 	// rebuild swaps so Mispicked never goes backwards.
-	sink          atomic.Pointer[eventSink]
-	mispickWindow atomic.Int64
-	mispickCarry  atomic.Int64
+	sink         atomic.Pointer[eventSink]
+	mispickCarry atomic.Int64
 
 	mutations    obs.Counter // published mutation batches
 	valueUpdates obs.Counter
@@ -402,18 +400,6 @@ func (l *LivePipeline) setEventSink(ring *obs.EventRing, tenant string) {
 	}
 }
 
-// setMispickWindow threads the autotuner-feedback window to the
-// current and every future online base.
-func (l *LivePipeline) setMispickWindow(n int) {
-	if n <= 0 {
-		return
-	}
-	l.mispickWindow.Store(int64(n))
-	if o := l.state.Load().online; o != nil {
-		o.setMispickWindow(n)
-	}
-}
-
 // Degraded reports whether background rebuilding was permanently
 // abandoned (overlay-forever serving) and the error that caused it.
 func (l *LivePipeline) Degraded() (bool, error) {
@@ -467,33 +453,32 @@ func (l *LivePipeline) overlayCost() (overlayNNZ, baseNNZ int64) {
 // for a pre-mutation shape are excised from the batch with
 // ErrStaleShape instead of failing (or corrupting) the batch.
 func (l *LivePipeline) validateBatchOp(op BatchOp) error {
-	st := l.state.Load()
-	if op.Y.Rows != st.cur.Rows || op.Y.Cols != op.X.Cols || op.X.Rows != st.cur.Cols {
+	return l.state.Load().checkSpMM(op.Y, op.X)
+}
+
+// checkSpMM rejects SpMM operands that do not fit this state's fused
+// matrix with ErrStaleShape.
+func (st *liveState) checkSpMM(y, x *Dense) error {
+	if cur := st.cur; y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
 		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, op.Y.Rows, op.Y.Cols, op.X.Rows, op.X.Cols,
-			st.cur.Rows, st.cur.Cols, st.epoch)
+			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
 	}
 	return nil
 }
 
-// UpdateValues applies a value-only mutation (see Mutation.UpdateValues).
-func (l *LivePipeline) UpdateValues(ctx context.Context, ups []ValueUpdate) error {
-	return l.Mutate(ctx, Mutation{UpdateValues: ups})
-}
-
-// ReplaceRows replaces whole rows (see Mutation.ReplaceRows).
-func (l *LivePipeline) ReplaceRows(ctx context.Context, rows []RowUpdate) error {
-	return l.Mutate(ctx, Mutation{ReplaceRows: rows})
-}
-
-// AppendRows grows the matrix by new rows (see Mutation.AppendRows).
-func (l *LivePipeline) AppendRows(ctx context.Context, rows []RowDef) error {
-	return l.Mutate(ctx, Mutation{AppendRows: rows})
-}
-
-// DeleteRows tombstones rows to empty (see Mutation.DeleteRows).
-func (l *LivePipeline) DeleteRows(ctx context.Context, rows []int) error {
-	return l.Mutate(ctx, Mutation{DeleteRows: rows})
+// checkSDDMM is checkSpMM for SDDMM: out must have the fused matrix's
+// structure and the operands its shape.
+func (st *liveState) checkSDDMM(out *Matrix, x, y *Dense) error {
+	cur := st.cur
+	if out != cur && !out.SameStructure(cur) {
+		return fmt.Errorf("%w: SDDMM output structure differs from the live matrix at epoch %d",
+			ErrStaleShape, st.epoch)
+	}
+	if y.Rows != cur.Rows || x.Rows != cur.Cols || x.Cols != y.Cols {
+		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
+			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
+	}
+	return nil
 }
 
 // Mutate validates and applies one mutation batch atomically: readers
@@ -806,72 +791,12 @@ func applyToMatrix(cur *Matrix, nm *Mutation) (*Matrix, error) {
 // base rows directly into y's prefix and the overlaid/appended rows are
 // filled from the fused matrix at output-scatter time.
 func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return l.state.Load().spmmInto(ctx, y, x, false)
+	return l.state.Load().spmmInto(ctx, y, x, modeFull)
 }
 
 // SpMMInto is SpMMIntoCtx without cancellation.
 func (l *LivePipeline) SpMMInto(y *Dense, x *Dense) error {
 	return l.SpMMIntoCtx(context.Background(), y, x)
-}
-
-// SpMMCtx is the allocating form of SpMMIntoCtx; the output comes from
-// the process-wide dense pool (return with PutDense), sized for the
-// epoch the call pinned.
-func (l *LivePipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	st := l.state.Load()
-	y := dense.Get(st.cur.Rows, x.Cols)
-	if err := st.spmmInto(ctx, y, x, false); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// spmmNRIntoCtx serves the breaker's no-reorder fallback with the same
-// overlay merge — a mutated tenant's fallback must not resurrect
-// pre-mutation data or shapes.
-func (l *LivePipeline) spmmNRIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return l.state.Load().spmmInto(ctx, y, x, true)
-}
-
-// SpMMBatchIntoCtx computes every op's Y = S·X in one batched kernel
-// pass (column-stacked, see Pipeline.SpMMBatchIntoCtx) against one
-// pinned epoch.
-func (l *LivePipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
-	return kernels.SpMMBatchIntoCtx(ctx, l, ops)
-}
-
-// refSpMMIntoCtx serves y = cur·x through the plain row-wise kernel on
-// the fused, original-order matrix — the integrity quarantine path. It
-// shares no transformed representation (permutation, tiles, slabs,
-// gather maps) with any plan under suspicion, and it is bit-identical
-// to the cold-rebuild oracle (repro.SpMM runs the same kernel on the
-// same matrix). Note this is distinct from the breaker's NR fallback:
-// for a sharded tenant the NR fallback IS the sharded pipeline, which
-// may be the very thing quarantined.
-func (l *LivePipeline) refSpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	st := l.state.Load()
-	cur := st.cur
-	if y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
-	}
-	return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
-}
-
-// refSDDMMIntoCtx is the SDDMM quarantine path (see refSpMMIntoCtx).
-func (l *LivePipeline) refSDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	st := l.state.Load()
-	cur := st.cur
-	if out != cur && !out.SameStructure(cur) {
-		return fmt.Errorf("%w: SDDMM output structure differs from the live matrix at epoch %d",
-			ErrStaleShape, st.epoch)
-	}
-	if y.Rows != cur.Rows || x.Rows != cur.Cols || x.Cols != y.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
-	}
-	return kernels.SDDMMRowWiseIntoCtx(ctx, out, cur, x, y)
 }
 
 // baseGen identifies the current base-plan generation for the
@@ -920,13 +845,28 @@ func (l *LivePipeline) evictPlans() {
 	}
 }
 
-func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bool) error {
-	cur := st.cur
-	if y.Rows != cur.Rows || y.Cols != x.Cols || x.Rows != cur.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
+// spmmInto serves y = cur·x against this state in mode:
+//
+//   - modeFull and modeVerify run the base unit, with the overlay merged.
+//   - modeFallback (the breaker's) runs the online base's no-reorder
+//     plan with the same overlay merge — a mutated tenant's fallback
+//     must not resurrect pre-mutation data or shapes.
+//   - modeQuarantine (the integrity reference path) runs the plain
+//     row-wise kernel on the fused, original-order matrix. It shares no
+//     transformed representation (permutation, tiles, slabs, gather
+//     maps) with any plan under suspicion, and it is bit-identical to
+//     the cold-rebuild oracle (repro.SpMM runs the same kernel on the
+//     same matrix). For a sharded tenant the breaker's fallback IS the
+//     sharded pipeline, which may be the very thing quarantined.
+func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serveMode) error {
+	if err := st.checkSpMM(y, x); err != nil {
+		return err
 	}
-	base := st.baseUnit(nrOnly)
+	cur := st.cur
+	if mode == modeQuarantine {
+		return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
+	}
+	base := st.baseUnit(mode == modeFallback)
 	if !st.mutated() {
 		return base.SpMMIntoCtx(ctx, y, x)
 	}
@@ -939,13 +879,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 	if err := base.SpMMIntoCtx(ctx, &yb, x); err != nil {
 		return err
 	}
-	n := 0
-	row := func(r int) error {
-		if n++; n&0xFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	err := st.overlayRows(ctx, func(r int) {
 		yr := y.Row(r)
 		clear(yr)
 		cols, vals := cur.RowCols(r), cur.RowVals(r)
@@ -956,17 +890,9 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 				yr[k] += v * xr[k]
 			}
 		}
-		return nil
-	}
-	for r := range st.overlay {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	for r := st.baseM.Rows; r < cur.Rows; r++ {
-		if err := row(r); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	// Corruption fault site: flip one entry of the lowest overlay (or
 	// first tail) row in the *served output* — the fused truth stays
@@ -974,7 +900,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 	// into the breaker/quarantine fallback path, and only an armed
 	// CorruptAt hook corrupts (the generic chaos soak's ErrorAt sweep
 	// is a no-op here).
-	if err := faultinject.Fire("integrity.corrupt.overlay"); errors.Is(err, faultinject.ErrCorrupt) && !nrOnly && y.Cols > 0 {
+	if err := faultinject.Fire("integrity.corrupt.overlay"); errors.Is(err, faultinject.ErrCorrupt) && mode != modeFallback && y.Cols > 0 {
 		r := -1
 		for ov := range st.overlay {
 			if r < 0 || ov < r {
@@ -995,36 +921,19 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, nrOnly bo
 // SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) against the current epoch; out
 // must have the current fused matrix's structure.
 func (l *LivePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	return l.state.Load().sddmmInto(ctx, out, x, y, false)
+	return l.state.Load().sddmmInto(ctx, out, x, y, modeFull)
 }
 
-// SDDMMCtx is the allocating form of SDDMMIntoCtx; the output clones
-// the fused matrix's structure at the epoch the call pinned.
-func (l *LivePipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	st := l.state.Load()
-	out := st.cur.Clone()
-	if err := st.sddmmInto(ctx, out, x, y, false); err != nil {
-		return nil, err
+// sddmmInto is spmmInto's SDDMM analog, routing the same four modes.
+func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mode serveMode) error {
+	if err := st.checkSDDMM(out, x, y); err != nil {
+		return err
 	}
-	return out, nil
-}
-
-// sddmmNRIntoCtx is the breaker-fallback SDDMM with the overlay merge.
-func (l *LivePipeline) sddmmNRIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	return l.state.Load().sddmmInto(ctx, out, x, y, true)
-}
-
-func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nrOnly bool) error {
 	cur := st.cur
-	if out != cur && !out.SameStructure(cur) {
-		return fmt.Errorf("%w: SDDMM output structure differs from the live matrix at epoch %d",
-			ErrStaleShape, st.epoch)
+	if mode == modeQuarantine {
+		return kernels.SDDMMRowWiseIntoCtx(ctx, out, cur, x, y)
 	}
-	if y.Rows != cur.Rows || x.Rows != cur.Cols || x.Cols != y.Cols {
-		return fmt.Errorf("%w: operands y %dx%d, x %dx%d vs %dx%d at epoch %d",
-			ErrStaleShape, y.Rows, y.Cols, x.Rows, x.Cols, cur.Rows, cur.Cols, st.epoch)
-	}
-	base := st.baseUnit(nrOnly)
+	base := st.baseUnit(mode == modeFallback)
 	if !st.mutated() {
 		return base.SDDMMIntoCtx(ctx, out, x, y)
 	}
@@ -1047,13 +956,7 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nr
 		}
 		copy(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], scratch.Val[bm.RowPtr[r]:bm.RowPtr[r+1]])
 	}
-	n := 0
-	row := func(r int) error {
-		if n++; n&0xFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	return st.overlayRows(ctx, func(r int) {
 		yr := y.Row(r)
 		cols, vals := cur.RowCols(r), cur.RowVals(r)
 		ovals := out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]]
@@ -1065,17 +968,25 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, nr
 			}
 			ovals[i] = dot * vals[i]
 		}
-		return nil
-	}
+	})
+}
+
+// overlayRows calls fn for every row served from the fused matrix
+// rather than the base pass — the overlay rows, then the appended tail
+// — and observes ctx every 256 rows.
+func (st *liveState) overlayRows(ctx context.Context, fn func(r int)) error {
+	n := 0
 	for r := range st.overlay {
-		if err := row(r); err != nil {
-			return err
+		if n++; n&0xFF == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
+		fn(r)
 	}
-	for r := bm.Rows; r < cur.Rows; r++ {
-		if err := row(r); err != nil {
-			return err
+	for r := st.baseM.Rows; r < st.cur.Rows; r++ {
+		if n++; n&0xFF == 0 && ctx.Err() != nil {
+			return ctx.Err()
 		}
+		fn(r)
 	}
 	return nil
 }
@@ -1178,13 +1089,10 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 		if err != nil {
 			return err
 		}
-		// The rebuilt base inherits the event sink and feedback window
-		// before it publishes (nothing serves through it yet).
+		// The rebuilt base inherits the event sink before it publishes
+		// (nothing serves through it yet).
 		if es := l.sink.Load(); es != nil {
 			online.sink.Store(es)
-		}
-		if w := l.mispickWindow.Load(); w > 0 {
-			online.setMispickWindow(int(w))
 		}
 		if werr := online.WaitPreprocessed(l.ctx); werr != nil {
 			return werr

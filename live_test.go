@@ -214,7 +214,7 @@ func assertLiveMatchesModel(t *testing.T, l *repro.LivePipeline, mo *liveModel, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	outS, err := l.SDDMMCtx(ctx, xs, ys)
+	outS, err := sddmmOf(ctx, l, xs, ys)
 	if err != nil {
 		t.Fatalf("live SDDMM: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -276,222 +277,126 @@ func (o *OnlinePipeline) Preprocessed() bool {
 	}
 }
 
+// current returns the plan a call arriving now executes on: the winner
+// once decided, else the reordered plan once built (the call runs the
+// trial on it), else the no-reorder plan.
+func (o *OnlinePipeline) current() *Pipeline {
+	if w := o.winner.Load(); w != nil {
+		return w
+	}
+	if rr := o.rr.Load(); rr != nil {
+		return rr
+	}
+	return o.nr
+}
+
 // PlanStages returns the preprocessing stage breakdown of the plan a
 // call arriving now would execute on: the winner's once decided, else
 // the reordered plan's when its build has landed, else the no-reorder
 // plan's.
-func (o *OnlinePipeline) PlanStages() StageTimings {
-	if w := o.winner.Load(); w != nil {
-		return w.PlanStages()
-	}
-	if rr := o.rr.Load(); rr != nil {
-		return rr.PlanStages()
-	}
-	return o.nr.PlanStages()
-}
+func (o *OnlinePipeline) PlanStages() StageTimings { return o.current().PlanStages() }
 
 // Kernel returns the SpMM kernel of the plan a call arriving now would
 // execute on (winner, else built reordered plan, else the no-reorder
 // plan), resolving the same way as PlanStages.
-func (o *OnlinePipeline) Kernel() Kernel {
+func (o *OnlinePipeline) Kernel() Kernel { return o.current().Kernel() }
+
+// SpMMIntoCtx computes Y = S·X into y with cooperative cancellation
+// between kernel chunks and panic isolation. The first call with both
+// plans ready runs the trial and keeps the faster plan; later calls use
+// the winner lock-free and allocation-free. While the reordered plan is
+// still building in the background, calls serve the no-reorder plan
+// immediately. A call cancelled mid-trial returns ctx's error without
+// publishing a winner; a later call re-runs the trial.
+func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
+	start := time.Now()
+	decided, err := o.dispatch(x.Cols, y.Data, func(p *Pipeline, dst []float32) error {
+		if dst == nil {
+			return p.SpMMIntoCtx(ctx, y, x)
+		}
+		return p.SpMMIntoCtx(ctx, &Dense{Rows: y.Rows, Cols: y.Cols, Data: dst}, x)
+	})
+	if decided && err == nil {
+		o.observeServe(time.Since(start), x.Cols)
+	}
+	return err
+}
+
+// SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into out, which must have the
+// matrix's sparsity structure, with the same first-call trial, the same
+// lock-free decided path, and the same serve-NR-while-building
+// behaviour as SpMMIntoCtx.
+func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
+	_, err := o.dispatch(x.Cols, out.Val, func(p *Pipeline, dst []float32) error {
+		if dst == nil {
+			return p.SDDMMIntoCtx(ctx, out, x, y)
+		}
+		view := *out
+		view.Val = dst
+		return p.SDDMMIntoCtx(ctx, &view, x, y)
+	})
+	return err
+}
+
+// dispatch routes one call: a decided pipeline runs the winner, a
+// pipeline whose reordered plan is still building runs the no-reorder
+// plan, and otherwise the call runs the §4 trial. run executes the call
+// on plan p, into the caller's output (whose values are out) when dst is
+// nil and otherwise into dst, a scratch buffer of len(out). decided
+// reports whether the winner served the call.
+func (o *OnlinePipeline) dispatch(k int, out []float32, run func(p *Pipeline, dst []float32) error) (decided bool, err error) {
 	if w := o.winner.Load(); w != nil {
-		return w.Kernel()
+		return true, run(w, nil)
 	}
 	if rr := o.rr.Load(); rr != nil {
-		return rr.Kernel()
+		return false, o.trial(rr, k, out, run)
 	}
-	return o.nr.Kernel()
+	// Reordered plan not ready: serve the no-reorder plan now rather
+	// than blocking the caller on preprocessing.
+	return false, run(o.nr, nil)
 }
 
-// SpMM computes Y = S·X. The first call with both plans ready runs the
-// trial and keeps the faster plan; later calls use the winner
-// lock-free. While the reordered plan is still building in the
-// background, calls serve the no-reorder plan immediately.
-func (o *OnlinePipeline) SpMM(x *Dense) (*Dense, error) {
-	return o.SpMMCtx(context.Background(), x)
-}
-
-// SpMMCtx is SpMM with cooperative cancellation between kernel chunks
-// and panic isolation. A call cancelled mid-trial returns ctx's error
-// without publishing a winner; a later call re-runs the trial.
-func (o *OnlinePipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	if w := o.winner.Load(); w != nil {
-		start := time.Now()
-		y, err := w.SpMMCtx(ctx, x)
-		if err == nil {
-			o.observeServe(time.Since(start), x.Cols)
-		}
-		return y, err
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		// Reordered plan not ready: serve the no-reorder plan now
-		// rather than blocking the caller on preprocessing.
-		return o.nr.SpMMCtx(ctx, x)
-	}
-	return o.trialSpMM(ctx, rr, x)
-}
-
-// SpMMInto is the allocation-free form of SpMM: once decided (or while
-// degraded / still building) it delegates to a plan's SpMMInto without
-// locking or allocating. (The deciding call itself still allocates for
-// the trial runs.)
-func (o *OnlinePipeline) SpMMInto(y *Dense, x *Dense) error {
-	return o.SpMMIntoCtx(context.Background(), y, x)
-}
-
-// SpMMIntoCtx is SpMMInto with cooperative cancellation between kernel
-// chunks and panic isolation.
-func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	if w := o.winner.Load(); w != nil {
-		start := time.Now()
-		err := w.SpMMIntoCtx(ctx, y, x)
-		if err == nil {
-			o.observeServe(time.Since(start), x.Cols)
-		}
-		return err
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return o.nr.SpMMIntoCtx(ctx, y, x)
-	}
-	res, err := o.trialSpMM(ctx, rr, x)
-	if err != nil {
-		return err
-	}
-	if y.Rows != res.Rows || y.Cols != res.Cols {
-		return o.winner.Load().SpMMIntoCtx(ctx, y, x) // reuses the shape check
-	}
-	copy(y.Data, res.Data)
-	return nil
-}
-
-// trialSpMM runs the §4 trial under the decision lock: warm-up both
-// plans untimed (so neither eats the cold-cache penalty the other is
-// measured without), then time one run of each, and publish the winner.
-// The result returned to the caller is the winner's, so the loser's
-// discarded output is never what the caller observes. Any error —
-// including ctx's cancellation mid-flight — aborts the trial without
-// publishing a winner.
-func (o *OnlinePipeline) trialSpMM(ctx context.Context, rr *Pipeline, x *Dense) (*Dense, error) {
+// trial runs the §4 trial under the decision lock: warm-up both plans
+// untimed (so neither eats the cold-cache penalty the other is measured
+// without), then time one run of each, and publish the winner. Both
+// plans run into pooled scratch and the winner's result is copied into
+// the caller's output, so the loser's discarded output is never what
+// the caller observes. Any error — including ctx's cancellation
+// mid-flight — aborts the trial without publishing a winner.
+func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pipeline, []float32) error) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if w := o.winner.Load(); w != nil {
 		// Another goroutine decided while this one waited on the lock.
-		return w.SpMMCtx(ctx, x)
+		return run(w, nil)
 	}
+	scratch := dense.Get(2, len(out))
+	defer dense.Put(scratch)
+	dstRR, dstNR := scratch.Data[:len(out)], scratch.Data[len(out):]
 	// Untimed warm-up of each plan (touches the operands and primes the
 	// kernels' pooled state for both).
-	if _, err := rr.SpMMCtx(ctx, x); err != nil {
-		return nil, err
-	}
-	if _, err := o.nr.SpMMCtx(ctx, x); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	yRR, err := rr.SpMMCtx(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	rrTime := time.Since(t0)
-	t0 = time.Now()
-	yNR, err := o.nr.SpMMCtx(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, x.Cols) == rr {
-		return yRR, nil
-	}
-	return yNR, nil
-}
-
-// SpMMBatchIntoCtx computes every op's Y = S·X in one batched kernel
-// pass (see Pipeline.SpMMBatchIntoCtx) through whichever plan a call
-// arriving now would execute on. The single pass at the combined width
-// flows through SpMMIntoCtx, so a batch arriving before the trial has
-// decided runs the trial like any other call — at the batch's combined
-// width, which is also the width the winner will mostly serve if
-// coalescing stays effective.
-func (o *OnlinePipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
-	return kernels.SpMMBatchIntoCtx(ctx, o, ops)
-}
-
-// SDDMM computes O = S ⊙ (Y·Xᵀ) with the same first-call trial, the
-// same lock-free decided path, and the same serve-NR-while-building
-// behaviour.
-func (o *OnlinePipeline) SDDMM(x, y *Dense) (*Matrix, error) {
-	return o.SDDMMCtx(context.Background(), x, y)
-}
-
-// SDDMMCtx is SDDMM with cooperative cancellation between kernel chunks
-// and panic isolation.
-func (o *OnlinePipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMCtx(ctx, x, y)
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return o.nr.SDDMMCtx(ctx, x, y)
-	}
-	return o.trialSDDMM(ctx, rr, x, y)
-}
-
-// SDDMMInto is the allocation-free form of SDDMM; out must have the
-// matrix's sparsity structure.
-func (o *OnlinePipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
-	return o.SDDMMIntoCtx(context.Background(), out, x, y)
-}
-
-// SDDMMIntoCtx is SDDMMInto with cooperative cancellation between
-// kernel chunks and panic isolation.
-func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMIntoCtx(ctx, out, x, y)
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return o.nr.SDDMMIntoCtx(ctx, out, x, y)
-	}
-	res, err := o.trialSDDMM(ctx, rr, x, y)
-	if err != nil {
+	if err := run(rr, dstRR); err != nil {
 		return err
 	}
-	if !out.SameStructure(res) {
-		return o.winner.Load().SDDMMIntoCtx(ctx, out, x, y) // reuses the structure check
-	}
-	copy(out.Val, res.Val)
-	return nil
-}
-
-func (o *OnlinePipeline) trialSDDMM(ctx context.Context, rr *Pipeline, x, y *Dense) (*Matrix, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w := o.winner.Load(); w != nil {
-		return w.SDDMMCtx(ctx, x, y)
-	}
-	if _, err := rr.SDDMMCtx(ctx, x, y); err != nil {
-		return nil, err
-	}
-	if _, err := o.nr.SDDMMCtx(ctx, x, y); err != nil {
-		return nil, err
+	if err := run(o.nr, dstNR); err != nil {
+		return err
 	}
 	t0 := time.Now()
-	oRR, err := rr.SDDMMCtx(ctx, x, y)
-	if err != nil {
-		return nil, err
+	if err := run(rr, dstRR); err != nil {
+		return err
 	}
 	rrTime := time.Since(t0)
 	t0 = time.Now()
-	oNR, err := o.nr.SDDMMCtx(ctx, x, y)
-	if err != nil {
-		return nil, err
+	if err := run(o.nr, dstNR); err != nil {
+		return err
 	}
 	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, x.Cols) == rr {
-		return oRR, nil
+	if o.decide(rr, rrTime, nrTime, k) == rr {
+		copy(out, dstRR)
+	} else {
+		copy(out, dstNR)
 	}
-	return oNR, nil
+	return nil
 }
 
 // reskin rebuilds this online pipeline for a matrix with the *same
@@ -531,12 +436,8 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	}
 	n.rr.Store(rr)
 	if w := o.winner.Load(); w != nil {
-		o.mu.Lock()
-		rrT, nrT := o.rrTime, o.nrTime
-		o.mu.Unlock()
-		n.mu.Lock()
-		n.rrTime, n.nrTime = rrT, nrT
-		n.mu.Unlock()
+		// n is not published yet, so its fields need no lock.
+		n.rrTime, n.nrTime = o.TrialTimes()
 		// The trial decision carries over, and with it the feedback
 		// baseline: a value-only re-skin preserves structure, so both
 		// the fingerprint and the loser's cost per flop still describe

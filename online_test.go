@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -28,7 +29,7 @@ func TestOnlinePipelineDecides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y1, err := o.SpMM(x)
+	y1, err := spmmOf(context.Background(), o, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestOnlinePipelineDecides(t *testing.T) {
 		t.Fatalf("no winner exposed")
 	}
 	// Correctness in both the deciding and the decided calls.
-	y2, err := o.SpMM(x)
+	y2, err := spmmOf(context.Background(), o, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = o.SpMM(x)
+			results[g], errs[g] = spmmOf(context.Background(), o, x)
 		}(g)
 	}
 	wg.Wait()
@@ -108,7 +109,7 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 1)
-	if _, err := o.SpMM(x); err != nil { // decide
+	if _, err := spmmOf(context.Background(), o, x); err != nil { // decide
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
@@ -131,9 +132,9 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 				var got *repro.Dense
 				var err error
 				if c%2 == 0 {
-					got, err = o.SpMM(x)
+					got, err = spmmOf(context.Background(), o, x)
 				} else {
-					err = o.SpMMInto(y, x)
+					err = o.SpMMIntoCtx(context.Background(), y, x)
 					got = y
 				}
 				if err != nil {
@@ -171,7 +172,7 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := repro.NewDense(m.Rows, 8)
-	if err := o.SpMMInto(y, x); err != nil { // undecided path decides
+	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // undecided path decides
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
@@ -182,10 +183,10 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 			t.Fatalf("trial SpMMInto diverges at %d", i)
 		}
 	}
-	if err := o.SpMMInto(y, x); err != nil { // decided path
+	if err := o.SpMMIntoCtx(context.Background(), y, x); err != nil { // decided path
 		t.Fatal(err)
 	}
-	if err := o.SpMMInto(repro.NewDense(m.Rows+1, 8), x); err == nil {
+	if err := o.SpMMIntoCtx(context.Background(), repro.NewDense(m.Rows+1, 8), x); err == nil {
 		t.Fatalf("accepted wrong-shaped output")
 	}
 	wantO, err := repro.SDDMM(m, x, yin)
@@ -193,7 +194,7 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := m.Clone()
-	if err := o.SDDMMInto(out, x, yin); err != nil {
+	if err := o.SDDMMIntoCtx(context.Background(), out, x, yin); err != nil {
 		t.Fatal(err)
 	}
 	for j := range wantO.Val {
@@ -202,7 +203,7 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 		}
 	}
 	bad := repro.Matrix{Rows: 1, Cols: 1, RowPtr: []int32{0, 0}}
-	if err := o.SDDMMInto(&bad, x, yin); err == nil {
+	if err := o.SDDMMIntoCtx(context.Background(), &bad, x, yin); err == nil {
 		t.Fatalf("accepted structurally different SDDMM output")
 	}
 }
@@ -219,7 +220,7 @@ func TestOnlinePipelineSDDMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.SDDMM(x, y)
+	got, err := sddmmOf(context.Background(), o, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestOnlinePipelineSDDMM(t *testing.T) {
 		t.Fatalf("SDDMM first call did not decide")
 	}
 	// Second call goes through the winner path.
-	if _, err := o.SDDMM(x, y); err != nil {
+	if _, err := sddmmOf(context.Background(), o, x, y); err != nil {
 		t.Fatal(err)
 	}
 }

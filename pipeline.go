@@ -134,31 +134,6 @@ func (p *Pipeline) SpMM(x *Dense) (*Dense, error) {
 	return y, nil
 }
 
-// SpMMCtx is SpMM with cooperative cancellation between kernel chunks
-// and panic isolation (a kernel panic returns as an error instead of
-// crashing the process). Like SpMM, the output is pooled scratch —
-// return it with PutDense to keep the loop allocation-free.
-func (p *Pipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	y := dense.Get(p.orig.Rows, x.Cols)
-	if err := p.SpMMIntoCtx(ctx, y, x); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// SpMMBatchIntoCtx computes every op's Y = S·X in a single batched
-// kernel pass: the X operands are column-stacked into pooled scratch,
-// the plan's autotuned kernel runs once at the combined width, and each
-// op's columns are scattered back into its own Y. This is the
-// arithmetic-intensity lever behind request coalescing (DESIGN.md §13):
-// the sparse structure — and the output permutation — are traversed
-// once for the whole batch instead of once per operand. Steady-state
-// calls perform no heap allocations.
-func (p *Pipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
-	return kernels.SpMMBatchIntoCtx(ctx, p, ops)
-}
-
 // SpMMInto computes Y = S·X into the caller-provided y
 // (S.Rows × X.Cols), overwriting its contents; rows come back in the
 // original order. The reordered intermediate lives in pooled scratch,
@@ -264,16 +239,6 @@ func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 func (p *Pipeline) SDDMM(x, y *Dense) (*Matrix, error) {
 	out := p.orig.Clone()
 	if err := p.SDDMMInto(out, x, y); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SDDMMCtx is SDDMM with cooperative cancellation between kernel chunks
-// and panic isolation.
-func (p *Pipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	out := p.orig.Clone()
-	if err := p.SDDMMIntoCtx(ctx, out, x, y); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -10,9 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dense"
 	"repro/internal/faultinject"
 	"repro/internal/integrity"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -39,7 +39,7 @@ var ErrUnknownTenant = errors.New("repro: unknown tenant")
 var ErrTenantExists = errors.New("repro: tenant already registered")
 
 // DefaultTenant is the id under which NewServer's matrix is served;
-// SpMM/SDDMM without a tenant id route here.
+// SpMMInto, SDDMMInto and Mutate route here.
 const DefaultTenant = "default"
 
 // AdmissionStats reports the Server's admission-gate counters.
@@ -69,9 +69,9 @@ type ServerConfig struct {
 	// MaxAttempts bounds tries per request for transient failures
 	// (fault-injected errors and recovered panics). Default 3.
 	MaxAttempts int
-	// RetryBase/RetryMax scale the full-jitter exponential backoff
-	// between attempts. Defaults 500µs / 20ms.
-	RetryBase, RetryMax time.Duration
+	// RetryBase scales the full-jitter exponential backoff between
+	// attempts, which is capped at retryMax. Default 500µs.
+	RetryBase time.Duration
 	// BreakerThreshold trips the reordered-path circuit breaker after
 	// this many consecutive failures. Default 5.
 	BreakerThreshold int
@@ -84,9 +84,6 @@ type ServerConfig struct {
 	// instead of re-running LSH/clustering) and Close snapshots the
 	// cache back to it.
 	PlanDir string
-	// TraceRing bounds the per-request trace ring served at
-	// /debug/traces (most recent first). Default 256.
-	TraceRing int
 	// CoalesceWindow, when positive, batches concurrent SpMM requests
 	// against the same tenant matrix: the first arrival opens a window
 	// of this length, requests landing inside it column-stack into ONE
@@ -146,20 +143,10 @@ type ServerConfig struct {
 	// fails or takes longer than the target. 0 (the default) scores
 	// failures only — the rolling p50/p99 gauges stay live either way.
 	SLOTarget time.Duration
-	// SLOWindow is the rolling request window (sample count) the
-	// watchdog computes quantiles and error-budget burn over.
-	// Default 128.
-	SLOWindow int
 	// EventRing bounds the structured decision-event ring served at
 	// /debug/events (trial winners, plan swaps, breaker transitions,
 	// quarantines, mispicks, SLO burns; most recent first). Default 256.
 	EventRing int
-	// MispickWindow is the autotuner feedback window: every this many
-	// decided serving calls per tenant, the observed cost per flop is
-	// compared against the trial loser's, and a window where the chosen
-	// plan underperforms counts as a mispick (observability only).
-	// Default 64.
-	MispickWindow int
 }
 
 // liveConfig is the per-tenant mutation tuning carved out of the
@@ -189,17 +176,11 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 500 * time.Microsecond
 	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 20 * time.Millisecond
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 100 * time.Millisecond
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
 	}
 	if c.CoalesceMaxOps <= 0 {
 		c.CoalesceMaxOps = 16
@@ -210,17 +191,21 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ProbationRequests <= 0 {
 		c.ProbationRequests = 32
 	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 128
-	}
 	if c.EventRing <= 0 {
 		c.EventRing = 256
 	}
-	if c.MispickWindow <= 0 {
-		c.MispickWindow = defaultMispickWindow
-	}
 	return c
 }
+
+// Fixed serving constants: the cap on the retry backoff between
+// attempts, the per-request trace ring served at /debug/traces, and the
+// rolling request window (sample count) the SLO watchdog computes
+// quantiles and error-budget burn over.
+const (
+	retryMax      = 20 * time.Millisecond
+	traceRingSize = 256
+	sloWindowSize = 128
+)
 
 // sloBudget is the error budget the burn rate normalises against: 1%
 // of the requests in the window may violate the objective before the
@@ -228,7 +213,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 const sloBudget = 0.01
 
 // sloWindow is one tenant's rolling latency and error-budget ledger: a
-// fixed ring of the last SLOWindow request latencies and violation
+// fixed ring of the last sloWindowSize request latencies and violation
 // flags. record is allocation-free (mutex plus ring writes); quantiles
 // sort only at scrape time.
 type sloWindow struct {
@@ -365,15 +350,24 @@ type ServerStats struct {
 	Degraded bool
 }
 
-// servingUnit abstracts the two execution backends a tenant can serve
-// from: an OnlinePipeline (the §4 trial between reordered and plain
-// execution) or a ShardedPipeline (nnz-balanced row panels, each with
-// its own autotuned plan).
+// servingUnit is the one execution contract every pipeline implements:
+// a tenant's live pipeline serves its base rows through an
+// OnlinePipeline (the §4 trial between reordered and plain execution),
+// its no-reorder Pipeline (the breaker fallback), or a ShardedPipeline
+// (nnz-balanced row panels, each with its own autotuned plan). Batched
+// SpMM needs nothing more: kernels.SpMMBatchIntoCtx runs one SpMMIntoCtx
+// at the combined width.
 type servingUnit interface {
 	SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error
-	SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error
 	SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error
 }
+
+var (
+	_ servingUnit = (*Pipeline)(nil)
+	_ servingUnit = (*OnlinePipeline)(nil)
+	_ servingUnit = (*ShardedPipeline)(nil)
+	_ servingUnit = (*LivePipeline)(nil)
+)
 
 // tenant is one served matrix: its live (mutable) pipeline, admission
 // weight, optional request coalescer, and per-outcome counters. Every
@@ -501,9 +495,7 @@ type Server struct {
 	retries   *obs.Counter
 	fallbacks *obs.Counter
 
-	reqSpMM      *obs.Histogram
 	reqSpMMInto  *obs.Histogram
-	reqSDDMM     *obs.Histogram
 	reqSDDMMInto *obs.Histogram
 }
 
@@ -521,7 +513,7 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		}
 	}
 	reg := obs.NewRegistry()
-	traces := obs.NewTraceRing(scfg.TraceRing)
+	traces := obs.NewTraceRing(traceRingSize)
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		adm:     serve.NewAdmissionObs(scfg.MaxInFlight, scfg.MaxQueue, reg),
@@ -569,12 +561,8 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 	s.fallbacks = reg.Counter("spmmrr_server_fallbacks_total",
 		"Attempts routed to the no-reorder pipeline by the circuit breaker.")
 	reqHelp := "End-to-end request latency through the resilience stack, by operation."
-	s.reqSpMM = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
-		obs.LatencyBuckets(), obs.L("op", "spmm"))
 	s.reqSpMMInto = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
 		obs.LatencyBuckets(), obs.L("op", "spmm_into"))
-	s.reqSDDMM = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
-		obs.LatencyBuckets(), obs.L("op", "sddmm"))
 	s.reqSDDMMInto = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
 		obs.LatencyBuckets(), obs.L("op", "sddmm_into"))
 	reg.GaugeFunc("spmmrr_server_degraded",
@@ -623,10 +611,9 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	}
 	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, s.cfg.liveConfig(), s.traces)
 	live.setEventSink(s.events, id)
-	live.setMispickWindow(s.cfg.MispickWindow)
 	t := &tenant{id: id, weight: weight, live: live,
 		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),
-		slo:   newSLOWindow(s.cfg.SLOTarget, s.cfg.SLOWindow)}
+		slo:   newSLOWindow(s.cfg.SLOTarget, sloWindowSize)}
 	// Reinstatements are rare control-plane transitions; ledger them in
 	// the event ring so the soak's event/metric reconciliation can
 	// account for every one.
@@ -653,7 +640,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 				// context: a waiter's deadline governs how long it waits,
 				// never a pass that other waiters' operands share. Close
 				// cancels baseCtx only after the gate has drained.
-				return live.SpMMBatchIntoCtx(s.baseCtx, ops)
+				return kernels.SpMMBatchIntoCtx(s.baseCtx, live, ops)
 			})
 		// Launch-time gate: a mutation landing between submit and launch
 		// excises the now-stale operand (ErrStaleShape) instead of
@@ -741,7 +728,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 		"1 while the tenant is quarantined or on probation, else 0.",
 		func() float64 { return float64(t.integ.Stats().StillQuarantined) }, obs.L("tenant", id))
 	// SLO watchdog families: rolling quantiles and error-budget burn
-	// over the last SLOWindow requests. Registered unconditionally
+	// over the last sloWindowSize requests. Registered unconditionally
 	// (with SLOTarget unset only failures count as violations) so the
 	// exposition is stable across configurations.
 	s.reg.GaugeFunc("spmmrr_slo_p50_seconds",
@@ -788,26 +775,26 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	var t *tenant
+	var online *OnlinePipeline
+	var sharded *ShardedPipeline
+	var err error
 	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
-		sharded, err := NewShardedPipelineCtx(ctx, m, cfg, s.cfg.ShardNNZ)
-		if err != nil {
-			return err
-		}
-		t = s.newTenant(id, weight, nil, sharded)
+		sharded, err = NewShardedPipelineCtx(ctx, m, cfg, s.cfg.ShardNNZ)
 	} else {
-		online, err := newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces)
-		if err != nil {
-			return err
-		}
-		t = s.newTenant(id, weight, online, nil)
+		online, err = newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces)
 	}
+	if err != nil {
+		return err
+	}
+	// newTenant registers the tenant's metric series, and a second
+	// registration of the same series panics: only the call that
+	// reserves id under the write lock may wire the tenant.
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	if _, dup := s.tenants[id]; dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	s.tenants[id] = t
+	s.tenants[id] = s.newTenant(id, weight, online, sharded)
 	return nil
 }
 
@@ -894,27 +881,6 @@ func (s *Server) LiveTenant(id string) (*LivePipeline, error) {
 	return t.live, nil
 }
 
-// PlanStages returns the preprocessing stage breakdown of the plan the
-// server would execute on right now (see OnlinePipeline.PlanStages).
-// A sharded default tenant reports its first panel's stages.
-func (s *Server) PlanStages() StageTimings {
-	if o := s.def.live.Online(); o != nil {
-		return o.PlanStages()
-	}
-	return s.def.live.Sharded().panels[0].pipe.PlanStages()
-}
-
-// Kernel returns the SpMM kernel of the plan the server would execute
-// on right now (see OnlinePipeline.Kernel). A sharded default tenant
-// reports its first panel's kernel; other panels may differ (see
-// ShardedPipeline.PanelKernel).
-func (s *Server) Kernel() Kernel {
-	if o := s.def.live.Online(); o != nil {
-		return o.Kernel()
-	}
-	return s.def.live.Sharded().PanelKernel(0)
-}
-
 // Stats returns a snapshot of every resilience counter. Every number
 // is read from the same registry objects /metrics renders, so the two
 // views cannot disagree.
@@ -984,60 +950,29 @@ func (s *Server) preprocessed() bool {
 	return true
 }
 
-// SpMM computes Y = S·X through the full resilience stack. It returns
-// ErrOverloaded (load shed), ErrServerClosed, the context's error, or
-// the final attempt's error; transient failures are retried with
-// backoff before any error surfaces. The output comes from the
-// process-wide dense scratch pool (see Pipeline.SpMM) — hand it back
-// with PutDense to keep the serving loop allocation-free.
-//
-// With CoalesceWindow configured, concurrent SpMM/SpMMInto calls for
-// the same tenant coalesce into one batched kernel pass at the
-// combined width; each caller still pays its own admission weight and
-// keeps its own deadline.
-func (s *Server) SpMM(ctx context.Context, x *Dense) (*Dense, error) {
-	return s.spmmTenant(ctx, s.def, x)
-}
-
-// SpMMTenant is SpMM against the tenant registered under id.
-func (s *Server) SpMMTenant(ctx context.Context, id string, x *Dense) (*Dense, error) {
-	t, err := s.tenantByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.spmmTenant(ctx, t, x)
-}
-
-func (s *Server) spmmTenant(ctx context.Context, t *tenant, x *Dense) (*Dense, error) {
-	y := dense.Get(t.live.Matrix().Rows, x.Cols)
-	err := s.do(ctx, t, "spmm", s.reqSpMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
-		return s.runSpMM(ctx, t, mode, y, x)
-	})
-	if err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// SpMMInto is SpMM into a caller-provided output (see
-// Pipeline.SpMMInto); steady-state calls stay allocation-free when
-// coalescing is off (a coalesced pass allocates only per batch, in
-// pooled scratch).
+// SpMMInto computes Y = S·X into y for the default tenant (see
+// SpMMIntoTenant).
 func (s *Server) SpMMInto(ctx context.Context, y *Dense, x *Dense) error {
-	return s.spmmIntoTenant(ctx, s.def, y, x)
+	return s.SpMMIntoTenant(ctx, DefaultTenant, y, x)
 }
 
-// SpMMIntoTenant is SpMMInto against the tenant registered under id.
+// SpMMIntoTenant computes Y = S·X into y (S.Rows × X.Cols) for the
+// tenant registered under id, through the full resilience stack. It
+// returns ErrUnknownTenant, ErrOverloaded (load shed), ErrServerClosed,
+// the context's error, or the final attempt's error; transient failures
+// are retried with backoff before any error surfaces. Steady-state
+// calls stay allocation-free when coalescing is off (a coalesced pass
+// allocates only per batch, in pooled scratch).
+//
+// With CoalesceWindow configured, concurrent calls for the same tenant
+// coalesce into one batched kernel pass at the combined width; each
+// caller still pays its own admission weight and keeps its own
+// deadline.
 func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Dense) error {
 	t, err := s.tenantByID(id)
 	if err != nil {
 		return err
 	}
-	return s.spmmIntoTenant(ctx, t, y, x)
-}
-
-func (s *Server) spmmIntoTenant(ctx context.Context, t *tenant, y *Dense, x *Dense) error {
 	return s.do(ctx, t, "spmm_into", s.reqSpMMInto, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
 		return s.runSpMM(ctx, t, mode, y, x)
 	})
@@ -1063,94 +998,66 @@ const (
 	modeQuarantine
 )
 
-// runSpMM executes one SpMM attempt: the breaker's no-reorder fallback
-// runs direct (per-request, uncoalesced, with the live overlay merged —
-// a mutated tenant's fallback must not resurrect pre-mutation data);
-// a quarantined tenant serves the reference row-wise kernel on the
-// unpermuted matrix; the main path goes through the tenant's coalescer
-// when one is configured, with sampled requests shadow-verified after
-// the batch lands. Shapes are validated before joining a batch so one
-// malformed request can never fail a batch it shares with well-formed
-// ones, and re-validated at batch launch in case a mutation landed in
-// between.
+// runSpMM executes one SpMM attempt against the tenant's live state in
+// mode (see liveState.spmmInto; the live overlay is merged in every
+// mode). The breaker's fallback and the quarantine path run direct,
+// per request and uncoalesced; the main path goes through the tenant's
+// coalescer when one is configured, with sampled requests
+// shadow-verified after the batch lands. Shapes are validated before
+// joining a batch so one malformed request can never fail a batch it
+// shares with well-formed ones, and re-validated at batch launch in
+// case a mutation landed in between.
 func (s *Server) runSpMM(ctx context.Context, t *tenant, mode serveMode, y, x *Dense) error {
-	switch mode {
-	case modeFallback:
-		return t.live.spmmNRIntoCtx(ctx, y, x)
-	case modeQuarantine:
-		return t.live.refSpMMIntoCtx(ctx, y, x)
-	case modeVerify:
-		return s.serveVerifiedSpMM(ctx, t, y, x)
-	}
-	if t.coal != nil {
-		if err := t.live.validateBatchOp(BatchOp{Y: y, X: x}); err != nil {
+	serve := func(st *liveState) error {
+		if t.coal == nil || mode == modeFallback || mode == modeQuarantine {
+			return st.spmmInto(ctx, y, x, mode)
+		}
+		if err := st.checkSpMM(y, x); err != nil {
 			return err
 		}
 		return t.coal.Do(ctx, BatchOp{Y: y, X: x})
 	}
-	return t.live.SpMMIntoCtx(ctx, y, x)
-}
-
-// serveVerifiedSpMM serves one sampled request on the normal path and
-// then shadow-verifies a random subset of output rows against the
-// reference row-wise kernel on the original (unpermuted) matrix. The
-// published state is loaded once before serving and compared by
-// pointer afterwards: every publish installs a fresh liveState, so
-// pointer equality proves the output was computed against exactly the
-// snapshot we would verify it with — if a mutation or plan swap landed
-// in between, the check is skipped (counted, never silently dropped)
-// rather than risking a false mismatch.
-func (s *Server) serveVerifiedSpMM(ctx context.Context, t *tenant, y, x *Dense) error {
-	gen := t.live.baseGen()
-	st0 := t.live.state.Load()
-	if t.coal != nil {
-		if err := t.live.validateBatchOp(BatchOp{Y: y, X: x}); err != nil {
-			return err
-		}
-		if err := t.coal.Do(ctx, BatchOp{Y: y, X: x}); err != nil {
-			return err
-		}
-	} else if err := st0.spmmInto(ctx, y, x, false); err != nil {
-		return err
+	if mode != modeVerify {
+		return serve(t.live.state.Load())
 	}
-	if st1 := t.live.state.Load(); st1 != st0 {
-		t.integ.OnSkipped()
-		return nil
-	}
-	if err := integrity.CheckSpMMRows(st0.cur, x, y, s.cfg.VerifyRows, t.integ.Seed(),
-		integrity.DefaultRelTol, integrity.DefaultAbsTol); err != nil {
-		return s.onMismatch(t, gen, err)
-	}
-	t.integ.OnVerified()
-	return nil
+	return s.verified(t, serve, func(cur *Matrix) error {
+		return integrity.CheckSpMMRows(cur, x, y, s.cfg.VerifyRows, t.integ.Seed(),
+			integrity.DefaultRelTol, integrity.DefaultAbsTol)
+	})
 }
 
 // runSDDMM is runSpMM's SDDMM analog (no coalescing on this path).
 func (s *Server) runSDDMM(ctx context.Context, t *tenant, mode serveMode, out *Matrix, x, y *Dense) error {
-	switch mode {
-	case modeFallback:
-		return t.live.sddmmNRIntoCtx(ctx, out, x, y)
-	case modeQuarantine:
-		return t.live.refSDDMMIntoCtx(ctx, out, x, y)
-	case modeVerify:
-		return s.serveVerifiedSDDMM(ctx, t, out, x, y)
+	serve := func(st *liveState) error { return st.sddmmInto(ctx, out, x, y, mode) }
+	if mode != modeVerify {
+		return serve(t.live.state.Load())
 	}
-	return t.live.SDDMMIntoCtx(ctx, out, x, y)
+	return s.verified(t, serve, func(cur *Matrix) error {
+		return integrity.CheckSDDMMRows(cur, x, y, out.Val, s.cfg.VerifyRows, t.integ.Seed(),
+			integrity.DefaultRelTol, integrity.DefaultAbsTol)
+	})
 }
 
-// serveVerifiedSDDMM is serveVerifiedSpMM's SDDMM analog.
-func (s *Server) serveVerifiedSDDMM(ctx context.Context, t *tenant, out *Matrix, x, y *Dense) error {
+// verified serves one sampled request through serve and then
+// shadow-verifies it with check, which recomputes a random subset of
+// output rows with the reference row-wise kernel on the original
+// (unpermuted) matrix. The published state is loaded once before
+// serving and compared by pointer afterwards: every publish installs a
+// fresh liveState, so pointer equality proves the output was computed
+// against exactly the snapshot we would verify it with — if a mutation
+// or plan swap landed in between, the check is skipped (counted, never
+// silently dropped) rather than risking a false mismatch.
+func (s *Server) verified(t *tenant, serve func(*liveState) error, check func(cur *Matrix) error) error {
 	gen := t.live.baseGen()
 	st0 := t.live.state.Load()
-	if err := st0.sddmmInto(ctx, out, x, y, false); err != nil {
+	if err := serve(st0); err != nil {
 		return err
 	}
-	if st1 := t.live.state.Load(); st1 != st0 {
+	if t.live.state.Load() != st0 {
 		t.integ.OnSkipped()
 		return nil
 	}
-	if err := integrity.CheckSDDMMRows(st0.cur, x, y, out.Val, s.cfg.VerifyRows, t.integ.Seed(),
-		integrity.DefaultRelTol, integrity.DefaultAbsTol); err != nil {
+	if err := check(st0.cur); err != nil {
 		return s.onMismatch(t, gen, err)
 	}
 	t.integ.OnVerified()
@@ -1179,36 +1086,20 @@ func (s *Server) onMismatch(t *tenant, gen uint64, cause error) error {
 	return cause
 }
 
-// SDDMM computes O = S ⊙ (Y·Xᵀ) through the full resilience stack,
-// against the live matrix's current structure.
-func (s *Server) SDDMM(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	t := s.def
-	out := t.live.Matrix().Clone()
-	err := s.do(ctx, t, "sddmm", s.reqSDDMM, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
-		return s.runSDDMM(ctx, t, mode, out, x, y)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SDDMMInto is SDDMM into a caller-provided output with the matrix's
-// sparsity structure.
+// SDDMMInto computes O = S ⊙ (Y·Xᵀ) into out for the default tenant
+// (see SDDMMIntoTenant).
 func (s *Server) SDDMMInto(ctx context.Context, out *Matrix, x, y *Dense) error {
-	return s.sddmmIntoTenant(ctx, s.def, out, x, y)
+	return s.SDDMMIntoTenant(ctx, DefaultTenant, out, x, y)
 }
 
-// SDDMMIntoTenant is SDDMMInto against the tenant registered under id.
+// SDDMMIntoTenant computes O = S ⊙ (Y·Xᵀ) into out, which must have the
+// live matrix's current sparsity structure, for the tenant registered
+// under id, through the full resilience stack (see SpMMIntoTenant).
 func (s *Server) SDDMMIntoTenant(ctx context.Context, id string, out *Matrix, x, y *Dense) error {
 	t, err := s.tenantByID(id)
 	if err != nil {
 		return err
 	}
-	return s.sddmmIntoTenant(ctx, t, out, x, y)
-}
-
-func (s *Server) sddmmIntoTenant(ctx context.Context, t *tenant, out *Matrix, x, y *Dense) error {
 	return s.do(ctx, t, "sddmm_into", s.reqSDDMMInto, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
 		return s.runSDDMM(ctx, t, mode, out, x, y)
 	})
@@ -1288,7 +1179,7 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 	defer s.adm.Release(weight)
 
 	retries, err := serve.Retry(ctx,
-		serve.RetryPolicy{MaxAttempts: s.cfg.MaxAttempts, BaseDelay: s.cfg.RetryBase, MaxDelay: s.cfg.RetryMax},
+		serve.RetryPolicy{MaxAttempts: s.cfg.MaxAttempts, BaseDelay: s.cfg.RetryBase, MaxDelay: retryMax},
 		transientError,
 		func(int) error { return s.attempt(ctx, t, run) })
 	s.retries.Add(int64(retries))
@@ -1367,19 +1258,10 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 // would execute the reordered plan (as the decided winner, or inside
 // the first-call trial).
 func reorderedPathActive(t *tenant) bool {
+	// Sharded tenants run no reorder trial (panels autotune); a degraded
+	// or still-building pipeline serves the no-reorder plan.
 	o := t.live.Online()
-	if o == nil {
-		return false // sharded: panels autotune, no reorder trial
-	}
-	if d, _ := o.Degraded(); d {
-		return false
-	}
-	rr := o.rr.Load()
-	if rr == nil {
-		return false // still building: calls serve the no-reorder plan
-	}
-	w := o.winner.Load()
-	return w == nil || w == rr
+	return o != nil && o.current() == o.rr.Load()
 }
 
 // Mutate applies one mutation batch to the default tenant's live
@@ -1390,10 +1272,7 @@ func reorderedPathActive(t *tenant) bool {
 // serving work — but requests served while an overlay is outstanding
 // pay a proportionally higher admission weight (serve.OverlayWeight).
 func (s *Server) Mutate(ctx context.Context, mu Mutation) error {
-	if s.closed.Load() {
-		return ErrServerClosed
-	}
-	return s.def.live.Mutate(ctx, mu)
+	return s.MutateTenant(ctx, DefaultTenant, mu)
 }
 
 // MutateTenant is Mutate against the tenant registered under id.
@@ -1406,24 +1285,6 @@ func (s *Server) MutateTenant(ctx context.Context, id string, mu Mutation) error
 		return err
 	}
 	return t.live.Mutate(ctx, mu)
-}
-
-// UpdateValues rewrites existing nonzeros of the default tenant's
-// matrix in place (see Mutation.UpdateValues).
-func (s *Server) UpdateValues(ctx context.Context, ups []ValueUpdate) error {
-	return s.Mutate(ctx, Mutation{UpdateValues: ups})
-}
-
-// AppendRows grows the default tenant's matrix by new rows (see
-// Mutation.AppendRows).
-func (s *Server) AppendRows(ctx context.Context, rows []RowDef) error {
-	return s.Mutate(ctx, Mutation{AppendRows: rows})
-}
-
-// DeleteRows tombstones rows of the default tenant's matrix to empty
-// (see Mutation.DeleteRows).
-func (s *Server) DeleteRows(ctx context.Context, rows []int) error {
-	return s.Mutate(ctx, Mutation{DeleteRows: rows})
 }
 
 // transientError classifies errors worth retrying: injected faults and

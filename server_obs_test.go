@@ -38,7 +38,7 @@ func obsTestServer(t *testing.T, seed int64) (*repro.Server, *repro.Dense) {
 		t.Fatal(err)
 	}
 	x := repro.NewRandomDense(m.Cols, 64, 11)
-	if _, err := s.SpMM(context.Background(), x); err != nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
 		t.Fatal(err)
 	}
 	return s, x
@@ -53,7 +53,7 @@ func obsTestServer(t *testing.T, seed int64) (*repro.Server, *repro.Dense) {
 func TestServerMetricsFamilies(t *testing.T) {
 	s, x := obsTestServer(t, 7001)
 	yd := repro.NewRandomDense(s.Pipeline().Pipeline().Matrix().Rows, 64, 12)
-	if _, err := s.SDDMM(context.Background(), x, yd); err != nil {
+	if _, err := serverSDDMM(context.Background(), s, repro.DefaultTenant, x, yd); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,14 +138,14 @@ func TestServerMetricsFamilies(t *testing.T) {
 func TestServerTraceCoversWallTime(t *testing.T) {
 	s, x := obsTestServer(t, 7002)
 	for i := 0; i < 5; i++ {
-		if _, err := s.SpMM(context.Background(), x); err != nil {
+		if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	best, seen := 0.0, 0
 	for _, tr := range s.Traces().Snapshot() {
-		if tr.Op != "spmm" || tr.Err != "" || tr.WallUS <= 0 {
+		if tr.Op != "spmm_into" || tr.Err != "" || tr.WallUS <= 0 {
 			continue
 		}
 		seen++
@@ -165,7 +165,7 @@ func TestServerTraceCoversWallTime(t *testing.T) {
 // carrying op, spans, and the routing-decision annotations.
 func TestServerDebugTracesEndpoint(t *testing.T) {
 	s, x := obsTestServer(t, 7003)
-	if _, err := s.SpMM(context.Background(), x); err != nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
@@ -180,7 +180,7 @@ func TestServerDebugTracesEndpoint(t *testing.T) {
 	var spmm, build *obs.TraceSnapshot
 	for i := range traces {
 		switch traces[i].Op {
-		case "spmm":
+		case "spmm_into":
 			if spmm == nil {
 				spmm = &traces[i]
 			}
@@ -214,16 +214,13 @@ func TestServerDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
-// Plan stage timings surface through the online pipeline and the
-// server, and agree with the winning pipeline's plan.
+// Plan stage timings surface through the server's online pipeline and
+// agree with the winning pipeline's plan.
 func TestServerPlanStagesSurfaced(t *testing.T) {
 	s, _ := obsTestServer(t, 7004)
-	st := s.PlanStages()
+	st := s.Pipeline().PlanStages()
 	if st.Total() <= 0 {
 		t.Fatalf("PlanStages total %v, want > 0", st.Total())
-	}
-	if got := s.Pipeline().PlanStages(); got != st {
-		t.Fatalf("server and pipeline stage timings disagree: %+v vs %+v", st, got)
 	}
 	if got := s.Pipeline().Pipeline().PlanStages(); got != st {
 		t.Fatalf("winner pipeline stage timings disagree: %+v vs %+v", st, got)
@@ -257,7 +254,7 @@ func TestServerExplainOnline(t *testing.T) {
 	if ex.Kernel == "" || ex.KernelVerdict == "" {
 		t.Fatalf("kernel sections empty: %+v", ex)
 	}
-	if got := s.Kernel().String(); ex.Kernel != got {
+	if got := s.Pipeline().Kernel().String(); ex.Kernel != got {
 		t.Fatalf("explain kernel %q, server serves %q", ex.Kernel, got)
 	}
 	if ex.NNZ <= 0 || ex.Rows <= 0 {

@@ -73,7 +73,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = s.SpMM(context.Background(), xs[i])
+			got[i], errs[i] = serverSpMM(context.Background(), s, repro.DefaultTenant, xs[i])
 		}(i)
 	}
 	close(start)
@@ -121,7 +121,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	excised := make(chan error, 1)
 	go func() {
-		_, err := s.SpMM(ctx, x)
+		_, err := serverSpMM(ctx, s, repro.DefaultTenant, x)
 		excised <- err
 	}()
 	waitForStat(t, func() bool {
@@ -147,7 +147,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			y, err := s.SpMM(context.Background(), x)
+			y, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 			if err == nil {
 				repro.PutDense(y)
 			}
@@ -205,7 +205,7 @@ func TestServerCoalesceBadShapeDoesNotPoisonBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			goods[i], goodErrs[i] = s.SpMM(context.Background(), x)
+			goods[i], goodErrs[i] = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 		}(i)
 	}
 	wg.Wait()
@@ -269,7 +269,7 @@ func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.AppendRows(context.Background(), []repro.RowDef{{Cols: []int32{0}, Vals: []float32{1}}}); err != nil {
+	if err := s.Mutate(context.Background(), repro.Mutation{AppendRows: []repro.RowDef{{Cols: []int32{0}, Vals: []float32{1}}}}); err != nil {
 		t.Fatalf("mid-window append: %v", err)
 	}
 	wg.Wait()
@@ -340,8 +340,10 @@ func TestServerShardedDefaultTenant(t *testing.T) {
 	if sh.Panels() < 2 {
 		t.Fatalf("matrix with %d nnz over target %d built %d panels", m.NNZ(), target, sh.Panels())
 	}
-	_ = s.Kernel()     // must not panic without an online pipeline
-	_ = s.PlanStages() // likewise
+	// Explain resolves kernel and plan without an online pipeline.
+	if _, err := s.Explain(repro.DefaultTenant); err != nil {
+		t.Fatal(err)
+	}
 
 	ts, ok := s.TenantStats(repro.DefaultTenant)
 	if !ok || !ts.Sharded || ts.Panels != sh.Panels() {
@@ -369,7 +371,7 @@ func TestServerShardedDefaultTenant(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = s.SpMM(context.Background(), xs[i])
+			got[i], errs[i] = serverSpMM(context.Background(), s, repro.DefaultTenant, xs[i])
 		}(i)
 	}
 	close(start)
@@ -391,7 +393,7 @@ func TestServerShardedDefaultTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotO, err := s.SDDMM(context.Background(), x, y)
+	gotO, err := serverSDDMM(context.Background(), s, repro.DefaultTenant, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +434,7 @@ func TestServerTenantRoutingAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SpMMTenant(context.Background(), "b", xb)
+	got, err := serverSpMM(context.Background(), s, "b", xb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +447,10 @@ func TestServerTenantRoutingAndStats(t *testing.T) {
 
 	// The default tenant's matrix has different dimensions; routing to it
 	// with b's operand must fail shape validation, not corrupt memory.
-	if _, err := s.SpMM(context.Background(), xb); err == nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, xb); err == nil {
 		t.Fatal("default-tenant SpMM accepted another tenant's operand shape")
 	}
-	if _, err := s.SpMMTenant(context.Background(), "nope", xb); !errors.Is(err, repro.ErrUnknownTenant) {
+	if _, err := serverSpMM(context.Background(), s, "nope", xb); !errors.Is(err, repro.ErrUnknownTenant) {
 		t.Fatalf("unknown tenant = %v, want ErrUnknownTenant", err)
 	}
 	if err := s.SpMMIntoTenant(context.Background(), "nope", nil, xb); !errors.Is(err, repro.ErrUnknownTenant) {
@@ -491,5 +493,46 @@ func TestServerTenantRoutingAndStats(t *testing.T) {
 	}
 	if _, ok := s.TenantStats("nope"); ok {
 		t.Fatal("TenantStats for an unknown id reported ok")
+	}
+}
+
+// Concurrent AddTenant calls racing on one id must resolve to exactly
+// one registration: the losers get ErrTenantExists, and none of them
+// registers the tenant's metric series a second time (which panics).
+func TestServerAddTenantConcurrentDuplicate(t *testing.T) {
+	ma := freshScrambled(t, 3007)
+	mb, err := repro.GenerateScrambledClusters(256, 256, 16, 3008)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := degradedServer(t, ma, repro.ServerConfig{})
+	cfg := repro.DefaultConfig()
+	cfg.PreprocessBudget = time.Nanosecond
+
+	const n = 8
+	errs := make([]error, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			errs[i] = s.AddTenant(context.Background(), "dup", mb, cfg, 1)
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	ok := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case !errors.Is(err, repro.ErrTenantExists):
+			t.Fatalf("AddTenant %d = %v, want nil or ErrTenantExists", i, err)
+		}
+	}
+	if ok != 1 {
+		t.Fatalf("%d of %d concurrent AddTenant calls succeeded, want exactly 1", ok, n)
 	}
 }

@@ -62,7 +62,7 @@ func TestServerServesCorrectResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SpMM(context.Background(), x)
+	got, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestServerServesCorrectResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotO, err := s.SDDMM(context.Background(), x, y)
+	gotO, err := serverSDDMM(context.Background(), s, repro.DefaultTenant, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestServerServesCorrectResults(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := s.SpMM(context.Background(), x); !errors.Is(err, repro.ErrServerClosed) {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); !errors.Is(err, repro.ErrServerClosed) {
 		t.Fatalf("SpMM after Close = %v, want ErrServerClosed", err)
 	}
 	if err := s.Close(ctx); err != nil {
@@ -134,7 +134,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	x := repro.NewRandomDense(m.Cols, 8, 23)
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := s.SpMM(context.Background(), x)
+		_, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 		firstDone <- err
 	}()
 	select {
@@ -143,7 +143,7 @@ func TestServerOverloadSheds(t *testing.T) {
 		t.Fatal("first request never reached the kernel")
 	}
 
-	_, err := s.SpMM(context.Background(), x)
+	_, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if !errors.Is(err, repro.ErrOverloaded) {
 		t.Fatalf("second request = %v, want ErrOverloaded", err)
 	}
@@ -186,7 +186,7 @@ func TestServerDefaultDeadline(t *testing.T) {
 	defer restore()
 
 	x := repro.NewRandomDense(m.Cols, 8, 24)
-	_, err := s.SpMM(context.Background(), x)
+	_, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled request = %v, want DeadlineExceeded", err)
 	}
@@ -224,7 +224,7 @@ func TestServerRetriesTransientFaults(t *testing.T) {
 	})
 	defer restore()
 
-	got, err := s.SpMM(context.Background(), x)
+	got, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatalf("request with one transient fault = %v, want success via retry", err)
 	}
@@ -278,7 +278,7 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	// the open circuit, route to the fallback, and fail there too (same
 	// fault site), exhausting the retry budget.
 	restore := faultinject.ErrorAt("kernels.exec")
-	_, err = s.SpMM(context.Background(), x)
+	_, err = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	restore()
 	if !errors.Is(err, faultinject.Err) {
 		t.Fatalf("request under persistent fault = %v, want faultinject.Err", err)
@@ -294,7 +294,7 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 
 	// Request 2, fault cleared but circuit still open (within cooldown):
 	// served by the no-reorder fallback, correctly.
-	got, err := s.SpMM(context.Background(), x)
+	got, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatalf("fallback-path request = %v", err)
 	}
@@ -312,7 +312,7 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	// Request 3 after the cooldown: admitted as the half-open probe,
 	// succeeds on the reordered path, and closes the circuit.
 	time.Sleep(2 * cooldown)
-	got, err = s.SpMM(context.Background(), x)
+	got, err = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatalf("probe request = %v", err)
 	}
@@ -348,7 +348,7 @@ func TestServerDegradedBypassesBreaker(t *testing.T) {
 	restore := faultinject.ErrorAt("kernels.exec")
 	x := repro.NewRandomDense(m.Cols, 8, 27)
 	for i := 0; i < 3; i++ {
-		if _, err := s.SpMM(context.Background(), x); !errors.Is(err, faultinject.Err) {
+		if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); !errors.Is(err, faultinject.Err) {
 			t.Fatalf("request %d = %v, want faultinject.Err", i, err)
 		}
 	}
@@ -361,7 +361,7 @@ func TestServerDegradedBypassesBreaker(t *testing.T) {
 	if !st.Degraded {
 		t.Fatalf("stats did not report degradation")
 	}
-	if _, err := s.SpMM(context.Background(), x); err != nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
 		t.Fatalf("post-fault request: %v", err)
 	}
 }
@@ -408,7 +408,7 @@ func TestServerWarmStartFromSnapshot(t *testing.T) {
 		t.Fatalf("first server degraded: %v", cause)
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 28)
-	want, err := s1.SpMM(context.Background(), x)
+	want, err := serverSpMM(context.Background(), s1, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestServerWarmStartFromSnapshot(t *testing.T) {
 	if deg, cause := s2.Pipeline().Degraded(); deg {
 		t.Fatalf("restarted server rebuilt instead of warm starting: %v", cause)
 	}
-	got, err := s2.SpMM(context.Background(), x)
+	got, err := serverSpMM(context.Background(), s2, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestServerCorruptSnapshotFallsBack(t *testing.T) {
 	if deg, cause := s2.Pipeline().Degraded(); deg {
 		t.Fatalf("corrupt snapshots degraded the rebuild: %v", cause)
 	}
-	got, err := s2.SpMM(context.Background(), x)
+	got, err := serverSpMM(context.Background(), s2, repro.DefaultTenant, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, inFlightErr = s.SpMM(context.Background(), x)
+		_, inFlightErr = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	}()
 	select {
 	case <-entered:
@@ -597,7 +597,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, queuedErr = s.SpMM(context.Background(), x)
+		_, queuedErr = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	}()
 	// Wait until the second request is actually queued behind the gate.
 	deadline := time.Now().Add(10 * time.Second)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/dense"
-	"repro/internal/kernels"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
@@ -31,8 +30,9 @@ import (
 //     ELL/hybrid on another, instead of one compromise kernel.
 //
 // A ShardedPipeline is immutable after construction and safe for
-// concurrent use. It intentionally mirrors Pipeline's SpMM/SDDMM
-// surface so the serving layer can treat the two interchangeably.
+// concurrent use. It implements the same one-primitive serving contract
+// as every other pipeline type (SpMMIntoCtx, SDDMMIntoCtx), so the
+// serving layer can treat them interchangeably.
 type ShardedPipeline struct {
 	orig   *Matrix
 	panels []shardPanel
@@ -104,39 +104,19 @@ func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline,
 // cancellation of the per-panel preprocessing builds.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	bounds := panelBounds(m, targetNNZ)
-	s := &ShardedPipeline{orig: m, panels: make([]shardPanel, len(bounds))}
-	np := len(bounds)
-	err := par.DoCtx(ctx, np, func(w int) error {
+	s, err := buildPanels(ctx, m, len(bounds), "preprocessing", func(w int) (shardPanel, []int32, Config) {
 		lo, hi := bounds[w][0], bounds[w][1]
-		base, end := int(m.RowPtr[lo]), int(m.RowPtr[hi])
+		base := m.RowPtr[lo]
 		rp := make([]int32, hi-lo+1)
 		for i := range rp {
-			rp[i] = m.RowPtr[lo+i] - int32(base)
+			rp[i] = m.RowPtr[lo+i] - base
 		}
-		sub := &sparse.CSR{
-			Rows:   hi - lo,
-			Cols:   m.Cols,
-			RowPtr: rp,
-			ColIdx: m.ColIdx[base:end:end],
-			Val:    m.Val[base:end:end],
-		}
-		pipe, err := NewPipelineCtx(ctx, sub, cfg)
-		if err != nil {
-			return fmt.Errorf("repro: preprocessing panel %d (rows %d–%d): %w", w, lo, hi, err)
-		}
-		s.panels[w] = shardPanel{lo: lo, hi: hi, base: base, pipe: pipe}
-		return nil
+		return shardPanel{lo: lo, hi: hi, base: int(base)}, rp, cfg
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.views.New = func() any {
-		return &shardViews{
-			ys:   make([]dense.Matrix, np),
-			outs: make([]sparse.CSR, np),
-		}
-	}
-	recordShardPanels(np)
+	recordShardPanels(len(bounds))
 	return s, nil
 }
 
@@ -148,36 +128,46 @@ func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ
 // plan-cache lookup hits on structure, so the whole rebuild is an
 // O(nnz) value regather — no LSH, clustering, or tiling.
 func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (*ShardedPipeline, error) {
-	np := len(s.panels)
-	n := &ShardedPipeline{orig: m, panels: make([]shardPanel, np)}
-	err := par.DoCtx(ctx, np, func(w int) error {
+	return buildPanels(ctx, m, len(s.panels), "reskinning", func(w int) (shardPanel, []int32, Config) {
 		pn := s.panels[w]
-		old := pn.pipe.Matrix()
-		end := pn.base + old.NNZ()
+		return pn, pn.pipe.Matrix().RowPtr, pn.pipe.plan.Cfg
+	})
+}
+
+// buildPanels preprocesses np row panels of m concurrently through the
+// process-wide plan cache. panel(w) returns panel w's row range and
+// nonzero offset, its rebased RowPtr, and the Config it builds under;
+// the panel's sub-CSR shares m's ColIdx/Val backing arrays.
+func buildPanels(ctx context.Context, m *Matrix, np int, op string, panel func(w int) (shardPanel, []int32, Config)) (*ShardedPipeline, error) {
+	s := &ShardedPipeline{orig: m, panels: make([]shardPanel, np)}
+	err := par.DoCtx(ctx, np, func(w int) error {
+		pn, rp, cfg := panel(w)
+		end := int(m.RowPtr[pn.hi])
 		sub := &sparse.CSR{
-			Rows:   old.Rows,
-			Cols:   old.Cols,
-			RowPtr: old.RowPtr, // rebased pointers are structure: unchanged
+			Rows:   pn.hi - pn.lo,
+			Cols:   m.Cols,
+			RowPtr: rp,
 			ColIdx: m.ColIdx[pn.base:end:end],
 			Val:    m.Val[pn.base:end:end],
 		}
-		pipe, err := NewPipelineCtx(ctx, sub, pn.pipe.plan.Cfg)
+		pipe, err := NewPipelineCtx(ctx, sub, cfg)
 		if err != nil {
-			return fmt.Errorf("repro: reskinning panel %d (rows %d–%d): %w", w, pn.lo, pn.hi, err)
+			return fmt.Errorf("repro: %s panel %d (rows %d–%d): %w", op, w, pn.lo, pn.hi, err)
 		}
-		n.panels[w] = shardPanel{lo: pn.lo, hi: pn.hi, base: pn.base, pipe: pipe}
+		pn.pipe = pipe
+		s.panels[w] = pn
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.views.New = func() any {
+	s.views.New = func() any {
 		return &shardViews{
 			ys:   make([]dense.Matrix, np),
 			outs: make([]sparse.CSR, np),
 		}
 	}
-	return n, nil
+	return s, nil
 }
 
 // Panels returns the number of row panels.
@@ -205,28 +195,6 @@ func (s *ShardedPipeline) putViews(v *shardViews) {
 	s.views.Put(v)
 }
 
-// SpMM computes Y = S·X across all panels and returns Y in the original
-// row order, from the process-wide dense scratch pool (see
-// Pipeline.SpMM for the PutDense recycling contract).
-func (s *ShardedPipeline) SpMM(x *Dense) (*Dense, error) {
-	return s.SpMMCtx(context.Background(), x)
-}
-
-// SpMMCtx is SpMM with cooperative cancellation and panic isolation.
-func (s *ShardedPipeline) SpMMCtx(ctx context.Context, x *Dense) (*Dense, error) {
-	y := dense.Get(s.orig.Rows, x.Cols)
-	if err := s.SpMMIntoCtx(ctx, y, x); err != nil {
-		dense.Put(y)
-		return nil, err
-	}
-	return y, nil
-}
-
-// SpMMInto computes Y = S·X into the caller-provided y.
-func (s *ShardedPipeline) SpMMInto(y *Dense, x *Dense) error {
-	return s.SpMMIntoCtx(context.Background(), y, x)
-}
-
 // SpMMIntoCtx computes Y = S·X with every panel running concurrently,
 // each writing its rows through a zero-copy row-range window into y —
 // rows are independent in SpMM, so there is no merge step, and a
@@ -247,36 +215,6 @@ func (s *ShardedPipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) e
 		yv.Data = y.Data[pn.lo*y.Cols : pn.hi*y.Cols]
 		return pn.pipe.SpMMIntoCtx(ctx, yv, x)
 	})
-}
-
-// SpMMBatchIntoCtx computes every op's Y = S·X in one batched pass per
-// panel: the operands are column-stacked once into pooled scratch, each
-// panel's kernel runs at the combined width over its row range, and the
-// stacked result is scattered back per operand. See
-// Pipeline.SpMMBatchIntoCtx.
-func (s *ShardedPipeline) SpMMBatchIntoCtx(ctx context.Context, ops []BatchOp) error {
-	return kernels.SpMMBatchIntoCtx(ctx, s, ops)
-}
-
-// SDDMM computes O = S ⊙ (Y·Xᵀ) across all panels; O has the original
-// matrix's structure.
-func (s *ShardedPipeline) SDDMM(x, y *Dense) (*Matrix, error) {
-	return s.SDDMMCtx(context.Background(), x, y)
-}
-
-// SDDMMCtx is SDDMM with cooperative cancellation and panic isolation.
-func (s *ShardedPipeline) SDDMMCtx(ctx context.Context, x, y *Dense) (*Matrix, error) {
-	out := s.orig.Clone()
-	if err := s.SDDMMIntoCtx(ctx, out, x, y); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SDDMMInto computes O = S ⊙ (Y·Xᵀ) into out, which must have the
-// original matrix's sparsity structure; only out.Val is written.
-func (s *ShardedPipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
-	return s.SDDMMIntoCtx(context.Background(), out, x, y)
 }
 
 // SDDMMIntoCtx runs SDDMM panel-parallel: each panel computes its rows

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/kernels"
 	"repro/internal/synth"
 )
 
@@ -51,7 +52,7 @@ func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := repro.NewDense(m.Rows, 8)
-			if err := sp.SpMMInto(got, x); err != nil {
+			if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want.Data {
@@ -68,7 +69,7 @@ func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			gotO := m.Clone()
-			if err := sp.SDDMMInto(gotO, x, yd); err != nil {
+			if err := sp.SDDMMIntoCtx(context.Background(), gotO, x, yd); err != nil {
 				t.Fatal(err)
 			}
 			for j := range wantO.Val {
@@ -101,7 +102,7 @@ func TestShardedAutotunedWithinTolerance(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := repro.NewDense(m.Rows, 8)
-		if err := sp.SpMMInto(got, x); err != nil {
+		if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
@@ -138,7 +139,7 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 		}
 		wants[i] = w
 	}
-	if err := sp.SpMMBatchIntoCtx(ctx, ops); err != nil {
+	if err := kernels.SpMMBatchIntoCtx(ctx, sp, ops); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ops {
@@ -208,7 +209,7 @@ func TestShardedCancelledMidFlight(t *testing.T) {
 	t.Logf("%d/20 racing calls observed the cancel", cancelled.Load())
 
 	// The pipeline must serve a clean call bit-identically afterwards.
-	if err := sp.SpMMInto(y, x); err != nil {
+	if err := sp.SpMMIntoCtx(context.Background(), y, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want.Data {

@@ -150,7 +150,7 @@ func TestServerChaosSoak(t *testing.T) {
 	// Prime: run the first-call trial cleanly so the pipeline is decided
 	// and chaos-era serving takes the lock-free path.
 	prime := repro.NewRandomDense(m.Cols, 8, 42)
-	if _, err := s.SpMM(context.Background(), prime); err != nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, prime); err != nil {
 		t.Fatalf("priming request: %v", err)
 	}
 	if done, _ := s.Pipeline().Decided(); !done {
@@ -286,7 +286,7 @@ func TestServerChaosSoak(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					var y *repro.Dense
-					y, err = s.SpMM(ctx, x)
+					y, err = serverSpMM(ctx, s, repro.DefaultTenant, x)
 					if err == nil && i%24 == 0 {
 						for k := range want.Data {
 							if math.Abs(float64(want.Data[k]-y.Data[k])) > 1e-4 {
@@ -301,7 +301,7 @@ func TestServerChaosSoak(t *testing.T) {
 					err = s.SpMMInto(ctx, y, x)
 					repro.PutDense(y)
 				default:
-					_, err = s.SDDMM(ctx, x, yd)
+					_, err = serverSDDMM(ctx, s, repro.DefaultTenant, x, yd)
 				}
 				cancel()
 				switch {
@@ -361,7 +361,7 @@ func TestServerChaosSoak(t *testing.T) {
 
 	// A post-chaos request must succeed (the breaker may still be open —
 	// then it is served by the fallback, which is precisely the point).
-	if _, err := s.SpMM(context.Background(), prime); err != nil {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, prime); err != nil {
 		t.Fatalf("post-chaos request: %v", err)
 	}
 	// The priming and post-chaos requests went through the same stack.
@@ -442,7 +442,7 @@ func TestServerChaosSoak(t *testing.T) {
 	if n := countPlanFiles(t, dir); n < 2 {
 		t.Fatalf("post-soak snapshot wrote %d plan files, want both variants", n)
 	}
-	if _, err := s.SpMM(context.Background(), prime); !errors.Is(err, repro.ErrServerClosed) {
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, prime); !errors.Is(err, repro.ErrServerClosed) {
 		t.Fatalf("request after Close = %v, want ErrServerClosed", err)
 	}
 
@@ -652,7 +652,7 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 					var err error
 					if i%2 == 0 {
 						var y *repro.Dense
-						y, err = s.SpMMTenant(ctx, id, x)
+						y, err = serverSpMM(ctx, s, id, x)
 						if err == nil {
 							if i%16 == 0 {
 								for k := range want.Data {
