@@ -21,8 +21,8 @@ import (
 // mutations on re-preprocessing.
 //
 // BenchmarkMutationReskinVsCold measures why value-only mutations take
-// the re-skin path: one value update re-skinned through the plan
-// cache's gather maps (O(nnz) value movement, no LSH/clustering)
+// the re-skin path: one value update re-skinned by one O(nnz) value
+// walk over the served plans (no plan-cache lookup, no LSH/clustering)
 // versus a cold full re-preprocess at a fresh structural epoch. The
 // ratio is the headline win of epoch-aware plan reuse.
 func BenchmarkMutationOverlayServe(b *testing.B) {
@@ -95,7 +95,7 @@ func BenchmarkMutationReskinVsCold(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Value-only on a clean state: every iteration re-skins the
-			// reordered base through the cached gather maps.
+			// base plans with one value walk each.
 			mu := repro.Mutation{UpdateValues: []repro.ValueUpdate{{
 				Row: row, Col: col, Val: float32(i%7) + 1,
 			}}}

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,9 +19,9 @@ import (
 //
 //	integrity.corrupt.plan    — a bit flip inside an executor-plan value
 //	                            slab (SpMM and SDDMM episodes)
-//	integrity.corrupt.gather  — an in-range misrouted pair in a cached
-//	                            plan's value-gather maps, activated by a
-//	                            value-only re-skin
+//	integrity.corrupt.gather  — an in-range misrouted pair of values in
+//	                            the arrays a value-only re-skin's walk
+//	                            produces
 //	integrity.corrupt.overlay — a flipped output value on the overlay
 //	                            serving path, activated by a structural
 //	                            mutation
@@ -103,7 +104,7 @@ func TestServerIntegritySoak(t *testing.T) {
 		_ = out
 	}
 	// valueMutation rewrites one existing nonzero: a value-only mutation
-	// on a clean base re-skins every panel through the plan cache — the
+	// on a clean base re-skins every panel with the value walk — the
 	// path the gather corruption site lives on.
 	valueMutation := func() {
 		t.Helper()
@@ -151,7 +152,7 @@ func TestServerIntegritySoak(t *testing.T) {
 		{name: "plan-sddmm", site: "integrity.corrupt.plan", sddmm: true},
 	}
 	if testing.Short() {
-		// PR-CI budget: one live-plan episode and one cache-poisoning
+		// PR-CI budget: one live-plan episode and one re-skin
 		// episode still cover detection, two-tier eviction, bit-correct
 		// fallback, and healing; the nightly run keeps all four.
 		episodes = episodes[:2]
@@ -163,6 +164,16 @@ func TestServerIntegritySoak(t *testing.T) {
 			t.Fatalf("episode %s: tenant not healthy at start: %+v", ep.name, pre)
 		}
 		preInjected := integrity.InjectedCount()
+
+		// Hold every background rebuild at its start until the
+		// quarantined window below has been compared. A rebuild of this
+		// small matrix can otherwise swap in within the detecting
+		// request's retry backoff, which moves the tenant to probation
+		// before any request ran inside quarantine.
+		hold := make(chan struct{})
+		unhold := faultinject.Set("live.rebuild.start", func() error { <-hold; return nil })
+		release := sync.OnceFunc(func() { unhold(); close(hold) })
+		t.Cleanup(release)
 
 		// Detect: arm the site and serve until the quarantine opens.
 		// Triggered sites re-fire their activation path only if the
@@ -190,8 +201,8 @@ func TestServerIntegritySoak(t *testing.T) {
 		}
 
 		// Quarantined serving must be bit-identical to the reference
-		// kernel on the current matrix — the detection request's rebuild
-		// needs a full re-preprocess, so there is a real window here. A
+		// kernel on the current matrix — the healing rebuild is held at
+		// its start, so there is a real window here. A
 		// comparison only counts when the request provably ran entirely
 		// inside quarantine: state Quarantined before and after, and no
 		// plan swap or re-skin in between (baseGen pinned).
@@ -243,6 +254,7 @@ func TestServerIntegritySoak(t *testing.T) {
 		if !compared {
 			t.Fatalf("episode %s: no request landed fully inside quarantine (rebuild swapped too fast?)", ep.name)
 		}
+		release()
 
 		// Heal: keep serving; once the rebuild swaps fresh plans in, the
 		// monitor moves to probation and the clean window reinstates.

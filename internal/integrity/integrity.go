@@ -4,11 +4,11 @@
 // quarantine state machine (healthy → quarantined → probation →
 // healthy) that routes traffic to the reference path while a suspect
 // plan is rebuilt; and cheap structural invariant checks run before a
-// rebuilt plan is swapped in or a cached plan is re-skinned.
+// rebuilt or re-skinned plan is swapped in.
 //
 // Every existing check in the stack — CRC'd plan snapshots, chaos-soak
 // ledgers, the breaker — verifies control flow, not results. A single
-// off-by-one in a permutation, gather map, or overlay produces
+// off-by-one in a permutation, value re-skin, or overlay produces
 // plausible but wrong numbers that all of them pass. This package
 // closes that gap: verification recomputes a random subset of output
 // rows with the reference row-wise kernel semantics in float64 and
@@ -35,8 +35,9 @@ import (
 var ErrMismatch = errors.New("integrity: result mismatch")
 
 // ErrPlanInvariant reports that a plan failed a pre-swap structural
-// invariant check (permutation bijectivity, gather-map range, RowPtr
-// monotonicity) and must not serve.
+// invariant check (permutation bijectivity, RowPtr monotonicity, a
+// re-skin's value reads in range and row lengths in agreement) and must
+// not serve.
 var ErrPlanInvariant = errors.New("integrity: plan invariant violated")
 
 // corruptionsInjected counts data corruptions injected by the armed
@@ -480,18 +481,6 @@ func CheckPlan(rowPerm, invRowPerm []int32, reordered *sparse.CSR) error {
 	for j, c := range m.ColIdx {
 		if c < 0 || int(c) >= m.Cols {
 			return fmt.Errorf("%w: ColIdx[%d] = %d out of range [0,%d)", ErrPlanInvariant, j, c, m.Cols)
-		}
-	}
-	return nil
-}
-
-// CheckGather validates that every index of a gather map is in range
-// for a value array of length n. Used by the plan cache before
-// applying a re-skin.
-func CheckGather(idx []int32, n int) error {
-	for i, g := range idx {
-		if g < 0 || int(g) >= n {
-			return fmt.Errorf("%w: gather[%d] = %d out of range [0,%d)", ErrPlanInvariant, i, g, n)
 		}
 	}
 	return nil

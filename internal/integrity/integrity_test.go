@@ -322,18 +322,6 @@ func TestCheckPlan(t *testing.T) {
 	}
 }
 
-func TestCheckGather(t *testing.T) {
-	if err := CheckGather([]int32{0, 4, 2}, 5); err != nil {
-		t.Fatalf("valid gather flagged: %v", err)
-	}
-	if err := CheckGather([]int32{0, 5}, 5); !errors.Is(err, ErrPlanInvariant) {
-		t.Fatalf("out-of-range gather: %v", err)
-	}
-	if err := CheckGather([]int32{-1}, 5); !errors.Is(err, ErrPlanInvariant) {
-		t.Fatalf("negative gather: %v", err)
-	}
-}
-
 func TestToleranceScalesWithMagnitude(t *testing.T) {
 	// One huge row: |Σ v·x| magnitude dwarfs the result (catastrophic
 	// cancellation). The tolerance must scale with the magnitude sum,

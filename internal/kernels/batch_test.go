@@ -108,22 +108,32 @@ func TestSpMMBatchAllocFree(t *testing.T) {
 	assertZeroAllocsAfterWarmup(t, "SpMMBatchIntoCtx", call)
 }
 
+// raceAllocSlack is the per-call allocation allowance of pooled paths
+// under -race, the same allowance the root package's serving pins use.
+const raceAllocSlack = 2
+
 // assertZeroAllocsAfterWarmup warms pooled state with a few calls, then
 // requires a steady-state call to allocate nothing. A GC can empty the
 // sync.Pools mid-measurement, so a nonzero reading is retried a couple
 // of times before failing; a genuine per-call allocation fails every
-// attempt.
+// attempt. Under -race, where the detector drops sync.Pool puts at
+// random, a call may allocate up to raceAllocSlack objects and gets
+// more attempts; normal builds keep the exact zero pin.
 func assertZeroAllocsAfterWarmup(t *testing.T, name string, call func()) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
 		call()
 	}
+	limit, attempts := 0.0, 3
+	if raceDetectorEnabled {
+		limit, attempts = raceAllocSlack, 10
+	}
 	var allocs float64
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		allocs = testing.AllocsPerRun(20, call)
-		if allocs == 0 {
+		if allocs <= limit {
 			return
 		}
 	}
-	t.Fatalf("%s allocates %v objects per call at steady state, want 0", name, allocs)
+	t.Fatalf("%s allocates %v objects per call at steady state, want <= %v", name, allocs, limit)
 }

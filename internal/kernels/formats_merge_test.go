@@ -198,19 +198,11 @@ func TestNewIntoSteadyStateAllocations(t *testing.T) {
 		"ell":   func() error { return SpMMHybridIntoCtx(context.Background(), y, ell, x) },
 		"hyb":   func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) },
 	} {
-		for i := 0; i < 3; i++ { // warm the job and worker pools
-			if err := call(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(20, func() {
+		assertZeroAllocsAfterWarmup(t, name+" Into", func() {
 			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs >= 2 {
-			t.Fatalf("%s Into allocates %v objects per call at steady state, want ~0", name, allocs)
-		}
 	}
 }
 

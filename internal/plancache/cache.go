@@ -11,18 +11,17 @@
 // (worker-count knobs are normalised away: they change how fast a plan
 // is computed, not which plan). On a hit with identical values the
 // cached *reorder.Plan is returned as-is; on a hit with different
-// values the plan is "re-skinned": the structural decisions and every
-// structure array are shared, and only the three value arrays
-// (reordered matrix, dense tiles, leftover CSR) are regathered from the
-// new matrix through index maps precomputed at insertion time — an
-// O(nnz) copy with no LSH, clustering, or tiling work. Entries are
-// evicted least-recently-used, bounding memory.
+// values the plan is "re-skinned" by reorder.Plan.WithValues: the
+// structural decisions and every structure array are shared, and only
+// the three value arrays (reordered matrix, dense tiles, leftover CSR)
+// are refilled from the new matrix in one O(nnz) row walk with no LSH,
+// clustering, or tiling work. Entries are evicted least-recently-used,
+// bounding memory.
 package plancache
 
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -31,9 +30,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/integrity"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
 )
@@ -188,18 +185,12 @@ func valueHash(vals []float32) key {
 	return key(d)
 }
 
-// entry pins one cached plan plus the index maps that let a hit with
-// different values rebuild the three value arrays by pure gathers.
-// All fields are immutable after construction.
+// entry pins one cached plan and the hash of the values it was built
+// with. All fields are immutable after construction.
 type entry struct {
 	k       key
 	valHash key
 	plan    *reorder.Plan
-	// Gather maps: position in the derived array -> position in the
-	// *original* (caller-order) Val array.
-	reorderFrom []int32 // -> Plan.Reordered.Val
-	tileFrom    []int32 // -> Plan.Tiled.TileVal
-	restFrom    []int32 // -> Plan.Tiled.Rest.Val
 }
 
 // Stats reports cache effectiveness counters. Hits and Misses count
@@ -398,8 +389,8 @@ func (c *Cache) Purge() {
 // cache (and with other hits) and must be treated as read-only — the
 // same contract Pipeline already obeys. The second result reports a
 // hit. Get performs no signature, clustering, or tiling work: a hit
-// costs one O(nnz) hash (plus O(nnz) value gathers when m's values
-// differ from the cached ones).
+// costs one O(nnz) hash (plus the O(nnz) value walk of
+// reorder.Plan.WithValues when m's values differ from the cached ones).
 func (c *Cache) Get(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.Plan, bool) {
 	p, tier := c.GetTier(m, cfg, v)
 	return p, tier != TierMiss
@@ -442,14 +433,14 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 	c.mu.Unlock()
 
 	np := *e.plan // shallow copy: cached contents are immutable
-	np.Cfg = cfg
 	np.Stages = reorder.StageTimings{}
 	if valueHash(m.Val) != e.valHash {
-		if err := reskin(&np, e, m, cfg.Workers); err != nil {
-			// The entry's gather maps are structurally invalid — a
-			// poisoned entry must not serve and must not stay cached.
-			// Drop it (from the disk tier too) and report a miss; the
-			// caller recomputes, which is always correct.
+		rp, err := e.plan.WithValues(m, cfg.Workers)
+		if err != nil {
+			// The cached plan no longer fits m's structure — a poisoned
+			// entry must not serve and must not stay cached. Drop it
+			// (from the disk tier too) and report a miss; the caller
+			// recomputes, which is always correct.
 			c.mu.Lock()
 			if el2, ok := c.byKey[k]; ok && el2 == el {
 				delete(c.byKey, k)
@@ -464,7 +455,9 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 			}
 			return nil, TierMiss
 		}
+		np = *rp
 	}
+	np.Cfg = cfg
 	c.mu.Lock()
 	c.hits++ // counted only once the plan is actually servable
 	c.mu.Unlock()
@@ -479,8 +472,8 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 // attached directory — so a later lookup is a guaranteed recompute.
 // This is the integrity quarantine controller's hammer: once a served
 // result traced back to this plan fails shadow verification, every
-// copy of the plan is suspect (the entry's gather maps, its value
-// arrays, and the on-disk snapshot all derive from the same build).
+// copy of the plan is suspect (the entry's arrays and the on-disk
+// snapshot derive from the same build).
 // It reports whether anything was removed.
 func (c *Cache) Evict(m *sparse.CSR, cfg reorder.Config, v Variant) bool {
 	if c == nil {
@@ -505,82 +498,10 @@ func (c *Cache) Evict(m *sparse.CSR, cfg reorder.Config, v Variant) bool {
 	return removed
 }
 
-// reskin replaces the three value arrays of the shallow-copied plan
-// with gathers from m through the entry's index maps, sharing every
-// structure array with the cached plan. It fails (and the caller must
-// drop the entry) when any gather index is out of range for m's value
-// array — the cheap structural gate; in-range misdirection is the
-// silent kind only shadow verification catches.
-func reskin(np *reorder.Plan, e *entry, m *sparse.CSR, workers int) error {
-	t0 := time.Now()
-	// Corruption fault site: silently misroute one pair of in-range
-	// gather indices in the *cached entry* — persistent until the entry
-	// is evicted, exactly like a real poisoned cache. Only an armed
-	// CorruptAt hook (errors.Is ErrCorrupt) corrupts; the generic chaos
-	// soak's ErrorAt sweep is a no-op here.
-	if err := faultinject.Fire("integrity.corrupt.gather"); errors.Is(err, faultinject.ErrCorrupt) {
-		// Every map is misrouted so the corruption reaches serving no
-		// matter which representation the panel's autotuned kernel reads
-		// (Reordered feeds the row-wise, merge, and hybrid kernels; the
-		// tile/rest maps feed ASpT).
-		hit := false
-		for _, from := range [][]int32{e.reorderFrom, e.tileFrom, e.restFrom} {
-			if n := len(from); n >= 3 && from[n/3] != from[2*n/3] {
-				from[n/3], from[2*n/3] = from[2*n/3], from[n/3]
-				hit = true
-			}
-		}
-		if hit {
-			integrity.CorruptionInjected()
-		}
-	}
-	nv := len(m.Val)
-	if err := integrity.CheckGather(e.reorderFrom, nv); err != nil {
-		return err
-	}
-	if err := integrity.CheckGather(e.tileFrom, nv); err != nil {
-		return err
-	}
-	if err := integrity.CheckGather(e.restFrom, nv); err != nil {
-		return err
-	}
-	old := e.plan
-	re := &sparse.CSR{
-		Rows:   old.Reordered.Rows,
-		Cols:   old.Reordered.Cols,
-		RowPtr: old.Reordered.RowPtr,
-		ColIdx: old.Reordered.ColIdx,
-		Val:    gather(m.Val, e.reorderFrom, workers),
-	}
-	tiled := *old.Tiled
-	tiled.Src = re
-	tiled.TileVal = gather(m.Val, e.tileFrom, workers)
-	rest := *old.Tiled.Rest
-	rest.Val = gather(m.Val, e.restFrom, workers)
-	tiled.Rest = &rest
-	np.Reordered = re
-	np.Tiled = &tiled
-	np.Stages.Permute = time.Since(t0)
-	return nil
-}
-
-func gather(src []float32, from []int32, workers int) []float32 {
-	out := make([]float32, len(from))
-	if len(from) < 32<<10 {
-		workers = 1
-	}
-	par.ForChunks(len(from), 16<<10, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = src[from[i]]
-		}
-	})
-	return out
-}
-
 // Put caches plan as the preprocessing result for m's structure under
-// cfg, computing the value-gather index maps. The plan must have been
-// produced by reorder.Preprocess (or an equivalent) for exactly this
-// matrix; mismatched inputs are ignored rather than cached wrongly.
+// cfg. The plan must have been produced by reorder.Preprocess (or an
+// equivalent) for exactly this matrix; mismatched inputs are ignored
+// rather than cached wrongly.
 func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.Plan) {
 	if c == nil || plan == nil || plan.Reordered == nil || plan.Tiled == nil ||
 		plan.Tiled.Rest == nil || plan.Reordered.Rows != m.Rows || plan.Reordered.NNZ() != m.NNZ() ||
@@ -597,7 +518,6 @@ func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.
 		valHash: valueHash(m.Val),
 		plan:    plan,
 	}
-	e.buildGatherMaps(m)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[e.k]; ok {
@@ -613,40 +533,6 @@ func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.
 		delete(c.byKey, back.Value.(*entry).k)
 		c.ll.Remove(back)
 		c.evictions++
-	}
-}
-
-// buildGatherMaps derives, for every value slot of the plan's three
-// value arrays, its source position in the caller-order Val array. The
-// tile/rest split preserves within-row column order (both partitions
-// are increasing subsequences of the row), so a two-pointer walk
-// against the tile columns classifies every nonzero.
-func (e *entry) buildGatherMaps(m *sparse.CSR) {
-	p := e.plan
-	re := p.Reordered
-	t := p.Tiled
-	e.reorderFrom = make([]int32, re.NNZ())
-	e.tileFrom = make([]int32, len(t.TileVal))
-	e.restFrom = make([]int32, t.Rest.NNZ())
-	for i := 0; i < re.Rows; i++ {
-		src := p.RowPerm[i]
-		srcBase := m.RowPtr[src]
-		dstBase := re.RowPtr[i]
-		n := int32(re.RowLen(i))
-		for j := int32(0); j < n; j++ {
-			e.reorderFrom[dstBase+j] = srcBase + j
-		}
-		tp, te := t.TileRowPtr[i], t.TileRowPtr[i+1]
-		rp := t.Rest.RowPtr[i]
-		for j := int32(0); j < n; j++ {
-			if tp < te && t.TileCol[tp] == re.ColIdx[dstBase+j] {
-				e.tileFrom[tp] = srcBase + j
-				tp++
-			} else {
-				e.restFrom[rp] = srcBase + j
-				rp++
-			}
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,8 +75,8 @@ type RowUpdate struct {
 type Mutation struct {
 	// UpdateValues rewrites existing nonzeros in place. A batch that is
 	// *only* value updates, applied to a pipeline with no structural
-	// overlay outstanding, re-skins the base plans through the plan
-	// cache's O(nnz) gather maps — no LSH, clustering, or tiling — and
+	// overlay outstanding, re-skins the base plans with one O(nnz) value
+	// walk — no plan-cache lookup, LSH, clustering, or tiling — and
 	// publishes atomically; structural work is never redone for values.
 	UpdateValues []ValueUpdate
 	// ReplaceRows swaps whole rows (existing rows only, including
@@ -221,9 +222,16 @@ func newSDDMMPool(m *Matrix) *sync.Pool {
 // §14). Every read pins one immutable liveState via a single atomic
 // load; every Mutate publishes a complete successor state:
 //
-//   - Value-only updates on a clean state re-skin the base plans
-//     through the plan cache's O(nnz) gather maps (structure unchanged,
-//     so the §4 trial decision carries over) and publish atomically.
+//   - Value-only updates on a clean state re-skin the base plans with
+//     one O(nnz) row walk per plan (Pipeline.withValues): every
+//     structure array is shared, only values move, no plan-cache lookup
+//     or HYB rebuild runs, and — the structure being unchanged — the §4
+//     trial decision and the served plans' configurations carry over.
+//     The walk range-checks its reads and checkBasePlans gates the
+//     publish; an in-range value misroute (the
+//     "integrity.corrupt.gather" fault site) persists in the re-skinned
+//     plan until a rebuild replaces it, and only shadow verification
+//     can see it.
 //   - Structural mutations accumulate in a bounded row overlay served
 //     alongside the base — the base kernels run unchanged over the old
 //     structure and overlaid/appended rows are computed from the fused
@@ -271,6 +279,10 @@ type LivePipeline struct {
 	rowsDeleted  obs.Counter
 	reskins      obs.Counter // value-only base re-skins
 	swaps        obs.Counter // rebuild swap publishes
+
+	// mutateReskin and mutateOverlay time each published Mutate call by
+	// the path it took (nil-safe; the Server registers them per tenant).
+	mutateReskin, mutateOverlay *obs.Histogram
 
 	rebuildsStarted   obs.Counter // attempts (each ends in exactly one bucket below or a swap)
 	rebuildsFailed    obs.Counter
@@ -494,6 +506,7 @@ func (l *LivePipeline) Mutate(ctx context.Context, mu Mutation) error {
 	if mu.empty() {
 		return nil
 	}
+	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -526,6 +539,9 @@ func (l *LivePipeline) Mutate(ctx context.Context, mu Mutation) error {
 	l.rowsDeleted.Add(int64(len(nm.DeleteRows)))
 	if reskinned {
 		l.reskins.Inc()
+		l.mutateReskin.ObserveSince(start)
+	} else {
+		l.mutateOverlay.ObserveSince(start)
 	}
 	if l.rebuilding {
 		l.pending = append(l.pending, nm)
@@ -545,9 +561,9 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 		return nil, false, err
 	}
 	if !nm.structural() && !st.mutated() {
-		// Value-only on a clean state: re-skin the base through the plan
-		// cache (structure hit, O(nnz) value regather); the §4 trial
-		// decision carries over inside reskin.
+		// Value-only on a clean state: re-skin every base plan with one
+		// O(nnz) value walk (no plan-cache lookup, no preprocessing); the
+		// §4 trial decision carries over inside reskin.
 		var online *OnlinePipeline
 		var sharded *ShardedPipeline
 		if st.online != nil {
@@ -558,9 +574,9 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 		if err != nil {
 			return nil, false, err
 		}
-		// Pre-publish invariant gate: a re-skin flows through the plan
-		// cache's gather maps, so a poisoned entry could hand back a
-		// structurally broken plan. Reject it before it can serve.
+		// Pre-publish invariant gate: the walk checks its own reads, and
+		// this re-checks the structure the re-skinned plans share, so a
+		// structurally broken plan is rejected before it can serve.
 		if cerr := checkBasePlans(online, sharded); cerr != nil {
 			return nil, false, cerr
 		}
@@ -722,8 +738,32 @@ func (s *rowDefSort) Swap(i, j int) {
 }
 
 // applyToMatrix materialises the fused matrix: cur with nm applied. cur
-// is never modified. nm must already be normalized.
+// is never modified. nm must already be normalized. A value-only batch
+// shares cur's RowPtr and ColIdx and copies only Val.
 func applyToMatrix(cur *Matrix, nm *Mutation) (*Matrix, error) {
+	m := &sparse.CSR{Rows: cur.Rows, Cols: cur.Cols, RowPtr: cur.RowPtr, ColIdx: cur.ColIdx}
+	if nm.structural() {
+		var err error
+		if m, err = applyStructure(cur, nm); err != nil {
+			return nil, err
+		}
+	} else {
+		m.Val = slices.Clone(cur.Val)
+	}
+	for _, u := range nm.UpdateValues {
+		cols := m.RowCols(u.Row)
+		k := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(u.Col) })
+		if k == len(cols) || cols[k] != int32(u.Col) {
+			return nil, fmt.Errorf("%w: no nonzero at (%d,%d) to update", ErrMutation, u.Row, u.Col)
+		}
+		m.Val[int(m.RowPtr[u.Row])+k] = u.Val
+	}
+	return m, nil
+}
+
+// applyStructure returns a fresh copy of cur with nm's row
+// replacements, deletions and appends applied (not its value updates).
+func applyStructure(cur *Matrix, nm *Mutation) (*Matrix, error) {
 	rep := make(map[int]*RowDef, len(nm.ReplaceRows))
 	for i := range nm.ReplaceRows {
 		rep[nm.ReplaceRows[i].Row] = &nm.ReplaceRows[i].Def
@@ -771,16 +811,7 @@ func applyToMatrix(cur *Matrix, nm *Mutation) (*Matrix, error) {
 		copy(colIdx[off:], nm.AppendRows[j].Cols)
 		copy(val[off:], nm.AppendRows[j].Vals)
 	}
-	m := &sparse.CSR{Rows: newRows, Cols: cur.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	for _, u := range nm.UpdateValues {
-		cols := m.RowCols(u.Row)
-		k := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(u.Col) })
-		if k == len(cols) || cols[k] != int32(u.Col) {
-			return nil, fmt.Errorf("%w: no nonzero at (%d,%d) to update", ErrMutation, u.Row, u.Col)
-		}
-		m.Val[int(m.RowPtr[u.Row])+k] = u.Val
-	}
-	return m, nil
+	return &sparse.CSR{Rows: newRows, Cols: cur.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
 }
 
 // --- serving ---

@@ -399,10 +399,13 @@ func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pip
 	return nil
 }
 
-// reskin rebuilds this online pipeline for a matrix with the *same
+// reskin re-skins this online pipeline for a matrix with the *same
 // sparsity structure* but new nonzero values — the value-only mutation
-// path of a live matrix. Both plan-cache lookups hit on structure, so
-// each rebuild is an O(nnz) value regather, not a re-preprocess.
+// path of a live matrix. Each plan it serves is re-skinned by one
+// O(nnz) value walk (Pipeline.withValues) that shares every structure
+// array: no plan-cache lookup, no preprocessing, and the plans — and
+// the configurations they were built under — stay exactly the ones the
+// trial measured.
 //
 // The trial decision carries over: structure is what the §4 trial
 // measures, and the structure has not changed, so if the old pipeline
@@ -416,8 +419,7 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err := o.WaitPreprocessed(ctx); err != nil {
 		return nil, err
 	}
-	cfg := o.nr.plan.Cfg
-	nr, err := NewPipelineNRCtx(ctx, m, cfg)
+	nr, err := o.nr.withValues(m)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +432,7 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 		return n, nil
 	}
 	oldRR := o.rr.Load()
-	rr, err := NewPipelineCtx(ctx, m, cfg)
+	rr, err := oldRR.withValues(m)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/ellpack"
@@ -33,8 +34,9 @@ type Pipeline struct {
 	// hyb is the ELL+COO representation of the reordered matrix, built
 	// at construction only when the plan's kernel choice is
 	// KernelELLHybrid. It is built per pipeline, never stored in the
-	// (value-reskinnable) plan cache, so its values always match this
-	// pipeline's matrix.
+	// plan cache, so its values always match this pipeline's matrix; a
+	// value re-skin (withValues) refills its values in place of a
+	// rebuild.
 	hyb *ellpack.Hybrid
 
 	// sddmmScratch pools reordered-row-space SDDMM value buffers. The
@@ -57,6 +59,29 @@ func newPipeline(orig *Matrix, plan *Plan) (*Pipeline, error) {
 	}
 	recordKernelChoice(plan.Kernel)
 	return p, nil
+}
+
+// withValues re-skins p for m, a matrix with p's sparsity structure but
+// new nonzero values: one O(nnz) walk regathers the plan's value arrays
+// (reorder.Plan.WithValues) and, for a hybrid plan, refills the slab and
+// spill values. Every structure array is shared with p; no plan-cache
+// lookup, hashing or HYB rebuild runs. The new plan's Stages are zero
+// except Permute, which holds the walk's time.
+func (p *Pipeline) withValues(m *Matrix) (*Pipeline, error) {
+	plan, err := p.plan.WithValues(m, p.plan.Cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("repro: re-skinning plan: %w", err)
+	}
+	np := &Pipeline{orig: m, plan: plan}
+	if p.hyb != nil {
+		t0 := time.Now()
+		if np.hyb, err = p.hyb.WithValues(plan.Reordered); err != nil {
+			return nil, fmt.Errorf("repro: re-skinning hybrid representation: %w", err)
+		}
+		plan.Stages.Permute += time.Since(t0)
+		plan.Preprocess = plan.Stages.Permute
+	}
+	return np, nil
 }
 
 // NewPipeline preprocesses m (Fig 5 workflow: round-1 reordering, ASpT
@@ -175,11 +200,13 @@ func (p *Pipeline) fireCorruptPlan() {
 	}
 	if h := p.hyb; h != nil {
 		// Flip a real (non-padding) ELL slot: padded tails are never
-		// read by the kernel, so a flip there would be undetectable.
+		// read by the kernel, so a flip there would be undetectable. The
+		// slab is slot-major (slot s of row r at s*Rows+r), so row r's
+		// first slot is index r.
 		flipped := false
 		for r := 0; r < h.ELL.Rows && !flipped; r++ {
 			if h.ELL.RowLen[r] > 0 {
-				h.ELL.Vals[r*h.ELL.Width] = h.ELL.Vals[r*h.ELL.Width]*2 + 1
+				h.ELL.Vals[r] = h.ELL.Vals[r]*2 + 1
 				flipped, hit = true, true
 			}
 		}

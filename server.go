@@ -675,6 +675,11 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	s.reg.CounterFunc("spmmrr_live_reskins_total",
 		"Value-only O(nnz) base re-skins published.",
 		func() int64 { return live.Stats().Reskins }, obs.L("tenant", id))
+	mutHelp := "Wall time of published live-matrix mutations, by path (value re-skin or overlay)."
+	live.mutateReskin = s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+		obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "reskin"))
+	live.mutateOverlay = s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+		obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "overlay"))
 	s.reg.CounterFunc("spmmrr_live_swaps_total",
 		"Rebuilt bases atomically swapped into serving.",
 		func() int64 { return live.Stats().Swaps }, obs.L("tenant", id))

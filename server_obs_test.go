@@ -119,6 +119,8 @@ func TestServerMetricsFamilies(t *testing.T) {
 		`spmmrr_slo_burn_rate{tenant="default"}`,
 		`spmmrr_slo_violations_total{tenant="default"}`,
 		`spmmrr_tenant_mispicks_total{tenant="default"}`,
+		`spmmrr_live_mutate_seconds_count{kind="reskin",tenant="default"}`,
+		`spmmrr_live_mutate_seconds_count{kind="overlay",tenant="default"}`,
 	} {
 		if _, ok := samples[want]; !ok {
 			t.Fatalf("/metrics missing required series %q:\n%s", want, body)
@@ -129,6 +131,43 @@ func TestServerMetricsFamilies(t *testing.T) {
 	// the quantile gauges once traffic has flowed.
 	if samples[`spmmrr_slo_p99_seconds{tenant="default"}`] <= 0 {
 		t.Fatalf("p99 gauge is zero after served traffic")
+	}
+}
+
+// spmmrr_live_mutate_seconds books each published mutation once, under
+// the path it took: a value-only batch on a clean base under "reskin",
+// a structural one under "overlay".
+func TestServerLiveMutateSecondsByKind(t *testing.T) {
+	s, _ := obsTestServer(t, 7012)
+	ctx := context.Background()
+	m := s.Live().Matrix()
+	r := 0
+	for m.RowLen(r) == 0 {
+		r++
+	}
+	if err := s.Mutate(ctx, repro.Mutation{UpdateValues: []repro.ValueUpdate{
+		{Row: r, Col: int(m.RowCols(r)[0]), Val: 0.5},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	cur := s.Live().Matrix()
+	if err := s.Mutate(ctx, repro.Mutation{ReplaceRows: []repro.RowUpdate{{Row: r, Def: repro.RowDef{
+		Cols: append([]int32(nil), cur.RowCols(r)...),
+		Vals: append([]float32(nil), cur.RowVals(r)...),
+	}}}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	samples, err := obs.ParseSamples(rec.Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"reskin", "overlay"} {
+		key := `spmmrr_live_mutate_seconds_count{kind="` + kind + `",tenant="default"}`
+		if got := samples[key]; got != 1 {
+			t.Errorf("%s = %v, want 1", key, got)
+		}
 	}
 }
 

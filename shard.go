@@ -104,15 +104,17 @@ func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline,
 // cancellation of the per-panel preprocessing builds.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	bounds := panelBounds(m, targetNNZ)
-	s, err := buildPanels(ctx, m, len(bounds), "preprocessing", func(w int) (shardPanel, []int32, Config) {
-		lo, hi := bounds[w][0], bounds[w][1]
-		base := m.RowPtr[lo]
-		rp := make([]int32, hi-lo+1)
-		for i := range rp {
-			rp[i] = m.RowPtr[lo+i] - base
-		}
-		return shardPanel{lo: lo, hi: hi, base: int(base)}, rp, cfg
-	})
+	s, err := buildPanels(ctx, m, len(bounds), "preprocessing",
+		func(w int) (shardPanel, []int32) {
+			lo, hi := bounds[w][0], bounds[w][1]
+			base := m.RowPtr[lo]
+			rp := make([]int32, hi-lo+1)
+			for i := range rp {
+				rp[i] = m.RowPtr[lo+i] - base
+			}
+			return shardPanel{lo: lo, hi: hi, base: int(base)}, rp
+		},
+		func(_ int, sub *Matrix) (*Pipeline, error) { return NewPipelineCtx(ctx, sub, cfg) })
 	if err != nil {
 		return nil, err
 	}
@@ -120,28 +122,31 @@ func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ
 	return s, nil
 }
 
-// reskin rebuilds the sharded pipeline for a matrix with the *same
+// reskin re-skins the sharded pipeline for a matrix with the *same
 // sparsity structure* but new nonzero values — the value-only mutation
 // path of a live sharded tenant. The panel bounds are inherited (the
 // structure, and therefore the nnz balance, is unchanged), each panel's
-// rebased RowPtr is shared with the old panel, and every per-panel
-// plan-cache lookup hits on structure, so the whole rebuild is an
-// O(nnz) value regather — no LSH, clustering, or tiling.
+// rebased RowPtr is shared with the old panel, and every panel plan is
+// re-skinned by one O(nnz) value walk (Pipeline.withValues) — no
+// plan-cache lookup, no LSH, clustering, or tiling.
 func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (*ShardedPipeline, error) {
-	return buildPanels(ctx, m, len(s.panels), "reskinning", func(w int) (shardPanel, []int32, Config) {
-		pn := s.panels[w]
-		return pn, pn.pipe.Matrix().RowPtr, pn.pipe.plan.Cfg
-	})
+	return buildPanels(ctx, m, len(s.panels), "reskinning",
+		func(w int) (shardPanel, []int32) {
+			pn := s.panels[w]
+			return pn, pn.pipe.Matrix().RowPtr
+		},
+		func(w int, sub *Matrix) (*Pipeline, error) { return s.panels[w].pipe.withValues(sub) })
 }
 
-// buildPanels preprocesses np row panels of m concurrently through the
-// process-wide plan cache. panel(w) returns panel w's row range and
-// nonzero offset, its rebased RowPtr, and the Config it builds under;
-// the panel's sub-CSR shares m's ColIdx/Val backing arrays.
-func buildPanels(ctx context.Context, m *Matrix, np int, op string, panel func(w int) (shardPanel, []int32, Config)) (*ShardedPipeline, error) {
+// buildPanels builds np row panels of m concurrently. panel(w) returns
+// panel w's row range and nonzero offset and its rebased RowPtr; build
+// turns the panel's sub-CSR, which shares m's ColIdx/Val backing
+// arrays, into the panel's pipeline.
+func buildPanels(ctx context.Context, m *Matrix, np int, op string,
+	panel func(w int) (shardPanel, []int32), build func(w int, sub *Matrix) (*Pipeline, error)) (*ShardedPipeline, error) {
 	s := &ShardedPipeline{orig: m, panels: make([]shardPanel, np)}
 	err := par.DoCtx(ctx, np, func(w int) error {
-		pn, rp, cfg := panel(w)
+		pn, rp := panel(w)
 		end := int(m.RowPtr[pn.hi])
 		sub := &sparse.CSR{
 			Rows:   pn.hi - pn.lo,
@@ -150,7 +155,7 @@ func buildPanels(ctx context.Context, m *Matrix, np int, op string, panel func(w
 			ColIdx: m.ColIdx[pn.base:end:end],
 			Val:    m.Val[pn.base:end:end],
 		}
-		pipe, err := NewPipelineCtx(ctx, sub, cfg)
+		pipe, err := build(w, sub)
 		if err != nil {
 			return fmt.Errorf("repro: %s panel %d (rows %d–%d): %w", op, w, pn.lo, pn.hi, err)
 		}
