@@ -124,11 +124,13 @@ bench-obs:
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
 	@echo "wrote BENCH_obs.json"
 
-# Short fuzz session over the input parsers.
+# Short fuzz session over the input parsers and the SpMM kernels'
+# bit-exact oracle.
 fuzz:
 	$(GO) test -fuzz FuzzReadMTX -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzReadPlan -fuzztime 30s ./internal/reorder/
 	$(GO) test -fuzz FuzzMutationLog -fuzztime 30s .
+	$(GO) test -fuzz FuzzSpMMKernels -fuzztime 30s ./internal/kernels/
 
 # Regenerate every evaluation artifact at full scale (~5-10 min).
 experiments:

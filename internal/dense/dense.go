@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
 // Matrix is a dense row-major matrix: element (i, j) lives at
@@ -74,6 +75,18 @@ func (m *Matrix) PermuteRows(perm []int32) (*Matrix, error) {
 		copy(out.Row(i), m.Row(int(p)))
 	}
 	return out, nil
+}
+
+// Overlap reports whether a and b share any element of storage. A
+// kernel that reads b's rows while it writes a's cannot tolerate that.
+func Overlap(a, b *Matrix) bool {
+	if len(a.Data) == 0 || len(b.Data) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float32(0))
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a.Data)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b.Data)))
+	return a0 < b0+uintptr(len(b.Data))*size && b0 < a0+uintptr(len(a.Data))*size
 }
 
 // PermuteRowsInto writes src's rows into dst with dst row i = src row

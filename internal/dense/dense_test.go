@@ -101,6 +101,30 @@ func TestPermuteRows(t *testing.T) {
 	}
 }
 
+func TestOverlap(t *testing.T) {
+	m := New(4, 2)
+	head := &Matrix{Rows: 2, Cols: 2, Data: m.Data[:4]}
+	tail := &Matrix{Rows: 2, Cols: 2, Data: m.Data[4:]}
+	mid := &Matrix{Rows: 1, Cols: 2, Data: m.Data[3:5]}
+	for _, c := range []struct {
+		name string
+		a, b *Matrix
+		want bool
+	}{
+		{"same", m, m, true},
+		{"prefix", m, head, true},
+		{"straddle", head, mid, true},
+		{"straddle reversed", tail, mid, true},
+		{"adjacent", head, tail, false},
+		{"separate", m, New(4, 2), false},
+		{"empty", m, &Matrix{}, false},
+	} {
+		if got := Overlap(c.a, c.b); got != c.want {
+			t.Errorf("%s: Overlap = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestMaxAbsDiffPanicsOnShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -66,10 +66,10 @@ type job struct {
 	// Operands, interpreted by run.
 	csr  *sparse.CSR
 	tile *aspt.Matrix
-	ell  *ellpack.Matrix
 	hyb  *ellpack.Hybrid
 	x    *dense.Matrix
 	y    *dense.Matrix
+	dst  []int32   // SpMM row map: row i goes to y row dst[i]; nil = identity
 	out  []float32 // SDDMM output values
 
 	// Attribution state (see metrics.go): attr is the per-kernel
@@ -92,6 +92,15 @@ type job struct {
 	mergeChunks []mergeChunk
 	carryRow    []int32
 	carryVal    []float32
+}
+
+// outRow returns the output row that row i of an SpMM writes: y row
+// dst[i], or y row i when the map is the identity.
+func (j *job) outRow(i int) []float32 {
+	if j.dst != nil {
+		i = int(j.dst[i])
+	}
+	return j.y.Row(i)
 }
 
 // failure boxes the first error of a job (atomic.Pointer needs a
@@ -123,10 +132,10 @@ func putJob(j *job) {
 	j.run = nil
 	j.csr = nil
 	j.tile = nil
-	j.ell = nil
 	j.hyb = nil
 	j.x = nil
 	j.y = nil
+	j.dst = nil
 	j.out = nil
 	j.chunks = j.chunks[:0]
 	j.mergeChunks = j.mergeChunks[:0]

@@ -1,10 +1,12 @@
 // Package kernels provides the native (CPU, goroutine-parallel) SpMM and
 // SDDMM implementations. They are the correctness ground truth for the GPU
 // simulator and the executable backend of the examples: the row-wise
-// variants implement Alg 1 and Alg 2 of the paper verbatim; the ASpT
-// variants execute the tiled representation (dense tiles, then the
-// leftover sparse part) and must produce bit-identical structure and
-// numerically equal values.
+// variants implement Alg 1 and Alg 2 of the paper; the ASpT variants
+// execute the tiled representation (dense tiles, then the leftover
+// sparse part) and must produce bit-identical structure and numerically
+// equal values. The SpMM row loops are register-blocked along K (see
+// spmmRow) but add each output element's products in the same nonzero
+// order as Alg 1's plain loop, so blocking changes no result bit.
 //
 // Execution is load-balanced by nonzero count rather than row count (see
 // executor.go), and every kernel has an allocation-free *Into variant
@@ -89,10 +91,19 @@ func SpMMRowWise(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
 // returns as a *par.PanicError). On error the output contents are
 // unspecified. At steady state the call performs no heap allocations.
 func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
+	return SpMMRowWiseIntoRowsCtx(ctx, y, nil, s, x)
+}
+
+// SpMMRowWiseIntoRowsCtx is SpMMRowWiseIntoCtx writing row i of S·X to
+// row dst[i] of y (see checkRowMap).
+func SpMMRowWiseIntoRowsCtx(ctx context.Context, y *dense.Matrix, dst []int32, s *sparse.CSR, x *dense.Matrix) error {
 	if err := checkSpMMShapes(s, x); err != nil {
 		return err
 	}
 	if err := checkSpMMOut(s, x, y); err != nil {
+		return err
+	}
+	if err := checkRowMap(dst, s.Rows); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -101,7 +112,7 @@ func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *
 	j.run = runSpMMRowWise
 	j.ctx = ctx
 	j.attr = attrSpMMRowWise
-	j.csr, j.x, j.y = s, x, y
+	j.csr, j.x, j.y, j.dst = s, x, y, dst
 	err := j.dispatch(s.Rows, func(i int) int64 { return int64(s.RowPtr[i]) })
 	if err == nil {
 		attrSpMMRowWise.recordPass(j, s.NNZ(), s.Rows, x.Cols)
@@ -112,19 +123,103 @@ func SpMMRowWiseIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *
 	return err
 }
 
+// checkRowMap validates the row map of an *IntoRowsCtx kernel: row i of
+// the product goes to row dst[i] of the output, and a nil dst is the
+// identity. dst must be a permutation of [0, rows) — a pipeline passes
+// its plan's RowPerm so results land in the caller's row order. Only
+// the length is checked on this hot path; an out-of-range entry fails
+// the call as a recovered *par.PanicError, and a repeated one leaves a
+// row unwritten.
+func checkRowMap(dst []int32, rows int) error {
+	if dst != nil && len(dst) != rows {
+		return fmt.Errorf("kernels: row map has %d entries for %d rows", len(dst), rows)
+	}
+	return nil
+}
+
 func runSpMMRowWise(j *job, lo, hi int) {
-	s, x, y := j.csr, j.x, j.y
+	s, xd := j.csr, j.x.Data
 	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		clear(yi)
-		cols, vals := s.RowCols(i), s.RowVals(i)
-		for jj := range cols {
-			v := vals[jj]
-			xr := x.Row(int(cols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
+		spmmRow(j.outRow(i), xd, s.RowCols(i), s.RowVals(i), nil, nil)
+	}
+}
+
+// SpMMRow computes one output row yi of S·X from the row's nonzeros
+// (cols, vals) with the kernels' row loop (spmmRow), for callers that
+// compute single rows outside a kernel pass, such as a live overlay. xd
+// is X's row-major data with len(yi) columns.
+func SpMMRow(yi, xd []float32, cols []int32, vals []float32) {
+	spmmRow(yi, xd, cols, vals, nil, nil)
+}
+
+// spmmRow computes one output row of S·X, yi[k] = Σ v·X[c][k], over the
+// row's nonzeros given as two (cols, vals) segments summed in order:
+// the whole CSR row (second segment empty) for row-wise and merge, the
+// dense-tile part then the leftover part for ASpT. xd is X's row-major
+// data with len(yi) columns.
+//
+// The loop is register-blocked along K. For each strip of 8 (then 4,
+// then 1) output columns it walks the row's nonzeros once into named
+// local accumulators and stores the strip once. X rows are resliced to
+// the strip width, so the inner body has no bounds checks. Every
+// element starts at 0 and adds its products in nonzero order, so the
+// result is bit-identical to Alg 1's unblocked yi[k] += v·X[c][k] loop
+// (TestSpMMKernelsMatchOracle).
+func spmmRow(yi, xd []float32, c0 []int32, v0 []float32, c1 []int32, v1 []float32) {
+	k := len(yi)
+	off := 0
+	for ; off+8 <= k; off += 8 {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float32
+		cols, vals := c0, v0
+		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
+			vals = vals[:len(cols)]
+			for jj, c := range cols {
+				v := vals[jj]
+				o := int(c)*k + off
+				xr := xd[o : o+8 : o+8]
+				a0 += v * xr[0]
+				a1 += v * xr[1]
+				a2 += v * xr[2]
+				a3 += v * xr[3]
+				a4 += v * xr[4]
+				a5 += v * xr[5]
+				a6 += v * xr[6]
+				a7 += v * xr[7]
 			}
 		}
+		yo := yi[off : off+8 : off+8]
+		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
+	}
+	if off+4 <= k {
+		var a0, a1, a2, a3 float32
+		cols, vals := c0, v0
+		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
+			vals = vals[:len(cols)]
+			for jj, c := range cols {
+				v := vals[jj]
+				o := int(c)*k + off
+				xr := xd[o : o+4 : o+4]
+				a0 += v * xr[0]
+				a1 += v * xr[1]
+				a2 += v * xr[2]
+				a3 += v * xr[3]
+			}
+		}
+		yo := yi[off : off+4 : off+4]
+		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+		off += 4
+	}
+	for ; off < k; off++ {
+		var a float32
+		cols, vals := c0, v0
+		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
+			vals = vals[:len(cols)]
+			for jj, c := range cols {
+				a += vals[jj] * xd[int(c)*k+off]
+			}
+		}
+		yi[off] = a
 	}
 }
 
@@ -147,10 +242,19 @@ func SpMMASpT(t *aspt.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
 // contents are unspecified. At steady state the call performs no heap
 // allocations.
 func SpMMASpTIntoCtx(ctx context.Context, y *dense.Matrix, t *aspt.Matrix, x *dense.Matrix) error {
+	return SpMMASpTIntoRowsCtx(ctx, y, nil, t, x)
+}
+
+// SpMMASpTIntoRowsCtx is SpMMASpTIntoCtx writing row i of the product
+// to row dst[i] of y (see checkRowMap).
+func SpMMASpTIntoRowsCtx(ctx context.Context, y *dense.Matrix, dst []int32, t *aspt.Matrix, x *dense.Matrix) error {
 	if err := checkSpMMShapes(t.Src, x); err != nil {
 		return err
 	}
 	if err := checkSpMMOut(t.Src, x, y); err != nil {
+		return err
+	}
+	if err := checkRowMap(dst, t.Src.Rows); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -159,7 +263,7 @@ func SpMMASpTIntoCtx(ctx context.Context, y *dense.Matrix, t *aspt.Matrix, x *de
 	j.run = runSpMMASpT
 	j.ctx = ctx
 	j.attr = attrSpMMASpT
-	j.tile, j.x, j.y = t, x, y
+	j.tile, j.x, j.y, j.dst = t, x, y, dst
 	err := j.dispatch(t.Src.Rows, t.CumWork)
 	if err == nil {
 		attrSpMMASpT.recordPass(j, t.Src.NNZ(), t.Src.Rows, x.Cols)
@@ -170,29 +274,12 @@ func SpMMASpTIntoCtx(ctx context.Context, y *dense.Matrix, t *aspt.Matrix, x *de
 	return err
 }
 
+// runSpMMASpT sums each row's dense-tile part, then its leftover sparse
+// part, in one blocked row pass.
 func runSpMMASpT(j *job, lo, hi int) {
-	t, x, y := j.tile, j.x, j.y
+	t, xd := j.tile, j.x.Data
 	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		clear(yi)
-		// Dense-tile part.
-		tcols, tvals := t.TileRowCols(i), t.TileRowVals(i)
-		for jj := range tcols {
-			v := tvals[jj]
-			xr := x.Row(int(tcols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
-		// Leftover sparse part.
-		rcols, rvals := t.Rest.RowCols(i), t.Rest.RowVals(i)
-		for jj := range rcols {
-			v := rvals[jj]
-			xr := x.Row(int(rcols[jj]))
-			for k := range yi {
-				yi[k] += v * xr[k]
-			}
-		}
+		spmmRow(j.outRow(i), xd, t.TileRowCols(i), t.TileRowVals(i), t.Rest.RowCols(i), t.Rest.RowVals(i))
 	}
 }
 
@@ -264,18 +351,22 @@ func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Ma
 	return err
 }
 
+// runSDDMMRowWise computes O[i][c] = S[i][c] · (Y[i]·X[c]) for rows
+// [lo, hi). The dot runs over X and Y rows resliced to K, so it has no
+// bounds checks, and keeps one accumulator so its sum order is fixed.
 func runSDDMMRowWise(j *job, lo, hi int) {
 	s, x, y := j.csr, j.x, j.y
 	for i := lo; i < hi; i++ {
 		yi := y.Row(i)
 		cols := s.RowCols(i)
-		svals := s.RowVals(i)
+		svals := s.RowVals(i)[:len(cols)]
 		ovals := j.out[s.RowPtr[i]:s.RowPtr[i+1]]
-		for jj := range cols {
-			xr := x.Row(int(cols[jj]))
+		ovals = ovals[:len(cols)]
+		for jj, c := range cols {
+			xr := x.Row(int(c))[:len(yi)]
 			dot := float32(0)
-			for k := range yi {
-				dot += yi[k] * xr[k]
+			for k, yv := range yi {
+				dot += yv * xr[k]
 			}
 			ovals[jj] = dot * svals[jj]
 		}
@@ -284,8 +375,8 @@ func runSDDMMRowWise(j *job, lo, hi int) {
 
 // SDDMMASpT computes SDDMM from the ASpT representation. The output keeps
 // the *source* matrix's CSR structure (ASpT preserves CSR compatibility,
-// one of its selling points); tile and rest nonzeros are scattered back to
-// their source positions.
+// one of its selling points), so each nonzero's value lands at its
+// source position.
 func SDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
 	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
 		return nil, err
@@ -299,6 +390,12 @@ func SDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
 // structure, with cooperative cancellation between chunks and panic
 // isolation. Only out.Val is written. On error the output values are
 // unspecified. At steady state the call performs no heap allocations.
+//
+// The tile/rest partition changes where each nonzero's X row is read
+// from on the GPU (shared memory vs global), not the arithmetic: every
+// nonzero is its own dot scaled by its own value. So the kernel runs
+// the row-wise loop over t.Src, balanced by each row's tile+rest work;
+// the partition-aware traffic accounting lives in gpusim.
 func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
 	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
 		return err
@@ -309,10 +406,10 @@ func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y
 	start := time.Now()
 	sp := obs.TraceFrom(ctx).StartSpan("kernel_sddmm_aspt")
 	j := getJob()
-	j.run = runSDDMMASpT
+	j.run = runSDDMMRowWise
 	j.ctx = ctx
 	j.attr = attrSDDMMASpT
-	j.tile, j.x, j.y, j.out = t, x, y, out.Val
+	j.csr, j.x, j.y, j.out = t.Src, x, y, out.Val
 	err := j.dispatch(t.Src.Rows, t.CumWork)
 	if err == nil {
 		attrSDDMMASpT.recordPass(j, t.Src.NNZ(), t.Src.Rows, x.Cols)
@@ -321,57 +418,6 @@ func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y
 	sp.End()
 	kernelSDDMMASpT.ObserveSince(start)
 	return err
-}
-
-func runSDDMMASpT(j *job, lo, hi int) {
-	t, x, y := j.tile, j.x, j.y
-	s := t.Src
-	// The tile/rest partition changes *where* each nonzero's X row is
-	// read from on the GPU (shared memory vs global), not the arithmetic:
-	// every nonzero is scaled by its own source value regardless of
-	// partition. The partition-aware traffic accounting lives in gpusim;
-	// here the two partitions are walked to mirror the execution order.
-	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		ovals := j.out[s.RowPtr[i]:s.RowPtr[i+1]]
-		svals := s.RowVals(i)
-		cols := s.RowCols(i)
-		// Tile nonzeros first (the dense-tile kernel), then the rest
-		// (the row-wise kernel); position within the source row is
-		// recovered by column index, which is unique per row.
-		for pass := 0; pass < 2; pass++ {
-			var pcols []int32
-			if pass == 0 {
-				pcols = t.TileRowCols(i)
-			} else {
-				pcols = t.Rest.RowCols(i)
-			}
-			for _, c := range pcols {
-				xr := x.Row(int(c))
-				dot := float32(0)
-				for k := range yi {
-					dot += yi[k] * xr[k]
-				}
-				jj := searchInt32(cols, c)
-				ovals[jj] = dot * svals[jj]
-			}
-		}
-	}
-}
-
-// searchInt32 returns the index of c in the sorted slice cols. The caller
-// guarantees presence (CSR rows have unique, sorted columns).
-func searchInt32(cols []int32, c int32) int {
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cols[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Flops returns the floating-point operation count of an SpMM or SDDMM on

@@ -18,9 +18,9 @@ package kernels
 // whose output this side of the cut owns — rowOf(b) when row rowOf(b)
 // starts exactly at b, rowOf(b)+1 otherwise (its head belongs to the
 // chunk on the left). Chunk c owns rows [ownStart(b_c), ownStart(b_c+1)),
-// clearing and accumulating them directly; the spans of all chunks tile
+// accumulating and writing them directly; the spans of all chunks tile
 // [0, rows) exactly (boundaries 0 and nnz are pinned to rows 0 and
-// Rows), so every output row — including empty ones — is cleared exactly
+// Rows), so every output row — including empty ones — is written exactly
 // once, with no atomics and no write races. The only cross-chunk rows
 // are chunk heads whose row began in an earlier slice: their partial
 // sums go to the chunk's carry slot and are added serially after the
@@ -38,7 +38,7 @@ import (
 
 // mergeChunk is one slice of the flat nonzero range: entries [s, e) of
 // ColIdx/Val, with firstRow = rowOf(s) and the owned row span
-// [zLo, zHi) this chunk clears and writes directly.
+// [zLo, zHi) this chunk writes directly.
 type mergeChunk struct {
 	s, e     int
 	firstRow int
@@ -61,10 +61,20 @@ func SpMMMerge(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
 // returns as a *par.PanicError). On error the output contents are
 // unspecified. At steady state the call performs no heap allocations.
 func SpMMMergeIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *dense.Matrix) error {
+	return SpMMMergeIntoRowsCtx(ctx, y, nil, s, x)
+}
+
+// SpMMMergeIntoRowsCtx is SpMMMergeIntoCtx writing row i of S·X to row
+// dst[i] of y (see checkRowMap); owned rows and carry fix-ups go through
+// the same map.
+func SpMMMergeIntoRowsCtx(ctx context.Context, y *dense.Matrix, dst []int32, s *sparse.CSR, x *dense.Matrix) error {
 	if err := checkSpMMShapes(s, x); err != nil {
 		return err
 	}
 	if err := checkSpMMOut(s, x, y); err != nil {
+		return err
+	}
+	if err := checkRowMap(dst, s.Rows); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -72,7 +82,7 @@ func SpMMMergeIntoCtx(ctx context.Context, y *dense.Matrix, s *sparse.CSR, x *de
 	j := getJob()
 	j.ctx = ctx
 	j.attr = attrSpMMMerge
-	j.csr, j.x, j.y = s, x, y
+	j.csr, j.x, j.y, j.dst = s, x, y, dst
 	var err error
 	if s.NNZ() == 0 {
 		// Nothing to split on: the row-wise kernel degenerates to a
@@ -171,60 +181,32 @@ func rowOfNZ(rowPtr []int32, k int) int {
 }
 
 func runSpMMMerge(j *job, lo, hi int) {
-	s, x, y := j.csr, j.x, j.y
-	k := x.Cols
+	s, xd := j.csr, j.x.Data
+	k := j.x.Cols
 	for ci := lo; ci < hi; ci++ {
 		mc := j.mergeChunks[ci]
-		for r := mc.zLo; r < mc.zHi; r++ {
-			clear(y.Row(r))
-		}
-		r := mc.firstRow
-		nz := mc.s
-		if int(s.RowPtr[r]) < mc.s {
-			// Head fragment of a row owned by an earlier chunk: accumulate
-			// into this chunk's private carry slot, fixed up after the join.
-			acc := j.carryVal[ci*k : (ci+1)*k]
-			clear(acc)
-			end := int(s.RowPtr[r+1])
-			if end > mc.e {
-				end = mc.e
-			}
-			for ; nz < end; nz++ {
-				v := s.Val[nz]
-				xr := x.Row(int(s.ColIdx[nz]))
-				for kk := range acc {
-					acc[kk] += v * xr[kk]
-				}
-			}
+		if r := mc.firstRow; int(s.RowPtr[r]) < mc.s {
+			// Head fragment of a row owned by an earlier chunk: its partial
+			// sums go to this chunk's private carry slot, fixed up after
+			// the join.
+			end := min(int(s.RowPtr[r+1]), mc.e)
+			spmmRow(j.carryVal[ci*k:(ci+1)*k], xd, s.ColIdx[mc.s:end], s.Val[mc.s:end], nil, nil)
 			j.carryRow[ci] = int32(r)
-			r++
 		}
-		// Remaining rows start at or after mc.s, so they are owned here:
-		// their output was cleared by the span pass above.
-		for nz < mc.e {
-			end := int(s.RowPtr[r+1])
-			if end > mc.e {
-				end = mc.e
-			}
-			if end > nz {
-				yi := y.Row(r)
-				for ; nz < end; nz++ {
-					v := s.Val[nz]
-					xr := x.Row(int(s.ColIdx[nz]))
-					for kk := range yi {
-						yi[kk] += v * xr[kk]
-					}
-				}
-			}
-			r++
+		// Owned rows start at or after mc.s; a row running past mc.e is
+		// cut there (its tail is the next chunk's head fragment). Empty
+		// owned rows are written as zeros.
+		for r := mc.zLo; r < mc.zHi; r++ {
+			a, b := int(s.RowPtr[r]), min(int(s.RowPtr[r+1]), mc.e)
+			spmmRow(j.outRow(r), xd, s.ColIdx[a:b], s.Val[a:b], nil, nil)
 		}
 	}
 }
 
 // mergeFixup serially folds each chunk's carried head fragment into its
-// row. The owning chunk already cleared and wrote the row's other
-// fragments, so the carry is a pure addition; consecutive chunks inside
-// one hub row each contribute their own slot.
+// row. The owning chunk already wrote the row's other fragments, so the
+// carry is a pure addition; consecutive chunks inside one hub row each
+// contribute their own slot.
 func mergeFixup(j *job) {
 	k := j.x.Cols
 	for c := range j.mergeChunks {
@@ -232,7 +214,7 @@ func mergeFixup(j *job) {
 		if r < 0 {
 			continue
 		}
-		yr := j.y.Row(int(r))
+		yr := j.outRow(int(r))
 		acc := j.carryVal[c*k : (c+1)*k]
 		for kk := range yr {
 			yr[kk] += acc[kk]

@@ -911,16 +911,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serv
 		return err
 	}
 	err := st.overlayRows(ctx, func(r int) {
-		yr := y.Row(r)
-		clear(yr)
-		cols, vals := cur.RowCols(r), cur.RowVals(r)
-		for i, c := range cols {
-			xr := x.Row(int(c))
-			v := vals[i]
-			for k := range yr {
-				yr[k] += v * xr[k]
-			}
-		}
+		kernels.SpMMRow(y.Row(r), x.Data, cur.RowCols(r), cur.RowVals(r))
 	})
 	if err != nil {
 		return err

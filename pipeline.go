@@ -39,6 +39,13 @@ type Pipeline struct {
 	// rebuild.
 	hyb *ellpack.Hybrid
 
+	// dst is the SpMM kernels' row map: reordered row i of the product
+	// is written straight to the caller's row dst[i]. It is the plan's
+	// RowPerm, or nil when that is the identity (the NR plan, and any
+	// plan that applied no round-1 permutation), so the identity case
+	// pays no indirection and no output permute runs either way.
+	dst []int32
+
 	// sddmmScratch pools reordered-row-space SDDMM value buffers. The
 	// pooled matrices share the reordered matrix's structure arrays
 	// (read-only) and own only their Val slice.
@@ -49,7 +56,7 @@ type Pipeline struct {
 // choice is materialised (the hybrid slab is converted now, off the
 // serving path) and published to the kernel-choice counter.
 func newPipeline(orig *Matrix, plan *Plan) (*Pipeline, error) {
-	p := &Pipeline{orig: orig, plan: plan}
+	p := &Pipeline{orig: orig, plan: plan, dst: rowMap(plan.RowPerm)}
 	if plan.Kernel == reorder.KernelELLHybrid {
 		hyb, err := ellpack.FromCSRHybrid(plan.Reordered, 0)
 		if err != nil {
@@ -72,7 +79,7 @@ func (p *Pipeline) withValues(m *Matrix) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: re-skinning plan: %w", err)
 	}
-	np := &Pipeline{orig: m, plan: plan}
+	np := &Pipeline{orig: m, plan: plan, dst: rowMap(plan.RowPerm)}
 	if p.hyb != nil {
 		t0 := time.Now()
 		if np.hyb, err = p.hyb.WithValues(plan.Reordered); err != nil {
@@ -82,6 +89,17 @@ func (p *Pipeline) withValues(m *Matrix) (*Pipeline, error) {
 		plan.Preprocess = plan.Stages.Permute
 	}
 	return np, nil
+}
+
+// rowMap returns perm as a kernel row map: perm itself, or nil when it
+// is the identity.
+func rowMap(perm []int32) []int32 {
+	for i, r := range perm {
+		if int(r) != i {
+			return perm
+		}
+	}
+	return nil
 }
 
 // NewPipeline preprocesses m (Fig 5 workflow: round-1 reordering, ASpT
@@ -161,8 +179,10 @@ func (p *Pipeline) SpMM(x *Dense) (*Dense, error) {
 
 // SpMMInto computes Y = S·X into the caller-provided y
 // (S.Rows × X.Cols), overwriting its contents; rows come back in the
-// original order. The reordered intermediate lives in pooled scratch,
-// so a steady-state call performs no heap allocations.
+// original order. The kernel writes each reordered row straight to its
+// original row of y, so a steady-state call uses no scratch and
+// performs no heap allocations. y must not share storage with x: such
+// a call returns an error.
 func (p *Pipeline) SpMMInto(y *Dense, x *Dense) error {
 	return p.SpMMIntoCtx(context.Background(), y, x)
 }
@@ -227,38 +247,29 @@ func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 		return fmt.Errorf("repro: SpMMInto output is %dx%d, want %dx%d",
 			y.Rows, y.Cols, p.orig.Rows, x.Cols)
 	}
+	if dense.Overlap(y, x) {
+		return errors.New("repro: SpMMInto output shares storage with its operand")
+	}
 	p.fireCorruptPlan()
-	yre := dense.Get(p.orig.Rows, x.Cols)
-	defer dense.Put(yre)
-	// Execute in reordered row space with the plan's tuned kernel. Every
-	// variant honours the same contract: cancellation between chunks,
-	// panic isolation, zero steady-state allocations.
-	var err error
+	// Execute in reordered row space with the plan's tuned kernel; row i
+	// of the result lands in y's row p.dst[i]. Every variant honours the
+	// same contract: cancellation between chunks, panic isolation, zero
+	// steady-state allocations.
 	switch p.plan.Kernel {
 	case reorder.KernelRowWise:
-		err = kernels.SpMMRowWiseIntoCtx(ctx, yre, p.plan.Reordered, x)
+		return kernels.SpMMRowWiseIntoRowsCtx(ctx, y, p.dst, p.plan.Reordered, x)
 	case reorder.KernelMerge:
-		err = kernels.SpMMMergeIntoCtx(ctx, yre, p.plan.Reordered, x)
+		return kernels.SpMMMergeIntoRowsCtx(ctx, y, p.dst, p.plan.Reordered, x)
 	case reorder.KernelELLHybrid:
 		if p.hyb != nil {
-			err = kernels.SpMMHybridIntoCtx(ctx, yre, p.hyb, x)
-			break
+			return kernels.SpMMHybridIntoRowsCtx(ctx, y, p.dst, p.hyb, x)
 		}
 		// A hand-assembled Pipeline without the slab (zero value plus
 		// field poking) still computes, via the tiled fallback.
 		fallthrough
 	default:
-		err = kernels.SpMMASpTIntoCtx(ctx, yre, p.plan.Tiled, x)
+		return kernels.SpMMASpTIntoRowsCtx(ctx, y, p.dst, p.plan.Tiled, x)
 	}
-	if err != nil {
-		return err
-	}
-	// Row i of the reordered result is original row RowPerm[i]; gather
-	// with the inverse permutation to restore the caller's order.
-	sp := obs.TraceFrom(ctx).StartSpan("permute_output")
-	err = dense.PermuteRowsInto(y, yre, p.plan.InvRowPerm)
-	sp.End()
-	return err
 }
 
 // SDDMM computes O = S ⊙ (Y·Xᵀ) using the tiled execution; O has the

@@ -131,6 +131,9 @@ func assertSamePlanValues(t *testing.T, p, cold *Pipeline) {
 	if !slices.Equal(a.Tiled.Rest.Val, b.Tiled.Rest.Val) {
 		t.Fatal("Rest.Val differs from a cold build")
 	}
+	if !slices.Equal(p.dst, cold.dst) || (p.dst == nil) != (cold.dst == nil) {
+		t.Fatalf("row map %v, cold build %v", p.dst != nil, cold.dst != nil)
+	}
 	if (p.hyb == nil) != (cold.hyb == nil) {
 		t.Fatalf("hybrid presence %v, cold build %v", p.hyb != nil, cold.hyb != nil)
 	}
@@ -167,6 +170,38 @@ func assertSameResults(t *testing.T, ctx context.Context, p, cold *Pipeline, x *
 	}
 	if !slices.Equal(o1.Val, o2.Val) {
 		t.Fatal("SDDMM of the re-skinned plan is not bit-identical to a cold build's")
+	}
+}
+
+// The kernels' row map is decided from RowPerm where a Pipeline is
+// built: nil for the NR plan's identity, the plan's RowPerm for a
+// reordered plan, and the same decision after a value re-skin.
+func TestPipelineRowMapDecision(t *testing.T) {
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4403)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Force = true
+	rr, nr := coldPipeline(t, m, cfg, false), coldPipeline(t, m, cfg, true)
+	if nr.dst != nil {
+		t.Fatal("NR pipeline has a row map; its RowPerm is the identity")
+	}
+	if rr.dst == nil || &rr.dst[0] != &rr.plan.RowPerm[0] {
+		t.Fatal("reordered pipeline's row map is not its plan's RowPerm")
+	}
+	m2 := m.Clone()
+	for i := range m2.Val {
+		m2.Val[i] *= 2
+	}
+	for _, p := range []*Pipeline{rr, nr} {
+		np, err := p.withValues(m2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (np.dst == nil) != (p.dst == nil) || !slices.Equal(np.dst, p.dst) {
+			t.Fatal("re-skinned pipeline changed the row map decision")
+		}
 	}
 }
 

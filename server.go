@@ -356,7 +356,9 @@ type ServerStats struct {
 // its no-reorder Pipeline (the breaker fallback), or a ShardedPipeline
 // (nnz-balanced row panels, each with its own autotuned plan). Batched
 // SpMM needs nothing more: kernels.SpMMBatchIntoCtx runs one SpMMIntoCtx
-// at the combined width.
+// at the combined width. SpMMIntoCtx's y must not share storage with x:
+// the kernels write output rows while they still read operand rows, and
+// Pipeline rejects such a call with an error.
 type servingUnit interface {
 	SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error
 	SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error

@@ -625,6 +625,23 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 		}
 	}
 
+	// book files one request's outcome in its client's tally; false
+	// means the error fits no ledger bucket and the client must stop.
+	book := func(ta *soakTally, err error) bool {
+		switch {
+		case err == nil:
+			ta.successes++
+		case errors.Is(err, repro.ErrOverloaded):
+			ta.sheds++
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			ta.ctxErrs++
+		default:
+			ta.unexpected = err
+			return false
+		}
+		return true
+	}
+
 	stop := time.Now().Add(budget)
 	tallies := make([]soakTally, len(tenants)*clientsPerTenant)
 	var wg sync.WaitGroup
@@ -671,23 +688,59 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 						repro.PutDense(y)
 					}
 					cancel()
-					switch {
-					case err == nil:
-						ta.successes++
-					case errors.Is(err, repro.ErrOverloaded):
-						ta.sheds++
-						time.Sleep(time.Millisecond)
-					case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-						ta.ctxErrs++
-					default:
-						ta.unexpected = err
+					if !book(ta, err) {
 						return
+					}
+					if errors.Is(err, repro.ErrOverloaded) {
+						time.Sleep(time.Millisecond)
 					}
 				}
 			}(ti, c, tn.id, tn.m)
 		}
 	}
 	wg.Wait()
+	// Every tenant must have completed work while all of them contended
+	// for the gate; the join phase below adds to the tallies, so the
+	// check reads this snapshot.
+	loadOK := make([]int64, len(tenants))
+	for g := range tallies {
+		loadOK[g/clientsPerTenant] += tallies[g].successes
+	}
+
+	// Join phase. The -short budget books only a few joins, and faster
+	// kernels shrink the windows' overlap further, so the joins check
+	// below must not hinge on timing luck. Release the default tenant's
+	// clients together from a barrier, burst after burst, until that
+	// tenant's Joins moves. Each burst's outcomes are booked in the
+	// clients' tallies, so the ledgers still reconcile exactly.
+	joins := func() int64 {
+		ts, _ := s.TenantStats(repro.DefaultTenant)
+		return ts.Coalesce.Joins
+	}
+	const maxJoinBursts = 200
+	joins0, bursts := joins(), 0
+	for ; bursts < maxJoinBursts && joins() == joins0; bursts++ {
+		release := make(chan struct{})
+		var bw sync.WaitGroup
+		for c := 0; c < clientsPerTenant; c++ {
+			bw.Add(1)
+			go func(c int) {
+				defer bw.Done()
+				ta := &tallies[c] // the default tenant's clients come first
+				y := repro.GetDense(ma.Rows, xss[0][c].Cols)
+				defer repro.PutDense(y)
+				<-release
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				ta.requests++
+				book(ta, s.SpMMIntoTenant(ctx, repro.DefaultTenant, y, xss[0][c]))
+			}(c)
+		}
+		close(release)
+		bw.Wait()
+	}
+	t.Logf("join phase: %d burst(s) of %d clients", bursts, clientsPerTenant)
+
 	for ti, tn := range tenants {
 		muts[ti].halt()
 		if err := muts[ti].unexpected; err != nil {
@@ -714,8 +767,8 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 		if !ok {
 			t.Fatalf("no stats for tenant %s", tn.id)
 		}
-		if tt.requests == 0 || tt.successes == 0 {
-			t.Fatalf("tenant %s did no work: %+v", tn.id, tt)
+		if tt.requests == 0 || loadOK[ti] == 0 {
+			t.Fatalf("tenant %s did no work under load: %+v", tn.id, tt)
 		}
 		if ts.Failed != 0 {
 			t.Fatalf("tenant %s failed %d requests with no fault source", tn.id, ts.Failed)
