@@ -58,7 +58,7 @@ type Kernel = reorder.Kernel
 type KernelFeatures = reorder.KernelFeatures
 
 // BatchOp is one Y = S·X operand pair of a batched SpMM pass (one per
-// request in a Server coalescing window): the X operands of a batch
+// request in a Server coalescing batch): the X operands of a batch
 // are column-stacked into one pooled scratch matrix, the kernel runs
 // once at the combined width, and each op's columns are scattered back
 // into its Y.

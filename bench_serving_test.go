@@ -39,8 +39,10 @@ func BenchmarkServingEffectiveK(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				scfg := repro.ServerConfig{}
 				if variant.coalesce {
-					// The batch launches as soon as all effK clients of a
-					// round have joined; the window only bounds stragglers.
+					// The round's first request launches at once; the rest
+					// gather behind it and launch together when it returns
+					// (or when effK fill a batch). The window only caps
+					// that wait.
 					scfg.CoalesceWindow = 2 * time.Millisecond
 					scfg.CoalesceMaxOps = effK
 				}

@@ -75,7 +75,7 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 		fmt.Printf("serve: accepting requests (K=%d); no-reorder plan ready, reordered plan building in background\n", k)
 	}
 	if opts.coalesceWindow > 0 {
-		fmt.Printf("serve: coalescing concurrent requests within %v into batched passes\n", opts.coalesceWindow)
+		fmt.Printf("serve: coalescing concurrent requests into batched passes (wait capped at %v)\n", opts.coalesceWindow)
 	}
 	if opts.verifyFraction > 0 {
 		fmt.Printf("serve: shadow-verifying %.2g of requests against the reference kernel\n", opts.verifyFraction)
@@ -141,8 +141,8 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 		fmt.Printf("serve: observability on http://%s\n", ln.Addr())
 	}
 
-	// One load client normally; several when coalescing, so concurrent
-	// arrivals actually share windows and the batched pass is exercised.
+	// One load client normally; several when coalescing, so requests
+	// arrive while a pass runs and the batched pass is exercised.
 	clients := 1
 	if opts.coalesceWindow > 0 {
 		clients = 4

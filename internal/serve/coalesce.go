@@ -9,14 +9,18 @@ import (
 )
 
 // Coalescer batches concurrent requests for the same downstream
-// resource into one execution. The first arrival opens a batch and
-// arms the coalescing window; requests landing inside the window join
-// the batch; when the window elapses — or the batch hits its operand
-// cap — the whole batch runs as a single call to the run function.
-// Like the rest of this package it is generic over the work: T is
-// whatever per-request operand the caller's run function consumes
-// (the Server uses one Y/X operand pair per request, so a batch is
-// one wide column-stacked kernel pass).
+// resource into one execution, group-commit style: a request arriving
+// while the coalescer is idle runs at once as a batch of one; requests
+// arriving while one of its batches runs gather into a single pending
+// batch, which launches at the earliest of three events — a running
+// batch returns, the coalescing window expires, or the batch reaches
+// its operand cap — and then runs as a single call to the run
+// function. The window therefore caps the wait a request can add; it
+// never adds one to an idle coalescer, and batches form only under
+// contention. Like the rest of this package it is generic over the
+// work: T is whatever per-request operand the caller's run function
+// consumes (the Server uses one Y/X operand pair per request, so a
+// batch is one wide column-stacked kernel pass).
 //
 // Per-waiter contract:
 //
@@ -37,8 +41,9 @@ type Coalescer[T any] struct {
 	run      func([]T) error
 	validate func(T) error // optional per-operand launch-time gate
 
-	mu  sync.Mutex
-	cur *cbatch[T]
+	mu      sync.Mutex
+	cur     *cbatch[T] // pending batch, gathering while others run
+	running int        // launched batches whose run has not returned
 
 	leads   *obs.Counter
 	joins   *obs.Counter
@@ -48,29 +53,33 @@ type Coalescer[T any] struct {
 }
 
 // cbatch is one coalescing batch. items/dead are guarded by the
-// coalescer's mu until launch; err is written before done closes, so
-// waiters reading err after <-done observe it without locking.
+// coalescer's mu until launch; err, start and end are written before
+// done closes, so waiters reading them after <-done observe them
+// without locking.
 type cbatch[T any] struct {
 	items    []T
 	dead     []bool
 	opErr    []error // per-slot validate failure, set at launch under mu
 	launched bool
 	err      error
+	start    time.Time // launch; zero when the batch had no live operand
+	end      time.Time // run returned
 	done     chan struct{}
 	timer    *time.Timer
 }
 
 // CoalescerStats is a snapshot of a coalescer's counters.
 type CoalescerStats struct {
-	Leads   int64 // batches opened (first arrival in a window)
+	Leads   int64 // batches opened (an idle launch or a pending batch's first arrival)
 	Joins   int64 // requests that joined an open batch
 	Excised int64 // waiters removed pre-launch by context expiry
 	Invalid int64 // operands rejected at launch by the validate hook
 }
 
-// NewCoalescer returns a coalescer batching up to maxOps requests per
-// window. window <= 0 disables coalescing (every request runs alone,
-// immediately); maxOps < 1 means an unbounded batch (window-only).
+// NewCoalescer returns a coalescer batching up to maxOps requests, each
+// waiting at most window for a running batch to return. window <= 0
+// disables coalescing (every request runs alone, immediately); maxOps
+// < 1 means an unbounded batch.
 func NewCoalescer[T any](window time.Duration, maxOps int, run func([]T) error) *Coalescer[T] {
 	return NewCoalescerObs(window, maxOps, run, nil)
 }
@@ -85,7 +94,7 @@ func NewCoalescerObs[T any](window time.Duration, maxOps int, run func([]T) erro
 		return c
 	}
 	c.leads = reg.Counter("spmmrr_coalesce_batches_total",
-		"Coalescing batches opened (one per window with traffic).")
+		"Coalescing batches opened (an idle launch or a pending batch's first arrival).")
 	c.joins = reg.Counter("spmmrr_coalesce_joins_total",
 		"Requests that joined an already-open coalescing batch.")
 	c.excised = reg.Counter("spmmrr_coalesce_excised_total",
@@ -123,7 +132,10 @@ func (c *Coalescer[T]) Stats() CoalescerStats {
 // Do submits one operand and blocks until its batch has run (or the
 // caller's context dies pre-launch). The error is the batch's: nil
 // when the batched run succeeded, the run's error for every waiter of
-// a failed batch, or ctx.Err() for an excised waiter.
+// a failed batch, or ctx.Err() for an excised waiter. When ctx carries
+// a trace, a waiter that saw its batch run records two spans from the
+// batch's timestamps: coalesce_wait (submit to launch) and
+// coalesce_run (launch to done).
 func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 	if c.window <= 0 {
 		if err := ctx.Err(); err != nil {
@@ -142,39 +154,51 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 		c.sizes.Observe(1)
 		return c.run([]T{item})
 	}
+	submit := time.Now()
 	c.mu.Lock()
 	b := c.cur
-	var idx int
-	full := false
+	launchNow := false
 	if b == nil {
 		b = &cbatch[T]{done: make(chan struct{})}
-		c.cur = b
-		// The window timer launches the batch; a full batch launches
-		// early via the filling waiter below. launch() resolves the race
-		// (first in wins) and stops the loser.
-		b.timer = time.AfterFunc(c.window, func() { c.launch(b) })
 		c.leads.Inc()
+		if c.running == 0 {
+			// Idle: nothing to gather behind, so launch at once as a
+			// batch of one — a dead context is excised first, exactly as
+			// it would be from a pending batch.
+			if err := ctx.Err(); err != nil {
+				c.excised.Inc()
+				c.mu.Unlock()
+				return err
+			}
+			launchNow = true
+		} else {
+			// A batch is running: gather behind it. The window caps the
+			// wait; the running batch's return or a full batch usually
+			// launches it first. launch() resolves the race (first in
+			// wins) and stops the timer.
+			c.cur = b
+			b.timer = time.AfterFunc(c.window, func() { c.launch(b) })
+		}
 	} else {
 		c.joins.Inc()
 	}
-	idx = len(b.items)
+	idx := len(b.items)
 	b.items = append(b.items, item)
 	b.dead = append(b.dead, false)
-	if c.maxOps > 0 && len(b.items) >= c.maxOps {
+	if c.maxOps > 0 && len(b.items) >= c.maxOps && c.cur == b {
 		// Detach under the lock so no further request can join, then
 		// launch synchronously: the waiter that filled the batch pays
 		// the launch, not a timer goroutine.
 		c.cur = nil
-		full = true
+		launchNow = true
 	}
 	c.mu.Unlock()
-	if full {
+	if launchNow {
 		c.launch(b)
 	}
 
 	select {
 	case <-b.done:
-		return b.waiterErr(idx)
 	case <-ctx.Done():
 		c.mu.Lock()
 		if !b.launched {
@@ -189,8 +213,12 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 		// Launched: the batch is writing into this waiter's operand.
 		// Ride to completion and report the batch's outcome.
 		<-b.done
-		return b.waiterErr(idx)
 	}
+	if tr := obs.TraceFrom(ctx); tr != nil && !b.start.IsZero() {
+		tr.AddSpan("coalesce_wait", submit, b.start.Sub(submit))
+		tr.AddSpan("coalesce_run", b.start, b.end.Sub(b.start))
+	}
+	return b.waiterErr(idx)
 }
 
 // waiterErr is the outcome for the waiter holding slot idx: its own
@@ -204,9 +232,12 @@ func (b *cbatch[T]) waiterErr(idx int) error {
 	return b.err
 }
 
-// launch runs a batch exactly once: the timer path and the
-// batch-full path race here, first in wins. Live operands are
-// compacted under the lock; the run executes outside it.
+// launch runs a batch exactly once: the idle path, the batch-full
+// path, the window timer and a returning batch's hand-off race here,
+// first in wins. Live operands are compacted under the lock; the run
+// executes outside it. When the run returns, the pending batch (if
+// any) launches on a fresh goroutine, so no waiter of this batch
+// waits out the next pass.
 func (c *Coalescer[T]) launch(b *cbatch[T]) {
 	c.mu.Lock()
 	if b.launched {
@@ -244,13 +275,25 @@ func (c *Coalescer[T]) launch(b *cbatch[T]) {
 		}
 	}
 	live := b.items[:n]
+	if n > 0 {
+		c.running++
+	}
 	c.mu.Unlock()
 	if b.timer != nil {
 		b.timer.Stop()
 	}
 	if n > 0 {
 		c.sizes.Observe(float64(n))
+		b.start = time.Now()
 		b.err = c.run(live)
+		b.end = time.Now()
+		c.mu.Lock()
+		c.running--
+		next := c.cur
+		c.mu.Unlock()
+		if next != nil {
+			go c.launch(next)
+		}
 	}
 	close(b.done)
 }

@@ -7,21 +7,80 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// batchRecorder collects the batches a coalescer launches.
+// heldOp is the operand holdBatch runs alone to keep a batch in flight.
+const heldOp = -1
+
+// batchRecorder collects the batches a coalescer launches. A batch of
+// heldOp alone is not recorded: it blocks until release closes (see
+// holdBatch).
 type batchRecorder struct {
 	mu      sync.Mutex
 	batches [][]int
 	err     error
+
+	entered chan struct{} // closed once the held batch is running
+	release chan struct{} // closing it lets the held batch return
 }
 
 func (r *batchRecorder) run(items []int) error {
+	if len(items) == 1 && items[0] == heldOp && r.release != nil {
+		close(r.entered)
+		<-r.release
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cp := append([]int(nil), items...)
 	r.batches = append(r.batches, cp)
 	return r.err
+}
+
+// holdBatch runs heldOp on the idle coalescer c (whose run is rec.run)
+// and returns once that batch is blocked inside its run: the batch in
+// flight that later arrivals gather behind. The returned release lets
+// the held batch return and waits for its waiter; it is idempotent and
+// also runs at test cleanup, so a failing test never leaks the waiter.
+func holdBatch(t *testing.T, c *Coalescer[int], rec *batchRecorder) (release func()) {
+	t.Helper()
+	rec.entered, rec.release = make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	go func() { held <- c.Do(context.Background(), heldOp) }()
+	select {
+	case <-rec.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an idle coalescer did not launch the held operand")
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(rec.release)
+			select {
+			case err := <-held:
+				if err != nil {
+					t.Errorf("held batch: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("held batch did not return")
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// statsSince is the counter delta from base to now.
+func statsSince(c *Coalescer[int], base CoalescerStats) CoalescerStats {
+	st := c.Stats()
+	return CoalescerStats{
+		Leads:   st.Leads - base.Leads,
+		Joins:   st.Joins - base.Joins,
+		Excised: st.Excised - base.Excised,
+		Invalid: st.Invalid - base.Invalid,
+	}
 }
 
 func (r *batchRecorder) snapshot() [][]int {
@@ -31,10 +90,14 @@ func (r *batchRecorder) snapshot() [][]int {
 }
 
 // TestCoalescerWindowBatches: concurrent arrivals inside one window
-// coalesce into a single run.
+// coalesce into a single run. The batch forms behind a batch held in
+// flight past the window, so the window expiry launches it.
 func TestCoalescerWindowBatches(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(200*time.Millisecond, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	defer release()
+	base := c.Stats()
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -62,7 +125,7 @@ func TestCoalescerWindowBatches(t *testing.T) {
 	if len(batches) != 1 {
 		t.Fatalf("a 200ms window split %d concurrent arrivals into %d batches", n, len(batches))
 	}
-	st := c.Stats()
+	st := statsSince(c, base)
 	if st.Leads != 1 || st.Joins != int64(n-1) {
 		t.Fatalf("stats = %+v, want 1 lead and %d joins", st, n-1)
 	}
@@ -129,18 +192,22 @@ func TestCoalescerDisabled(t *testing.T) {
 
 // TestCoalescerExcisePreLaunch: a waiter whose context dies before
 // launch returns its context error promptly, and the batch runs with
-// only the surviving operands.
+// only the surviving operands. The batch gathers behind a held batch
+// and launches when that batch returns.
 func TestCoalescerExcisePreLaunch(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(400*time.Millisecond, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	defer release()
+	base := c.Stats()
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	errA := make(chan error, 1)
 	go func() { errA <- c.Do(ctxA, 1) }()
-	waitFor(t, func() bool { return c.Stats().Leads == 1 })
+	waitFor(t, func() bool { return statsSince(c, base).Leads == 1 })
 	errB := make(chan error, 1)
 	go func() { errB <- c.Do(context.Background(), 2) }()
-	waitFor(t, func() bool { return c.Stats().Joins == 1 })
+	waitFor(t, func() bool { return statsSince(c, base).Joins == 1 })
 	cancelA()
 	select {
 	case err := <-errA:
@@ -150,6 +217,7 @@ func TestCoalescerExcisePreLaunch(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 		t.Fatal("excised waiter did not return before the window elapsed")
 	}
+	release()
 	if err := <-errB; err != nil {
 		t.Fatalf("surviving waiter: %v", err)
 	}
@@ -157,20 +225,24 @@ func TestCoalescerExcisePreLaunch(t *testing.T) {
 	if len(batches) != 1 || len(batches[0]) != 1 || batches[0][0] != 2 {
 		t.Fatalf("batch after excision = %v, want [[2]]", batches)
 	}
-	if st := c.Stats(); st.Excised != 1 {
+	if st := statsSince(c, base); st.Excised != 1 {
 		t.Fatalf("excised counter = %d, want 1", st.Excised)
 	}
 }
 
 // TestCoalescerEmptyBatchSkipsRun: if every waiter is excised, the
 // window fires on an empty batch and the run function never executes.
+// The batch gathers behind a held batch that outlives the window.
 func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(50*time.Millisecond, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	defer release()
+	base := c.Stats()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.Do(ctx, 1) }()
-	waitFor(t, func() bool { return c.Stats().Leads == 1 })
+	waitFor(t, func() bool { return statsSince(c, base).Leads == 1 })
 	cancel()
 	if err := <-errCh; err != context.Canceled {
 		t.Fatalf("excised lead = %v, want context.Canceled", err)
@@ -178,6 +250,10 @@ func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 	time.Sleep(120 * time.Millisecond) // let the window fire on the empty batch
 	if batches := rec.snapshot(); len(batches) != 0 {
 		t.Fatalf("empty batch still ran: %v", batches)
+	}
+	release() // the held batch's return finds no pending batch to launch
+	if batches := rec.snapshot(); len(batches) != 0 {
+		t.Fatalf("empty batch ran after the held batch returned: %v", batches)
 	}
 }
 
@@ -229,6 +305,209 @@ func TestCoalescerPostLaunchCancelRides(t *testing.T) {
 	close(release)
 	if err := <-errCh; err != nil {
 		t.Fatalf("riding waiter = %v, want the batch's nil", err)
+	}
+}
+
+// TestCoalescerIdleLaunchesAtOnce: with nothing running, a lone request
+// launches at once as a batch of one; even an hour-long window adds no
+// wait.
+func TestCoalescerIdleLaunchesAtOnce(t *testing.T) {
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+	for i := 0; i < 3; i++ {
+		done := make(chan error, 1)
+		go func() { done <- c.Do(context.Background(), i) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("idle request %d waited on the window", i)
+		}
+	}
+	if batches := rec.snapshot(); len(batches) != 3 || len(batches[0]) != 1 {
+		t.Fatalf("batches = %v, want three batches of one", batches)
+	}
+	if st := c.Stats(); st.Leads != 3 || st.Joins != 0 {
+		t.Fatalf("stats = %+v, want 3 leads and no joins", st)
+	}
+}
+
+// TestCoalescerPendingLaunchesWhenHeldReturns: N arrivals during a held
+// batch form exactly one pending batch, which launches when the held
+// batch returns, long before its window.
+func TestCoalescerPendingLaunchesWhenHeldReturns(t *testing.T) {
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	base := c.Stats()
+	const n = 5
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.Do(context.Background(), i)
+		}(i)
+	}
+	waitFor(t, func() bool { st := statsSince(c, base); return st.Leads+st.Joins == n })
+	if batches := rec.snapshot(); len(batches) != 0 {
+		t.Fatalf("pending batch ran while the held batch was in flight: %v", batches)
+	}
+	release()
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending batch did not launch when the held batch returned")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	if batches := rec.snapshot(); len(batches) != 1 || len(batches[0]) != n {
+		t.Fatalf("batches = %v, want one batch of %d", batches, n)
+	}
+	if st := statsSince(c, base); st.Leads != 1 || st.Joins != n-1 {
+		t.Fatalf("stats = %+v, want 1 lead and %d joins", st, n-1)
+	}
+}
+
+// TestCoalescerWindowCapsWaitBehindOverrun: when the held batch overruns
+// the window, the pending batch launches at window expiry and runs
+// concurrently with it, so the window bounds the wait it adds.
+func TestCoalescerWindowCapsWaitBehindOverrun(t *testing.T) {
+	const window = 50 * time.Millisecond
+	rec := &batchRecorder{}
+	c := NewCoalescer(window, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	defer release()
+	const n = 3
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.Do(context.Background(), i)
+		}(i)
+	}
+	wg.Wait() // the held batch is still blocked: only the window launched these
+	if elapsed := time.Since(start); elapsed < window {
+		t.Fatalf("pending batch launched after %v, before the %v window", elapsed, window)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	total := 0
+	for _, b := range rec.snapshot() {
+		total += len(b)
+	}
+	if total != n {
+		t.Fatalf("processed %d operands, want %d", total, n)
+	}
+}
+
+// TestCoalescerFinishedWaitersSkipNextPass: when a batch returns and
+// hands off to the pending batch, the finished batch's waiter returns at
+// once; it does not run, or wait out, the next pass. The held batch
+// here was launched inline by its own waiter, the case where running
+// the hand-off inline would make that waiter pay two passes.
+func TestCoalescerFinishedWaitersSkipNextPass(t *testing.T) {
+	entered := make(chan int, 2)
+	gates := map[int]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	c := NewCoalescer(time.Hour, 0, func(items []int) error {
+		entered <- items[0]
+		<-gates[items[0]]
+		return nil
+	})
+	defer close(gates[2])
+	errA := make(chan error, 1)
+	go func() { errA <- c.Do(context.Background(), 1) }()
+	if got := <-entered; got != 1 {
+		t.Fatalf("first pass ran %d, want 1", got)
+	}
+	errB := make(chan error, 1)
+	go func() { errB <- c.Do(context.Background(), 2) }()
+	waitFor(t, func() bool { return c.Stats().Leads == 2 })
+	close(gates[1])
+	select {
+	case err := <-errA:
+		if err != nil {
+			t.Fatalf("finished waiter: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("finished batch's waiter is waiting on the next pass")
+	}
+	select {
+	case got := <-entered:
+		if got != 2 {
+			t.Fatalf("hand-off ran %d, want 2", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending batch did not launch when the running batch returned")
+	}
+	select {
+	case err := <-errB:
+		t.Fatalf("pending waiter returned %v while its pass was still running", err)
+	default:
+	}
+}
+
+// TestCoalescerTraceSpans: a waiter whose context carries a trace records
+// coalesce_wait (submit to launch) and coalesce_run (launch to done);
+// the wait is near zero for an idle launch and spans the held batch for
+// a pending one.
+func TestCoalescerTraceSpans(t *testing.T) {
+	spans := func(tr *obs.Trace) map[string]obs.SpanSnapshot {
+		m := map[string]obs.SpanSnapshot{}
+		for _, sp := range tr.Snapshot().Spans {
+			m[sp.Name] = sp
+		}
+		return m
+	}
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+
+	idle := obs.NewTrace("idle")
+	if err := c.Do(obs.WithTrace(context.Background(), idle), 1); err != nil {
+		t.Fatal(err)
+	}
+	idle.Finish(nil)
+	got := spans(idle)
+	wait, okW := got["coalesce_wait"]
+	run, okR := got["coalesce_run"]
+	if !okW || !okR {
+		t.Fatalf("idle trace spans = %+v, want coalesce_wait and coalesce_run", got)
+	}
+	if wait.DurUS > 5000 {
+		t.Fatalf("idle launch waited %dus, want near 0", wait.DurUS)
+	}
+	if run.StartUS < wait.StartUS+wait.DurUS-1 {
+		t.Fatalf("coalesce_run starts at %dus, before coalesce_wait ends (%+v)", run.StartUS, wait)
+	}
+
+	const hold = 30 * time.Millisecond
+	release := holdBatch(t, c, rec)
+	pending := obs.NewTrace("pending")
+	done := make(chan error, 1)
+	go func() { done <- c.Do(obs.WithTrace(context.Background(), pending), 2) }()
+	waitFor(t, func() bool { return c.Stats().Leads == 3 })
+	time.Sleep(hold)
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	pending.Finish(nil)
+	if w := spans(pending)["coalesce_wait"]; w.DurUS < hold.Microseconds() {
+		t.Fatalf("pending waiter's coalesce_wait = %dus, want at least the %v hold", w.DurUS, hold)
 	}
 }
 

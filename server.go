@@ -85,17 +85,18 @@ type ServerConfig struct {
 	// cache back to it.
 	PlanDir string
 	// CoalesceWindow, when positive, batches concurrent SpMM requests
-	// against the same tenant matrix: the first arrival opens a window
-	// of this length, requests landing inside it column-stack into ONE
-	// kernel pass at the combined width (the K-scaling effect: the
-	// sparse structure is traversed once for the whole batch), and each
-	// waiter keeps its own context, deadline, and admission accounting.
-	// 0 disables coalescing. Windows in the 100µs–1ms range trade that
-	// much added latency for the batched pass's throughput.
+	// against the same tenant matrix. A request reaching an idle tenant
+	// runs at once; requests arriving while one of its passes runs
+	// gather into one pending batch that launches when that pass
+	// returns, column-stacked into ONE kernel pass at the combined width
+	// (the K-scaling effect: the sparse structure is traversed once for
+	// the whole batch). The window caps how long a pending batch waits
+	// for a running pass; it adds no wait to an idle tenant. Each waiter
+	// keeps its own context, deadline, and admission accounting. 0
+	// disables coalescing.
 	CoalesceWindow time.Duration
-	// CoalesceMaxOps caps operands per coalesced batch; a full batch
-	// launches immediately instead of waiting out the window.
-	// Default 16.
+	// CoalesceMaxOps caps operands per coalesced batch; a full pending
+	// batch launches at once, beside the running pass. Default 16.
 	CoalesceMaxOps int
 	// ShardNNZ, when positive, row-panel-shards any tenant matrix with
 	// more than this many nonzeros: the matrix splits into nnz-balanced
@@ -649,7 +650,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 		// failing — or torn-writing — the batch it joined.
 		t.coal.SetValidate(live.validateBatchOp)
 		s.reg.CounterFunc("spmmrr_coalesce_batches_total",
-			"Coalescing batches opened (one per window with traffic).",
+			"Coalescing batches opened (an idle launch or a pending batch's first arrival).",
 			func() int64 { return t.coal.Stats().Leads }, obs.L("tenant", id))
 		s.reg.CounterFunc("spmmrr_coalesce_joins_total",
 			"Requests that joined an already-open coalescing batch.",
@@ -758,7 +759,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 
 // AddTenant registers a second matrix under id, served through the
 // same admission gate, breaker, retry policy, and (when configured)
-// its own coalescing window. weight scales the admission cost of the
+// its own request coalescer. weight scales the admission cost of the
 // tenant's requests: a request for K dense columns charges K*weight
 // units (min 1), so a weight-4 tenant consumes the shared gate four
 // times faster than a weight-1 tenant at the same K — the lever for
@@ -971,10 +972,10 @@ func (s *Server) SpMMInto(ctx context.Context, y *Dense, x *Dense) error {
 // calls stay allocation-free when coalescing is off (a coalesced pass
 // allocates only per batch, in pooled scratch).
 //
-// With CoalesceWindow configured, concurrent calls for the same tenant
-// coalesce into one batched kernel pass at the combined width; each
-// caller still pays its own admission weight and keeps its own
-// deadline.
+// With CoalesceWindow configured, calls for the same tenant that arrive
+// while one of its passes runs coalesce into one batched kernel pass at
+// the combined width; each caller still pays its own admission weight
+// and keeps its own deadline.
 func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Dense) error {
 	t, err := s.tenantByID(id)
 	if err != nil {

@@ -253,6 +253,49 @@ func TestServerDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
+// A coalesced request's trace carries the coalescer's two spans below
+// its attempt: coalesce_wait (submit to launch) and coalesce_run (launch
+// to done). An idle server launches a lone request at once, so its wait
+// is near zero even with an hour-long window.
+func TestServerCoalescedTraceSpans(t *testing.T) {
+	m := freshScrambled(t, 7008)
+	s := degradedServer(t, m, repro.ServerConfig{CoalesceWindow: time.Hour})
+	x := repro.NewRandomDense(m.Cols, 4, 12)
+	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
+		t.Fatal(err)
+	}
+	var spmm *obs.TraceSnapshot
+	traces := s.Traces().Snapshot()
+	for i := range traces {
+		if traces[i].Op == "spmm_into" {
+			spmm = &traces[i]
+			break
+		}
+	}
+	if spmm == nil {
+		t.Fatal("no spmm_into trace in the ring")
+	}
+	got := map[string]obs.SpanSnapshot{}
+	for _, sp := range spmm.Spans {
+		got[sp.Name] = sp
+	}
+	attempt, okA := got["attempt"]
+	wait, okW := got["coalesce_wait"]
+	run, okR := got["coalesce_run"]
+	if !okA || !okW || !okR {
+		t.Fatalf("trace spans = %+v, want attempt, coalesce_wait and coalesce_run", spmm.Spans)
+	}
+	if wait.DurUS > 20_000 {
+		t.Fatalf("idle launch waited %dus, want near 0", wait.DurUS)
+	}
+	end := func(sp obs.SpanSnapshot) int64 { return sp.StartUS + sp.DurUS }
+	// Offsets are truncated to microseconds independently, hence the
+	// one-microsecond slack.
+	if wait.StartUS+1 < attempt.StartUS || end(run) > end(attempt)+1 || run.StartUS+1 < end(wait) {
+		t.Fatalf("coalesce spans %+v / %+v not ordered inside attempt %+v", wait, run, attempt)
+	}
+}
+
 // Plan stage timings surface through the server's online pipeline and
 // agree with the winning pipeline's plan.
 func TestServerPlanStagesSurfaced(t *testing.T) {

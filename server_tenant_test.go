@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/faultinject"
 )
 
 // waitForStat polls cond until it holds or the deadline passes.
@@ -21,6 +22,51 @@ func waitForStat(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// holdServerPass serves one SpMM for the default tenant of s and returns
+// once its kernel pass is blocked in a kernels.exec hook: the batch in
+// flight that later coalesced requests gather behind. The returned
+// release unblocks every kernel pass, removes the hook and waits for the
+// held request, which must succeed; it is idempotent and also runs at
+// test cleanup, so a failing test never wedges the kernel pool.
+func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func()) {
+	t.Helper()
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	restore := faultinject.Set("kernels.exec", func() error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return nil
+	})
+	held := make(chan error, 1)
+	go func() {
+		y, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
+		if err == nil {
+			repro.PutDense(y)
+		}
+		held <- err
+	}()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			restore()
+			if err := <-held; err != nil {
+				t.Errorf("held request: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held request never reached the kernel")
+	}
+	return release
 }
 
 // TestServerCoalescesConcurrentSpMM: concurrent SpMM calls inside one
@@ -108,6 +154,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 // while its batch is still open returns the context error promptly,
 // lands in the Cancelled counter, and the batch serves the surviving
 // waiters — the per-tenant reconciliation identities hold throughout.
+// The batch opens behind a request held in its kernel pass.
 func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	m := freshScrambled(t, 3002)
 	warmKernelPool(t, m)
@@ -118,6 +165,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	})
 
 	x := repro.NewRandomDense(m.Cols, 2, 31)
+	release := holdServerPass(t, s, x) // one admitted and completed request
 	ctx, cancel := context.WithCancel(context.Background())
 	excised := make(chan error, 1)
 	go func() {
@@ -126,7 +174,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	}()
 	waitForStat(t, func() bool {
 		ts, _ := s.TenantStats(repro.DefaultTenant)
-		return ts.Coalesce.Leads == 1
+		return ts.Coalesce.Leads == 2
 	})
 	cancel()
 	select {
@@ -140,7 +188,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 
 	// Three survivors fill the still-open batch (the excised waiter's
 	// dead slot still counts toward maxOps until launch compacts it) and
-	// launch it early.
+	// launch it early; its pass runs once the held pass is released.
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := range errs {
@@ -154,6 +202,11 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
+	waitForStat(t, func() bool {
+		ts, _ := s.TenantStats(repro.DefaultTenant)
+		return ts.Coalesce.Joins == 3
+	})
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -169,8 +222,8 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 		t.Fatalf("admitted %d != completed %d + failed %d + cancelled %d",
 			ts.Admitted, ts.Completed, ts.Failed, ts.Cancelled)
 	}
-	if ts.Admitted != 4 || ts.Completed != 3 {
-		t.Fatalf("stats = %+v, want 4 admitted / 3 completed", ts)
+	if ts.Admitted != 4+1 || ts.Completed != 3+1 {
+		t.Fatalf("stats = %+v, want 4 admitted / 3 completed beside the held request", ts)
 	}
 }
 
@@ -234,18 +287,20 @@ func TestServerCoalesceBadShapeDoesNotPoisonBatch(t *testing.T) {
 // now-stale waiter with its own typed ErrStaleShape — the launch-time
 // re-validation gate, not a batch-wide error or a silently misshapen
 // kernel pass — and the very next correctly-shaped request must
-// succeed.
+// succeed. The batch gathers behind a request held in its kernel pass
+// and launches when that pass returns.
 func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 	m := freshScrambled(t, 3005)
 	warmKernelPool(t, m)
 
 	const n = 3
 	s := degradedServer(t, m, repro.ServerConfig{
-		CoalesceWindow: 300 * time.Millisecond,
-		CoalesceMaxOps: n + 4, // launch via window expiry, never op count
+		CoalesceWindow: 10 * time.Second, // launch via the held pass's return
+		CoalesceMaxOps: n + 4,            // never op count
 	})
 
 	x := repro.NewRandomDense(m.Cols, 2, 51)
+	release := holdServerPass(t, s, x)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -256,12 +311,12 @@ func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 			errs[i] = s.SpMMInto(context.Background(), y, x)
 		}(i)
 	}
-	// Wait until the batch has formed (one lead, the rest joined), then
-	// grow the matrix while the window is still open.
+	// Wait until the batch has formed behind the held request (one lead,
+	// the rest joined), then grow the matrix while it is still open.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ts, _ := s.TenantStats(repro.DefaultTenant)
-		if ts.Coalesce.Leads == 1 && ts.Coalesce.Joins == n-1 {
+		if ts.Coalesce.Leads == 1+1 && ts.Coalesce.Joins == n-1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -272,6 +327,7 @@ func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 	if err := s.Mutate(context.Background(), repro.Mutation{AppendRows: []repro.RowDef{{Cols: []int32{0}, Vals: []float32{1}}}}); err != nil {
 		t.Fatalf("mid-window append: %v", err)
 	}
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if !errors.Is(err, repro.ErrStaleShape) {
