@@ -9,15 +9,15 @@ package kernels
 // kernel autotuner in internal/reorder). Pure ELL is the zero-spill
 // case of HYB, so it needs no entry point of its own.
 //
-// The kernel walks rows: for each row it reads the row's slab slots
-// (slot s of row i at Cols/Vals[s*Rows+i]), then the row's spill
-// entries, in the same register-blocked K-strips as spmmRow. The slab
-// stays slot-major because that is the GPU's coalesced layout, which
-// gpusim (ellpack.SimulateSpMMHybrid) still models; on the CPU the row
-// walk keeps each output row's accumulators in registers. Spill is
-// row-major sorted and chunk row ranges tile [0, rows), so each chunk
-// finds its first spill entry once and no two chunks write the same
-// output row.
+// The kernel walks rows: for each row it passes spmmRow the row's slab
+// slots (slot s of row i at Cols/Vals[s*Rows+i], a run of stride
+// 4·Rows), then the row's spill entries (a run of stride
+// sizeof(sparse.Entry)). The slab stays slot-major because that is the
+// GPU's coalesced layout, which gpusim (ellpack.SimulateSpMMHybrid)
+// still models; on the CPU the row walk keeps each output row's
+// accumulators in registers. Spill is row-major sorted and chunk row
+// ranges tile [0, rows), so each chunk finds its first spill entry once
+// and no two chunks write the same output row.
 
 import (
 	"context"
@@ -103,88 +103,8 @@ func runSpMMHybrid(j *job, lo, hi int) {
 		for se < len(spill) && int(spill[se].Row) == i {
 			se++
 		}
-		hybRow(j.outRow(i), xd, h.ELL, i, spill[sp:se])
+		spmmRow(j.outRow(i), xd, slabRun(h.ELL, i), spillRun(spill[sp:se]))
 		sp = se
-	}
-}
-
-// hybRow computes output row i of H·X from its slab slots, then its
-// spill entries: spmmRow's K-strip blocking and sum order over HYB's
-// storage, so a zero-spill HYB gives the same bits as the row-wise
-// kernel on the source CSR.
-func hybRow(yi, xd []float32, e *ellpack.Matrix, i int, spill []sparse.Entry) {
-	k := len(yi)
-	rows, end := e.Rows, 0 // the row's slots are i, i+rows, ... < end
-	if n := int(e.RowLen[i]); n > 0 {
-		end = i + (n-1)*rows + 1
-	}
-	cols, vals := e.Cols[:end], e.Vals[:end]
-	off := 0
-	for ; off+8 <= k; off += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		for q := i; q < end; q += rows {
-			v := vals[q]
-			o := int(cols[q])*k + off
-			xr := xd[o : o+8 : o+8]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
-			a4 += v * xr[4]
-			a5 += v * xr[5]
-			a6 += v * xr[6]
-			a7 += v * xr[7]
-		}
-		for _, en := range spill {
-			v := en.Val
-			o := int(en.Col)*k + off
-			xr := xd[o : o+8 : o+8]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
-			a4 += v * xr[4]
-			a5 += v * xr[5]
-			a6 += v * xr[6]
-			a7 += v * xr[7]
-		}
-		yo := yi[off : off+8 : off+8]
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
-		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
-	}
-	if off+4 <= k {
-		var a0, a1, a2, a3 float32
-		for q := i; q < end; q += rows {
-			v := vals[q]
-			o := int(cols[q])*k + off
-			xr := xd[o : o+4 : o+4]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
-		}
-		for _, en := range spill {
-			v := en.Val
-			o := int(en.Col)*k + off
-			xr := xd[o : o+4 : o+4]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
-		}
-		yo := yi[off : off+4 : off+4]
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
-		off += 4
-	}
-	for ; off < k; off++ {
-		var a float32
-		for q := i; q < end; q += rows {
-			a += vals[q] * xd[int(cols[q])*k+off]
-		}
-		for _, en := range spill {
-			a += en.Val * xd[int(en.Col)*k+off]
-		}
-		yi[off] = a
 	}
 }
 

@@ -3,12 +3,14 @@ package kernels
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/aspt"
 	"repro/internal/dense"
+	"repro/internal/ellpack"
 	"repro/internal/faultinject"
 	"repro/internal/par"
 	"repro/internal/synth"
@@ -99,5 +101,85 @@ func TestASpTKernelFaultInjection(t *testing.T) {
 	}
 	if err := SDDMMRowWiseIntoCtx(context.Background(), out, s, x, yk); !errors.Is(err, faultinject.Err) {
 		t.Fatalf("row-wise SDDMM with fault = %v, want faultinject.Err", err)
+	}
+}
+
+// TestSpMMBadColumnFails pins the row loops' range check: a column index
+// outside X's rows, planted past validation into a CSR, an ASpT part
+// (tile or rest) or a HYB part (slab or spill), fails every SpMM kernel
+// and kernels.SpMMRow with a *par.PanicError instead of reading outside
+// X — in the strip primitive, in the scalar tail, and in a row's second
+// run.
+func TestSpMMBadColumnFails(t *testing.T) {
+	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
+	hub := m.Rows / 5
+	type corrupt struct {
+		name string
+		run  func(bad int32, y, x *dense.Matrix) error
+	}
+	ctx := context.Background()
+	cases := []corrupt{
+		{"rowwise", func(bad int32, y, x *dense.Matrix) error {
+			s := m.Clone()
+			s.ColIdx[s.RowPtr[hub+1]-1] = bad
+			return SpMMRowWiseIntoCtx(ctx, y, s, x)
+		}},
+		{"merge", func(bad int32, y, x *dense.Matrix) error {
+			s := m.Clone()
+			s.ColIdx[s.RowPtr[hub]+1] = bad
+			return SpMMMergeIntoCtx(ctx, y, s, x)
+		}},
+		{"aspt/tile", func(bad int32, y, x *dense.Matrix) error {
+			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
+			if err != nil {
+				return err
+			}
+			tl.TileCol[len(tl.TileCol)/2] = bad
+			return SpMMASpTIntoCtx(ctx, y, tl, x)
+		}},
+		{"aspt/rest", func(bad int32, y, x *dense.Matrix) error {
+			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
+			if err != nil {
+				return err
+			}
+			tl.Rest.ColIdx[len(tl.Rest.ColIdx)/2] = bad
+			return SpMMASpTIntoCtx(ctx, y, tl, x)
+		}},
+		{"hyb/slab", func(bad int32, y, x *dense.Matrix) error {
+			h, err := ellpack.FromCSRHybrid(m, 0)
+			if err != nil {
+				return err
+			}
+			h.ELL.Cols[int(h.ELL.RowLen[hub]-1)*h.ELL.Rows+hub] = bad
+			return SpMMHybridIntoCtx(ctx, y, h, x)
+		}},
+		{"hyb/spill", func(bad int32, y, x *dense.Matrix) error {
+			h, err := ellpack.FromCSRHybrid(m, 0)
+			if err != nil {
+				return err
+			}
+			h.Spill[len(h.Spill)-1].Col = bad
+			return SpMMHybridIntoCtx(ctx, y, h, x)
+		}},
+		{"SpMMRow", func(bad int32, y, x *dense.Matrix) error {
+			cols := append([]int32(nil), m.RowCols(hub)...)
+			cols[len(cols)-1] = bad
+			return par.Guard(func() error {
+				SpMMRow(y.Row(0), x.Data, cols, m.RowVals(hub))
+				return nil
+			})
+		}},
+	}
+	for _, k := range []int{3, 16, 21} {
+		x := dense.NewRandom(m.Cols, k, 1)
+		y := dense.New(m.Rows, k)
+		for _, bad := range []int32{int32(m.Cols), -1} {
+			for _, c := range cases {
+				var pe *par.PanicError
+				if err := c.run(bad, y, x); !errors.As(err, &pe) {
+					t.Errorf("%s K=%d column %d: got %v, want *par.PanicError", c.name, k, bad, err)
+				}
+			}
+		}
 	}
 }

@@ -4,9 +4,20 @@
 // variants implement Alg 1 and Alg 2 of the paper; the ASpT variants
 // execute the tiled representation (dense tiles, then the leftover
 // sparse part) and must produce bit-identical structure and numerically
-// equal values. The SpMM row loops are register-blocked along K (see
-// spmmRow) but add each output element's products in the same nonzero
-// order as Alg 1's plain loop, so blocking changes no result bit.
+// equal values.
+//
+// Every SpMM row loop goes through spmmRow, which feeds a row's nonzeros
+// as strided runs of (col, val) pairs to one strip primitive, addStrips,
+// for the first K&^3 output columns, and sums the last K%4 in Go. On
+// amd64 addStrips is SSE assembly (16-, then 4-wide strips), the amd64
+// baseline, with no CPUID check and no run-time switch; elsewhere, and
+// under the standard purego build tag, it is plain Go. Each lane starts
+// at +0 and adds its products in nonzero order with a separate multiply
+// and add (never an FMA), exactly as Go's scalar code does under the
+// default GOAMD64=v1, so blocking and vectorizing change no result bit.
+// The primitive compares every column against X's row count, and a bad
+// column fails the call as a recovered *par.PanicError instead of
+// reading outside X.
 //
 // Execution is load-balanced by nonzero count rather than row count (see
 // executor.go), and every kernel has an allocation-free *Into variant
@@ -140,7 +151,7 @@ func checkRowMap(dst []int32, rows int) error {
 func runSpMMRowWise(j *job, lo, hi int) {
 	s, xd := j.csr, j.x.Data
 	for i := lo; i < hi; i++ {
-		spmmRow(j.outRow(i), xd, s.RowCols(i), s.RowVals(i), nil, nil)
+		spmmRow(j.outRow(i), xd, sliceRun(s.RowCols(i), s.RowVals(i)), run{})
 	}
 }
 
@@ -149,78 +160,7 @@ func runSpMMRowWise(j *job, lo, hi int) {
 // compute single rows outside a kernel pass, such as a live overlay. xd
 // is X's row-major data with len(yi) columns.
 func SpMMRow(yi, xd []float32, cols []int32, vals []float32) {
-	spmmRow(yi, xd, cols, vals, nil, nil)
-}
-
-// spmmRow computes one output row of S·X, yi[k] = Σ v·X[c][k], over the
-// row's nonzeros given as two (cols, vals) segments summed in order:
-// the whole CSR row (second segment empty) for row-wise and merge, the
-// dense-tile part then the leftover part for ASpT. xd is X's row-major
-// data with len(yi) columns.
-//
-// The loop is register-blocked along K. For each strip of 8 (then 4,
-// then 1) output columns it walks the row's nonzeros once into named
-// local accumulators and stores the strip once. X rows are resliced to
-// the strip width, so the inner body has no bounds checks. Every
-// element starts at 0 and adds its products in nonzero order, so the
-// result is bit-identical to Alg 1's unblocked yi[k] += v·X[c][k] loop
-// (TestSpMMKernelsMatchOracle).
-func spmmRow(yi, xd []float32, c0 []int32, v0 []float32, c1 []int32, v1 []float32) {
-	k := len(yi)
-	off := 0
-	for ; off+8 <= k; off += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		cols, vals := c0, v0
-		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
-			vals = vals[:len(cols)]
-			for jj, c := range cols {
-				v := vals[jj]
-				o := int(c)*k + off
-				xr := xd[o : o+8 : o+8]
-				a0 += v * xr[0]
-				a1 += v * xr[1]
-				a2 += v * xr[2]
-				a3 += v * xr[3]
-				a4 += v * xr[4]
-				a5 += v * xr[5]
-				a6 += v * xr[6]
-				a7 += v * xr[7]
-			}
-		}
-		yo := yi[off : off+8 : off+8]
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
-		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
-	}
-	if off+4 <= k {
-		var a0, a1, a2, a3 float32
-		cols, vals := c0, v0
-		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
-			vals = vals[:len(cols)]
-			for jj, c := range cols {
-				v := vals[jj]
-				o := int(c)*k + off
-				xr := xd[o : o+4 : o+4]
-				a0 += v * xr[0]
-				a1 += v * xr[1]
-				a2 += v * xr[2]
-				a3 += v * xr[3]
-			}
-		}
-		yo := yi[off : off+4 : off+4]
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
-		off += 4
-	}
-	for ; off < k; off++ {
-		var a float32
-		cols, vals := c0, v0
-		for seg := 0; seg < 2; seg, cols, vals = seg+1, c1, v1 {
-			vals = vals[:len(cols)]
-			for jj, c := range cols {
-				a += vals[jj] * xd[int(c)*k+off]
-			}
-		}
-		yi[off] = a
-	}
+	spmmRow(yi, xd, sliceRun(cols, vals), run{})
 }
 
 // SpMMASpT computes Y = S·X from the ASpT representation: dense-tile
@@ -279,7 +219,7 @@ func SpMMASpTIntoRowsCtx(ctx context.Context, y *dense.Matrix, dst []int32, t *a
 func runSpMMASpT(j *job, lo, hi int) {
 	t, xd := j.tile, j.x.Data
 	for i := lo; i < hi; i++ {
-		spmmRow(j.outRow(i), xd, t.TileRowCols(i), t.TileRowVals(i), t.Rest.RowCols(i), t.Rest.RowVals(i))
+		spmmRow(j.outRow(i), xd, sliceRun(t.TileRowCols(i), t.TileRowVals(i)), sliceRun(t.Rest.RowCols(i), t.Rest.RowVals(i)))
 	}
 }
 

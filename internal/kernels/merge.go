@@ -190,7 +190,7 @@ func runSpMMMerge(j *job, lo, hi int) {
 			// sums go to this chunk's private carry slot, fixed up after
 			// the join.
 			end := min(int(s.RowPtr[r+1]), mc.e)
-			spmmRow(j.carryVal[ci*k:(ci+1)*k], xd, s.ColIdx[mc.s:end], s.Val[mc.s:end], nil, nil)
+			spmmRow(j.carryVal[ci*k:(ci+1)*k], xd, sliceRun(s.ColIdx[mc.s:end], s.Val[mc.s:end]), run{})
 			j.carryRow[ci] = int32(r)
 		}
 		// Owned rows start at or after mc.s; a row running past mc.e is
@@ -198,7 +198,7 @@ func runSpMMMerge(j *job, lo, hi int) {
 		// owned rows are written as zeros.
 		for r := mc.zLo; r < mc.zHi; r++ {
 			a, b := int(s.RowPtr[r]), min(int(s.RowPtr[r+1]), mc.e)
-			spmmRow(j.outRow(r), xd, s.ColIdx[a:b], s.Val[a:b], nil, nil)
+			spmmRow(j.outRow(r), xd, sliceRun(s.ColIdx[a:b], s.Val[a:b]), run{})
 		}
 	}
 }

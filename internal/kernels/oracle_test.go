@@ -13,9 +13,10 @@ import (
 	"repro/internal/sparse"
 )
 
-// oracleKs covers every K-strip tail: below, at and above the 4- and
-// 8-wide strips, and a wide K made of full strips only.
-var oracleKs = []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64}
+// oracleKs covers every K-strip boundary: below, at and above the 4-,
+// 8- and 16-wide strips, one and two 16-wide strips followed by 4-wide
+// strips and a scalar tail, and wide Ks made of full strips only.
+var oracleKs = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 21, 32, 33, 48, 64}
 
 // term is one nonzero's contribution to an output row.
 type term struct {
@@ -230,10 +231,18 @@ func TestSpMMKernelsMatchOracle(t *testing.T) {
 	if tl, _ := aspt.Build(m, aspt.DefaultParams()); tl.NNZDense() == 0 || tl.Rest.NNZ() == 0 {
 		t.Fatalf("oracle matrix has %d tile and %d rest nonzeros; want both", tl.NNZDense(), tl.Rest.NNZ())
 	}
-	if h, _ := ellpack.FromCSRHybrid(m, 0); len(h.Spill) == 0 {
-		t.Fatal("oracle matrix does not spill at the default HYB quantile")
-	}
 	hub := m.Rows / 5
+	// HYB shapes: a slab several slots wide (so its stride is not one
+	// element), the hub row split between slab and spill, and a HYB
+	// with no spill at all.
+	if h, _ := ellpack.FromCSRHybrid(m, 0); h.ELL.Width < 2 || h.ELL.RowLen[hub] == 0 ||
+		searchSpillRow(h.Spill, int32(hub)) == searchSpillRow(h.Spill, int32(hub+1)) {
+		t.Fatalf("default-quantile HYB has width %d and hub slab %d, spill %d; want width >= 2 and the hub in both",
+			h.ELL.Width, h.ELL.RowLen[hub], len(h.Spill))
+	}
+	if h, _ := ellpack.FromCSRHybrid(m, 1); len(h.Spill) != 0 {
+		t.Fatalf("whole-row HYB spills %d entries; want none", len(h.Spill))
+	}
 	if f := mergeFrags(m)(hub); len(f) < 3 {
 		t.Fatalf("hub row splits into %d merge fragments; want >= 3", len(f))
 	}
@@ -262,11 +271,14 @@ func TestRowMapLengthChecked(t *testing.T) {
 }
 
 // FuzzSpMMKernels checks every SpMM kernel against the oracle on a
-// small random CSR, K and row permutation drawn from the fuzz input.
+// small random CSR, K and row permutation drawn from the fuzz input. K
+// runs from 1 to 72, so rows cross up to four 16-wide strips, then
+// 4-wide strips and the scalar tail.
 func FuzzSpMMKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(12), uint8(5), true)
 	f.Add(int64(2), uint8(3), uint8(40), uint8(17), false)
 	f.Add(int64(3), uint8(1), uint8(1), uint8(64), true)
+	f.Add(int64(4), uint8(40), uint8(30), uint8(36), false)
 	f.Fuzz(func(t *testing.T, seed int64, rows, cols, k uint8, mapped bool) {
 		r, c, kk := 1+int(rows)%64, 1+int(cols)%48, 1+int(k)%72
 		rng := rand.New(rand.NewSource(seed))

@@ -1,0 +1,60 @@
+//go:build !amd64 || purego
+
+package kernels
+
+import "unsafe"
+
+// addStrips is the portable form of the strip primitive (see
+// strip_amd64.go): the same per-lane sums in the same order, blocked in
+// strips of 8, then 4, columns.
+func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, stride int, accum bool) (ok bool) {
+	k4 := k &^ 3
+	yd, xd := unsafe.Slice(y, k4), unsafe.Slice(x, xrows*k)
+	r := run{cols, vals, n, stride}
+	for j := 0; j < n; j++ {
+		if c, _ := r.at(j); uint(c) >= uint(xrows) {
+			return false
+		}
+	}
+	off := 0
+	for ; off+8 <= k4; off += 8 {
+		yo := yd[off : off+8 : off+8]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float32
+		if accum {
+			a0, a1, a2, a3, a4, a5, a6, a7 = yo[0], yo[1], yo[2], yo[3], yo[4], yo[5], yo[6], yo[7]
+		}
+		for j := 0; j < n; j++ {
+			c, v := r.at(j)
+			o := int(c)*k + off
+			xr := xd[o : o+8 : o+8]
+			a0 += v * xr[0]
+			a1 += v * xr[1]
+			a2 += v * xr[2]
+			a3 += v * xr[3]
+			a4 += v * xr[4]
+			a5 += v * xr[5]
+			a6 += v * xr[6]
+			a7 += v * xr[7]
+		}
+		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
+	}
+	if off < k4 {
+		yo := yd[off : off+4 : off+4]
+		var a0, a1, a2, a3 float32
+		if accum {
+			a0, a1, a2, a3 = yo[0], yo[1], yo[2], yo[3]
+		}
+		for j := 0; j < n; j++ {
+			c, v := r.at(j)
+			o := int(c)*k + off
+			xr := xd[o : o+4 : o+4]
+			a0 += v * xr[0]
+			a1 += v * xr[1]
+			a2 += v * xr[2]
+			a3 += v * xr[3]
+		}
+		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+	}
+	return true
+}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 var errDiverged = errors.New("concurrent result diverged from reference")
@@ -61,6 +63,66 @@ func TestOnlinePipelineDecides(t *testing.T) {
 // pipeline from many goroutines: exactly one runs the trial, the rest
 // either wait it out or take the decided fast path, and every result
 // must be correct. Run under -race (see `make race`).
+// TestOnlinePipelineNoTrialWithoutReordering: on a matrix whose rows
+// already come in runs sharing their columns, every nonzero sits in a
+// dense tile and the §4 heuristics apply no round. Both plans are then
+// the same, so the first call publishes the plain plan untimed — zero
+// trial times, one kernel pass, the caller's correct result.
+func TestOnlinePipelineNoTrialWithoutReordering(t *testing.T) {
+	const n, run, width = 2048, 32, 16
+	cols := make([][]int32, n)
+	for i := range cols {
+		for j := 0; j < width; j++ {
+			cols[i] = append(cols[i], int32((i/run*width+j)%n))
+		}
+	}
+	m, err := repro.FromRows(n, n, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := repro.NewPipeline(m, repro.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Plan().NeedsReordering() {
+		t.Fatal("uniform matrix applied a reordering round")
+	}
+	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := repro.NewRandomDense(m.Cols, 16, 1)
+	tr := obs.NewTrace("first")
+	y, err := spmmOf(obs.WithTrace(context.Background(), tr), o, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, won := o.Decided(); !done || won {
+		t.Fatalf("Decided() = %v, %v; want the plain plan published", done, won)
+	}
+	if rrT, nrT := o.TrialTimes(); rrT != 0 || nrT != 0 {
+		t.Fatalf("TrialTimes() = %v, %v; want no trial", rrT, nrT)
+	}
+	passes := 0
+	for _, sp := range tr.Snapshot().Spans {
+		if strings.HasPrefix(sp.Name, "kernel_") {
+			passes++
+		}
+	}
+	if passes != 1 {
+		t.Fatalf("first call ran %d kernel passes; want 1", passes)
+	}
+	want, err := repro.SpMM(m, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if math.Abs(float64(want.Data[i]-y.Data[i])) > 1e-4 {
+			t.Fatalf("result diverges at %d", i)
+		}
+	}
+}
+
 func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
