@@ -73,7 +73,10 @@ func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func
 // coalescing window run as a single batched pass (leads + joins
 // reconcile with the submission count, with at least one join), and
 // every waiter still gets exactly its own product — including waiters
-// with different dense widths sharing one batch.
+// with different dense widths sharing one batch. The calls gather
+// behind a request held in its kernel pass (the first call, so the
+// held pass is the §4 trial), so they overlap however fast the pass
+// and however busy the host.
 func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 	m := freshScrambled(t, 3001)
 	warmKernelPool(t, m)
@@ -82,7 +85,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 	cfg := repro.DefaultConfig()
 	cfg.PreprocessBudget = time.Hour
 	s, err := repro.NewServer(context.Background(), m, cfg, repro.ServerConfig{
-		CoalesceWindow: 500 * time.Millisecond,
+		CoalesceWindow: 10 * time.Second, // launch via maxOps, never the window
 		CoalesceMaxOps: n,
 	})
 	if err != nil {
@@ -110,7 +113,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 		want[i] = w
 	}
 
-	start := make(chan struct{})
+	release := holdServerPass(t, s, repro.NewRandomDense(m.Cols, 2, 31)) // one admitted and completed request
 	got := make([]*repro.Dense, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -118,11 +121,14 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
 			got[i], errs[i] = serverSpMM(context.Background(), s, repro.DefaultTenant, xs[i])
 		}(i)
 	}
-	close(start)
+	waitForStat(t, func() bool {
+		ts, _ := s.TenantStats(repro.DefaultTenant)
+		return ts.Coalesce.Joins == n-1
+	})
+	release()
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -139,14 +145,14 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats for the default tenant")
 	}
-	if ts.Coalesce.Leads+ts.Coalesce.Joins != n {
-		t.Fatalf("leads %d + joins %d != %d submissions", ts.Coalesce.Leads, ts.Coalesce.Joins, n)
+	if ts.Coalesce.Leads+ts.Coalesce.Joins != n+1 {
+		t.Fatalf("leads %d + joins %d != %d submissions beside the held request", ts.Coalesce.Leads, ts.Coalesce.Joins, n)
 	}
 	if ts.Coalesce.Joins == 0 {
 		t.Fatalf("no request joined a batch: %d concurrent calls all led", n)
 	}
-	if ts.Admitted != n || ts.Completed != n {
-		t.Fatalf("tenant stats = %+v, want %d admitted and completed", ts, n)
+	if ts.Admitted != n+1 || ts.Completed != n+1 {
+		t.Fatalf("tenant stats = %+v, want %d admitted and completed beside the held request", ts, n)
 	}
 }
 
