@@ -58,8 +58,10 @@ type TenantExplain struct {
 
 	// Kernel is the strategy a call arriving now executes on;
 	// KernelVerdict is what ChooseKernel says the features warrant.
-	// They differ only under a Config.Kernel override
-	// (KernelOverridden) — exactly the disagreement worth surfacing.
+	// They differ under a Config.Kernel override (KernelOverridden), or
+	// with KernelOverridden false when the plan was loaded from a
+	// snapshot whose stored kernel an earlier autotuner chose —
+	// exactly the disagreements worth surfacing.
 	Kernel           string         `json:"kernel"`
 	KernelVerdict    string         `json:"kernel_verdict"`
 	KernelOverridden bool           `json:"kernel_overridden"`

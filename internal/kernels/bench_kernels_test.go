@@ -2,23 +2,36 @@ package kernels
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
-	"repro/internal/aspt"
 	"repro/internal/dense"
 	"repro/internal/ellpack"
+	"repro/internal/reorder"
 	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
-// Kernel-corpus bench: every SpMM execution strategy on the three
-// structural families the autotuner discriminates between — a skewed
-// R-MAT (power-law rows, where nnz-split merge should win), a banded
-// matrix (moderate, regular rows), and a uniform matrix (ELL-friendly,
-// zero padding). `make bench-kernels` converts the output to
-// BENCH_kernels.json; the autotuner thresholds in
-// internal/reorder/autotune.go were set against these numbers (see
+// Kernel-corpus bench: every SpMM execution strategy on the structural
+// families the autotuner discriminates between — a skewed R-MAT
+// (power-law rows, where nnz-split merge should win), a banded matrix
+// (moderate, regular rows), a uniform matrix (ELL-friendly, zero
+// padding) and the scrambled-cluster matrix the serving benchmarks are
+// built around, both as its no-reordering plan and as its reordered
+// plan (whose dense tiles are ASpT's regime) — at the widths a server
+// sees (K = 1, 4, 16) and at K = 64. `make bench-kernels` converts the
+// output to BENCH_kernels.json; the autotuner thresholds in
+// internal/reorder/autotune.go are checked against these numbers (see
 // DESIGN.md §12).
+//
+// Each family runs through reorder.Preprocess, so the kernels execute
+// exactly the matrix and tiles a pipeline would, and the plan's Kernel
+// is reorder.ChooseKernel's pick for it. The pick runs last in every
+// family × K group, and its line reports "regret": its ns/op over the
+// fastest kernel's ns/op in the group (1 = the autotuner picked the
+// fastest kernel). Regret is only reported when all four kernels of the
+// group ran, so a -bench filter that selects fewer omits it.
 //
 // Wall-clock speedups from nnz-splitting only materialise with real
 // parallelism; on a 1-CPU runner the per-kernel times converge. The
@@ -58,80 +71,120 @@ func rowImbalance(m *sparse.CSR, nchunks int) float64 {
 }
 
 type benchFamily struct {
-	name  string
-	build func(short bool) (*sparse.CSR, error)
+	name string
+	// reorder benches the reordered plan; otherwise the no-reordering
+	// plan, the matrix as generated.
+	reorder bool
+	build   func(short bool) (*sparse.CSR, error)
+}
+
+// scrambledClusters is the shape of the serving benchmarks' hot matrix
+// (repro.GenerateScrambledClusters with rows/8 clusters).
+func scrambledClusters(short bool) (*sparse.CSR, error) {
+	n := 16384
+	if short {
+		n = 1024
+	}
+	return synth.Clustered(synth.ClusterParams{
+		Rows: n, Cols: n, Clusters: n / 8,
+		PrototypeNNZ: 24, Keep: 0.8, Noise: 2, Seed: 5, Scrambled: true,
+	})
 }
 
 var benchFamilies = []benchFamily{
-	{"rmat", func(short bool) (*sparse.CSR, error) {
+	{"rmat", false, func(short bool) (*sparse.CSR, error) {
 		if short {
 			return synth.RMAT(10, 16, 0.57, 0.19, 0.19, 21)
 		}
 		return synth.RMAT(13, 24, 0.57, 0.19, 0.19, 21)
 	}},
-	{"banded", func(short bool) (*sparse.CSR, error) {
+	{"banded", false, func(short bool) (*sparse.CSR, error) {
 		if short {
 			return synth.Banded(1024, 1024, 64, 16, 7)
 		}
 		return synth.Banded(8192, 8192, 64, 16, 7)
 	}},
-	{"uniform", func(short bool) (*sparse.CSR, error) {
+	{"uniform", false, func(short bool) (*sparse.CSR, error) {
 		if short {
 			return synth.Uniform(1024, 1024, 16, 11)
 		}
 		return synth.Uniform(8192, 8192, 16, 11)
 	}},
+	{"scrambled", false, scrambledClusters},
+	{"scrambled-rr", true, scrambledClusters},
 }
 
+var benchWidths = []int{1, 4, 16, 64}
+
 func BenchmarkKernelCorpus(b *testing.B) {
-	const k = 64
 	for _, fam := range benchFamilies {
-		m, err := fam.build(testing.Short())
+		src, err := fam.build(testing.Short())
 		if err != nil {
 			b.Fatal(err)
 		}
+		cfg := reorder.DefaultConfig()
+		cfg.Disable = !fam.reorder
+		plan, err := reorder.Preprocess(src, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, tl := plan.Reordered, plan.Tiled
 		hyb, err := ellpack.FromCSRHybrid(m, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tl, err := aspt.Build(m, aspt.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := dense.NewRandom(m.Cols, k, 1)
-		y := dense.New(m.Rows, k)
 		imb := rowImbalance(m, 32)
 		imbGPU := rowImbalance(m, 1024)
-		run := func(name string, fn func() error) {
-			b.Run(fam.name+"/"+name, func(b *testing.B) {
-				b.SetBytes(int64(Flops(m.NNZ(), k) / 2))
-				b.ReportAllocs()
-				// Warm the pooled state (job structs, merge carry slabs,
-				// worker pool) before the clock starts: the kernels'
-				// contract is zero allocations at *steady state*, and
-				// without this warmup a -benchtime 1x smoke run reports
-				// the first call's one-time pool misses as if the hot
-				// path allocated (BENCH_kernels.json once showed the
-				// merge kernel at 10 allocs/op this way).
-				for i := 0; i < 2; i++ {
-					if err := fn(); err != nil {
-						b.Fatal(err)
+		for _, k := range benchWidths {
+			x := dense.NewRandom(m.Cols, k, 1)
+			y := dense.New(m.Rows, k)
+			type candidate struct {
+				kernel reorder.Kernel
+				fn     func() error
+			}
+			cands := []candidate{
+				{reorder.KernelRowWise, func() error { return SpMMRowWiseIntoCtx(context.Background(), y, m, x) }},
+				{reorder.KernelMerge, func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) }},
+				{reorder.KernelELLHybrid, func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) }},
+				{reorder.KernelASpT, func() error { return SpMMASpTIntoCtx(context.Background(), y, tl, x) }},
+			}
+			// The pick runs last, so its line sees every kernel's time.
+			pick, last := slices.IndexFunc(cands, func(c candidate) bool { return c.kernel == plan.Kernel }), len(cands)-1
+			cands[pick], cands[last] = cands[last], cands[pick]
+			// nsPerOp[i] is cands[i]'s final ns/op, 0 until it ran.
+			nsPerOp := make([]float64, len(cands))
+			for i, c := range cands {
+				b.Run(fmt.Sprintf("%s/K=%d/%v", fam.name, k, c.kernel), func(b *testing.B) {
+					b.SetBytes(int64(Flops(m.NNZ(), k) / 2))
+					b.ReportAllocs()
+					// Warm the pooled state (job structs, merge carry
+					// slabs, worker pool) before the clock starts: the
+					// kernels' contract is zero allocations at *steady
+					// state*, and without this warmup a -benchtime 1x
+					// smoke run reports the first call's one-time pool
+					// misses as if the hot path allocated
+					// (BENCH_kernels.json once showed the merge kernel at
+					// 10 allocs/op this way).
+					for i := 0; i < 2; i++ {
+						if err := c.fn(); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := fn(); err != nil {
-						b.Fatal(err)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := c.fn(); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				// After the loop: ResetTimer deletes user metrics.
-				b.ReportMetric(imb, "imb@32")
-				b.ReportMetric(imbGPU, "imb@1k")
-			})
+					nsPerOp[i] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+					// After the loop: ResetTimer deletes user metrics.
+					b.ReportMetric(imb, "imb@32")
+					b.ReportMetric(imbGPU, "imb@1k")
+					if fastest := slices.Min(nsPerOp); c.kernel == plan.Kernel && fastest > 0 {
+						b.ReportMetric(nsPerOp[i]/fastest, "regret")
+					}
+				})
+			}
 		}
-		run("rowwise", func() error { return SpMMRowWiseIntoCtx(context.Background(), y, m, x) })
-		run("merge", func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) })
-		run("hyb", func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) })
-		run("aspt", func() error { return SpMMASpTIntoCtx(context.Background(), y, tl, x) })
 	}
 }

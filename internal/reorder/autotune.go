@@ -2,16 +2,27 @@ package reorder
 
 // Per-matrix kernel selection. The executor in internal/kernels offers
 // four SpMM strategies — row-wise CSR, merge-based nonzero splitting,
-// the ELL+COO hybrid, and the ASpT tiled kernel — whose relative speed
-// is decided by matrix structure, not size: skew (nnz/row coefficient
-// of variation, max/mean row length) rewards the merge kernel, near
-// uniformity tolerates the hybrid slab, and a high dense-tile ratio is
-// the precondition for ASpT (the paper's Fig 9 skip heuristic, in
-// reverse). The choice is made once at preprocessing time from features
+// the ELL+COO hybrid, and the ASpT tiled kernel — and the autotuner
+// picks between the two that win on a CPU: skew (nnz/row coefficient of
+// variation, max/mean row length) rewards the merge kernel, and
+// everything else runs row-wise. The other two run only when a Config
+// forces them, because in `make bench-kernels` (DESIGN.md §12.4)
+// neither beats the autotuner's pick on any family at K = 1, 4 or 16:
+//   - the hybrid slab is slot-major, so a row walk strides 4·Rows bytes
+//     per slot where a CSR row is one contiguous read, near-uniform
+//     rows included;
+//   - the native ASpT kernel does row-wise's per-nonzero work in two
+//     runs per row (tile part, then rest) and stages no dense columns,
+//     so a high dense-tile ratio buys it nothing yet. The X reuse the
+//     paper's tiles earn is a GPU shared-memory effect, which
+//     internal/gpusim models whatever the kernel choice.
+//
+// The choice is made once at preprocessing time from features
 // already computed (or O(rows) to compute), stored in the Plan beside
 // the permutations, serialised into plan snapshots, and keyed into the
 // plan-cache fingerprint via Config — so a cached or deployed plan
-// replays the same kernel it was tuned for.
+// replays the same kernel it was tuned for, including a snapshot
+// written by an earlier build whose autotuner picked differently.
 //
 // reorder deliberately does not import internal/kernels (kernels' tests
 // depend on reorder); the enum here is mapped to actual kernel entry
@@ -76,7 +87,8 @@ type KernelFeatures struct {
 	// MaxOverMean is MaxRowLen / AvgRowLen (1 = perfectly uniform).
 	MaxOverMean float64
 	// DenseRatio is the fraction of nonzeros inside dense tiles after
-	// reordering (Plan.DenseRatioAfter).
+	// reordering (Plan.DenseRatioAfter). ChooseKernel does not read it;
+	// it is kept for /debug/explain.
 	DenseRatio float64
 }
 
@@ -106,46 +118,26 @@ func kernelFeaturesOf(m *sparse.CSR, denseRatio float64) KernelFeatures {
 	return f
 }
 
-// Autotuner thresholds. Tuned against `make bench-kernels` (see
-// DESIGN.md §12): the regimes where each kernel measurably wins, with
-// the tie regions resolved toward the row-wise baseline, whose
-// nnz-balanced chunking is within noise of the alternatives on
+// Autotuner thresholds. Checked against `make bench-kernels` (see
+// DESIGN.md §12.4), whose per-family "regret" is the pick's time over
+// the fastest kernel's. Ties resolve toward the row-wise baseline,
+// whose nnz-balanced chunking is within noise of merge on
 // non-pathological inputs.
 const (
-	// autotuneASpTDenseRatio: above this dense-tile nonzero fraction the
-	// tiled kernel's X-reuse wins — the same 10% boundary the paper uses
-	// to decide whether reordering (whose whole point is raising this
-	// ratio) pays.
-	autotuneASpTDenseRatio = 0.10
 	// autotuneMergeCV / autotuneMergeMaxOverMean: either strong overall
 	// skew or a single dominating hub row serialises a row-granular
 	// chunk; the merge kernel bounds per-chunk work at ~nnz/chunks
 	// regardless.
 	autotuneMergeCV          = 1.5
 	autotuneMergeMaxOverMean = 16.0
-	// autotuneHybridCV: near-uniform row lengths keep the ELL slab
-	// padding (and the spill) negligible, making the slab's
-	// branch-light column sweep competitive; beyond this CV the slab
-	// pads or spills too much to bother.
-	autotuneHybridCV = 0.25
 )
 
 // ChooseKernel picks the execution strategy for a matrix with the given
-// features. The decision order mirrors specificity: the dense-tile
-// ratio (the paper's own signal) first, then skew extremes, then the
-// row-wise default.
+// features: merge on skew extremes, row-wise otherwise. It never
+// returns KernelELLHybrid or KernelASpT.
 func ChooseKernel(f KernelFeatures) Kernel {
-	if f.NNZ == 0 {
-		return KernelRowWise
-	}
-	if f.DenseRatio >= autotuneASpTDenseRatio {
-		return KernelASpT
-	}
 	if f.RowLenCV >= autotuneMergeCV || f.MaxOverMean >= autotuneMergeMaxOverMean {
 		return KernelMerge
-	}
-	if f.RowLenCV <= autotuneHybridCV {
-		return KernelELLHybrid
 	}
 	return KernelRowWise
 }

@@ -15,11 +15,21 @@ func TestChooseKernel(t *testing.T) {
 		want Kernel
 	}{
 		{"empty", KernelFeatures{Rows: 10}, KernelRowWise},
-		{"dense-tiles", KernelFeatures{Rows: 10, NNZ: 100, DenseRatio: 0.5}, KernelASpT},
-		{"dense-boundary", KernelFeatures{Rows: 10, NNZ: 100, DenseRatio: autotuneASpTDenseRatio}, KernelASpT},
+		// Dense tiles do not select ASpT: the native tiled kernel does
+		// row-wise's work in two runs per row and stages no tiles, so
+		// it never beats the CSR pick; skew still picks merge.
+		{"dense-tiles", KernelFeatures{Rows: 10, NNZ: 100, DenseRatio: 0.5}, KernelRowWise},
+		{"dense-tiles-skewed", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 2.5, MaxOverMean: 4, DenseRatio: 0.5}, KernelMerge},
 		{"skewed-cv", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 2.5, MaxOverMean: 4}, KernelMerge},
+		{"cv-boundary", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: autotuneMergeCV, MaxOverMean: 4}, KernelMerge},
 		{"hub-row", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.9, MaxOverMean: 40}, KernelMerge},
-		{"uniform", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.05, MaxOverMean: 1.2}, KernelELLHybrid},
+		// Near-uniform rows run row-wise: the slot-major HYB slab loses
+		// to a contiguous CSR row read at every width, so the tuner
+		// never picks it.
+		{"uniform", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.05, MaxOverMean: 1.2}, KernelRowWise},
+		{"cv-0", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0, MaxOverMean: 1}, KernelRowWise},
+		{"cv-0.25", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.25, MaxOverMean: 2}, KernelRowWise},
+		{"cv-0.5", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.5, MaxOverMean: 2}, KernelRowWise},
 		{"moderate", KernelFeatures{Rows: 10, NNZ: 100, RowLenCV: 0.6, MaxOverMean: 3}, KernelRowWise},
 	}
 	for _, c := range cases {
@@ -45,9 +55,8 @@ func TestKernelParseAndString(t *testing.T) {
 }
 
 func TestPreprocessResolvesKernel(t *testing.T) {
-	// A power-law matrix with reordering disabled keeps a low dense
-	// ratio and high skew: the autotuner must land on merge — and must
-	// never return Auto.
+	// A power-law matrix has high skew: the autotuner must land on
+	// merge — and must never return Auto.
 	m, err := synth.RMAT(9, 16, 0.57, 0.19, 0.19, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +70,7 @@ func TestPreprocessResolvesKernel(t *testing.T) {
 	if plan.Kernel == KernelAuto {
 		t.Fatal("Preprocess returned an unresolved kernel")
 	}
-	if plan.DenseRatioAfter < autotuneASpTDenseRatio && plan.Kernel != KernelMerge {
+	if plan.Kernel != KernelMerge {
 		t.Fatalf("skewed matrix chose %v, want merge", plan.Kernel)
 	}
 

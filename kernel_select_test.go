@@ -134,3 +134,41 @@ func TestPipelineKernelAutotuned(t *testing.T) {
 		t.Fatal("online pipeline kernel left unresolved")
 	}
 }
+
+// TestAutoKernelNeverHybrid pins the autotuner's verdict on the shapes
+// the serving benchmarks are built from: near-uniform rows (CV ≈ 0.1 for
+// scrambled clusters, 0 for a uniform 16-per-row matrix) resolve to the
+// row-wise kernel, never to the slot-major HYB slab, and a reordered
+// plan's dense tiles do not select ASpT. HYB and ASpT still run when
+// forced (TestPipelineKernelOverrides, TestCorruptPlanFlipsHybridSlab).
+func TestAutoKernelNeverHybrid(t *testing.T) {
+	uni, err := repro.GenerateUniform(2048, 2048, 16, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		m    *repro.Matrix
+		nr   bool
+	}{
+		{"scrambled/nr", scrambled(t), true},
+		{"scrambled/reordered", scrambled(t), false},
+		{"uniform/nr", uni, true},
+		{"uniform/reordered", uni, false},
+	}
+	for _, c := range cases {
+		build := repro.NewPipeline
+		if c.nr {
+			build = repro.NewPipelineNR
+		}
+		p, err := build(c.m, repro.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if k := p.Kernel(); k != repro.KernelRowWise {
+			f := p.Plan().Features
+			t.Errorf("%s: auto kernel = %v, want rowwise (row-length CV %.3f, max/mean %.2f, dense ratio %.3f)",
+				c.name, k, f.RowLenCV, f.MaxOverMean, f.DenseRatio)
+		}
+	}
+}

@@ -27,7 +27,7 @@ import (
 //   - Panel-local kernel choice: the autotuner sees each panel's
 //     structure in isolation, so a matrix whose top rows are hub-heavy
 //     and whose tail is uniform can run merge on one panel and
-//     ELL/hybrid on another, instead of one compromise kernel.
+//     row-wise on another, instead of one compromise kernel.
 //
 // A ShardedPipeline is immutable after construction and safe for
 // concurrent use. It implements the same one-primitive serving contract
