@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint soak integrity-smoke obs-smoke bench bench-preprocess bench-kernels bench-serving bench-mutation bench-obs fuzz experiments corpus clean
+.PHONY: all build test race vet lint nofma soak integrity-smoke obs-smoke bench bench-preprocess bench-kernels bench-serving bench-mutation bench-obs fuzz experiments corpus clean
 
 all: build lint test
 
@@ -28,6 +28,24 @@ lint: vet
 # OnlinePipeline paths and the work-stealing executor.
 race:
 	$(GO) test -race ./...
+
+# One rounding contract on every GOARCH: the kernels' Go row loops
+# write a += float32(v*x), which forbids a fused multiply-add, and this
+# target proves the compiler emitted none. It builds the arm64 kernels
+# test binary (no emulator: the binary is only disassembled) and fails
+# if any strip primitive, row loop or test oracle holds an FMADD, FMSUB,
+# FNMADD or FNMSUB, or if the disassembly finds too few of them to be
+# the functions it names.
+NOFMA_FUNCS = kernels\.(addStrips|spmmRow|run|SDDMMRow|SpMMRow|oracle|naive)
+nofma:
+	GOARCH=arm64 $(GO) test -c -o kernels_arm64.test ./internal/kernels
+	$(GO) tool objdump -s '$(NOFMA_FUNCS)' kernels_arm64.test | awk ' \
+		/^TEXT/ { fn = $$2; n++; next } \
+		/FN?M(ADD|SUB)/ { print fn ": " $$0; bad++ } \
+		END { if (n < 10) { print "nofma: disassembled only " n " kernel functions"; exit 1 } \
+		      if (bad) { print "nofma: " bad " fused multiply-add(s) in the kernels"; exit 1 } \
+		      print "nofma: no fused multiply-add in " n " kernel functions" }'
+	rm -f kernels_arm64.test
 
 # Chaos soak: the full Server (admission, retry, breaker, persistence)
 # under fault injection, cancellations, and concurrent load, raced —

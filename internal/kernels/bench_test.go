@@ -42,34 +42,12 @@ func BenchmarkNativeSpMMRowWiseK64(b *testing.B) {
 	}
 }
 
-func BenchmarkNativeSpMMASpTK64(b *testing.B) {
-	m, tl, x, _ := benchSetup(b, 64)
-	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SpMMASpT(tl, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkNativeSDDMMRowWiseK64(b *testing.B) {
 	m, _, x, y := benchSetup(b, 64)
 	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SDDMMRowWise(m, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNativeSDDMMASpTK64(b *testing.B) {
-	m, tl, x, y := benchSetup(b, 64)
-	b.SetBytes(int64(Flops(m.NNZ(), 64) / 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SDDMMASpT(tl, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

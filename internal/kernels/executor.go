@@ -69,8 +69,8 @@ type job struct {
 	hyb  *ellpack.Hybrid
 	x    *dense.Matrix
 	y    *dense.Matrix
-	dst  []int32   // SpMM row map: row i goes to y row dst[i]; nil = identity
-	out  []float32 // SDDMM output values
+	dst  []int32     // row map: row i goes to output row dst[i]; nil = identity
+	out  *sparse.CSR // SDDMM output
 
 	// Attribution state (see metrics.go): attr is the per-kernel
 	// aggregate selected by the entry point (nil disables chunk

@@ -139,8 +139,8 @@ func TestSkewedASpTMatches(t *testing.T) {
 	}
 	x := dense.NewRandom(m.Cols, 8, 2)
 	y := dense.NewRandom(m.Rows, 8, 3)
-	ya, err := SpMMASpT(tl, x)
-	if err != nil {
+	ya := dense.New(m.Rows, x.Cols)
+	if err := SpMMASpTIntoCtx(context.Background(), ya, tl, x); err != nil {
 		t.Fatal(err)
 	}
 	yr, err := SpMMRowWise(m, x)
@@ -150,8 +150,8 @@ func TestSkewedASpTMatches(t *testing.T) {
 	if d := dense.MaxAbsDiff(ya, yr); d > 1e-3 {
 		t.Fatalf("ASpT SpMM differs from row-wise by %v on skewed matrix", d)
 	}
-	oa, err := SDDMMASpT(tl, x, y)
-	if err != nil {
+	oa := m.Clone()
+	if err := SDDMMASpTIntoCtx(context.Background(), oa, tl, x, y); err != nil {
 		t.Fatal(err)
 	}
 	or, err := SDDMMRowWise(m, x, y)

@@ -46,16 +46,6 @@ func checkELLOut(e *ellpack.Matrix, x, y *dense.Matrix) error {
 	return nil
 }
 
-// SpMMHybrid computes Y = H·X from the HYB (ELL + COO spill)
-// representation. It allocates and returns Y (H.ELL.Rows × X.Cols).
-func SpMMHybrid(h *ellpack.Hybrid, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkELLShapes(h.ELL, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(h.ELL.Rows, x.Cols)
-	return y, SpMMHybridIntoCtx(context.Background(), y, h, x)
-}
-
 // SpMMHybridIntoCtx computes Y = H·X into the caller-provided y
 // (H.ELL.Rows × X.Cols), overwriting its contents, with cooperative
 // cancellation between chunks and panic isolation. On error the output

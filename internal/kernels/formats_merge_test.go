@@ -87,14 +87,14 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 				t.Fatalf("%s: rowwise: %v", name, err)
 			}
 
-			got, err := SpMMMerge(m, x)
-			if err != nil {
+			got := dense.New(m.Rows, k)
+			if err := SpMMMergeIntoCtx(context.Background(), got, m, x); err != nil {
 				t.Fatalf("%s: merge: %v", name, err)
 			}
 			approxEqual(t, name+"/merge", got, want)
 
-			got, err = SpMMHybrid(zeroSpillHybrid(t, m), x)
-			if err != nil {
+			got = dense.New(m.Rows, k)
+			if err := SpMMHybridIntoCtx(context.Background(), got, zeroSpillHybrid(t, m), x); err != nil {
 				t.Fatalf("%s: ell: %v", name, err)
 			}
 			approxEqual(t, name+"/ell", got, want)
@@ -103,8 +103,8 @@ func TestKernelsAgreeAcrossCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: FromCSRHybrid: %v", name, err)
 			}
-			got, err = SpMMHybrid(hyb, x)
-			if err != nil {
+			got = dense.New(m.Rows, k)
+			if err := SpMMHybridIntoCtx(context.Background(), got, hyb, x); err != nil {
 				t.Fatalf("%s: hyb: %v", name, err)
 			}
 			approxEqual(t, name+"/hyb", got, want)
@@ -145,8 +145,8 @@ func TestMergeManyChunksOneRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SpMMMerge(m, x)
-	if err != nil {
+	got := dense.New(m.Rows, x.Cols)
+	if err := SpMMMergeIntoCtx(context.Background(), got, m, x); err != nil {
 		t.Fatal(err)
 	}
 	approxEqual(t, "one-row", got, want)
@@ -159,14 +159,14 @@ func TestFormatShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badX := dense.New(m.Cols+1, 4)
-	if _, err := SpMMMerge(m, badX); err == nil {
+	badX, y := dense.New(m.Cols+1, 4), dense.New(m.Rows, 4)
+	if err := SpMMMergeIntoCtx(context.Background(), y, m, badX); err == nil {
 		t.Fatal("merge accepted mismatched X")
 	}
-	if _, err := SpMMHybrid(ell, badX); err == nil {
+	if err := SpMMHybridIntoCtx(context.Background(), y, ell, badX); err == nil {
 		t.Fatal("ELL accepted mismatched X")
 	}
-	if _, err := SpMMHybrid(hyb, badX); err == nil {
+	if err := SpMMHybridIntoCtx(context.Background(), y, hyb, badX); err == nil {
 		t.Fatal("HYB accepted mismatched X")
 	}
 	x := dense.New(m.Cols, 4)

@@ -11,13 +11,24 @@
 // for the first K&^3 output columns, and sums the last K%4 in Go. On
 // amd64 addStrips is SSE assembly (16-, then 4-wide strips), the amd64
 // baseline, with no CPUID check and no run-time switch; elsewhere, and
-// under the standard purego build tag, it is plain Go. Each lane starts
-// at +0 and adds its products in nonzero order with a separate multiply
-// and add (never an FMA), exactly as Go's scalar code does under the
-// default GOAMD64=v1, so blocking and vectorizing change no result bit.
-// The primitive compares every column against X's row count, and a bad
-// column fails the call as a recovered *par.PanicError instead of
-// reading outside X.
+// under the standard purego build tag, it is plain Go. Every SDDMM row
+// goes through SDDMMRow, one dot per nonzero in k order.
+//
+// One rounding contract holds on every GOARCH: each accumulator starts
+// at +0 and adds its products in a fixed order with a separate multiply
+// and add, never an FMA. The SSE strip uses MULPS then ADDPS; the Go
+// loops write a += float32(v*x), and the Go spec forbids fusing across
+// an explicit conversion, so arm64 (which would otherwise emit FMADD)
+// rounds exactly as amd64 does. Blocking and vectorizing therefore
+// change no result bit on any target. The primitive compares every
+// column against X's row count, and a bad column fails the call as a
+// recovered *par.PanicError instead of reading outside X.
+//
+// The *IntoRowsCtx kernels take a row map: row i of the (reordered)
+// sparse operand is row dst[i] of the caller's output (and, for SDDMM,
+// reads Y row dst[i]). A pipeline passes its plan's RowPerm, so row
+// reordering stays an execution order and no operand or result is
+// permuted.
 //
 // Execution is load-balanced by nonzero count rather than row count (see
 // executor.go), and every kernel has an allocation-free *Into variant
@@ -27,6 +38,7 @@ package kernels
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -163,18 +175,6 @@ func SpMMRow(yi, xd []float32, cols []int32, vals []float32) {
 	spmmRow(yi, xd, sliceRun(cols, vals), run{})
 }
 
-// SpMMASpT computes Y = S·X from the ASpT representation: dense-tile
-// nonzeros and leftover nonzeros are accumulated separately per row (the
-// two GPU kernels of §2.3), then summed — both traversals write the same
-// output row, so a single pass per row suffices on the CPU.
-func SpMMASpT(t *aspt.Matrix, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkSpMMShapes(t.Src, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(t.Src.Rows, x.Cols)
-	return y, SpMMASpTIntoCtx(context.Background(), y, t, x)
-}
-
 // SpMMASpTIntoCtx computes Y = S·X from the ASpT representation into
 // the caller-provided y, overwriting its contents, with cooperative
 // cancellation between chunks and panic isolation. Work is balanced by
@@ -236,18 +236,31 @@ func checkSDDMMShapes(s *sparse.CSR, x, y *dense.Matrix) error {
 	return nil
 }
 
-// checkSDDMMOut verifies the output matrix mirrors s's structure. The
-// full pattern comparison is O(nnz) with no allocations — negligible
-// next to the O(nnz·K) kernel.
-func checkSDDMMOut(s, out *sparse.CSR) error {
-	if out == s {
-		return nil // writing values in place over the source is allowed
-	}
-	if !out.SameStructure(s) {
+// checkSDDMMOut verifies that out can take the values of s's product.
+// Without a row map out must mirror s's structure; the full pattern
+// comparison is O(nnz) with no allocations, negligible next to the
+// O(nnz·K) kernel. With a row map out is in the caller's row order, so
+// only its shape and nonzero count are checked here, and the kernel
+// checks each row segment's length as it visits the row.
+func checkSDDMMOut(s, out *sparse.CSR, dst []int32) error {
+	if dst == nil {
+		if out == s || out.SameStructure(s) {
+			return nil // writing values in place over the source is allowed
+		}
 		return fmt.Errorf("kernels: SDDMM output structure differs from S (%s vs %s)", out, s)
+	}
+	if out == s {
+		return errors.New("kernels: SDDMM with a row map cannot write in place over S")
+	}
+	if out.Rows != s.Rows || out.Cols != s.Cols || out.NNZ() != s.NNZ() {
+		return fmt.Errorf("kernels: SDDMM output shape differs from S (%s vs %s)", out, s)
 	}
 	return nil
 }
+
+// errRowLength is the panic value of an SDDMM row whose output segment
+// does not have the length of the S row mapped to it.
+var errRowLength = errors.New("kernels: SDDMM output row length differs from S")
 
 // SDDMMRowWise computes O = S ⊙ (Y·Xᵀ) with the row-wise algorithm
 // (Alg 2): O has the sparsity pattern of S, and O[i][c] =
@@ -268,10 +281,26 @@ func SDDMMRowWise(s *sparse.CSR, x, y *dense.Matrix) (*sparse.CSR, error) {
 // out.Val is written. On error the output values are unspecified. At
 // steady state the call performs no heap allocations.
 func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Matrix) error {
+	return SDDMMRowWiseIntoRowsCtx(ctx, out, nil, s, x, y)
+}
+
+// SDDMMRowWiseIntoRowsCtx is SDDMMRowWiseIntoCtx with a row map (see
+// checkRowMap): row i of s stands for row dst[i] of the output, so it
+// reads Y row dst[i] and writes out's row dst[i]. s is read in order
+// and the work is balanced by s.RowPtr. out is in the caller's row
+// order; a row segment whose length differs from its s row fails the
+// call as a *par.PanicError, and nothing is written outside out.Val. A
+// pipeline passes its reordered matrix and the plan's RowPerm, so the
+// reordering stays an execution order: no operand or result is
+// permuted.
+func SDDMMRowWiseIntoRowsCtx(ctx context.Context, out *sparse.CSR, dst []int32, s *sparse.CSR, x, y *dense.Matrix) error {
 	if err := checkSDDMMShapes(s, x, y); err != nil {
 		return err
 	}
-	if err := checkSDDMMOut(s, out); err != nil {
+	if err := checkRowMap(dst, s.Rows); err != nil {
+		return err
+	}
+	if err := checkSDDMMOut(s, out, dst); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -280,7 +309,7 @@ func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Ma
 	j.run = runSDDMMRowWise
 	j.ctx = ctx
 	j.attr = attrSDDMMRowWise
-	j.csr, j.x, j.y, j.out = s, x, y, out.Val
+	j.csr, j.x, j.y, j.dst, j.out = s, x, y, dst, out
 	err := j.dispatch(s.Rows, func(i int) int64 { return int64(s.RowPtr[i]) })
 	if err == nil {
 		attrSDDMMRowWise.recordPass(j, s.NNZ(), s.Rows, x.Cols)
@@ -291,73 +320,57 @@ func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Ma
 	return err
 }
 
-// runSDDMMRowWise computes O[i][c] = S[i][c] · (Y[i]·X[c]) for rows
-// [lo, hi). The dot runs over X and Y rows resliced to K, so it has no
-// bounds checks, and keeps one accumulator so its sum order is fixed.
+// runSDDMMRowWise computes rows [lo, hi) of s into their mapped output
+// rows.
 func runSDDMMRowWise(j *job, lo, hi int) {
-	s, x, y := j.csr, j.x, j.y
+	s, o, xd := j.csr, j.out, j.x.Data
+	ov := o.Val[:len(o.Val):len(o.Val)] // no row segment reaches past out.Val
 	for i := lo; i < hi; i++ {
-		yi := y.Row(i)
-		cols := s.RowCols(i)
-		svals := s.RowVals(i)[:len(cols)]
-		ovals := j.out[s.RowPtr[i]:s.RowPtr[i+1]]
-		ovals = ovals[:len(cols)]
-		for jj, c := range cols {
-			xr := x.Row(int(c))[:len(yi)]
-			dot := float32(0)
-			for k, yv := range yi {
-				dot += yv * xr[k]
-			}
-			ovals[jj] = dot * svals[jj]
+		r := i
+		if j.dst != nil {
+			r = int(j.dst[i])
 		}
+		cols := s.RowCols(i)
+		ovals := ov[o.RowPtr[r]:o.RowPtr[r+1]]
+		if len(ovals) != len(cols) {
+			panic(errRowLength)
+		}
+		SDDMMRow(ovals, j.y.Row(r), xd, cols, s.RowVals(i))
 	}
 }
 
-// SDDMMASpT computes SDDMM from the ASpT representation. The output keeps
-// the *source* matrix's CSR structure (ASpT preserves CSR compatibility,
-// one of its selling points), so each nonzero's value lands at its
-// source position.
-func SDDMMASpT(t *aspt.Matrix, x, y *dense.Matrix) (*sparse.CSR, error) {
-	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
-		return nil, err
+// SDDMMRow computes one row of O = S ⊙ (Y·Xᵀ) from the row's nonzeros
+// (cols, vals): ovals[j] = vals[j] · Σ_k yi[k]·X[cols[j]][k]. xd is X's
+// row-major data with len(yi) columns. Each dot keeps one accumulator,
+// starts at +0 and adds its rounded products in k order, so its sum
+// order is fixed; the X row is resliced to K, so the dot has no bounds
+// checks. A column outside X's rows panics with an index error. It is
+// the SDDMM kernel's row loop, exported for callers that compute single
+// rows outside a kernel pass, such as a live overlay (the SDDMM twin of
+// SpMMRow).
+func SDDMMRow(ovals, yi, xd []float32, cols []int32, vals []float32) {
+	k := len(yi)
+	vals, ovals = vals[:len(cols)], ovals[:len(cols)]
+	for j, c := range cols {
+		xr := xd[int(c)*k:][:k]
+		var dot float32
+		for kk, yv := range yi {
+			dot += float32(yv * xr[kk])
+		}
+		ovals[j] = dot * vals[j]
 	}
-	out := t.Src.Clone()
-	return out, SDDMMASpTIntoCtx(context.Background(), out, t, x, y)
 }
 
 // SDDMMASpTIntoCtx computes SDDMM from the ASpT representation into
 // the caller-provided out, which must have the source matrix's
-// structure, with cooperative cancellation between chunks and panic
-// isolation. Only out.Val is written. On error the output values are
-// unspecified. At steady state the call performs no heap allocations.
-//
-// The tile/rest partition changes where each nonzero's X row is read
-// from on the GPU (shared memory vs global), not the arithmetic: every
-// nonzero is its own dot scaled by its own value. So the kernel runs
-// the row-wise loop over t.Src, balanced by each row's tile+rest work;
-// the partition-aware traffic accounting lives in gpusim.
+// structure. The tile/rest partition changes where each nonzero's X
+// row is read from on the GPU (shared memory vs global), not the
+// arithmetic: every nonzero is its own dot scaled by its own value, and
+// t's tile+rest work per row is t.Src's row length. So this is the
+// row-wise kernel over t.Src; the partition-aware traffic accounting
+// lives in gpusim.
 func SDDMMASpTIntoCtx(ctx context.Context, out *sparse.CSR, t *aspt.Matrix, x, y *dense.Matrix) error {
-	if err := checkSDDMMShapes(t.Src, x, y); err != nil {
-		return err
-	}
-	if err := checkSDDMMOut(t.Src, out); err != nil {
-		return err
-	}
-	start := time.Now()
-	sp := obs.TraceFrom(ctx).StartSpan("kernel_sddmm_aspt")
-	j := getJob()
-	j.run = runSDDMMRowWise
-	j.ctx = ctx
-	j.attr = attrSDDMMASpT
-	j.csr, j.x, j.y, j.out = t.Src, x, y, out.Val
-	err := j.dispatch(t.Src.Rows, t.CumWork)
-	if err == nil {
-		attrSDDMMASpT.recordPass(j, t.Src.NNZ(), t.Src.Rows, x.Cols)
-	}
-	putJob(j)
-	sp.End()
-	kernelSDDMMASpT.ObserveSince(start)
-	return err
+	return SDDMMRowWiseIntoRowsCtx(ctx, out, nil, t.Src, x, y)
 }
 
 // Flops returns the floating-point operation count of an SpMM or SDDMM on

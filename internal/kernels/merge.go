@@ -45,16 +45,6 @@ type mergeChunk struct {
 	zLo, zHi int
 }
 
-// SpMMMerge computes Y = S·X with the merge-based (nonzero-split)
-// kernel. It allocates and returns Y (S.Rows × X.Cols).
-func SpMMMerge(s *sparse.CSR, x *dense.Matrix) (*dense.Matrix, error) {
-	if err := checkSpMMShapes(s, x); err != nil {
-		return nil, err
-	}
-	y := dense.New(s.Rows, x.Cols)
-	return y, SpMMMergeIntoCtx(context.Background(), y, s, x)
-}
-
 // SpMMMergeIntoCtx computes Y = S·X into the caller-provided y
 // (S.Rows × X.Cols), overwriting its contents, with cooperative
 // cancellation between chunks and panic isolation (a kernel panic

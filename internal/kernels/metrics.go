@@ -27,9 +27,6 @@ var (
 	kernelSDDMMRowWise = obs.Default().Histogram("spmmrr_kernel_seconds",
 		"Kernel execution latency by kernel variant.",
 		obs.LatencyBuckets(), obs.L("kernel", "sddmm_rowwise"))
-	kernelSDDMMASpT = obs.Default().Histogram("spmmrr_kernel_seconds",
-		"Kernel execution latency by kernel variant.",
-		obs.LatencyBuckets(), obs.L("kernel", "sddmm_aspt"))
 
 	kernelSpMMBatch = obs.Default().Histogram("spmmrr_kernel_seconds",
 		"Kernel execution latency by kernel variant.",
@@ -171,7 +168,6 @@ var (
 	attrSpMMMerge    = newKernelAttr("spmm_merge")
 	attrSpMMHybrid   = newKernelAttr("spmm_hyb")
 	attrSDDMMRowWise = newKernelAttr("sddmm_rowwise")
-	attrSDDMMASpT    = newKernelAttr("sddmm_aspt")
 )
 
 // AttributionSummary is one kernel's realized-performance aggregate,

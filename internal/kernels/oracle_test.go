@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/aspt"
 	"repro/internal/dense"
 	"repro/internal/ellpack"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -38,7 +40,7 @@ func oracleSpMM(rows int, x *dense.Matrix, frags func(i int) [][]term) *dense.Ma
 			for kk := 0; kk < k; kk++ {
 				var acc float32
 				for _, t := range frag {
-					acc += t.val * x.At(int(t.col), kk)
+					acc += float32(t.val * x.At(int(t.col), kk))
 				}
 				if f == 0 {
 					yi[kk] = acc
@@ -219,10 +221,89 @@ func checkOracle(t testing.TB, c oracleCase, x *dense.Matrix, dst []int32, want 
 	}
 }
 
+// sddmmOut returns an output for an SDDMM of s through row map dst:
+// the unpermuted matrix, whose row dst[i] is row i of s (s's own
+// structure for a nil map).
+func sddmmOut(t testing.TB, s *sparse.CSR, dst []int32) *sparse.CSR {
+	t.Helper()
+	if dst == nil {
+		return s.Clone()
+	}
+	out, err := sparse.PermuteRows(s, sparse.InversePermutation(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// oracleSDDMM is the bit-exact reference for the SDDMM kernel: row i of
+// s lands in out's row r = dst[i] (i for a nil map) and reads Y row r,
+// and each nonzero is one float32 dot over k in order from 0, with every
+// product rounded before the add, scaled by the nonzero's value.
+func oracleSDDMM(s, out *sparse.CSR, dst []int32, x, y *dense.Matrix) []float32 {
+	want := make([]float32, len(out.Val))
+	for i := 0; i < s.Rows; i++ {
+		r := i
+		if dst != nil {
+			r = int(dst[i])
+		}
+		o := want[out.RowPtr[r]:]
+		for j, c := range s.RowCols(i) {
+			var dot float32
+			for kk := 0; kk < x.Cols; kk++ {
+				dot += float32(y.At(r, kk) * x.At(int(c), kk))
+			}
+			o[j] = dot * s.RowVals(i)[j]
+		}
+	}
+	return want
+}
+
+// checkSDDMMOracle runs the SDDMM kernel on s at x with row map dst
+// (nil = identity) over an output pre-filled with noise, and requires
+// every value to carry exactly the oracle's bits. A column outside X's
+// rows, planted past the end and below zero, must then fail the call
+// as a *par.PanicError.
+func checkSDDMMOracle(t testing.TB, s *sparse.CSR, x *dense.Matrix, dst []int32) {
+	t.Helper()
+	ctx := context.Background()
+	y := dense.NewRandom(s.Rows, x.Cols, int64(x.Cols)+7)
+	out := sddmmOut(t, s, dst)
+	want := oracleSDDMM(s, out, dst, x, y)
+	for j := range out.Val {
+		out.Val[j] = float32(math.NaN())
+	}
+	if err := SDDMMRowWiseIntoRowsCtx(ctx, out, dst, s, x, y); err != nil {
+		t.Fatalf("sddmm K=%d: %v", x.Cols, err)
+	}
+	for j, w := range want {
+		if math.Float32bits(out.Val[j]) != math.Float32bits(w) {
+			t.Fatalf("sddmm K=%d mapped=%v: value %d = %v (bits %#x), oracle %v (bits %#x)",
+				x.Cols, dst != nil, j, out.Val[j], math.Float32bits(out.Val[j]), w, math.Float32bits(w))
+		}
+	}
+	if s.NNZ() == 0 {
+		return
+	}
+	for _, bad := range []int32{int32(s.Cols), -1} {
+		bs := s.Clone()
+		bs.ColIdx[len(bs.ColIdx)/2] = bad
+		if dst == nil {
+			out = bs.Clone()
+		}
+		var pe *par.PanicError
+		if err := SDDMMRowWiseIntoRowsCtx(ctx, out, dst, bs, x, y); !errors.As(err, &pe) {
+			t.Fatalf("sddmm K=%d mapped=%v column %d: got %v, want *par.PanicError", x.Cols, dst != nil, bad, err)
+		}
+	}
+}
+
 // TestSpMMKernelsMatchOracle pins every register-blocked SpMM kernel to
 // the plain float32 loop, bit for bit, at every K-strip tail, with and
 // without a row map. Row-wise, ASpT and HYB sum each row in nonzero
 // order; merge is compared with its own fix-up order, not with row-wise.
+// The SDDMM kernel is pinned the same way to its one-dot-per-nonzero
+// loop, and must fail on a bad column.
 func TestSpMMKernelsMatchOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(17))
@@ -254,6 +335,8 @@ func TestSpMMKernelsMatchOracle(t *testing.T) {
 			checkOracle(t, c, x, nil, want)
 			checkOracle(t, c, x, dst, want)
 		}
+		checkSDDMMOracle(t, m, x, nil)
+		checkSDDMMOracle(t, m, x, dst)
 	}
 }
 
@@ -270,10 +353,63 @@ func TestRowMapLengthChecked(t *testing.T) {
 	}
 }
 
-// FuzzSpMMKernels checks every SpMM kernel against the oracle on a
-// small random CSR, K and row permutation drawn from the fuzz input. K
-// runs from 1 to 72, so rows cross up to four 16-wide strips, then
-// 4-wide strips and the scalar tail.
+// TestSDDMMRowMapChecksOutput: the row-mapped SDDMM rejects a short row
+// map, an in-place write over S, and an output of another structure,
+// and an output whose row segments do not match S's rows under the map
+// fails as a *par.PanicError without writing past its values.
+func TestSDDMMRowMapChecksOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := oracleMatrix(rng, 40, 16)
+	x, y := dense.NewRandom(m.Cols, 4, 1), dense.NewRandom(m.Rows, 4, 2)
+	dst := randomRowMap(rng, m.Rows)
+	ctx := context.Background()
+	if err := SDDMMRowWiseIntoRowsCtx(ctx, m.Clone(), make([]int32, m.Rows-1), m, x, y); err == nil {
+		t.Error("SDDMM accepted a short row map")
+	}
+	if err := SDDMMRowWiseIntoRowsCtx(ctx, m, dst, m, x, y); err == nil {
+		t.Error("SDDMM accepted an in-place write over S with a row map")
+	}
+	if err := SDDMMRowWiseIntoRowsCtx(ctx, oracleMatrix(rng, 40, 16), nil, m, x, y); err == nil {
+		t.Error("SDDMM accepted an output of another structure")
+	}
+	// Outputs of the same shape and nonzero count whose row segments
+	// disagree with m's rows under an explicit identity map. Spare
+	// capacity after out.Val holds a sentinel the kernel must not reach.
+	ident := make([]int32, m.Rows)
+	for i := range ident {
+		ident[i] = int32(i)
+	}
+	hub := m.Rows / 5
+	bad := map[string]func(rp []int32){
+		// Rows hub and hub+1 trade lengths.
+		"traded rows": func(rp []int32) { rp[hub+1] = rp[hub] + rp[hub+2] - rp[hub+1] },
+		// Every row keeps its length, but the last one ends past out.Val.
+		"shifted rows": func(rp []int32) {
+			for i := range rp {
+				rp[i]++
+			}
+		},
+	}
+	for name, corrupt := range bad {
+		out := sddmmOut(t, m, nil)
+		corrupt(out.RowPtr)
+		vals := make([]float32, len(out.Val)+1)
+		vals[len(out.Val)] = 42
+		out.Val = vals[:len(out.Val)]
+		var pe *par.PanicError
+		if err := SDDMMRowWiseIntoRowsCtx(ctx, out, ident, m, x, y); !errors.As(err, &pe) {
+			t.Errorf("%s: got %v, want *par.PanicError", name, err)
+		}
+		if v := vals[len(out.Val)]; v != 42 {
+			t.Errorf("%s: wrote past the output values (%v)", name, v)
+		}
+	}
+}
+
+// FuzzSpMMKernels checks every SpMM kernel and the SDDMM kernel against
+// their oracles on a small random CSR, K and row permutation drawn from
+// the fuzz input. K runs from 1 to 72, so rows cross up to four 16-wide
+// strips, then 4-wide strips and the scalar tail.
 func FuzzSpMMKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(12), uint8(5), true)
 	f.Add(int64(2), uint8(3), uint8(40), uint8(17), false)
@@ -291,5 +427,6 @@ func FuzzSpMMKernels(f *testing.F) {
 		for _, oc := range oracleCases(t, m) {
 			checkOracle(t, oc, x, dst, oracleSpMM(r, x, oc.frags))
 		}
+		checkSDDMMOracle(t, m, x, dst)
 	})
 }

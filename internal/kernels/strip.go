@@ -68,8 +68,9 @@ func (r run) at(j int) (int32, float32) {
 // The first K&^3 columns go through addStrips, the register-blocked
 // strip primitive: SSE assembly on amd64, plain Go elsewhere (and under
 // the purego tag). The last K%4 columns run one scalar accumulator each.
-// Every element starts at +0 and adds its products in nonzero order, run
-// by run, so the result is bit-identical to Alg 1's unblocked
+// Every element starts at +0 and adds its products, each rounded to
+// float32 before the add (never fused), in nonzero order, run by run, so
+// the result is bit-identical to Alg 1's unblocked
 // yi[k] += v·X[c][k] loop (TestSpMMKernelsMatchOracle). A column outside
 // X's rows panics with errBadColumn, or with the scalar tail's index
 // error.
@@ -87,11 +88,11 @@ func spmmRow(yi, xd []float32, r0, r1 run) {
 		var a float32
 		for j := 0; j < r0.n; j++ {
 			c, v := r0.at(j)
-			a += v * xd[int(c)*k+off]
+			a += float32(v * xd[int(c)*k+off])
 		}
 		for j := 0; j < r1.n; j++ {
 			c, v := r1.at(j)
-			a += v * xd[int(c)*k+off]
+			a += float32(v * xd[int(c)*k+off])
 		}
 		yi[off] = a
 	}

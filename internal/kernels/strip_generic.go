@@ -6,7 +6,10 @@ import "unsafe"
 
 // addStrips is the portable form of the strip primitive (see
 // strip_amd64.go): the same per-lane sums in the same order, blocked in
-// strips of 8, then 4, columns.
+// strips of 8, then 4, columns. Each product is converted to float32
+// before the add: the Go spec lets a compiler fuse x*y+z into one FMA
+// (arm64, ppc64 and s390x do) but never across an explicit conversion,
+// so every target rounds the product as SSE's MULPS does.
 func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, stride int, accum bool) (ok bool) {
 	k4 := k &^ 3
 	yd, xd := unsafe.Slice(y, k4), unsafe.Slice(x, xrows*k)
@@ -27,14 +30,14 @@ func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, strid
 			c, v := r.at(j)
 			o := int(c)*k + off
 			xr := xd[o : o+8 : o+8]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
-			a4 += v * xr[4]
-			a5 += v * xr[5]
-			a6 += v * xr[6]
-			a7 += v * xr[7]
+			a0 += float32(v * xr[0])
+			a1 += float32(v * xr[1])
+			a2 += float32(v * xr[2])
+			a3 += float32(v * xr[3])
+			a4 += float32(v * xr[4])
+			a5 += float32(v * xr[5])
+			a6 += float32(v * xr[6])
+			a7 += float32(v * xr[7])
 		}
 		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
 		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
@@ -49,10 +52,10 @@ func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, strid
 			c, v := r.at(j)
 			o := int(c)*k + off
 			xr := xd[o : o+4 : o+4]
-			a0 += v * xr[0]
-			a1 += v * xr[1]
-			a2 += v * xr[2]
-			a3 += v * xr[3]
+			a0 += float32(v * xr[0])
+			a1 += float32(v * xr[1])
+			a2 += float32(v * xr[2])
+			a3 += float32(v * xr[3])
 		}
 		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
 	}

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -56,12 +57,11 @@ func TestPlanRoundTrip(t *testing.T) {
 		t.Fatalf("rebuilt tiling differs: %d vs %d", rebuilt.Tiled.NNZDense(), plan.Tiled.NNZDense())
 	}
 	x := dense.NewRandom(m.Cols, 8, 1)
-	a, err := kernels.SpMMASpT(plan.Tiled, x)
-	if err != nil {
+	a, b := dense.New(m.Rows, x.Cols), dense.New(m.Rows, x.Cols)
+	if err := kernels.SpMMASpTIntoCtx(context.Background(), a, plan.Tiled, x); err != nil {
 		t.Fatal(err)
 	}
-	b, err := kernels.SpMMASpT(rebuilt.Tiled, x)
-	if err != nil {
+	if err := kernels.SpMMASpTIntoCtx(context.Background(), b, rebuilt.Tiled, x); err != nil {
 		t.Fatal(err)
 	}
 	if dense.MaxAbsDiff(a, b) != 0 {

@@ -196,11 +196,11 @@ func (st *liveState) baseUnit(nrOnly bool) servingUnit {
 	return st.sharded
 }
 
-// baseCfg is the Config the base was preprocessed under (its Epoch is
-// the structEpoch at base-build time).
+// baseCfg is the Config the base was requested under (its Epoch is the
+// structEpoch at base-build time): the plan-cache key of its plans.
 func (st *liveState) baseCfg() Config {
 	if st.online != nil {
-		return st.online.nr.plan.Cfg
+		return st.online.cfg
 	}
 	return st.sharded.panels[0].pipe.plan.Cfg
 }
@@ -979,17 +979,7 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mo
 		copy(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], scratch.Val[bm.RowPtr[r]:bm.RowPtr[r+1]])
 	}
 	return st.overlayRows(ctx, func(r int) {
-		yr := y.Row(r)
-		cols, vals := cur.RowCols(r), cur.RowVals(r)
-		ovals := out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]]
-		for i, c := range cols {
-			xr := x.Row(int(c))
-			var dot float32
-			for k := range yr {
-				dot += yr[k] * xr[k]
-			}
-			ovals[i] = dot * vals[i]
-		}
+		kernels.SDDMMRow(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], y.Row(r), x.Data, cur.RowCols(r), cur.RowVals(r))
 	})
 }
 
@@ -1107,6 +1097,10 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	var online *OnlinePipeline
 	var sharded *ShardedPipeline
 	if st.online != nil {
+		// An online rebuild builds without reordering, so a fold never
+		// pays a full LSH preprocess. Whether it should reorder at the
+		// tenant's width is open (ROADMAP item 3).
+		cfg.Disable = true
 		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, l.ring)
 		if err != nil {
 			return err

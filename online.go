@@ -39,6 +39,11 @@ import (
 type OnlinePipeline struct {
 	nr *Pipeline
 
+	// cfg is the Config the pipeline was requested under: the key of
+	// both plans in the plan cache. The NR plan's own Cfg carries
+	// Disable=true after a cache miss, so it names no stored plan.
+	cfg Config
+
 	// rr is nil until the reordered build lands (immediately in
 	// NewOnlinePipeline; in the background in NewOnlinePipelineCtx).
 	rr atomic.Pointer[Pipeline]
@@ -130,7 +135,7 @@ func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
+	o := &OnlinePipeline{nr: nr, cfg: cfg, buildDone: closedChan, fbWindow: defaultMispickWindow}
 	o.rr.Store(rr)
 	return o, nil
 }
@@ -163,7 +168,7 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
+	o := &OnlinePipeline{nr: nr, cfg: cfg, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
 	bctx, cancel := context.WithCancel(ctx)
 	if cfg.PreprocessBudget > 0 {
 		bctx, cancel = context.WithTimeout(ctx, cfg.PreprocessBudget)
@@ -431,7 +436,7 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err != nil {
 		return nil, err
 	}
-	n := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: o.fbWindow}
+	n := &OnlinePipeline{nr: nr, cfg: o.cfg, buildDone: closedChan, fbWindow: o.fbWindow}
 	n.sink.Store(o.sink.Load())
 	n.mispicks.Store(o.mispicks.Load())
 	if d := o.degraded.Load(); d != nil {
@@ -482,7 +487,7 @@ func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k in
 	if flops := kernels.Flops(o.nr.Matrix().NNZ(), k); flops > 0 {
 		o.loserNSPerFlop = float64(loser.Nanoseconds()) / flops
 	}
-	o.planFP = plancache.Fingerprint(o.nr.Matrix(), o.nr.plan.Cfg, variant)
+	o.planFP = plancache.Fingerprint(o.nr.Matrix(), o.cfg, variant)
 	o.winner.Store(w)
 	recordTrial(w == rr, rrTime, nrTime)
 	detail := "plain"

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/dense"
@@ -14,9 +13,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/integrity"
 	"repro/internal/kernels"
-	"repro/internal/obs"
 	"repro/internal/reorder"
-	"repro/internal/sparse"
 )
 
 // Pipeline wraps a preprocessed matrix and executes SpMM/SDDMM on it.
@@ -39,17 +36,14 @@ type Pipeline struct {
 	// rebuild.
 	hyb *ellpack.Hybrid
 
-	// dst is the SpMM kernels' row map: reordered row i of the product
-	// is written straight to the caller's row dst[i]. It is the plan's
-	// RowPerm, or nil when that is the identity (the NR plan, and any
-	// plan that applied no round-1 permutation), so the identity case
-	// pays no indirection and no output permute runs either way.
+	// dst is the kernels' row map: reordered row i of a product is
+	// original row dst[i], so SpMM writes it straight to the caller's
+	// row dst[i] and SDDMM reads Y row dst[i] and writes that row's
+	// values. It is the plan's RowPerm, or nil when that is the identity
+	// (the NR plan, and any plan that applied no round-1 permutation),
+	// so the identity case pays no indirection and no operand or result
+	// is permuted either way.
 	dst []int32
-
-	// sddmmScratch pools reordered-row-space SDDMM value buffers. The
-	// pooled matrices share the reordered matrix's structure arrays
-	// (read-only) and own only their Val slice.
-	sddmmScratch sync.Pool
 }
 
 // newPipeline finishes construction from a built plan: the kernel
@@ -158,9 +152,9 @@ func (p *Pipeline) Matrix() *Matrix { return p.orig }
 
 // Kernel returns the SpMM execution strategy this pipeline runs —
 // either the Config override or the per-matrix autotuner's choice (see
-// reorder.ChooseKernel). SDDMM always executes the tiled representation
-// regardless: the tile/rest split is what lets SDDMM scatter values
-// back in source order.
+// reorder.ChooseKernel). SDDMM runs the row-wise kernel over the
+// reordered matrix whatever the choice: each nonzero is its own dot, so
+// no SpMM strategy changes its arithmetic.
 func (p *Pipeline) Kernel() Kernel { return p.plan.Kernel }
 
 // SpMM computes Y = S·X using the tiled, reordered execution and returns
@@ -272,8 +266,8 @@ func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 	}
 }
 
-// SDDMM computes O = S ⊙ (Y·Xᵀ) using the tiled execution; O has the
-// original matrix's structure.
+// SDDMM computes O = S ⊙ (Y·Xᵀ) with the reordered execution; O has
+// the original matrix's structure.
 func (p *Pipeline) SDDMM(x, y *Dense) (*Matrix, error) {
 	out := p.orig.Clone()
 	if err := p.SDDMMInto(out, x, y); err != nil {
@@ -293,56 +287,17 @@ func (p *Pipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
 
 // SDDMMIntoCtx is SDDMMInto with cooperative cancellation between
 // kernel chunks and panic isolation. On error out.Val's contents are
-// unspecified.
+// unspecified. The kernel visits the reordered rows in order through
+// the plan's row map: row i reads Y row dst[i] and writes out's row
+// dst[i], whose values a row permutation keeps in the same column
+// order.
 func (p *Pipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
 	p.fireCorruptPlan()
 	if out != p.orig && !out.SameStructure(p.orig) {
 		return fmt.Errorf("repro: SDDMMInto output structure differs from the matrix (%s vs %s)",
 			out, p.orig)
 	}
-	// The tiled matrix's rows are a permutation of the original's; feed
-	// the kernel the permuted Y and scatter values back.
-	tr := obs.TraceFrom(ctx)
-	yre := dense.Get(y.Rows, y.Cols)
-	defer dense.Put(yre)
-	sp := tr.StartSpan("permute_input")
-	err := dense.PermuteRowsInto(yre, y, p.plan.RowPerm)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	ore := p.getSDDMMScratch()
-	defer p.sddmmScratch.Put(ore)
-	if err := kernels.SDDMMASpTIntoCtx(ctx, ore, p.plan.Tiled, x, yre); err != nil {
-		return err
-	}
-	// Scatter reordered-row values back to their original rows. Row
-	// permutation leaves the within-row column order untouched, so each
-	// row's value segment copies verbatim.
-	sp = tr.StartSpan("permute_output")
-	re := p.plan.Tiled.Src
-	for i, orig := range p.plan.RowPerm {
-		copy(out.Val[p.orig.RowPtr[orig]:p.orig.RowPtr[orig+1]],
-			ore.Val[re.RowPtr[i]:re.RowPtr[i+1]])
-	}
-	sp.End()
-	return nil
-}
-
-// getSDDMMScratch returns a pooled CSR sharing the reordered matrix's
-// structure arrays with a private Val buffer.
-func (p *Pipeline) getSDDMMScratch() *sparse.CSR {
-	if v := p.sddmmScratch.Get(); v != nil {
-		return v.(*sparse.CSR)
-	}
-	re := p.plan.Tiled.Src
-	return &sparse.CSR{
-		Rows:   re.Rows,
-		Cols:   re.Cols,
-		RowPtr: re.RowPtr,
-		ColIdx: re.ColIdx,
-		Val:    make([]float32, re.NNZ()),
-	}
+	return kernels.SDDMMRowWiseIntoRowsCtx(ctx, out, p.dst, p.plan.Reordered, x, y)
 }
 
 // EstimateSpMM simulates this pipeline's SpMM on the given device for

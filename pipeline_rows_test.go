@@ -181,3 +181,145 @@ func TestPipelineSpMMRejectsAliasedOperand(t *testing.T) {
 		}
 	}
 }
+
+// sameValBits reports the first value of a that differs in bits from
+// b's, or -1.
+func sameValBits(a, b *repro.Matrix) int {
+	for i := range a.Val {
+		if math.Float32bits(a.Val[i]) != math.Float32bits(b.Val[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// noisyClone returns a clone of m whose values are NaN, so an SDDMM
+// into it must overwrite every value.
+func noisyClone(m *repro.Matrix) *repro.Matrix {
+	out := m.Clone()
+	for i := range out.Val {
+		out.Val[i] = float32(math.NaN())
+	}
+	return out
+}
+
+// TestPipelineSDDMMMatchesRowWise checks that SDDMM through the plan's
+// row map — on a reordered and an NR pipeline, a sharded pipeline, and
+// a live pipeline serving overlaid and appended rows — is bit-identical
+// to the row-wise kernel on the unpermuted matrix: every nonzero is one
+// dot in k order whichever row order the kernel visits. Random float
+// operands, unlike the live model tests' integer ones, make any change
+// of summation order visible.
+func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
+	m, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4421)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	x := repro.NewRandomDense(m.Cols, 17, 3)
+	y := repro.NewRandomDense(m.Rows, 17, 4)
+	want, err := kernels.SDDMMRowWise(m, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, run func(out *repro.Matrix) error) {
+		t.Helper()
+		out := noisyClone(m)
+		if err := run(out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i := sameValBits(out, want); i >= 0 {
+			t.Fatalf("%s: value %d differs from row-wise on the unpermuted matrix", name, i)
+		}
+	}
+	for name, p := range rowMapPipelines(t, m, repro.KernelAuto) {
+		check(name, func(out *repro.Matrix) error { return p.SDDMMIntoCtx(ctx, out, x, y) })
+	}
+	cfg := repro.DefaultConfig()
+	cfg.Force = true
+	sp, err := repro.NewShardedPipeline(m, cfg, m.NNZ()/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Panels() < 2 {
+		t.Fatalf("matrix did not shard: %d panel(s)", sp.Panels())
+	}
+	check("sharded", func(out *repro.Matrix) error { return sp.SDDMMIntoCtx(ctx, out, x, y) })
+
+	// Live: rows 5 and 700 replaced and one row appended, with the
+	// rebuild off so they are served from the overlay beside the base.
+	l, err := repro.NewLivePipelineCtx(ctx, m, cfg, repro.LiveConfig{RebuildDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Online().WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	def := repro.RowDef{Cols: []int32{1, 9, 400, 1000}, Vals: []float32{0.5, -2, 3, 0.25}}
+	if err := l.Mutate(ctx, repro.Mutation{
+		ReplaceRows: []repro.RowUpdate{{Row: 5, Def: def}, {Row: 700, Def: repro.RowDef{Cols: []int32{7}, Vals: []float32{-1}}}},
+		AppendRows:  []repro.RowDef{def},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cur := l.Matrix()
+	yl := repro.NewRandomDense(cur.Rows, x.Cols, 6)
+	wantLive, err := kernels.SDDMMRowWise(cur, x, yl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twice: the first call runs the §4 trial, the second the winner.
+	for i := 0; i < 2; i++ {
+		out := noisyClone(cur)
+		if err := l.SDDMMIntoCtx(ctx, out, x, yl); err != nil {
+			t.Fatal(err)
+		}
+		if j := sameValBits(out, wantLive); j >= 0 {
+			t.Fatalf("live call %d: value %d differs from row-wise on the fused matrix", i, j)
+		}
+	}
+}
+
+// TestPipelineSDDMMIntoNoScratch pins Pipeline.SDDMMIntoCtx on a
+// reordered and on an NR plan at zero steady-state allocations (with
+// the race detector's pool allowance) and requires it to take nothing
+// from the dense scratch pool: the kernel reads Y and writes the
+// caller's values through the row map, so there is no permuted Y and
+// no reordered intermediate.
+func TestPipelineSDDMMIntoNoScratch(t *testing.T) {
+	m, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4423)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	x := repro.NewRandomDense(m.Cols, 16, 1)
+	y := repro.NewRandomDense(m.Rows, 16, 2)
+	out := m.Clone()
+	var poolCalls atomic.Int64
+	defer faultinject.Set("dense.pool", func() error { poolCalls.Add(1); return nil })()
+	for name, p := range rowMapPipelines(t, m, repro.KernelAuto) {
+		call := func() {
+			if err := p.SDDMMIntoCtx(ctx, out, x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			call()
+		}
+		poolCalls.Store(0)
+		limit, attempts := 0.0, 3
+		if raceDetectorEnabled {
+			limit, attempts = 2, 10 // the detector drops sync.Pool puts at random
+		}
+		allocs := math.Inf(1)
+		for a := 0; a < attempts && allocs > limit; a++ {
+			allocs = testing.AllocsPerRun(20, call)
+		}
+		if allocs > limit {
+			t.Errorf("%s: SDDMMIntoCtx allocates %v objects per call, want <= %v", name, allocs, limit)
+		}
+		if n := poolCalls.Load(); n != 0 {
+			t.Errorf("%s: SDDMMIntoCtx made %d dense-pool calls, want 0", name, n)
+		}
+	}
+}
