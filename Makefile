@@ -15,9 +15,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Required lint: vet plus staticcheck. CI installs staticcheck; locally
-# it is skipped with a notice when absent (no network fetch here).
+# Required lint: vet, gofmt and staticcheck. gofmt reads the tracked
+# files only, so build output such as .bench_build/ is not walked. CI
+# installs staticcheck; locally it is skipped with a notice when absent
+# (no network fetch here).
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
@@ -30,22 +36,30 @@ race:
 	$(GO) test -race ./...
 
 # One rounding contract on every GOARCH: the kernels' Go row loops
-# write a += float32(v*x), which forbids a fused multiply-add, and this
-# target proves the compiler emitted none. It builds the arm64 kernels
-# test binary (no emulator: the binary is only disassembled) and fails
-# if any strip primitive, row loop or test oracle holds an FMADD, FMSUB,
-# FNMADD or FNMSUB, or if the disassembly finds too few of them to be
-# the functions it names.
+# write a += float32(v*x), which forbids a fused multiply-add, and the
+# amd64 strip primitive multiplies and adds with separate (V)MULPS and
+# (V)ADDPS. This target proves that no fused multiply-add was emitted.
+# It builds the arm64 kernels test binary (no emulator: the binaries
+# are only disassembled) and a GOAMD64=v3 amd64 one, where the compiler
+# may use FMA and the AVX2 strip runs, and fails if any strip
+# primitive, row loop or test oracle in either holds an FMADD, FMSUB,
+# FNMADD or FNMSUB (VFMADD..., VFMSUB..., VFNMADD... or VFNMSUB... on
+# amd64), or if the disassembly finds too few of them to be the
+# functions it names. go tool objdump cannot decode VEX instructions,
+# so the amd64 binary is read with binutils objdump.
 NOFMA_FUNCS = kernels\.(addStrips|spmmRow|run|SDDMMRow|SpMMRow|oracle|naive)
+NOFMA_AWK = \
+	/^TEXT / || / <.*>:$$/ { keep = $$0 ~ /$(NOFMA_FUNCS)/; n += keep; fn = $$2; next } \
+	keep && toupper($$0) ~ /FN?M(ADD|SUB)/ { print fn ": " $$0; bad++ } \
+	END { if (n < 10) { print "nofma: " bin ": disassembled only " n " kernel functions"; exit 1 } \
+	      if (bad) { print "nofma: " bin ": " bad " fused multiply-add(s) in the kernels"; exit 1 } \
+	      print "nofma: " bin ": no fused multiply-add in " n " kernel functions" }
 nofma:
 	GOARCH=arm64 $(GO) test -c -o kernels_arm64.test ./internal/kernels
-	$(GO) tool objdump -s '$(NOFMA_FUNCS)' kernels_arm64.test | awk ' \
-		/^TEXT/ { fn = $$2; n++; next } \
-		/FN?M(ADD|SUB)/ { print fn ": " $$0; bad++ } \
-		END { if (n < 10) { print "nofma: disassembled only " n " kernel functions"; exit 1 } \
-		      if (bad) { print "nofma: " bad " fused multiply-add(s) in the kernels"; exit 1 } \
-		      print "nofma: no fused multiply-add in " n " kernel functions" }'
-	rm -f kernels_arm64.test
+	$(GO) tool objdump -s '$(NOFMA_FUNCS)' kernels_arm64.test | awk -v bin=kernels_arm64.test '$(NOFMA_AWK)'
+	GOARCH=amd64 GOAMD64=v3 $(GO) test -c -o kernels_amd64v3.test ./internal/kernels
+	objdump -d --no-show-raw-insn kernels_amd64v3.test | awk -v bin=kernels_amd64v3.test '$(NOFMA_AWK)'
+	rm -f kernels_arm64.test kernels_amd64v3.test
 
 # Chaos soak: the full Server (admission, retry, breaker, persistence)
 # under fault injection, cancellations, and concurrent load, raced —

@@ -5,8 +5,9 @@ package repro
 // for a single tenant, the plan identity (cache fingerprint), the
 // autotuner's structural features and verdict, the §4 trial outcome,
 // the live-mutation and quarantine state, the shard layout, the
-// process-wide kernel attribution, and the SLO watchdog — everything
-// the decision-event ring references, resolved to current values.
+// process-wide kernel attribution and SIMD path, and the SLO watchdog —
+// everything the decision-event ring references, resolved to current
+// values.
 
 import (
 	"repro/internal/integrity"
@@ -82,6 +83,10 @@ type TenantExplain struct {
 	// (effective GFLOP/s, GB/s, load imbalance) — shared by all
 	// tenants, included so one document carries the whole chain.
 	Attribution []kernels.AttributionSummary `json:"kernel_attribution"`
+	// SIMD names the strip primitive every SpMM row loop in the process
+	// runs on (kernels.StripPath): "avx2", "sse" or "purego". The
+	// results are the same bits on each; a host without AVX2 is slower.
+	SIMD string `json:"simd"`
 
 	SLO SLOStatus `json:"slo"`
 }
@@ -107,6 +112,7 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		Live:        t.live.Stats(),
 		Integrity:   t.integ.Stats(),
 		Attribution: kernels.Attribution(),
+		SIMD:        kernels.StripPath(),
 		SLO:         t.slo.status(),
 	}
 	cfg := st.baseCfg()

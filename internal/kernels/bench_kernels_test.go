@@ -20,10 +20,11 @@ import (
 // padding) and the scrambled-cluster matrix the serving benchmarks are
 // built around, both as its no-reordering plan and as its reordered
 // plan (whose dense tiles are ASpT's regime) — at the widths a server
-// sees (K = 1, 4, 16) and at K = 64. `make bench-kernels` converts the
-// output to BENCH_kernels.json; the autotuner thresholds in
-// internal/reorder/autotune.go are checked against these numbers (see
-// DESIGN.md §12).
+// sees (K = 1, 4, 16), at K = 8 and 12 (where the AVX2 strip walks a
+// row once or twice and SSE's two or three times) and at K = 64.
+// `make bench-kernels` converts the output to BENCH_kernels.json; the
+// autotuner thresholds in internal/reorder/autotune.go are checked
+// against these numbers (see DESIGN.md §12).
 //
 // Each family runs through reorder.Preprocess, so the kernels execute
 // exactly the matrix and tiles a pipeline would, and the plan's Kernel
@@ -114,7 +115,7 @@ var benchFamilies = []benchFamily{
 	{"scrambled-rr", true, scrambledClusters},
 }
 
-var benchWidths = []int{1, 4, 16, 64}
+var benchWidths = []int{1, 4, 8, 12, 16, 64}
 
 func BenchmarkKernelCorpus(b *testing.B) {
 	for _, fam := range benchFamilies {

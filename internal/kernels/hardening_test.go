@@ -108,8 +108,8 @@ func TestASpTKernelFaultInjection(t *testing.T) {
 // outside X's rows, planted past validation into a CSR, an ASpT part
 // (tile or rest) or a HYB part (slab or spill), fails every SpMM kernel
 // and kernels.SpMMRow with a *par.PanicError instead of reading outside
-// X — in the strip primitive, in the scalar tail, and in a row's second
-// run.
+// X — in each strip width of every strip path, in the scalar tail, and
+// in a row's second run.
 func TestSpMMBadColumnFails(t *testing.T) {
 	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
 	hub := m.Rows / 5
@@ -170,16 +170,18 @@ func TestSpMMBadColumnFails(t *testing.T) {
 			})
 		}},
 	}
-	for _, k := range []int{3, 16, 21} {
-		x := dense.NewRandom(m.Cols, k, 1)
-		y := dense.New(m.Rows, k)
-		for _, bad := range []int32{int32(m.Cols), -1} {
-			for _, c := range cases {
-				var pe *par.PanicError
-				if err := c.run(bad, y, x); !errors.As(err, &pe) {
-					t.Errorf("%s K=%d column %d: got %v, want *par.PanicError", c.name, k, bad, err)
+	onStripPaths(t, func(t *testing.T) {
+		for _, k := range []int{3, 4, 8, 16, 21} {
+			x := dense.NewRandom(m.Cols, k, 1)
+			y := dense.New(m.Rows, k)
+			for _, bad := range []int32{int32(m.Cols), -1} {
+				for _, c := range cases {
+					var pe *par.PanicError
+					if err := c.run(bad, y, x); !errors.As(err, &pe) {
+						t.Errorf("%s K=%d column %d: got %v, want *par.PanicError", c.name, k, bad, err)
+					}
 				}
 			}
 		}
-	}
+	})
 }

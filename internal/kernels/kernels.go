@@ -9,20 +9,24 @@
 // Every SpMM row loop goes through spmmRow, which feeds a row's nonzeros
 // as strided runs of (col, val) pairs to one strip primitive, addStrips,
 // for the first K&^3 output columns, and sums the last K%4 in Go. On
-// amd64 addStrips is SSE assembly (16-, then 4-wide strips), the amd64
-// baseline, with no CPUID check and no run-time switch; elsewhere, and
-// under the standard purego build tag, it is plain Go. Every SDDMM row
-// goes through SDDMMRow, one dot per nonzero in k order.
+// amd64 addStrips is assembly with two paths behind one entry point:
+// AVX2 (16-wide strips of two YMM lanes, then one 8-wide strip, then
+// the SSE 4-wide loop) when CPUID and XGETBV show AVX2 at start-up, and
+// SSE (16-, then 4-wide strips), the amd64 baseline, otherwise.
+// StripPath names the path. Elsewhere, and under the standard purego
+// build tag, addStrips is plain Go. Every SDDMM row goes through
+// SDDMMRow, one dot per nonzero in k order.
 //
 // One rounding contract holds on every GOARCH: each accumulator starts
 // at +0 and adds its products in a fixed order with a separate multiply
-// and add, never an FMA. The SSE strip uses MULPS then ADDPS; the Go
-// loops write a += float32(v*x), and the Go spec forbids fusing across
-// an explicit conversion, so arm64 (which would otherwise emit FMADD)
-// rounds exactly as amd64 does. Blocking and vectorizing therefore
-// change no result bit on any target. The primitive compares every
-// column against X's row count, and a bad column fails the call as a
-// recovered *par.PanicError instead of reading outside X.
+// and add, never an FMA. The assembly uses (V)MULPS then (V)ADDPS; the
+// Go loops write a += float32(v*x), and the Go spec forbids fusing
+// across an explicit conversion, so arm64 (which would otherwise emit
+// FMADD) rounds exactly as amd64 does. Blocking, vectorizing and the
+// choice of strip path therefore change no result bit on any target.
+// The primitive compares every column against X's row count, and a bad
+// column fails the call as a recovered *par.PanicError instead of
+// reading outside X.
 //
 // The *IntoRowsCtx kernels take a row map: row i of the (reordered)
 // sparse operand is row dst[i] of the caller's output (and, for SDDMM,

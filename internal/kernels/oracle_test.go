@@ -300,10 +300,10 @@ func checkSDDMMOracle(t testing.TB, s *sparse.CSR, x *dense.Matrix, dst []int32)
 
 // TestSpMMKernelsMatchOracle pins every register-blocked SpMM kernel to
 // the plain float32 loop, bit for bit, at every K-strip tail, with and
-// without a row map. Row-wise, ASpT and HYB sum each row in nonzero
-// order; merge is compared with its own fix-up order, not with row-wise.
-// The SDDMM kernel is pinned the same way to its one-dot-per-nonzero
-// loop, and must fail on a bad column.
+// without a row map, on every strip path. Row-wise, ASpT and HYB sum
+// each row in nonzero order; merge is compared with its own fix-up
+// order, not with row-wise. The SDDMM kernel is pinned the same way to
+// its one-dot-per-nonzero loop, and must fail on a bad column.
 func TestSpMMKernelsMatchOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(17))
@@ -328,15 +328,28 @@ func TestSpMMKernelsMatchOracle(t *testing.T) {
 		t.Fatalf("hub row splits into %d merge fragments; want >= 3", len(f))
 	}
 	dst := randomRowMap(rng, m.Rows)
-	for _, k := range oracleKs {
-		x := dense.NewRandom(m.Cols, k, int64(k))
-		for _, c := range cases {
-			want := oracleSpMM(m.Rows, x, c.frags)
-			checkOracle(t, c, x, nil, want)
-			checkOracle(t, c, x, dst, want)
+	onStripPaths(t, func(t *testing.T) {
+		for _, k := range oracleKs {
+			x := dense.NewRandom(m.Cols, k, int64(k))
+			for _, c := range cases {
+				want := oracleSpMM(m.Rows, x, c.frags)
+				checkOracle(t, c, x, nil, want)
+				checkOracle(t, c, x, dst, want)
+			}
+			checkSDDMMOracle(t, m, x, nil)
+			checkSDDMMOracle(t, m, x, dst)
 		}
-		checkSDDMMOracle(t, m, x, nil)
-		checkSDDMMOracle(t, m, x, dst)
+	})
+}
+
+// onStripPaths runs f once per path of the strip primitive this CPU
+// can run (stripPaths), each as a subtest with that path forced.
+func onStripPaths(t *testing.T, f func(t *testing.T)) {
+	for _, path := range stripPaths() {
+		t.Run(path, func(t *testing.T) {
+			defer forceStripPath(path)()
+			f(t)
+		})
 	}
 }
 
@@ -408,8 +421,9 @@ func TestSDDMMRowMapChecksOutput(t *testing.T) {
 
 // FuzzSpMMKernels checks every SpMM kernel and the SDDMM kernel against
 // their oracles on a small random CSR, K and row permutation drawn from
-// the fuzz input. K runs from 1 to 72, so rows cross up to four 16-wide
-// strips, then 4-wide strips and the scalar tail.
+// the fuzz input, on every strip path. K runs from 1 to 72, so rows
+// cross up to four 16-wide strips, then 8- and 4-wide strips and the
+// scalar tail.
 func FuzzSpMMKernels(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(12), uint8(5), true)
 	f.Add(int64(2), uint8(3), uint8(40), uint8(17), false)
@@ -424,9 +438,15 @@ func FuzzSpMMKernels(f *testing.F) {
 			dst = randomRowMap(rng, r)
 		}
 		x := dense.NewRandom(c, kk, seed)
-		for _, oc := range oracleCases(t, m) {
-			checkOracle(t, oc, x, dst, oracleSpMM(r, x, oc.frags))
+		for _, path := range stripPaths() {
+			t.Logf("strip path %s", path)
+			func() {
+				defer forceStripPath(path)()
+				for _, oc := range oracleCases(t, m) {
+					checkOracle(t, oc, x, dst, oracleSpMM(r, x, oc.frags))
+				}
+				checkSDDMMOracle(t, m, x, dst)
+			}()
 		}
-		checkSDDMMOracle(t, m, x, dst)
 	})
 }

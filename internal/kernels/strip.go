@@ -66,8 +66,8 @@ func (r run) at(j int) (int32, float32) {
 // HYB. xd is X's row-major data with len(yi) columns.
 //
 // The first K&^3 columns go through addStrips, the register-blocked
-// strip primitive: SSE assembly on amd64, plain Go elsewhere (and under
-// the purego tag). The last K%4 columns run one scalar accumulator each.
+// strip primitive: AVX2 or SSE assembly on amd64, plain Go elsewhere
+// (and under the purego tag). The last K%4 columns run one scalar accumulator each.
 // Every element starts at +0 and adds its products, each rounded to
 // float32 before the add (never fused), in nonzero order, run by run, so
 // the result is bit-identical to Alg 1's unblocked

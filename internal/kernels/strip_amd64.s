@@ -7,8 +7,17 @@
 // Registers: DI output strip, SI X strip (X + strip offset), R9 bytes
 // per X row, R10 xrows, R11 cols, R12 vals-cols (so a pair's value sits
 // at its col's address + R12), R13 n, R14 stride, CX strips left,
-// R8 pair cursor, DX pairs left, BX column byte offset, X4 broadcast
-// value, X0-X3 lanes, X5-X8 products.
+// R8 pair cursor, DX pairs left, BX column byte offset, X4/Y4 broadcast
+// value, X0-X3/Y0-Y1 lanes, X5-X8/Y5-Y6 products.
+//
+// The AVX2 path (useAVX2 set) walks the run once per 16-column strip
+// with two YMM lanes and once more for an 8-column strip when
+// K&15 >= 8. It then clears the upper YMM halves with VZEROUPPER, on
+// the bad-column exit too, and finishes a last 4-column strip
+// (K&4) in the SSE path's strip4 loop. The SSE path walks the run once
+// per 16-column strip with four XMM lanes and then once per remaining
+// 4-column strip. Both multiply with (V)MULPS and add with (V)ADDPS,
+// never FMA, so each lane's sum is the same bit for bit.
 TEXT ·addStrips(SB), NOSPLIT, $0-73
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -20,6 +29,9 @@ TEXT ·addStrips(SB), NOSPLIT, $0-73
 	SUBQ R11, R12
 	MOVQ n+48(FP), R13
 	MOVQ stride+56(FP), R14
+
+	CMPB ·useAVX2(SB), $0
+	JNE  avx2
 
 	MOVQ R9, CX
 	SHRQ $6, CX
@@ -127,4 +139,128 @@ done:
 
 bad:
 	MOVB $0, ok+72(FP)
+	RET
+
+avx2:
+	MOVQ R9, CX
+	SHRQ $6, CX
+	JZ   ystrip8
+
+ystrip16:
+	CMPB accum+64(FP), $0
+	JEQ  yzero16
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	JMP  ywalk16
+
+yzero16:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+ywalk16:
+	MOVQ  R11, R8
+	MOVQ  R13, DX
+	TESTQ DX, DX
+	JLE   ystore16
+
+ypair16:
+	MOVLQSX      (R8), BX
+	CMPQ         BX, R10
+	JAE          ybad
+	IMULQ        R9, BX
+	VBROADCASTSS (R8)(R12*1), Y4
+	VMULPS       0(SI)(BX*1), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMULPS       32(SI)(BX*1), Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	ADDQ         R14, R8
+	DECQ         DX
+	JNZ          ypair16
+
+ystore16:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	DECQ    CX
+	JNZ     ystrip16
+
+ystrip8:
+	TESTQ $32, R9
+	JZ    ystrip4
+	CMPB  accum+64(FP), $0
+	JEQ   yzero8
+	VMOVUPS 0(DI), Y0
+	JMP   ywalk8
+
+yzero8:
+	VXORPS Y0, Y0, Y0
+
+ywalk8:
+	MOVQ  R11, R8
+	MOVQ  R13, DX
+	TESTQ DX, DX
+	JLE   ystore8
+
+ypair8:
+	MOVLQSX      (R8), BX
+	CMPQ         BX, R10
+	JAE          ybad
+	IMULQ        R9, BX
+	VBROADCASTSS (R8)(R12*1), Y4
+	VMULPS       0(SI)(BX*1), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	ADDQ         R14, R8
+	DECQ         DX
+	JNZ          ypair8
+
+ystore8:
+	VMOVUPS Y0, 0(DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+
+ystrip4:
+	VZEROUPPER
+	MOVQ R9, CX
+	ANDQ $16, CX
+	SHRQ $4, CX
+	JNZ  strip4
+	JMP  done
+
+ybad:
+	VZEROUPPER
+	JMP bad
+
+// func hasAVX2() bool
+//
+// Reports whether the CPU has AVX2 and the OS saves YMM state: CPUID
+// leaf 1 ECX must show OSXSAVE (bit 27) and AVX (bit 28), XCR0 must
+// enable XMM and YMM state (bits 1 and 2), and CPUID leaf 7 EBX must
+// show AVX2 (bit 5).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   nope
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  nope
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  nope
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX
+	JZ   nope
+	MOVB $1, ret+0(FP)
+
+nope:
 	RET

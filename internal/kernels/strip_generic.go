@@ -4,6 +4,11 @@ package kernels
 
 import "unsafe"
 
+// StripPath names the strip primitive every SpMM row loop runs on:
+// "avx2" or "sse" on amd64, "purego" elsewhere and under the purego
+// build tag.
+func StripPath() string { return "purego" }
+
 // addStrips is the portable form of the strip primitive (see
 // strip_amd64.go): the same per-lane sums in the same order, blocked in
 // strips of 8, then 4, columns. Each product is converted to float32

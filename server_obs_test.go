@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 )
 
@@ -353,6 +354,9 @@ func TestServerExplainOnline(t *testing.T) {
 	if ex.SLO.P99Seconds <= 0 || ex.SLO.Violations != 0 || ex.SLO.Burning {
 		t.Fatalf("SLO section after clean traffic: %+v", ex.SLO)
 	}
+	if want := kernels.StripPath(); ex.SIMD != want {
+		t.Fatalf("explain simd %q, kernels run on %q", ex.SIMD, want)
+	}
 
 	if _, err := s.Explain("no-such-tenant"); !errors.Is(err, repro.ErrUnknownTenant) {
 		t.Fatalf("unknown tenant error = %v", err)
@@ -421,7 +425,7 @@ func TestServerExplainAndEventsEndpoints(t *testing.T) {
 	for _, key := range []string{
 		"tenant", "mode", "plan_fingerprint", "kernel", "kernel_verdict",
 		"features", "trial", "mispicks", "live", "integrity",
-		"kernel_attribution", "slo",
+		"kernel_attribution", "simd", "slo",
 	} {
 		if _, ok := doc[key]; !ok {
 			t.Fatalf("explain missing %q: %v", key, doc)
