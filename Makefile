@@ -44,14 +44,17 @@ race:
 # may use FMA and the AVX2 strip runs, and fails if any strip
 # primitive, row loop or test oracle in either holds an FMADD, FMSUB,
 # FNMADD or FNMSUB (VFMADD..., VFMSUB..., VFNMADD... or VFNMSUB... on
-# amd64), or if the disassembly finds too few of them to be the
-# functions it names. go tool objdump cannot decode VEX instructions,
-# so the amd64 binary is read with binutils objdump.
-NOFMA_FUNCS = kernels\.(addStrips|spmmRow|run|SDDMMRow|SpMMRow|oracle|naive)
+# amd64), if the strip primitive itself ($(NOFMA_PRIM)) is missing from
+# the disassembly, or if it finds too few functions to be the ones it
+# names. go tool objdump cannot decode VEX instructions, so the amd64
+# binary is read with binutils objdump.
+NOFMA_PRIM = addRows
+NOFMA_FUNCS = kernels\.($(NOFMA_PRIM)|spmm|run|SDDMMRow|SpMMRow|oracle|naive)
 NOFMA_AWK = \
-	/^TEXT / || / <.*>:$$/ { keep = $$0 ~ /$(NOFMA_FUNCS)/; n += keep; fn = $$2; next } \
+	/^TEXT / || / <.*>:$$/ { keep = $$0 ~ /$(NOFMA_FUNCS)/; n += keep; prim += $$0 ~ /kernels\.$(NOFMA_PRIM)[^A-Za-z0-9_]/; fn = $$2; next } \
 	keep && toupper($$0) ~ /FN?M(ADD|SUB)/ { print fn ": " $$0; bad++ } \
-	END { if (n < 10) { print "nofma: " bin ": disassembled only " n " kernel functions"; exit 1 } \
+	END { if (!prim) { print "nofma: " bin ": the strip primitive $(NOFMA_PRIM) is not in the disassembly"; exit 1 } \
+	      if (n < 10) { print "nofma: " bin ": disassembled only " n " kernel functions"; exit 1 } \
 	      if (bad) { print "nofma: " bin ": " bad " fused multiply-add(s) in the kernels"; exit 1 } \
 	      print "nofma: " bin ": no fused multiply-add in " n " kernel functions" }
 nofma:

@@ -27,12 +27,13 @@ import (
 // against these numbers (see DESIGN.md §12).
 //
 // Each family runs through reorder.Preprocess, so the kernels execute
-// exactly the matrix and tiles a pipeline would, and the plan's Kernel
-// is reorder.ChooseKernel's pick for it. The pick runs last in every
-// family × K group, and its line reports "regret": its ns/op over the
-// fastest kernel's ns/op in the group (1 = the autotuner picked the
-// fastest kernel). Regret is only reported when all four kernels of the
-// group ran, so a -bench filter that selects fewer omits it.
+// exactly the matrix, tiles and row map a pipeline would, and the
+// plan's Kernel is reorder.ChooseKernel's pick for it. The pick runs
+// last in every family × K group, and its line reports "regret": its
+// ns/op over the fastest kernel's ns/op in the group (1 = the autotuner
+// picked the fastest kernel). Regret is only reported when all four
+// kernels of the group ran, so a -bench filter that selects fewer omits
+// it.
 //
 // Wall-clock speedups from nnz-splitting only materialise with real
 // parallelism; on a 1-CPU runner the per-kernel times converge. The
@@ -117,6 +118,17 @@ var benchFamilies = []benchFamily{
 
 var benchWidths = []int{1, 4, 8, 12, 16, 64}
 
+// planRowMap is the row map a pipeline passes the *IntoRowsCtx kernels:
+// the plan's RowPerm, or nil when that is the identity.
+func planRowMap(perm []int32) []int32 {
+	for i, r := range perm {
+		if int(r) != i {
+			return perm
+		}
+	}
+	return nil
+}
+
 func BenchmarkKernelCorpus(b *testing.B) {
 	for _, fam := range benchFamilies {
 		src, err := fam.build(testing.Short())
@@ -134,6 +146,9 @@ func BenchmarkKernelCorpus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// The plan's row map, as a pipeline serves it: each kernel writes
+		// row i of the reordered matrix to row RowPerm[i] of y.
+		dst := planRowMap(plan.RowPerm)
 		imb := rowImbalance(m, 32)
 		imbGPU := rowImbalance(m, 1024)
 		for _, k := range benchWidths {
@@ -143,11 +158,12 @@ func BenchmarkKernelCorpus(b *testing.B) {
 				kernel reorder.Kernel
 				fn     func() error
 			}
+			ctx := context.Background()
 			cands := []candidate{
-				{reorder.KernelRowWise, func() error { return SpMMRowWiseIntoCtx(context.Background(), y, m, x) }},
-				{reorder.KernelMerge, func() error { return SpMMMergeIntoCtx(context.Background(), y, m, x) }},
-				{reorder.KernelELLHybrid, func() error { return SpMMHybridIntoCtx(context.Background(), y, hyb, x) }},
-				{reorder.KernelASpT, func() error { return SpMMASpTIntoCtx(context.Background(), y, tl, x) }},
+				{reorder.KernelRowWise, func() error { return SpMMRowWiseIntoRowsCtx(ctx, y, dst, m, x) }},
+				{reorder.KernelMerge, func() error { return SpMMMergeIntoRowsCtx(ctx, y, dst, m, x) }},
+				{reorder.KernelELLHybrid, func() error { return SpMMHybridIntoRowsCtx(ctx, y, dst, hyb, x) }},
+				{reorder.KernelASpT, func() error { return SpMMASpTIntoRowsCtx(ctx, y, dst, tl, x) }},
 			}
 			// The pick runs last, so its line sees every kernel's time.
 			pick, last := slices.IndexFunc(cands, func(c candidate) bool { return c.kernel == plan.Kernel }), len(cands)-1

@@ -9,9 +9,9 @@ package kernels
 // kernel autotuner in internal/reorder). Pure ELL is the zero-spill
 // case of HYB, so it needs no entry point of its own.
 //
-// The kernel walks rows: for each row it passes spmmRow the row's slab
+// The kernel walks rows: for each row it passes spmmRun the row's slab
 // slots (slot s of row i at Cols/Vals[s*Rows+i], a run of stride
-// 4·Rows), then the row's spill entries (a run of stride
+// 4·Rows), then adds the row's spill entries (a run of stride
 // sizeof(sparse.Entry)). The slab stays slot-major because that is the
 // GPU's coalesced layout, which gpusim (ellpack.SimulateSpMMHybrid)
 // still models; on the CPU the row walk keeps each output row's
@@ -93,7 +93,11 @@ func runSpMMHybrid(j *job, lo, hi int) {
 		for se < len(spill) && int(spill[se].Row) == i {
 			se++
 		}
-		spmmRow(j.outRow(i), xd, slabRun(h.ELL, i), spillRun(spill[sp:se]))
+		yi := j.outRow(i)
+		spmmRun(yi, xd, slabRun(h.ELL, i), false)
+		if se > sp {
+			spmmRun(yi, xd, spillRun(spill[sp:se]), true)
+		}
 		sp = se
 	}
 }

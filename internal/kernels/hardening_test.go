@@ -13,6 +13,7 @@ import (
 	"repro/internal/ellpack"
 	"repro/internal/faultinject"
 	"repro/internal/par"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -109,7 +110,10 @@ func TestASpTKernelFaultInjection(t *testing.T) {
 // (tile or rest) or a HYB part (slab or spill), fails every SpMM kernel
 // and kernels.SpMMRow with a *par.PanicError instead of reading outside
 // X — in each strip width of every strip path, in the scalar tail, and
-// in a row's second run.
+// in a row's second run. The CSR and ASpT kernels walk a row range per
+// strip call, so their bad column also sits at both ends of the range:
+// the first pair of the first non-empty row and the last pair of the
+// last non-empty row.
 func TestSpMMBadColumnFails(t *testing.T) {
 	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
 	hub := m.Rows / 5
@@ -118,33 +122,45 @@ func TestSpMMBadColumnFails(t *testing.T) {
 		run  func(bad int32, y, x *dense.Matrix) error
 	}
 	ctx := context.Background()
+	csrCase := func(name string, at int, kernel func(context.Context, *dense.Matrix, *sparse.CSR, *dense.Matrix) error) corrupt {
+		return corrupt{name, func(bad int32, y, x *dense.Matrix) error {
+			s := m.Clone()
+			s.ColIdx[at] = bad
+			return kernel(ctx, y, s, x)
+		}}
+	}
+	// asptCase plants bad in the tile part (rest false) or the rest part at
+	// the position pick chooses among n pairs.
+	asptCase := func(name string, rest bool, pick func(n int) int) corrupt {
+		return corrupt{name, func(bad int32, y, x *dense.Matrix) error {
+			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
+			if err != nil {
+				return err
+			}
+			cols := tl.TileCol
+			if rest {
+				cols = tl.Rest.ColIdx
+			}
+			cols[pick(len(cols))] = bad
+			return SpMMASpTIntoCtx(ctx, y, tl, x)
+		}}
+	}
+	first := func(int) int { return 0 }
+	mid := func(n int) int { return n / 2 }
+	last := func(n int) int { return n - 1 }
 	cases := []corrupt{
-		{"rowwise", func(bad int32, y, x *dense.Matrix) error {
-			s := m.Clone()
-			s.ColIdx[s.RowPtr[hub+1]-1] = bad
-			return SpMMRowWiseIntoCtx(ctx, y, s, x)
-		}},
-		{"merge", func(bad int32, y, x *dense.Matrix) error {
-			s := m.Clone()
-			s.ColIdx[s.RowPtr[hub]+1] = bad
-			return SpMMMergeIntoCtx(ctx, y, s, x)
-		}},
-		{"aspt/tile", func(bad int32, y, x *dense.Matrix) error {
-			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
-			if err != nil {
-				return err
-			}
-			tl.TileCol[len(tl.TileCol)/2] = bad
-			return SpMMASpTIntoCtx(ctx, y, tl, x)
-		}},
-		{"aspt/rest", func(bad int32, y, x *dense.Matrix) error {
-			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
-			if err != nil {
-				return err
-			}
-			tl.Rest.ColIdx[len(tl.Rest.ColIdx)/2] = bad
-			return SpMMASpTIntoCtx(ctx, y, tl, x)
-		}},
+		csrCase("rowwise", int(m.RowPtr[hub+1])-1, SpMMRowWiseIntoCtx),
+		csrCase("rowwise/first", 0, SpMMRowWiseIntoCtx),
+		csrCase("rowwise/last", m.NNZ()-1, SpMMRowWiseIntoCtx),
+		csrCase("merge", int(m.RowPtr[hub])+1, SpMMMergeIntoCtx),
+		csrCase("merge/first", 0, SpMMMergeIntoCtx),
+		csrCase("merge/last", m.NNZ()-1, SpMMMergeIntoCtx),
+		asptCase("aspt/tile", false, mid),
+		asptCase("aspt/tile/first", false, first),
+		asptCase("aspt/tile/last", false, last),
+		asptCase("aspt/rest", true, mid),
+		asptCase("aspt/rest/first", true, first),
+		asptCase("aspt/rest/last", true, last),
 		{"hyb/slab", func(bad int32, y, x *dense.Matrix) error {
 			h, err := ellpack.FromCSRHybrid(m, 0)
 			if err != nil {
@@ -179,6 +195,69 @@ func TestSpMMBadColumnFails(t *testing.T) {
 					var pe *par.PanicError
 					if err := c.run(bad, y, x); !errors.As(err, &pe) {
 						t.Errorf("%s K=%d column %d: got %v, want *par.PanicError", c.name, k, bad, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSpMMBadRowPointerFails: the strip primitive follows a row pointer
+// that Go did not bounds-check, so it checks each row's span itself. A
+// row pointer that decreases, points past the pairs or is negative
+// fails the row-wise kernel and both ASpT parts with a *par.PanicError
+// instead of reading outside the operand, in the strip primitive
+// (K = 16), in the scalar tail alone (K = 3) and in both (K = 21), on
+// every strip path. Past each operand's pairs sits spare capacity of
+// valid pairs, so only the span check can catch a read there.
+func TestSpMMBadRowPointerFails(t *testing.T) {
+	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
+	hub := m.Rows / 5
+	ctx := context.Background()
+	spare := func(cols []int32, vals []float32) ([]int32, []float32) {
+		n := len(cols)
+		return append(cols[:n:n], make([]int32, 64)...)[:n], append(vals[:n:n], make([]float32, 64)...)[:n]
+	}
+	corrupt := map[string]func(rp []int32){
+		"decreasing":     func(rp []int32) { rp[hub+1] = rp[hub] - 1 },
+		"past the pairs": func(rp []int32) { rp[len(rp)-1]++ },
+		"negative":       func(rp []int32) { rp[hub] = -1 },
+	}
+	kernels := map[string]func(bad func([]int32), y, x *dense.Matrix) error{
+		"rowwise": func(bad func([]int32), y, x *dense.Matrix) error {
+			s := m.Clone()
+			s.ColIdx, s.Val = spare(s.ColIdx, s.Val)
+			bad(s.RowPtr)
+			return SpMMRowWiseIntoCtx(ctx, y, s, x)
+		},
+		"aspt/tile": func(bad func([]int32), y, x *dense.Matrix) error {
+			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
+			if err != nil {
+				return err
+			}
+			tl.TileCol, tl.TileVal = spare(tl.TileCol, tl.TileVal)
+			bad(tl.TileRowPtr)
+			return SpMMASpTIntoCtx(ctx, y, tl, x)
+		},
+		"aspt/rest": func(bad func([]int32), y, x *dense.Matrix) error {
+			tl, err := aspt.Build(m.Clone(), aspt.DefaultParams())
+			if err != nil {
+				return err
+			}
+			tl.Rest.ColIdx, tl.Rest.Val = spare(tl.Rest.ColIdx, tl.Rest.Val)
+			bad(tl.Rest.RowPtr)
+			return SpMMASpTIntoCtx(ctx, y, tl, x)
+		},
+	}
+	onStripPaths(t, func(t *testing.T) {
+		for _, k := range []int{3, 16, 21} {
+			x := dense.NewRandom(m.Cols, k, 1)
+			y := dense.New(m.Rows, k)
+			for cname, bad := range corrupt {
+				for kname, run := range kernels {
+					var pe *par.PanicError
+					if err := run(bad, y, x); !errors.As(err, &pe) {
+						t.Errorf("%s K=%d row pointer %s: got %v, want *par.PanicError", kname, k, cname, err)
 					}
 				}
 			}

@@ -6,16 +6,21 @@
 // sparse part) and must produce bit-identical structure and numerically
 // equal values.
 //
-// Every SpMM row loop goes through spmmRow, which feeds a row's nonzeros
-// as strided runs of (col, val) pairs to one strip primitive, addStrips,
-// for the first K&^3 output columns, and sums the last K%4 in Go. On
-// amd64 addStrips is assembly with two paths behind one entry point:
-// AVX2 (16-wide strips of two YMM lanes, then one 8-wide strip, then
-// the SSE 4-wide loop) when CPUID and XGETBV show AVX2 at start-up, and
-// SSE (16-, then 4-wide strips), the amd64 baseline, otherwise.
-// StripPath names the path. Elsewhere, and under the standard purego
-// build tag, addStrips is plain Go. Every SDDMM row goes through
-// SDDMMRow, one dot per nonzero in k order.
+// Every SpMM kernel computes its rows through spmmRows, which hands a
+// range of rows to one strip primitive, addRows, for the first K&^3
+// output columns, and sums the last K%4 in Go in one loop over the same
+// rows. Row i of the range is a span of a strided run of (col, val)
+// pairs given by a row pointer, written to output row dst[i]. Row-wise
+// makes one call per executor chunk, merge one for a chunk's owned
+// whole rows and ASpT two (tile, then rest). HYB's slab and spill,
+// merge's head fragments and cut rows, and SpMMRow use the one-row
+// form, spmmRun. On amd64 addRows is assembly with two paths behind one
+// entry point: AVX2 (16-wide strips of two YMM lanes, then one 8-wide
+// strip, then the SSE 4-wide loop) when CPUID and XGETBV show AVX2 at
+// start-up, and SSE (16-, then 4-wide strips), the amd64 baseline,
+// otherwise. StripPath names the path. Elsewhere, and under the
+// standard purego build tag, addRows is plain Go. Every SDDMM row goes
+// through SDDMMRow, one dot per nonzero in k order.
 //
 // One rounding contract holds on every GOARCH: each accumulator starts
 // at +0 and adds its products in a fixed order with a separate multiply
@@ -24,9 +29,11 @@
 // across an explicit conversion, so arm64 (which would otherwise emit
 // FMADD) rounds exactly as amd64 does. Blocking, vectorizing and the
 // choice of strip path therefore change no result bit on any target.
-// The primitive compares every column against X's row count, and a bad
-// column fails the call as a recovered *par.PanicError instead of
-// reading outside X.
+// The primitive checks every index it follows, each as an unsigned
+// compare: every column against X's row count, every output row dst[i]
+// against Y's, and each row's pair span against its run. A bad index
+// fails the call as a recovered *par.PanicError instead of reading or
+// writing outside the operands.
 //
 // The *IntoRowsCtx kernels take a row map: row i of the (reordered)
 // sparse operand is row dst[i] of the caller's output (and, for SDDMM,
@@ -164,19 +171,18 @@ func checkRowMap(dst []int32, rows int) error {
 	return nil
 }
 
+// runSpMMRowWise computes rows [lo, hi) of S·X in one strip call.
 func runSpMMRowWise(j *job, lo, hi int) {
-	s, xd := j.csr, j.x.Data
-	for i := lo; i < hi; i++ {
-		spmmRow(j.outRow(i), xd, sliceRun(s.RowCols(i), s.RowVals(i)), run{})
-	}
+	s := j.csr
+	spmmRows(j.y.Data, j.x.Data, j.x.Cols, j.dst, s.RowPtr, lo, hi, sliceRun(s.ColIdx, s.Val), false)
 }
 
 // SpMMRow computes one output row yi of S·X from the row's nonzeros
-// (cols, vals) with the kernels' row loop (spmmRow), for callers that
+// (cols, vals) with the kernels' row loop (spmmRun), for callers that
 // compute single rows outside a kernel pass, such as a live overlay. xd
 // is X's row-major data with len(yi) columns.
 func SpMMRow(yi, xd []float32, cols []int32, vals []float32) {
-	spmmRow(yi, xd, sliceRun(cols, vals), run{})
+	spmmRun(yi, xd, sliceRun(cols, vals), false)
 }
 
 // SpMMASpTIntoCtx computes Y = S·X from the ASpT representation into
@@ -218,13 +224,12 @@ func SpMMASpTIntoRowsCtx(ctx context.Context, y *dense.Matrix, dst []int32, t *a
 	return err
 }
 
-// runSpMMASpT sums each row's dense-tile part, then its leftover sparse
-// part, in one blocked row pass.
+// runSpMMASpT sums the rows' dense-tile parts, then adds their leftover
+// sparse parts, in two strip calls over the chunk.
 func runSpMMASpT(j *job, lo, hi int) {
-	t, xd := j.tile, j.x.Data
-	for i := lo; i < hi; i++ {
-		spmmRow(j.outRow(i), xd, sliceRun(t.TileRowCols(i), t.TileRowVals(i)), sliceRun(t.Rest.RowCols(i), t.Rest.RowVals(i)))
-	}
+	t, y, x := j.tile, j.y.Data, j.x
+	spmmRows(y, x.Data, x.Cols, j.dst, t.TileRowPtr, lo, hi, sliceRun(t.TileCol, t.TileVal), false)
+	spmmRows(y, x.Data, x.Cols, j.dst, t.Rest.RowPtr, lo, hi, sliceRun(t.Rest.ColIdx, t.Rest.Val), true)
 }
 
 func checkSDDMMShapes(s *sparse.CSR, x, y *dense.Matrix) error {

@@ -173,6 +173,7 @@ func rowOfNZ(rowPtr []int32, k int) int {
 func runSpMMMerge(j *job, lo, hi int) {
 	s, xd := j.csr, j.x.Data
 	k := j.x.Cols
+	pairs := sliceRun(s.ColIdx, s.Val)
 	for ci := lo; ci < hi; ci++ {
 		mc := j.mergeChunks[ci]
 		if r := mc.firstRow; int(s.RowPtr[r]) < mc.s {
@@ -180,15 +181,20 @@ func runSpMMMerge(j *job, lo, hi int) {
 			// sums go to this chunk's private carry slot, fixed up after
 			// the join.
 			end := min(int(s.RowPtr[r+1]), mc.e)
-			spmmRow(j.carryVal[ci*k:(ci+1)*k], xd, sliceRun(s.ColIdx[mc.s:end], s.Val[mc.s:end]), run{})
+			spmmRun(j.carryVal[ci*k:(ci+1)*k], xd, sliceRun(s.ColIdx[mc.s:end], s.Val[mc.s:end]), false)
 			j.carryRow[ci] = int32(r)
 		}
-		// Owned rows start at or after mc.s; a row running past mc.e is
-		// cut there (its tail is the next chunk's head fragment). Empty
-		// owned rows are written as zeros.
-		for r := mc.zLo; r < mc.zHi; r++ {
-			a, b := int(s.RowPtr[r]), min(int(s.RowPtr[r+1]), mc.e)
-			spmmRow(j.outRow(r), xd, sliceRun(s.ColIdx[a:b], s.Val[a:b]), run{})
+		// Owned rows start at or after mc.s and go in one strip call,
+		// empty ones written as zeros. Only the last can run past mc.e:
+		// it is cut there (its tail is the next chunk's head fragment).
+		whole := mc.zHi
+		if whole > mc.zLo && int(s.RowPtr[whole]) > mc.e {
+			whole--
+		}
+		spmmRows(j.y.Data, xd, k, j.dst, s.RowPtr, mc.zLo, whole, pairs, false)
+		if whole < mc.zHi {
+			a := int(s.RowPtr[whole])
+			spmmRun(j.outRow(whole), xd, sliceRun(s.ColIdx[a:mc.e], s.Val[a:mc.e]), false)
 		}
 	}
 }

@@ -366,6 +366,35 @@ func TestRowMapLengthChecked(t *testing.T) {
 	}
 }
 
+// TestRowMapRangeChecked plants a row-map entry outside y's rows, at
+// y.Rows and at -1, into every row-mapped SpMM kernel: each must fail
+// with a *par.PanicError on every strip path, at K = 3 (scalar tail
+// only), 4 and 16 (strip primitive only) and 21 (both), whether the
+// entry is the first row's, the hub's or the last row's.
+func TestRowMapRangeChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := oracleMatrix(rng, 40, 16)
+	cases := oracleCases(t, m)
+	onStripPaths(t, func(t *testing.T) {
+		for _, k := range []int{3, 4, 16, 21} {
+			x := dense.NewRandom(m.Cols, k, 1)
+			y := dense.New(m.Rows, k)
+			for _, at := range []int{0, m.Rows / 5, m.Rows - 1} {
+				for _, bad := range []int32{int32(m.Rows), -1} {
+					dst := randomRowMap(rng, m.Rows)
+					dst[at] = bad
+					for _, c := range cases {
+						var pe *par.PanicError
+						if err := c.run(context.Background(), y, dst, x); !errors.As(err, &pe) {
+							t.Errorf("%s K=%d row %d mapped to %d: got %v, want *par.PanicError", c.name, k, at, bad, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestSDDMMRowMapChecksOutput: the row-mapped SDDMM rejects a short row
 // map, an in-place write over S, and an output of another structure,
 // and an output whose row segments do not match S's rows under the map

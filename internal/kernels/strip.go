@@ -8,18 +8,21 @@ import (
 	"repro/internal/sparse"
 )
 
-// errBadColumn is the panic value of a row loop that meets a column
-// index outside X's rows: a corrupt plan, which validation should have
-// rejected. The executor recovers it into a *par.PanicError, so the call
-// fails without reading outside X.
-var errBadColumn = errors.New("kernels: column index out of range of X")
+// errBadIndex is the panic value of a row loop that meets an index the
+// strip primitive refuses: a column outside X's rows, an output row
+// outside Y's rows, or a row's pairs outside its arrays. Each is a
+// corrupt plan or row map that validation should have rejected. The
+// executor recovers it into a *par.PanicError, so the call fails
+// without reading or writing outside its operands.
+var errBadIndex = errors.New("kernels: column, output row or row pointer out of range")
 
-// run is a strided run of one row's (col, val) pairs: pair j is the
-// int32 at cols+j·stride bytes and the float32 at vals+j·stride bytes.
-// One shape covers every format the SpMM kernels read: CSR slices
-// (stride 4), HYB's slot-major slab (stride 4·Rows) and HYB's COO spill
-// (stride sizeof(sparse.Entry)). The constructors check that every pair
-// lies inside its arrays; the zero run is empty.
+// run is a strided run of (col, val) pairs: pair j is the int32 at
+// cols+j·stride bytes and the float32 at vals+j·stride bytes. It holds
+// one row's pairs, or a whole operand's that a row pointer splits into
+// rows (see spmmRows). One shape covers every format the SpMM kernels
+// read: CSR arrays (stride 4), HYB's slot-major slab (stride 4·Rows)
+// and HYB's COO spill (stride sizeof(sparse.Entry)). The constructors
+// check that every pair lies inside its arrays; the zero run is empty.
 type run struct {
 	cols      *int32
 	vals      *float32
@@ -59,41 +62,71 @@ func (r run) at(j int) (int32, float32) {
 		*(*float32)(unsafe.Add(unsafe.Pointer(r.vals), o))
 }
 
-// spmmRow computes one output row of S·X, yi[k] = Σ v·X[c][k], over the
-// row's nonzeros given as two runs summed in order: the whole CSR row
-// (second run empty) for row-wise and merge, the dense-tile part then
-// the leftover part for ASpT, the slab slots then the spill entries for
-// HYB. xd is X's row-major data with len(yi) columns.
+// spmmRows computes rows [lo, hi) of S·X into yd, the row-major
+// k-column output: row i of S holds the pairs [rowptr[i], rowptr[i+1])
+// of the run p and is written to output row dst[i], or row i when dst
+// is nil. xd is X's row-major data with k columns. With accum set, each
+// output element continues from its stored value instead of +0, which
+// is how a row given as two runs (ASpT's tile then rest, HYB's slab
+// then spill) sums them into one accumulator.
 //
-// The first K&^3 columns go through addStrips, the register-blocked
-// strip primitive: AVX2 or SSE assembly on amd64, plain Go elsewhere
-// (and under the purego tag). The last K%4 columns run one scalar accumulator each.
-// Every element starts at +0 and adds its products, each rounded to
-// float32 before the add (never fused), in nonzero order, run by run, so
-// the result is bit-identical to Alg 1's unblocked
-// yi[k] += v·X[c][k] loop (TestSpMMKernelsMatchOracle). A column outside
-// X's rows panics with errBadColumn, or with the scalar tail's index
-// error.
-func spmmRow(yi, xd []float32, r0, r1 run) {
-	k := len(yi)
+// The first K&^3 columns of every row go through one call of addRows,
+// the register-blocked strip primitive: AVX2 or SSE assembly on amd64,
+// plain Go elsewhere (and under the purego tag). The last K%4 columns
+// run after it, one loop over the same rows with one scalar accumulator
+// per column. Every element starts at +0 and adds its products, each
+// rounded to float32 before the add (never fused), in pair order, so
+// the result is bit-identical to Alg 1's unblocked yi[k] += v·X[c][k]
+// loop (TestSpMMKernelsMatchOracle). An index out of range panics with
+// errBadIndex, or with the scalar tail's index error.
+func spmmRows(yd, xd []float32, k int, dst, rowptr []int32, lo, hi int, p run, accum bool) {
+	if k == 0 {
+		return
+	}
+	// addRows reads rowptr[lo..hi] and dst[lo..hi-1] without bounds checks.
+	_ = rowptr[lo : hi+1]
+	if dst != nil {
+		_ = dst[lo:hi]
+	}
 	k4 := k &^ 3
-	if k4 > 0 {
-		y, x, xrows := &yi[0], unsafe.SliceData(xd), len(xd)/k
-		if !addStrips(y, x, k, xrows, r0.cols, r0.vals, r0.n, r0.stride, false) ||
-			r1.n > 0 && !addStrips(y, x, k, xrows, r1.cols, r1.vals, r1.n, r1.stride, true) {
-			panic(errBadColumn)
+	if k4 > 0 && !addRows(unsafe.SliceData(yd), unsafe.SliceData(dst), len(yd)/k,
+		unsafe.SliceData(rowptr), lo, hi, p.cols, p.vals, p.n, p.stride,
+		unsafe.SliceData(xd), k, len(xd)/k, accum) {
+		panic(errBadIndex)
+	}
+	if k4 == k {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		a, b := int(rowptr[i]), int(rowptr[i+1])
+		if uint(b) > uint(p.n) || uint(a) > uint(b) {
+			panic(errBadIndex)
+		}
+		r := i
+		if dst != nil {
+			r = int(dst[i])
+		}
+		yi := yd[r*k : r*k+k]
+		for off := k4; off < k; off++ {
+			var acc float32
+			if accum {
+				acc = yi[off]
+			}
+			for j := a; j < b; j++ {
+				c, v := p.at(j)
+				acc += float32(v * xd[int(c)*k+off])
+			}
+			yi[off] = acc
 		}
 	}
-	for off := k4; off < k; off++ {
-		var a float32
-		for j := 0; j < r0.n; j++ {
-			c, v := r0.at(j)
-			a += float32(v * xd[int(c)*k+off])
-		}
-		for j := 0; j < r1.n; j++ {
-			c, v := r1.at(j)
-			a += float32(v * xd[int(c)*k+off])
-		}
-		yi[off] = a
-	}
+}
+
+// spmmRun computes one output row yi of S·X from the run r: spmmRows
+// over a single row whose pairs are the whole run. It serves the row
+// loops whose rows have no row pointer into one run (HYB's slab slots
+// and spill entries), single rows outside a kernel pass (SpMMRow) and
+// the merge kernel's fragments of a row.
+func spmmRun(yi, xd []float32, r run, accum bool) {
+	ptr := [2]int32{0, int32(r.n)}
+	spmmRows(yi, xd, len(yi), nil, ptr[:], 0, 1, r, accum)
 }

@@ -2,43 +2,92 @@
 
 #include "textflag.h"
 
-// func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, stride int, accum bool) (ok bool)
-//
-// Registers: DI output strip, SI X strip (X + strip offset), R9 bytes
-// per X row, R10 xrows, R11 cols, R12 vals-cols (so a pair's value sits
-// at its col's address + R12), R13 n, R14 stride, CX strips left,
-// R8 pair cursor, DX pairs left, BX column byte offset, X4/Y4 broadcast
-// value, X0-X3/Y0-Y1 lanes, X5-X8/Y5-Y6 products.
-//
-// The AVX2 path (useAVX2 set) walks the run once per 16-column strip
-// with two YMM lanes and once more for an 8-column strip when
-// K&15 >= 8. It then clears the upper YMM halves with VZEROUPPER, on
-// the bad-column exit too, and finishes a last 4-column strip
-// (K&4) in the SSE path's strip4 loop. The SSE path walks the run once
-// per 16-column strip with four XMM lanes and then once per remaining
-// 4-column strip. Both multiply with (V)MULPS and add with (V)ADDPS,
-// never FMA, so each lane's sum is the same bit for bit.
-TEXT ·addStrips(SB), NOSPLIT, $0-73
-	MOVQ y+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ k+16(FP), R9
-	SHLQ $2, R9
-	MOVQ xrows+24(FP), R10
-	MOVQ cols+32(FP), R11
-	MOVQ vals+40(FP), R12
-	SUBQ R11, R12
-	MOVQ n+48(FP), R13
-	MOVQ stride+56(FP), R14
+// Registers: AX row, R11 the row's first pair, R13 its pair count,
+// DI output strip, SI X strip (X + strip offset), R9 bytes per X and
+// output row, R10 xrows, R12 vals-cols (so a pair's value sits at its
+// col's address + R12), R14 stride, CX strips left, R8 pair cursor,
+// DX pairs left, BX column byte offset, X4/Y4 broadcast value,
+// X0-X3/Y0-Y1 lanes, X5-X8/Y5-Y6 products.
 
-	CMPB ·useAVX2(SB), $0
-	JNE  avx2
+// WALK(empty) starts a strip's walk over the row's pairs; an empty row
+// goes straight to the strip's store.
+#define WALK(empty) \
+	MOVQ  R11, R8; \
+	MOVQ  R13, DX; \
+	TESTQ DX, DX; \
+	JZ    empty
+
+// COLUMN(bad) loads the column of the pair at R8, checks it, unsigned,
+// below xrows, and leaves its X row's byte offset in BX.
+#define COLUMN(bad) \
+	MOVLQSX (R8), BX; \
+	CMPQ    BX, R10; \
+	JAE     bad; \
+	IMULQ   R9, BX
+
+// NEXT(loop) steps to the next pair and loops while pairs are left.
+#define NEXT(loop) \
+	ADDQ R14, R8; \
+	DECQ DX; \
+	JNZ  loop
+
+// func addRows(y *float32, dst *int32, yrows int, rowptr *int32, lo, hi int, cols *int32, vals *float32, npairs, stride int, x *float32, k, xrows int, accum bool) (ok bool)
+//
+// For each row i in [lo, hi) it checks the row's pair range
+// [rowptr[i], rowptr[i+1]), unsigned, inside [0, npairs] and its output
+// row dst[i] (i for a nil dst), unsigned, below yrows, and then walks
+// the row once per strip. The AVX2 path (useAVX2 set) walks 16-column
+// strips with two YMM lanes and one 8-column strip when K&15 >= 8,
+// clears the upper YMM halves with VZEROUPPER, on the bad-index exit
+// too, and finishes a last 4-column strip (K&4) in the SSE path's
+// strip4 loop. The SSE path walks 16-column strips with four XMM lanes
+// and then each remaining 4-column strip. Both multiply with (V)MULPS
+// and add with (V)ADDPS, never FMA, so each lane's sum is the same bit
+// for bit.
+TEXT ·addRows(SB), NOSPLIT, $0-113
+	MOVQ k+88(FP), R9
+	SHLQ $2, R9
+	MOVQ xrows+96(FP), R10
+	MOVQ vals+56(FP), R12
+	SUBQ cols+48(FP), R12
+	MOVQ stride+72(FP), R14
+	MOVQ lo+32(FP), AX
+
+row:
+	CMPQ AX, hi+40(FP)
+	JGE  done
+	MOVQ    rowptr+24(FP), BX
+	MOVLQSX (BX)(AX*4), R11
+	MOVLQSX 4(BX)(AX*4), R13
+	CMPQ    R13, npairs+64(FP)
+	JA      bad
+	CMPQ    R11, R13
+	JA      bad
+	SUBQ    R11, R13
+	IMULQ   R14, R11
+	ADDQ    cols+48(FP), R11
+	MOVQ    AX, BX
+	MOVQ    dst+8(FP), DI
+	TESTQ   DI, DI
+	JZ      out
+	MOVLQSX (DI)(AX*4), BX
+
+out:
+	CMPQ  BX, yrows+16(FP)
+	JAE   bad
+	IMULQ R9, BX
+	MOVQ  y+0(FP), DI
+	ADDQ  BX, DI
+	MOVQ  x+80(FP), SI
+	CMPB  ·useAVX2(SB), $0
+	JNE   yrow
 
 	MOVQ R9, CX
 	SHRQ $6, CX
 	JZ   quads
 
 strip16:
-	CMPB accum+64(FP), $0
+	CMPB accum+104(FP), $0
 	JEQ  zero16
 	MOVUPS 0(DI), X0
 	MOVUPS 16(DI), X1
@@ -53,33 +102,25 @@ zero16:
 	XORPS X3, X3
 
 walk16:
-	MOVQ  R11, R8
-	MOVQ  R13, DX
-	TESTQ DX, DX
-	JLE   store16
+	WALK(store16)
 
 pair16:
-	MOVLQSX (R8), BX
-	CMPQ    BX, R10
-	JAE     bad
-	IMULQ   R9, BX
-	MOVSS   (R8)(R12*1), X4
-	SHUFPS  $0x00, X4, X4
-	MOVUPS  0(SI)(BX*1), X5
-	MULPS   X4, X5
-	ADDPS   X5, X0
-	MOVUPS  16(SI)(BX*1), X6
-	MULPS   X4, X6
-	ADDPS   X6, X1
-	MOVUPS  32(SI)(BX*1), X7
-	MULPS   X4, X7
-	ADDPS   X7, X2
-	MOVUPS  48(SI)(BX*1), X8
-	MULPS   X4, X8
-	ADDPS   X8, X3
-	ADDQ    R14, R8
-	DECQ    DX
-	JNZ     pair16
+	COLUMN(bad)
+	MOVSS  (R8)(R12*1), X4
+	SHUFPS $0x00, X4, X4
+	MOVUPS 0(SI)(BX*1), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+	MOVUPS 16(SI)(BX*1), X6
+	MULPS  X4, X6
+	ADDPS  X6, X1
+	MOVUPS 32(SI)(BX*1), X7
+	MULPS  X4, X7
+	ADDPS  X7, X2
+	MOVUPS 48(SI)(BX*1), X8
+	MULPS  X4, X8
+	ADDPS  X8, X3
+	NEXT(pair16)
 
 store16:
 	MOVUPS X0, 0(DI)
@@ -95,10 +136,10 @@ quads:
 	MOVQ R9, CX
 	ANDQ $63, CX
 	SHRQ $4, CX
-	JZ   done
+	JZ   nextrow
 
 strip4:
-	CMPB accum+64(FP), $0
+	CMPB accum+104(FP), $0
 	JEQ  zero4
 	MOVUPS 0(DI), X0
 	JMP  walk4
@@ -107,24 +148,16 @@ zero4:
 	XORPS X0, X0
 
 walk4:
-	MOVQ  R11, R8
-	MOVQ  R13, DX
-	TESTQ DX, DX
-	JLE   store4
+	WALK(store4)
 
 pair4:
-	MOVLQSX (R8), BX
-	CMPQ    BX, R10
-	JAE     bad
-	IMULQ   R9, BX
-	MOVSS   (R8)(R12*1), X4
-	SHUFPS  $0x00, X4, X4
-	MOVUPS  0(SI)(BX*1), X5
-	MULPS   X4, X5
-	ADDPS   X5, X0
-	ADDQ    R14, R8
-	DECQ    DX
-	JNZ     pair4
+	COLUMN(bad)
+	MOVSS  (R8)(R12*1), X4
+	SHUFPS $0x00, X4, X4
+	MOVUPS 0(SI)(BX*1), X5
+	MULPS  X4, X5
+	ADDPS  X5, X0
+	NEXT(pair4)
 
 store4:
 	MOVUPS X0, 0(DI)
@@ -133,21 +166,25 @@ store4:
 	DECQ   CX
 	JNZ    strip4
 
+nextrow:
+	INCQ AX
+	JMP  row
+
 done:
-	MOVB $1, ok+72(FP)
+	MOVB $1, ok+112(FP)
 	RET
 
 bad:
-	MOVB $0, ok+72(FP)
+	MOVB $0, ok+112(FP)
 	RET
 
-avx2:
+yrow:
 	MOVQ R9, CX
 	SHRQ $6, CX
 	JZ   ystrip8
 
 ystrip16:
-	CMPB accum+64(FP), $0
+	CMPB accum+104(FP), $0
 	JEQ  yzero16
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
@@ -158,24 +195,16 @@ yzero16:
 	VXORPS Y1, Y1, Y1
 
 ywalk16:
-	MOVQ  R11, R8
-	MOVQ  R13, DX
-	TESTQ DX, DX
-	JLE   ystore16
+	WALK(ystore16)
 
 ypair16:
-	MOVLQSX      (R8), BX
-	CMPQ         BX, R10
-	JAE          ybad
-	IMULQ        R9, BX
+	COLUMN(ybad)
 	VBROADCASTSS (R8)(R12*1), Y4
 	VMULPS       0(SI)(BX*1), Y4, Y5
 	VADDPS       Y5, Y0, Y0
 	VMULPS       32(SI)(BX*1), Y4, Y6
 	VADDPS       Y6, Y1, Y1
-	ADDQ         R14, R8
-	DECQ         DX
-	JNZ          ypair16
+	NEXT(ypair16)
 
 ystore16:
 	VMOVUPS Y0, 0(DI)
@@ -188,7 +217,7 @@ ystore16:
 ystrip8:
 	TESTQ $32, R9
 	JZ    ystrip4
-	CMPB  accum+64(FP), $0
+	CMPB  accum+104(FP), $0
 	JEQ   yzero8
 	VMOVUPS 0(DI), Y0
 	JMP   ywalk8
@@ -197,22 +226,14 @@ yzero8:
 	VXORPS Y0, Y0, Y0
 
 ywalk8:
-	MOVQ  R11, R8
-	MOVQ  R13, DX
-	TESTQ DX, DX
-	JLE   ystore8
+	WALK(ystore8)
 
 ypair8:
-	MOVLQSX      (R8), BX
-	CMPQ         BX, R10
-	JAE          ybad
-	IMULQ        R9, BX
+	COLUMN(ybad)
 	VBROADCASTSS (R8)(R12*1), Y4
 	VMULPS       0(SI)(BX*1), Y4, Y5
 	VADDPS       Y5, Y0, Y0
-	ADDQ         R14, R8
-	DECQ         DX
-	JNZ          ypair8
+	NEXT(ypair8)
 
 ystore8:
 	VMOVUPS Y0, 0(DI)
@@ -225,7 +246,7 @@ ystrip4:
 	ANDQ $16, CX
 	SHRQ $4, CX
 	JNZ  strip4
-	JMP  done
+	JMP  nextrow
 
 ybad:
 	VZEROUPPER

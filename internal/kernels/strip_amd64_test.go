@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// stripPaths lists the paths of addStrips this CPU can run: "avx2" when
+// stripPaths lists the paths of addRows this CPU can run: "avx2" when
 // it has AVX2, and always "sse".
 func stripPaths() []string {
 	if hasAVX2() {
@@ -19,7 +19,7 @@ func stripPaths() []string {
 	return []string{"sse"}
 }
 
-// forceStripPath makes addStrips run on path until the returned func
+// forceStripPath makes addRows run on path until the returned func
 // restores the path chosen at start-up.
 func forceStripPath(path string) (restore func()) {
 	old := useAVX2

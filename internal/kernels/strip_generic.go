@@ -9,60 +9,80 @@ import "unsafe"
 // build tag.
 func StripPath() string { return "purego" }
 
-// addStrips is the portable form of the strip primitive (see
-// strip_amd64.go): the same per-lane sums in the same order, blocked in
-// strips of 8, then 4, columns. Each product is converted to float32
-// before the add: the Go spec lets a compiler fuse x*y+z into one FMA
-// (arm64, ppc64 and s390x do) but never across an explicit conversion,
-// so every target rounds the product as SSE's MULPS does.
-func addStrips(y, x *float32, k, xrows int, cols *int32, vals *float32, n, stride int, accum bool) (ok bool) {
+// addRows is the portable form of the strip primitive (see
+// strip_amd64.go): the same index checks and the same per-lane sums in
+// the same order, blocked in strips of 8, then 4, columns. Each product
+// is converted to float32 before the add: the Go spec lets a compiler
+// fuse x*y+z into one FMA (arm64, ppc64 and s390x do) but never across
+// an explicit conversion, so every target rounds the product as SSE's
+// MULPS does.
+func addRows(y *float32, dst *int32, yrows int, rowptr *int32, lo, hi int, cols *int32, vals *float32, npairs, stride int, x *float32, k, xrows int, accum bool) (ok bool) {
 	k4 := k &^ 3
-	yd, xd := unsafe.Slice(y, k4), unsafe.Slice(x, xrows*k)
-	r := run{cols, vals, n, stride}
-	for j := 0; j < n; j++ {
-		if c, _ := r.at(j); uint(c) >= uint(xrows) {
+	yd, xd := unsafe.Slice(y, yrows*k), unsafe.Slice(x, xrows*k)
+	ptr := unsafe.Slice(rowptr, hi+1)
+	var dm []int32
+	if dst != nil {
+		dm = unsafe.Slice(dst, hi)
+	}
+	p := run{cols, vals, npairs, stride}
+	for i := lo; i < hi; i++ {
+		a, b := int(ptr[i]), int(ptr[i+1])
+		if uint(b) > uint(npairs) || uint(a) > uint(b) {
 			return false
 		}
-	}
-	off := 0
-	for ; off+8 <= k4; off += 8 {
-		yo := yd[off : off+8 : off+8]
-		var a0, a1, a2, a3, a4, a5, a6, a7 float32
-		if accum {
-			a0, a1, a2, a3, a4, a5, a6, a7 = yo[0], yo[1], yo[2], yo[3], yo[4], yo[5], yo[6], yo[7]
+		r := i
+		if dm != nil {
+			r = int(dm[i])
 		}
-		for j := 0; j < n; j++ {
-			c, v := r.at(j)
-			o := int(c)*k + off
-			xr := xd[o : o+8 : o+8]
-			a0 += float32(v * xr[0])
-			a1 += float32(v * xr[1])
-			a2 += float32(v * xr[2])
-			a3 += float32(v * xr[3])
-			a4 += float32(v * xr[4])
-			a5 += float32(v * xr[5])
-			a6 += float32(v * xr[6])
-			a7 += float32(v * xr[7])
+		if uint(r) >= uint(yrows) {
+			return false
 		}
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
-		yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
-	}
-	if off < k4 {
-		yo := yd[off : off+4 : off+4]
-		var a0, a1, a2, a3 float32
-		if accum {
-			a0, a1, a2, a3 = yo[0], yo[1], yo[2], yo[3]
+		for j := a; j < b; j++ {
+			if c, _ := p.at(j); uint(c) >= uint(xrows) {
+				return false
+			}
 		}
-		for j := 0; j < n; j++ {
-			c, v := r.at(j)
-			o := int(c)*k + off
-			xr := xd[o : o+4 : o+4]
-			a0 += float32(v * xr[0])
-			a1 += float32(v * xr[1])
-			a2 += float32(v * xr[2])
-			a3 += float32(v * xr[3])
+		yr := yd[r*k : r*k+k4]
+		off := 0
+		for ; off+8 <= k4; off += 8 {
+			yo := yr[off : off+8 : off+8]
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			if accum {
+				a0, a1, a2, a3, a4, a5, a6, a7 = yo[0], yo[1], yo[2], yo[3], yo[4], yo[5], yo[6], yo[7]
+			}
+			for j := a; j < b; j++ {
+				c, v := p.at(j)
+				o := int(c)*k + off
+				xr := xd[o : o+8 : o+8]
+				a0 += float32(v * xr[0])
+				a1 += float32(v * xr[1])
+				a2 += float32(v * xr[2])
+				a3 += float32(v * xr[3])
+				a4 += float32(v * xr[4])
+				a5 += float32(v * xr[5])
+				a6 += float32(v * xr[6])
+				a7 += float32(v * xr[7])
+			}
+			yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+			yo[4], yo[5], yo[6], yo[7] = a4, a5, a6, a7
 		}
-		yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+		if off < k4 {
+			yo := yr[off : off+4 : off+4]
+			var a0, a1, a2, a3 float32
+			if accum {
+				a0, a1, a2, a3 = yo[0], yo[1], yo[2], yo[3]
+			}
+			for j := a; j < b; j++ {
+				c, v := p.at(j)
+				o := int(c)*k + off
+				xr := xd[o : o+4 : o+4]
+				a0 += float32(v * xr[0])
+				a1 += float32(v * xr[1])
+				a2 += float32(v * xr[2])
+				a3 += float32(v * xr[3])
+			}
+			yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+		}
 	}
 	return true
 }

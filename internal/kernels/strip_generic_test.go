@@ -2,7 +2,7 @@
 
 package kernels
 
-// stripPaths lists the paths of addStrips: the pure-Go strip only.
+// stripPaths lists the paths of addRows: the pure-Go strip only.
 func stripPaths() []string { return []string{"purego"} }
 
 // forceStripPath is a no-op: the pure-Go strip has one path.
