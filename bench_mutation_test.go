@@ -11,7 +11,7 @@ import (
 )
 
 // Live-mutation benches: the cost model behind the overlay design.
-// `make bench-mutation` converts the output to BENCH_mutation.json.
+// Run with `go test -run '^$' -bench Mutation .`.
 //
 // BenchmarkMutationOverlayServe measures the serving overhead of the
 // row overlay: the same SpMM through a clean live pipeline (overlay0 —

@@ -13,8 +13,7 @@ import (
 
 // Serving-layer bench: aggregate throughput of effK concurrent K=1 SpMM
 // requests through the full Server stack, with and without request
-// coalescing. `make bench-serving` converts the output to
-// BENCH_serving.json.
+// coalescing. Run with `go test -run '^$' -bench ServingEffectiveK .`.
 //
 // Both variants run the same workload — effK clients, each one K=1
 // request per round — so bytes/op is identical and MB/s compares

@@ -115,16 +115,11 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		SIMD:        kernels.StripPath(),
 		SLO:         t.slo.status(),
 	}
-	cfg := st.baseCfg()
 	var plan *Plan
 	if o := st.online; o != nil {
 		ex.Mode = "online"
-		served, variant := o.current(), plancache.NR
-		if served == o.rr.Load() {
-			variant = plancache.Full
-		}
-		plan = served.plan
-		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, variant)
+		plan = o.current().plan
+		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, plan.Cfg)
 		done, won := o.Decided()
 		rrT, nrT := o.TrialTimes()
 		deg, derr := o.Degraded()
@@ -145,7 +140,7 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		// identifies the fused base matrix (what plan_swap events
 		// carry), the features/kernel sections report panel 0 with the
 		// full layout in Panels.
-		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, cfg, plancache.Full)
+		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, st.baseCfg())
 		plan = sp.panels[0].pipe.plan
 		ex.Panels = make([]PanelExplain, sp.Panels())
 		for i := range ex.Panels {

@@ -11,7 +11,7 @@ import (
 
 // TestIntoZeroAllocsAfterWarmup pins every *Into kernel to exactly zero
 // steady-state allocations — the regression test behind the
-// BENCH_kernels.json numbers. The earlier lenient bound (< 2) let the
+// BenchmarkKernelCorpus numbers. The earlier lenient bound (< 2) let the
 // bench harness's missing warmup masquerade as a hot-path leak: with
 // -benchtime 1x the merge kernel reported 10 allocs/op that were all
 // first-call pool misses (job struct, merge chunk and carry slabs).

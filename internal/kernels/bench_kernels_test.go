@@ -22,7 +22,7 @@ import (
 // plan (whose dense tiles are ASpT's regime) — at the widths a server
 // sees (K = 1, 4, 16), at K = 8 and 12 (where the AVX2 strip walks a
 // row once or twice and SSE's two or three times) and at K = 64.
-// `make bench-kernels` converts the output to BENCH_kernels.json; the
+// Run with `go test -run '^$' -bench KernelCorpus ./internal/kernels`; the
 // autotuner thresholds in internal/reorder/autotune.go are checked
 // against these numbers (see DESIGN.md §12).
 //
@@ -180,7 +180,7 @@ func BenchmarkKernelCorpus(b *testing.B) {
 					// state*, and without this warmup a -benchtime 1x
 					// smoke run reports the first call's one-time pool
 					// misses as if the hot path allocated
-					// (BENCH_kernels.json once showed the merge kernel at
+					// (the corpus once showed the merge kernel at
 					// 10 allocs/op this way).
 					for i := 0; i < 2; i++ {
 						if err := c.fn(); err != nil {

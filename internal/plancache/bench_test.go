@@ -32,7 +32,7 @@ func BenchmarkCacheHitSameValues(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(m, cfg, Full); !ok {
+		if _, ok := c.Get(m, cfg); !ok {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkCacheHitNewValues(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(m2, cfg, Full); !ok {
+		if _, ok := c.Get(m2, cfg); !ok {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkCacheMissFingerprint(b *testing.B) {
 	cfg := reorder.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(m, cfg, Full); ok {
+		if _, ok := c.Get(m, cfg); ok {
 			b.Fatal("unexpected hit")
 		}
 	}

@@ -9,14 +9,18 @@
 // The cache is keyed by a 128-bit structural fingerprint hashed over
 // shape, RowPtr, ColIdx and the semantic preprocessing configuration
 // (worker-count knobs are normalised away: they change how fast a plan
-// is computed, not which plan). On a hit with identical values the
-// cached *reorder.Plan is returned as-is; on a hit with different
-// values the plan is "re-skinned" by reorder.Plan.WithValues: the
-// structural decisions and every structure array are shared, and only
-// the three value arrays (reordered matrix, dense tiles, leftover CSR)
-// are refilled from the new matrix in one O(nnz) row walk with no LSH,
-// clustering, or tiling work. Entries are evicted least-recently-used,
-// bounding memory.
+// is computed, not which plan). That configuration includes Disable, so
+// the no-reordering (ASpT-NR) plan of a structure is simply the one
+// keyed by a Config with Disable set, and every plan the cache returns
+// carries its own key's Config in Plan.Cfg.
+//
+// On a hit with identical values the cached *reorder.Plan is returned
+// as-is; on a hit with different values the plan is "re-skinned" by
+// reorder.Plan.WithValues: the structural decisions and every structure
+// array are shared, and only the three value arrays (reordered matrix,
+// dense tiles, leftover CSR) are refilled from the new matrix in one
+// O(nnz) row walk with no LSH, clustering, or tiling work. Entries are
+// evicted least-recently-used, bounding memory.
 package plancache
 
 import (
@@ -137,26 +141,10 @@ func configSignature(cfg reorder.Config) string {
 	return fmt.Sprintf("%v", cfg)
 }
 
-// Variant names which preprocessing workflow produced a plan. The full
-// Fig-5 workflow and the no-reordering (ASpT-NR) baseline yield
-// different plans for the same structure and configuration — an online
-// pipeline caches both — so the variant is part of the cache key.
-type Variant uint64
-
-const (
-	// Full is the complete workflow: both reordering rounds, skip
-	// heuristics, and tiling (reorder.Preprocess).
-	Full Variant = 1
-	// NR is the no-reordering ASpT baseline (reorder.PreprocessNR).
-	NR Variant = 2
-)
-
 // fingerprint hashes everything that determines a plan: shape, the two
-// structure arrays, the semantic configuration, and the workflow
-// variant.
-func fingerprint(m *sparse.CSR, cfg reorder.Config, v Variant) key {
+// structure arrays, and the semantic configuration.
+func fingerprint(m *sparse.CSR, cfg reorder.Config) key {
 	d := newDigest()
-	d.word(uint64(v))
 	d.word(uint64(m.Rows))
 	d.word(uint64(m.Cols))
 	d.int32s(m.RowPtr)
@@ -165,15 +153,15 @@ func fingerprint(m *sparse.CSR, cfg reorder.Config, v Variant) key {
 	return key(d)
 }
 
-// Fingerprint renders the cache key of (matrix, config, variant) as
+// Fingerprint renders the cache key of (matrix, config) as
 // the 32-hex-digit string used in snapshot file names. It is the
 // stable plan identity that decision events and /debug/explain carry:
 // two tenants (or two points in time) serving the same fingerprint are
 // provably executing the same plan. O(nnz) — cheap next to any build,
 // but callers on serving paths should compute it once and cache the
 // string.
-func Fingerprint(m *sparse.CSR, cfg reorder.Config, v Variant) string {
-	k := fingerprint(m, cfg, v)
+func Fingerprint(m *sparse.CSR, cfg reorder.Config) string {
+	k := fingerprint(m, cfg)
 	return fmt.Sprintf("%016x%016x", k[0], k[1])
 }
 
@@ -286,8 +274,8 @@ func (c *Cache) Dir() string {
 }
 
 // planFileName is the content-addressed snapshot name for a cache key;
-// the fingerprint already folds in structure, configuration, and
-// workflow variant, so distinct plans never collide on a name.
+// the fingerprint already folds in structure and configuration (Disable
+// included), so distinct plans never collide on a name.
 func planFileName(k key) string {
 	return fmt.Sprintf("%016x%016x.plan", k[0], k[1])
 }
@@ -343,7 +331,7 @@ func (c *Cache) Snapshot() (int, error) {
 // a plan that no longer matches m — is a silent miss: the caller
 // recomputes from scratch, so a damaged snapshot can degrade only
 // startup latency, never correctness.
-func (c *Cache) diskLoad(dir string, k key, m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.Plan, bool) {
+func (c *Cache) diskLoad(dir string, k key, m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, bool) {
 	bump := func(hit bool) {
 		c.mu.Lock()
 		if hit {
@@ -367,7 +355,7 @@ func (c *Cache) diskLoad(dir string, k key, m *sparse.CSR, cfg reorder.Config, v
 		bump(false)
 		return nil, false
 	}
-	c.Put(m, cfg, v, plan)
+	c.Put(m, cfg, plan)
 	bump(true)
 	return plan, true
 }
@@ -391,14 +379,14 @@ func (c *Cache) Purge() {
 // hit. Get performs no signature, clustering, or tiling work: a hit
 // costs one O(nnz) hash (plus the O(nnz) value walk of
 // reorder.Plan.WithValues when m's values differ from the cached ones).
-func (c *Cache) Get(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.Plan, bool) {
-	p, tier := c.GetTier(m, cfg, v)
+func (c *Cache) Get(m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, bool) {
+	p, tier := c.GetTier(m, cfg)
 	return p, tier != TierMiss
 }
 
 // GetTier is Get reporting which tier satisfied the lookup, so callers
 // (traces, metrics) can distinguish a memory hit from a disk reload.
-func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.Plan, Tier) {
+func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, Tier) {
 	if c == nil {
 		return nil, TierMiss
 	}
@@ -411,7 +399,7 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 		return nil, TierMiss
 	}
 	start := time.Now()
-	k := fingerprint(m, cfg, v)
+	k := fingerprint(m, cfg)
 	c.mu.Lock()
 	el, ok := c.byKey[k]
 	if !ok {
@@ -419,7 +407,7 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 		dir := c.dir
 		c.mu.Unlock()
 		if dir != "" {
-			if p, hit := c.diskLoad(dir, k, m, cfg, v); hit {
+			if p, hit := c.diskLoad(dir, k, m, cfg); hit {
 				if p.Preprocess = time.Since(start); p.Preprocess <= 0 {
 					p.Preprocess = time.Nanosecond
 				}
@@ -467,7 +455,7 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 	return &np, TierMemory
 }
 
-// Evict removes the plan for (m, cfg, v) from both cache tiers — the
+// Evict removes the plan for (m, cfg) from both cache tiers — the
 // in-memory LRU entry and the content-addressed snapshot file in the
 // attached directory — so a later lookup is a guaranteed recompute.
 // This is the integrity quarantine controller's hammer: once a served
@@ -475,11 +463,11 @@ func (c *Cache) GetTier(m *sparse.CSR, cfg reorder.Config, v Variant) (*reorder.
 // copy of the plan is suspect (the entry's arrays and the on-disk
 // snapshot derive from the same build).
 // It reports whether anything was removed.
-func (c *Cache) Evict(m *sparse.CSR, cfg reorder.Config, v Variant) bool {
+func (c *Cache) Evict(m *sparse.CSR, cfg reorder.Config) bool {
 	if c == nil {
 		return false
 	}
-	k := fingerprint(m, cfg, v)
+	k := fingerprint(m, cfg)
 	removed := false
 	c.mu.Lock()
 	if el, ok := c.byKey[k]; ok {
@@ -502,7 +490,7 @@ func (c *Cache) Evict(m *sparse.CSR, cfg reorder.Config, v Variant) bool {
 // cfg. The plan must have been produced by reorder.Preprocess (or an
 // equivalent) for exactly this matrix; mismatched inputs are ignored
 // rather than cached wrongly.
-func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.Plan) {
+func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, plan *reorder.Plan) {
 	if c == nil || plan == nil || plan.Reordered == nil || plan.Tiled == nil ||
 		plan.Tiled.Rest == nil || plan.Reordered.Rows != m.Rows || plan.Reordered.NNZ() != m.NNZ() ||
 		len(plan.RowPerm) != m.Rows {
@@ -514,7 +502,7 @@ func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.
 		return
 	}
 	e := &entry{
-		k:       fingerprint(m, cfg, v),
+		k:       fingerprint(m, cfg),
 		valHash: valueHash(m.Val),
 		plan:    plan,
 	}
@@ -541,15 +529,10 @@ func (c *Cache) Put(m *sparse.CSR, cfg reorder.Config, v Variant, plan *reorder.
 // or tiling work; a miss runs reorder.Preprocess and caches the result.
 // Concurrent misses on the same structure may compute the plan more
 // than once; all of them store equivalent plans, so the race is benign.
+// A cfg with Disable set names the no-reordering (ASpT-NR) plan, which
+// is cached under its own key like any other configuration.
 func (c *Cache) Preprocess(m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, error) {
-	return c.preprocess(context.Background(), m, cfg, Full, reorder.PreprocessCtx)
-}
-
-// PreprocessNR is Preprocess for the no-reordering ASpT baseline. It
-// shares the cache (under a distinct variant key) so an online pipeline
-// replayed on a known structure skips both builds.
-func (c *Cache) PreprocessNR(m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, error) {
-	return c.preprocess(context.Background(), m, cfg, NR, reorder.PreprocessNRCtx)
+	return c.PreprocessCtx(context.Background(), m, cfg)
 }
 
 // PreprocessCtx is Preprocess with cooperative cancellation. A build
@@ -557,35 +540,24 @@ func (c *Cache) PreprocessNR(m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, 
 // a cancelled build cannot poison the cache with a partial plan; the
 // next caller recomputes from scratch.
 func (c *Cache) PreprocessCtx(ctx context.Context, m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, error) {
-	return c.preprocess(ctx, m, cfg, Full, reorder.PreprocessCtx)
-}
-
-// PreprocessNRCtx is PreprocessNR with cooperative cancellation (see
-// PreprocessCtx).
-func (c *Cache) PreprocessNRCtx(ctx context.Context, m *sparse.CSR, cfg reorder.Config) (*reorder.Plan, error) {
-	return c.preprocess(ctx, m, cfg, NR, reorder.PreprocessNRCtx)
-}
-
-func (c *Cache) preprocess(ctx context.Context, m *sparse.CSR, cfg reorder.Config, v Variant,
-	compute func(context.Context, *sparse.CSR, reorder.Config) (*reorder.Plan, error)) (*reorder.Plan, error) {
 	getSpan, computeSpan, tierAttr := "plancache_get_full", "preprocess_compute_full", "plancache_full"
-	if v == NR {
+	if cfg.Disable {
 		getSpan, computeSpan, tierAttr = "plancache_get_nr", "preprocess_compute_nr", "plancache_nr"
 	}
 	tr := obs.TraceFrom(ctx)
 	sp := tr.StartSpan(getSpan)
-	p, tier := c.GetTier(m, cfg, v)
+	p, tier := c.GetTier(m, cfg)
 	sp.End()
 	tr.Annotate(tierAttr, tier.String())
 	if tier != TierMiss {
 		return p, nil
 	}
 	sp = tr.StartSpan(computeSpan)
-	p, err := compute(ctx, m, cfg)
+	p, err := reorder.PreprocessCtx(ctx, m, cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	c.Put(m, cfg, v, p)
+	c.Put(m, cfg, p)
 	return p, nil
 }

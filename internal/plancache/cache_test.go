@@ -40,7 +40,7 @@ func TestHitIdenticalValuesSharesPlanArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, ok := c.Get(m, cfg, Full)
+	hit, ok := c.Get(m, cfg)
 	if !ok {
 		t.Fatal("expected a structural hit on the same matrix")
 	}
@@ -69,7 +69,7 @@ func TestHitDifferentValuesSkipsSignatures(t *testing.T) {
 	}
 
 	before := lsh.SignatureOps()
-	hit, ok := c.Get(m2, cfg, Full)
+	hit, ok := c.Get(m2, cfg)
 	after := lsh.SignatureOps()
 	if !ok {
 		t.Fatal("expected a structural hit for same structure, new values")
@@ -98,7 +98,7 @@ func TestHitDifferentValuesSkipsSignatures(t *testing.T) {
 	if &hit.Reordered.ColIdx[0] != &want.Reordered.ColIdx[0] {
 		// want was computed fresh; compare against the cached entry via a
 		// second identical-value get instead.
-		same, _ := c.Get(m2, cfg, Full)
+		same, _ := c.Get(m2, cfg)
 		if &hit.Reordered.ColIdx[0] != &same.Reordered.ColIdx[0] {
 			t.Error("re-skin should share structure arrays with the cached plan")
 		}
@@ -117,34 +117,36 @@ func TestMissOnStructureOrConfigChange(t *testing.T) {
 	taller := &sparse.CSR{Rows: m.Rows + 1, Cols: m.Cols,
 		RowPtr: append(append([]int32{}, m.RowPtr...), m.RowPtr[m.Rows]),
 		ColIdx: m.ColIdx, Val: m.Val}
-	if _, ok := c.Get(taller, cfg, Full); ok {
+	if _, ok := c.Get(taller, cfg); ok {
 		t.Error("hit despite different row count")
 	}
 
 	// Different RowPtr (move one nonzero between rows), same ColIdx.
 	rp := append([]int32{}, m.RowPtr...)
 	rp[1]++ // row 0 steals row 1's first nonzero
-	if _, ok := c.Get(&sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rp, ColIdx: m.ColIdx, Val: m.Val}, cfg, Full); ok {
+	if _, ok := c.Get(&sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: rp, ColIdx: m.ColIdx, Val: m.Val}, cfg); ok {
 		t.Error("hit despite different RowPtr")
 	}
 
 	// Different ColIdx.
 	ci := append([]int32{}, m.ColIdx...)
 	ci[0] ^= 1
-	if _, ok := c.Get(&sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: ci, Val: m.Val}, cfg, Full); ok {
+	if _, ok := c.Get(&sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: ci, Val: m.Val}, cfg); ok {
 		t.Error("hit despite different ColIdx")
 	}
 
 	// Different semantic config.
 	cfg2 := cfg
 	cfg2.ThresholdSize = cfg.ThresholdSize + 1
-	if _, ok := c.Get(m, cfg2, Full); ok {
+	if _, ok := c.Get(m, cfg2); ok {
 		t.Error("hit despite different config")
 	}
 
-	// Different variant.
-	if _, ok := c.Get(m, cfg, NR); ok {
-		t.Error("full-workflow plan served for the NR variant")
+	// Disable names the no-reordering plan: a different key.
+	nrCfg := cfg
+	nrCfg.Disable = true
+	if _, ok := c.Get(m, nrCfg); ok {
+		t.Error("full-workflow plan served for a Disable config")
 	}
 
 	// Worker knobs are execution hints, not plan semantics: still a hit.
@@ -152,7 +154,7 @@ func TestMissOnStructureOrConfigChange(t *testing.T) {
 	cfg3.Workers = 7
 	cfg3.LSH.Workers = 3
 	cfg3.ASpT.Workers = 2
-	if _, ok := c.Get(m, cfg3, Full); !ok {
+	if _, ok := c.Get(m, cfg3); !ok {
 		t.Error("miss on a worker-count-only config change")
 	}
 }
@@ -171,19 +173,19 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	// Touch ms[0] so ms[1] is the LRU victim.
-	if _, ok := c.Get(ms[0], cfg, Full); !ok {
+	if _, ok := c.Get(ms[0], cfg); !ok {
 		t.Fatal("expected hit on ms[0]")
 	}
 	if _, err := c.Preprocess(ms[2], cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(ms[0], cfg, Full); !ok {
+	if _, ok := c.Get(ms[0], cfg); !ok {
 		t.Error("recently used entry was evicted")
 	}
-	if _, ok := c.Get(ms[1], cfg, Full); ok {
+	if _, ok := c.Get(ms[1], cfg); ok {
 		t.Error("LRU entry survived past capacity")
 	}
-	if _, ok := c.Get(ms[2], cfg, Full); !ok {
+	if _, ok := c.Get(ms[2], cfg); !ok {
 		t.Error("newest entry missing")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
@@ -198,10 +200,10 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 	}
 	m := clusteredMatrix(t, 256, 128, 20)
 	cfg := reorder.DefaultConfig()
-	if _, ok := c.Get(m, cfg, Full); ok {
+	if _, ok := c.Get(m, cfg); ok {
 		t.Error("nil cache reported a hit")
 	}
-	c.Put(m, cfg, Full, nil)
+	c.Put(m, cfg, nil)
 	c.Purge()
 	if st := c.Stats(); st != (Stats{}) {
 		t.Errorf("nil cache stats = %+v, want zero", st)
@@ -226,7 +228,7 @@ func TestPurge(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after Purge, want 0", c.Len())
 	}
-	if _, ok := c.Get(m, cfg, Full); ok {
+	if _, ok := c.Get(m, cfg); ok {
 		t.Error("hit after Purge")
 	}
 }
@@ -301,7 +303,7 @@ func TestKernelChoiceCached(t *testing.T) {
 	if plan.Kernel != reorder.KernelMerge {
 		t.Fatalf("preprocessed kernel = %v, want merge", plan.Kernel)
 	}
-	hit, ok := c.Get(m, cfg, Full)
+	hit, ok := c.Get(m, cfg)
 	if !ok {
 		t.Fatal("miss on identical matrix+config")
 	}
@@ -310,7 +312,7 @@ func TestKernelChoiceCached(t *testing.T) {
 	}
 	// A hit on the same structure with different values must keep the
 	// kernel too (the reskin path).
-	hit, ok = c.Get(withValues(m, 2), cfg, Full)
+	hit, ok = c.Get(withValues(m, 2), cfg)
 	if !ok {
 		t.Fatal("miss on same-structure matrix")
 	}
@@ -320,7 +322,7 @@ func TestKernelChoiceCached(t *testing.T) {
 	// A different kernel override is a different plan.
 	cfg2 := cfg
 	cfg2.Kernel = reorder.KernelRowWise
-	if _, ok := c.Get(m, cfg2, Full); ok {
+	if _, ok := c.Get(m, cfg2); ok {
 		t.Error("hit despite different kernel override")
 	}
 }

@@ -55,7 +55,7 @@ func TestSnapshotAndWarmStart(t *testing.T) {
 	if err := b.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	warm, ok := b.Get(m, cfg, Full)
+	warm, ok := b.Get(m, cfg)
 	if !ok {
 		t.Fatal("warm start: expected a disk hit")
 	}
@@ -69,7 +69,7 @@ func TestSnapshotAndWarmStart(t *testing.T) {
 		t.Errorf("stats = %+v, want DiskHits 1 and the plan repopulated", st)
 	}
 	// Second Get is a pure memory hit — the disk tier is touched once.
-	if _, ok := b.Get(m, cfg, Full); !ok {
+	if _, ok := b.Get(m, cfg); !ok {
 		t.Fatal("repopulated entry missed")
 	}
 	if st := b.Stats(); st.DiskHits != 1 || st.Hits != 1 {
@@ -109,7 +109,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		if err := b.SetDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := b.Get(m, cfg, Full); ok {
+		if _, ok := b.Get(m, cfg); ok {
 			t.Fatal("corrupted snapshot served as a hit")
 		}
 		if st := b.Stats(); st.DiskMisses != 1 {
@@ -155,7 +155,7 @@ func TestEvictRemovesDiskSnapshot(t *testing.T) {
 		t.Fatalf("snapshot dir holds %v, want two .plan files", files)
 	}
 
-	if !c.Evict(bad, cfg, Full) {
+	if !c.Evict(bad, cfg) {
 		t.Fatal("Evict removed nothing")
 	}
 	if files := planFilesIn(t, dir); len(files) != 1 {
@@ -166,7 +166,7 @@ func TestEvictRemovesDiskSnapshot(t *testing.T) {
 	}
 	// A condemned plan is a guaranteed recompute: no memory hit, no disk
 	// resurrection.
-	if _, tier := c.GetTier(bad, cfg, Full); tier != TierMiss {
+	if _, tier := c.GetTier(bad, cfg); tier != TierMiss {
 		t.Fatalf("evicted plan served from tier %v", tier)
 	}
 
@@ -183,15 +183,15 @@ func TestEvictRemovesDiskSnapshot(t *testing.T) {
 	if err := b.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.Get(good, cfg, Full); !ok {
+	if _, ok := b.Get(good, cfg); !ok {
 		t.Error("healthy plan lost its snapshot")
 	}
-	if _, ok := b.Get(bad, cfg, Full); ok {
+	if _, ok := b.Get(bad, cfg); ok {
 		t.Error("evicted plan served from a fresh cache")
 	}
 
 	// Evicting again (nothing left anywhere) reports false.
-	if c.Evict(bad, cfg, Full) {
+	if c.Evict(bad, cfg) {
 		t.Error("second Evict of the same plan reported a removal")
 	}
 }
@@ -224,7 +224,7 @@ func TestDiskTierFaultInjection(t *testing.T) {
 
 	t.Run("get", func(t *testing.T) {
 		defer faultinject.ErrorAt("plancache.get")()
-		if _, ok := c.Get(m, cfg, Full); ok {
+		if _, ok := c.Get(m, cfg); ok {
 			t.Fatal("Get under injected lookup fault returned a hit")
 		}
 	})
@@ -235,7 +235,7 @@ func TestDiskTierFaultInjection(t *testing.T) {
 		if err := b.SetDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := b.Get(m, cfg, Full); ok {
+		if _, ok := b.Get(m, cfg); ok {
 			t.Fatal("disk load under fault returned a hit")
 		}
 		if st := b.Stats(); st.DiskMisses != 1 {
@@ -255,13 +255,16 @@ func TestDiskTierFaultInjection(t *testing.T) {
 	})
 }
 
-// TestSnapshotRestartServesNRVariantToo: an online pipeline caches both
-// variants; both must round-trip through the disk tier under their
-// distinct fingerprints.
+// TestSnapshotBothVariants: an online pipeline caches the reordered
+// plan and the no-reordering one (its Config with Disable set); both
+// must round-trip through the disk tier under their distinct keys, each
+// carrying its own key's Config.
 func TestSnapshotBothVariants(t *testing.T) {
 	dir := t.TempDir()
 	m := clusteredMatrix(t, 1024, 512, 6)
 	cfg := reorder.DefaultConfig()
+	nrCfg := cfg
+	nrCfg.Disable = true
 	a := New(4)
 	if err := a.SetDir(dir); err != nil {
 		t.Fatal(err)
@@ -269,7 +272,7 @@ func TestSnapshotBothVariants(t *testing.T) {
 	if _, err := a.Preprocess(m, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.PreprocessNR(m, cfg); err != nil {
+	if _, err := a.Preprocess(m, nrCfg); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := a.Snapshot(); n != 2 || err != nil {
@@ -279,11 +282,11 @@ func TestSnapshotBothVariants(t *testing.T) {
 	if err := b.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.Get(m, cfg, Full); !ok {
-		t.Error("Full variant not served from disk")
+	if p, ok := b.Get(m, cfg); !ok || p.Cfg.Disable {
+		t.Error("reordered plan not served from disk under its Config")
 	}
-	if _, ok := b.Get(m, cfg, NR); !ok {
-		t.Error("NR variant not served from disk")
+	if p, ok := b.Get(m, nrCfg); !ok || !p.Cfg.Disable || p.NeedsReordering() {
+		t.Error("no-reordering plan not served from disk under its Config")
 	}
 	if st := b.Stats(); st.DiskHits != 2 {
 		t.Errorf("stats = %+v, want DiskHits 2", st)

@@ -6,7 +6,7 @@ package reorder
 // picks between the two that win on a CPU: skew (nnz/row coefficient of
 // variation, max/mean row length) rewards the merge kernel, and
 // everything else runs row-wise. The other two run only when a Config
-// forces them, because in `make bench-kernels` (DESIGN.md §12.4)
+// forces them, because in BenchmarkKernelCorpus (DESIGN.md §12.4)
 // neither beats the autotuner's pick on any family at K = 1, 4 or 16:
 //   - the hybrid slab is slot-major, so a row walk strides 4·Rows bytes
 //     per slot where a CSR row is one contiguous read, near-uniform
@@ -118,7 +118,7 @@ func kernelFeaturesOf(m *sparse.CSR, denseRatio float64) KernelFeatures {
 	return f
 }
 
-// Autotuner thresholds. Checked against `make bench-kernels` (see
+// Autotuner thresholds. Checked against BenchmarkKernelCorpus (see
 // DESIGN.md §12.4), whose per-family "regret" is the pick's time over
 // the fastest kernel's. Ties resolve toward the row-wise baseline,
 // whose nnz-balanced chunking is within noise of merge on

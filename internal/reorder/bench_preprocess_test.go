@@ -26,7 +26,7 @@ func benchRMAT(b *testing.B) *sparse.CSR {
 }
 
 // reportStages attaches the per-stage wall-clock breakdown of the last
-// plan to the benchmark, so `make bench-preprocess` captures where the
+// plan to the benchmark, so the preprocessing benchmarks capture where the
 // time goes (and which stages a plan-cache hit eliminates).
 func reportStages(b *testing.B, p *Plan) {
 	b.Helper()

@@ -387,10 +387,3 @@ func PreprocessNR(m *sparse.CSR, cfg Config) (*Plan, error) {
 	cfg.Disable = true
 	return Preprocess(m, cfg)
 }
-
-// PreprocessNRCtx is PreprocessNR with cooperative cancellation and
-// panic isolation (see PreprocessCtx).
-func PreprocessNRCtx(ctx context.Context, m *sparse.CSR, cfg Config) (*Plan, error) {
-	cfg.Disable = true
-	return PreprocessCtx(ctx, m, cfg)
-}

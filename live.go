@@ -196,11 +196,12 @@ func (st *liveState) baseUnit(nrOnly bool) servingUnit {
 	return st.sharded
 }
 
-// baseCfg is the Config the base was requested under (its Epoch is the
-// structEpoch at base-build time): the plan-cache key of its plans.
+// baseCfg is the Config of the base's no-reorder plan (panel 0's plan
+// for a sharded base): its plan-cache key, whose Epoch is the
+// structEpoch at base-build time.
 func (st *liveState) baseCfg() Config {
 	if st.online != nil {
-		return st.online.cfg
+		return st.online.nr.plan.Cfg
 	}
 	return st.sharded.panels[0].pipe.plan.Cfg
 }
@@ -249,7 +250,6 @@ func newSDDMMPool(m *Matrix) *sync.Pool {
 type LivePipeline struct {
 	ctx      context.Context
 	lcfg     LiveConfig
-	ring     *obs.TraceRing
 	shardNNZ int // >0: rebuilds re-shard at this target
 
 	state atomic.Pointer[liveState]
@@ -334,7 +334,7 @@ func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveCon
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, o, nil, 0, lcfg, nil), nil
+	return newLive(ctx, o, nil, 0, lcfg), nil
 }
 
 // NewLiveShardedPipelineCtx is NewLivePipelineCtx with a row-panel
@@ -345,17 +345,16 @@ func NewLiveShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targe
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, nil, sp, targetNNZ, lcfg, nil), nil
+	return newLive(ctx, nil, sp, targetNNZ, lcfg), nil
 }
 
 // newLive wraps an already-built base unit (exactly one of online or
-// sharded). ring, when non-nil, receives the rebuild traces (the Server
-// passes its /debug/traces ring).
-func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig, ring *obs.TraceRing) *LivePipeline {
+// sharded).
+func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig) *LivePipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), ring: ring, shardNNZ: shardNNZ}
+	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ}
 	var m *Matrix
 	if online != nil {
 		m = online.Matrix()
@@ -855,24 +854,24 @@ func (l *LivePipeline) ForceRebuild() {
 	l.startRebuildLocked()
 }
 
-// evictPlans removes the current base's plans — both workflow variants,
-// every panel for a sharded base — from both plan-cache tiers (memory
-// and disk snapshot), so the healing rebuild recomputes them from
-// scratch instead of reloading the suspect entries.
+// evictPlans removes the current base's plans — each plan an online
+// base holds, every panel's for a sharded base — from both plan-cache
+// tiers (memory and disk snapshot), each under its own plan.Cfg key, so
+// the healing rebuild recomputes them from scratch instead of reloading
+// the suspect entries.
 func (l *LivePipeline) evictPlans() {
 	st := l.state.Load()
 	pc := planCache.Load()
-	if st.online != nil {
-		cfg := st.baseCfg()
-		pc.Evict(st.baseM, cfg, plancache.Full)
-		pc.Evict(st.baseM, cfg, plancache.NR)
+	if o := st.online; o != nil {
+		pc.Evict(st.baseM, o.nr.plan.Cfg)
+		if rr := o.rr.Load(); rr != nil {
+			pc.Evict(st.baseM, rr.plan.Cfg)
+		}
 		return
 	}
 	for i := range st.sharded.panels {
-		pn := &st.sharded.panels[i]
-		cfg := pn.pipe.plan.Cfg
-		pc.Evict(pn.pipe.Matrix(), cfg, plancache.Full)
-		pc.Evict(pn.pipe.Matrix(), cfg, plancache.NR)
+		p := st.sharded.panels[i].pipe
+		pc.Evict(p.Matrix(), p.plan.Cfg)
 	}
 }
 
@@ -1097,11 +1096,13 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	var online *OnlinePipeline
 	var sharded *ShardedPipeline
 	if st.online != nil {
-		// An online rebuild builds without reordering, so a fold never
-		// pays a full LSH preprocess. Whether it should reorder at the
-		// tenant's width is open (ROADMAP item 3).
+		// Live rebuilds stay NR by decision: at the live widths (K <= 16)
+		// reordering does not pay (rr/nr 0.99 at K=16, DESIGN §14.3), so
+		// a fold builds one no-reorder plan, decided on it, and never
+		// pays a full LSH preprocess. A width-aware choice is ROADMAP
+		// item 3's.
 		cfg.Disable = true
-		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, l.ring)
+		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -1109,15 +1110,6 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 		// (nothing serves through it yet).
 		if es := l.sink.Load(); es != nil {
 			online.sink.Store(es)
-		}
-		if werr := online.WaitPreprocessed(l.ctx); werr != nil {
-			return werr
-		}
-		if d, derr := online.Degraded(); d {
-			// The reordered build ran over budget or failed. %v (not %w):
-			// a budget timeout carries context.DeadlineExceeded, which
-			// the retry loop must not mistake for OUR context dying.
-			return fmt.Errorf("repro: rebuilt pipeline degraded: %v", derr)
 		}
 	} else {
 		sharded, err = NewShardedPipelineCtx(l.ctx, snapM, cfg, l.shardNNZ)
@@ -1131,15 +1123,14 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	if err := checkBasePlans(online, sharded); err != nil {
 		return err
 	}
-	// Fingerprint the rebuilt base for the swap event while still off
-	// the lock (the digest is O(nnz)).
+	// Name the rebuilt base for the swap event while still off the lock
+	// (a sharded base's digest is O(nnz); an online base holds its key).
 	var swapFP, swapKernel string
 	if es := l.sink.Load(); es != nil {
-		swapFP = plancache.Fingerprint(snapM, cfg, plancache.Full)
 		if online != nil {
-			swapKernel = online.Kernel().String()
+			swapFP, swapKernel = online.PlanFingerprint(), online.Kernel().String()
 		} else {
-			swapKernel = sharded.PanelKernel(0).String()
+			swapFP, swapKernel = plancache.Fingerprint(snapM, cfg), sharded.PanelKernel(0).String()
 		}
 	}
 

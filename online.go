@@ -31,6 +31,11 @@ import (
 // on NR and records why (see Degraded). Serving is therefore never
 // blocked on — and never crashes because of — preprocessing.
 //
+// A pipeline whose Config sets Disable has nothing to trial: it builds
+// only the NR plan and is decided on it before its constructor returns
+// (no background build, no trial, zero TrialTimes). The live rebuild
+// builds its bases this way.
+//
 // OnlinePipeline is safe for concurrent use. Once the trial has
 // decided, calls load the winner through an atomic pointer and execute
 // without taking any lock, so N goroutines get N-way parallel
@@ -39,13 +44,9 @@ import (
 type OnlinePipeline struct {
 	nr *Pipeline
 
-	// cfg is the Config the pipeline was requested under: the key of
-	// both plans in the plan cache. The NR plan's own Cfg carries
-	// Disable=true after a cache miss, so it names no stored plan.
-	cfg Config
-
 	// rr is nil until the reordered build lands (immediately in
-	// NewOnlinePipeline; in the background in NewOnlinePipelineCtx).
+	// NewOnlinePipeline; in the background in NewOnlinePipelineCtx), and
+	// forever when the Config disables reordering.
 	rr atomic.Pointer[Pipeline]
 
 	// winner is nil until the trial decides or the pipeline degrades;
@@ -101,8 +102,8 @@ func (s *eventSink) emit(e obs.Event) {
 	}
 }
 
-// defaultMispickWindow is the feedback evaluation window when no
-// explicit ServerConfig.MispickWindow is threaded through.
+// defaultMispickWindow is the feedback evaluation window (samples per
+// evaluation) every online pipeline starts with.
 const defaultMispickWindow = 64
 
 // mispickSlack is how much worse (×) than the trial loser a window's
@@ -125,19 +126,33 @@ var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); retu
 //
 // Both builds run synchronously: the constructor does not return until
 // the reordered plan exists (or errors). For budgeted, non-blocking
-// construction use NewOnlinePipelineCtx.
+// construction use NewOnlinePipelineCtx. With cfg.Disable set only the
+// no-reorder plan is built, and the pipeline is decided on it.
 func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
-	rr, err := NewPipeline(m, cfg)
-	if err != nil {
-		return nil, err
-	}
 	nr, err := NewPipelineNR(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, cfg: cfg, buildDone: closedChan, fbWindow: defaultMispickWindow}
+	if cfg.Disable {
+		return singlePlan(nr), nil
+	}
+	rr, err := NewPipeline(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
 	o.rr.Store(rr)
 	return o, nil
+}
+
+// singlePlan returns the online pipeline over nr alone, already decided
+// on it: its Config disables reordering, so there is no reordered plan
+// to build and no trial to run. PlanFingerprint is nr's own key.
+func singlePlan(nr *Pipeline) *OnlinePipeline {
+	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
+	o.planFP = plancache.Fingerprint(nr.orig, nr.plan.Cfg)
+	o.winner.Store(nr)
+	return o
 }
 
 // NewOnlinePipelineCtx builds the serving-grade online pipeline: the
@@ -153,7 +168,9 @@ func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 // cancellation, fails, or panics (surfaced as a *PanicError), the
 // pipeline permanently degrades to the no-reorder plan — Decided then
 // reports (true, false) and Degraded returns the recorded cause. A
-// failed or cancelled build is never stored in the plan cache.
+// failed or cancelled build is never stored in the plan cache. With
+// cfg.Disable set there is no background build: the pipeline returns
+// decided on the no-reorder plan and cannot degrade.
 func NewOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	return newOnlinePipelineCtx(ctx, m, cfg, nil)
 }
@@ -168,7 +185,10 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 	if err != nil {
 		return nil, err
 	}
-	o := &OnlinePipeline{nr: nr, cfg: cfg, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
+	if cfg.Disable {
+		return singlePlan(nr), nil
+	}
+	o := &OnlinePipeline{nr: nr, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
 	bctx, cancel := context.WithCancel(ctx)
 	if cfg.PreprocessBudget > 0 {
 		bctx, cancel = context.WithTimeout(ctx, cfg.PreprocessBudget)
@@ -424,10 +444,11 @@ func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pip
 // measures, and the structure has not changed, so if the old pipeline
 // had settled on (say) the reordered plan the new one starts settled on
 // its reskinned counterpart — no re-trial, no window where serving
-// would flap back to NR. A degraded pipeline reskins to a degraded one
-// (NR-only, same recorded cause). A pipeline whose background build is
-// still in flight is waited for first: reskinning a moving target would
-// race the build's publication.
+// would flap back to NR. A pipeline with no reordered plan (degraded or
+// single-plan) reskins to one decided on its re-skinned NR plan, keeping
+// the recorded cause or the fingerprint. A pipeline whose background
+// build is still in flight is waited for first: reskinning a moving
+// target would race the build's publication.
 func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline, error) {
 	if err := o.WaitPreprocessed(ctx); err != nil {
 		return nil, err
@@ -436,15 +457,19 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err != nil {
 		return nil, err
 	}
-	n := &OnlinePipeline{nr: nr, cfg: o.cfg, buildDone: closedChan, fbWindow: o.fbWindow}
+	n := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: o.fbWindow}
 	n.sink.Store(o.sink.Load())
 	n.mispicks.Store(o.mispicks.Load())
-	if d := o.degraded.Load(); d != nil {
-		n.degraded.Store(d)
+	oldRR := o.rr.Load()
+	if oldRR == nil {
+		// Degraded or single-plan: the re-skinned NR plan serves, decided.
+		if d := o.degraded.Load(); d != nil {
+			n.degraded.Store(d)
+		}
+		n.planFP = o.planFP
 		n.winner.Store(nr)
 		return n, nil
 	}
-	oldRR := o.rr.Load()
 	rr, err := oldRR.withValues(m)
 	if err != nil {
 		return nil, err
@@ -479,15 +504,13 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k int) *Pipeline {
 	o.rrTime, o.nrTime = rrTime, nrTime
 	w, won, loser := o.nr, nrTime, rrTime
-	variant := plancache.NR
 	if rrTime < nrTime {
 		w, won, loser = rr, rrTime, nrTime
-		variant = plancache.Full
 	}
 	if flops := kernels.Flops(o.nr.Matrix().NNZ(), k); flops > 0 {
 		o.loserNSPerFlop = float64(loser.Nanoseconds()) / flops
 	}
-	o.planFP = plancache.Fingerprint(o.nr.Matrix(), o.cfg, variant)
+	o.planFP = plancache.Fingerprint(o.nr.Matrix(), w.plan.Cfg)
 	o.winner.Store(w)
 	recordTrial(w == rr, rrTime, nrTime)
 	detail := "plain"
@@ -553,7 +576,8 @@ func (o *OnlinePipeline) Mispicked() int64 { return o.mispicks.Load() }
 
 // PlanFingerprint returns the plan-cache fingerprint of the winning
 // plan once the trial has decided ("" before, and "" for a degraded
-// pipeline — no trial ever measured its plan).
+// pipeline — no trial ever measured its plan). A single-plan pipeline
+// (Config.Disable) returns its one plan's key from construction.
 func (o *OnlinePipeline) PlanFingerprint() string {
 	if o.winner.Load() == nil {
 		return ""

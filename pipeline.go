@@ -122,7 +122,8 @@ func NewPipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*Pipeline, erro
 }
 
 // NewPipelineNR builds a no-reordering (plain ASpT) pipeline — the
-// ASpT-NR baseline. Cached like NewPipeline, under a distinct key.
+// ASpT-NR baseline: NewPipeline under cfg with Disable set, which is
+// that plan's plan-cache key.
 func NewPipelineNR(m *Matrix, cfg Config) (*Pipeline, error) {
 	return NewPipelineNRCtx(context.Background(), m, cfg)
 }
@@ -130,11 +131,8 @@ func NewPipelineNR(m *Matrix, cfg Config) (*Pipeline, error) {
 // NewPipelineNRCtx is NewPipelineNR with cooperative cancellation (see
 // NewPipelineCtx).
 func NewPipelineNRCtx(ctx context.Context, m *Matrix, cfg Config) (*Pipeline, error) {
-	plan, err := planCache.Load().PreprocessNRCtx(ctx, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newPipeline(m, plan)
+	cfg.Disable = true
+	return NewPipelineCtx(ctx, m, cfg)
 }
 
 // Plan exposes the underlying preprocessing plan (metrics, permutations,

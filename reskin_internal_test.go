@@ -30,7 +30,10 @@ func randomValueBatch(m *Matrix, rng *rand.Rand, n int) Mutation {
 // whether it is an online base's no-reorder plan.
 func basePipelines(st *liveState) (pipes []*Pipeline, nr []bool) {
 	if st.online != nil {
-		return []*Pipeline{st.online.nr, st.online.rr.Load()}, []bool{true, false}
+		if rr := st.online.rr.Load(); rr != nil {
+			return []*Pipeline{st.online.nr, rr}, []bool{true, false}
+		}
+		return []*Pipeline{st.online.nr}, []bool{true}
 	}
 	for i := range st.sharded.panels {
 		pipes = append(pipes, st.sharded.panels[i].pipe)

@@ -108,18 +108,6 @@ type ServerConfig struct {
 	// kernel instead of trialling reordering matrix-wide). 0 disables
 	// sharding.
 	ShardNNZ int
-	// RebuildMaxAttempts bounds tries per live-mutation background
-	// rebuild round before the tenant permanently degrades to
-	// overlay-forever serving; RebuildRetryBase/RebuildRetryMax scale
-	// the full-jitter backoff between tries. Defaults 3, 10ms, 250ms
-	// (see LiveConfig).
-	RebuildMaxAttempts                int
-	RebuildRetryBase, RebuildRetryMax time.Duration
-	// MaxOverlayRows bounds each tenant's structural mutation overlay;
-	// mutations past it fail with ErrOverlayFull until a background
-	// rebuild drains the overlay. Default 65536; negative means
-	// unbounded (see LiveConfig.MaxOverlayRows).
-	MaxOverlayRows int
 	// VerifyFraction enables sampled shadow verification: this fraction
 	// of served SpMM/SDDMM requests (per tenant) is recomputed on a
 	// random subset of output rows with the reference row-wise kernel
@@ -148,17 +136,6 @@ type ServerConfig struct {
 	// /debug/events (trial winners, plan swaps, breaker transitions,
 	// quarantines, mispicks, SLO burns; most recent first). Default 256.
 	EventRing int
-}
-
-// liveConfig is the per-tenant mutation tuning carved out of the
-// server config.
-func (c ServerConfig) liveConfig() LiveConfig {
-	return LiveConfig{
-		RebuildMaxAttempts: c.RebuildMaxAttempts,
-		RebuildRetryBase:   c.RebuildRetryBase,
-		RebuildRetryMax:    c.RebuildRetryMax,
-		MaxOverlayRows:     c.MaxOverlayRows,
-	}
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -612,7 +589,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 	if weight < 1 {
 		weight = 1
 	}
-	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, s.cfg.liveConfig(), s.traces)
+	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, LiveConfig{})
 	live.setEventSink(s.events, id)
 	t := &tenant{id: id, weight: weight, live: live,
 		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),

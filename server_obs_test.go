@@ -469,3 +469,56 @@ func TestServerExplainAndEventsEndpoints(t *testing.T) {
 		t.Fatalf("event fingerprint %q, pipeline %q", trial.PlanFP, got)
 	}
 }
+
+// An SLOTarget every request overruns makes each completed request a
+// violation: the violation counter counts them all, the burn rate
+// exceeds 1, exactly one slo_burn event marks the edge into burning,
+// and /debug/explain reports the target.
+func TestServerSLOTargetViolations(t *testing.T) {
+	m := freshScrambled(t, 7013)
+	s, err := repro.NewServer(context.Background(), m, repro.DefaultConfig(),
+		repro.ServerConfig{SLOTarget: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	x := repro.NewRandomDense(m.Cols, 4, 3)
+	const requests = 5
+	for i := 0; i < requests; i++ {
+		if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	samples, err := obs.ParseSamples(rec.Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples[`spmmrr_slo_violations_total{tenant="default"}`]; got != requests {
+		t.Errorf("spmmrr_slo_violations_total = %v, want %d", got, requests)
+	}
+	if got := samples[`spmmrr_slo_burn_rate{tenant="default"}`]; got <= 1 {
+		t.Errorf("spmmrr_slo_burn_rate = %v, want > 1", got)
+	}
+	burns := 0
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == obs.EventSLOBurn {
+			burns++
+		}
+	}
+	if burns != 1 {
+		t.Errorf("%d slo_burn events, want 1 (the edge into burning)", burns)
+	}
+	ex, err := s.Explain(repro.DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.SLO.TargetSeconds != time.Nanosecond.Seconds() || ex.SLO.Violations != requests || !ex.SLO.Burning {
+		t.Errorf("explain SLO section %+v", ex.SLO)
+	}
+}
