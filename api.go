@@ -46,10 +46,9 @@ type Config = reorder.Config
 // Plan is the result of preprocessing a matrix.
 type Plan = reorder.Plan
 
-// Kernel identifies the SpMM execution strategy of a plan. The zero
-// value KernelAuto asks the per-matrix autotuner to choose from the
-// matrix's structural features (skew, hub rows, dense-tile ratio); any
-// other value forces that kernel via Config.Kernel.
+// Kernel identifies the SpMM execution strategy of a plan: the
+// per-matrix autotuner's choice from the matrix's structural features
+// (skew, hub rows), KernelRowWise or KernelMerge.
 type Kernel = reorder.Kernel
 
 // KernelFeatures are the structural signals the per-matrix autotuner
@@ -64,18 +63,11 @@ type KernelFeatures = reorder.KernelFeatures
 // into its Y.
 type BatchOp = kernels.BatchOp
 
-// Kernel values for Config.Kernel and Pipeline.Kernel.
+// Kernel values for Pipeline.Kernel.
 const (
-	KernelAuto      = reorder.KernelAuto
-	KernelRowWise   = reorder.KernelRowWise
-	KernelMerge     = reorder.KernelMerge
-	KernelELLHybrid = reorder.KernelELLHybrid
-	KernelASpT      = reorder.KernelASpT
+	KernelRowWise = reorder.KernelRowWise
+	KernelMerge   = reorder.KernelMerge
 )
-
-// ParseKernel maps a kernel name ("auto", "rowwise", "merge",
-// "ellhybrid", "aspt") to its Kernel value.
-func ParseKernel(s string) (Kernel, error) { return reorder.ParseKernel(s) }
 
 // StageTimings is the per-stage wall-clock breakdown of preprocessing
 // (Plan.Stages), surfaced through Pipeline.PlanStages and

@@ -3,16 +3,37 @@ package repro_test
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/sparse"
 )
 
 func scrambled(t *testing.T) *repro.Matrix {
 	t.Helper()
 	m, err := repro.GenerateScrambledClusters(2048, 2048, 128, 42)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// skewed is an R-MAT matrix with its rows shuffled, so the hub rows
+// spread over the whole row range: the autotuner picks merge for it,
+// and for every nnz-balanced row panel of it.
+func skewed(t *testing.T) *repro.Matrix {
+	t.Helper()
+	m, err := repro.GenerateRMAT(11, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int32, m.Rows)
+	for i, r := range rand.New(rand.NewSource(5)).Perm(m.Rows) {
+		perm[i] = int32(r)
+	}
+	if m, err = sparse.PermuteRows(m, perm); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -40,7 +40,6 @@ func main() {
 		k         = flag.Int("k", 512, "dense matrix width K")
 		op        = flag.String("op", "both", "kernel to report: spmm|sddmm|both")
 		mode      = flag.String("mode", "auto", "reordering mode: auto (the §4 heuristics), force (both rounds), off (plain ASpT), trial (trial-and-error autotune)")
-		kernel    = flag.String("kernel", "auto", "SpMM kernel: auto (per-matrix autotuner), rowwise, merge, ellhybrid, aspt")
 		mergeOrd  = flag.Bool("mergeorder", false, "emit clusters in merge order (extension; see EXPERIMENTS.md)")
 		breakdown = flag.Bool("breakdown", false, "print the simulated DRAM traffic breakdown per system")
 		out       = flag.String("out", "", "write the reordered matrix to this Matrix Market file")
@@ -75,10 +74,6 @@ func main() {
 
 	cfg := repro.DefaultConfig()
 	cfg.EmitMergeOrder = *mergeOrd
-	cfg.Kernel, err = repro.ParseKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
 	if *serve {
 		opts := serveOptions{
 			planDir:        *planDir,

@@ -59,14 +59,12 @@ type TenantExplain struct {
 
 	// Kernel is the strategy a call arriving now executes on;
 	// KernelVerdict is what ChooseKernel says the features warrant.
-	// They differ under a Config.Kernel override (KernelOverridden), or
-	// with KernelOverridden false when the plan was loaded from a
-	// snapshot whose stored kernel an earlier autotuner chose —
-	// exactly the disagreements worth surfacing.
-	Kernel           string         `json:"kernel"`
-	KernelVerdict    string         `json:"kernel_verdict"`
-	KernelOverridden bool           `json:"kernel_overridden"`
-	Features         KernelFeatures `json:"features"`
+	// They differ only when the plan was loaded from a snapshot whose
+	// stored kernel an earlier autotuner chose — exactly the
+	// disagreement worth surfacing.
+	Kernel        string         `json:"kernel"`
+	KernelVerdict string         `json:"kernel_verdict"`
+	Features      KernelFeatures `json:"features"`
 
 	Trial TrialExplain `json:"trial"`
 	// Mispicks counts autotuner-feedback windows where the serving
@@ -152,7 +150,6 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		ex.Kernel = plan.Kernel.String()
 		ex.Features = plan.Features
 		ex.KernelVerdict = reorder.ChooseKernel(plan.Features).String()
-		ex.KernelOverridden = plan.Cfg.Kernel != KernelAuto && plan.Cfg.Kernel.Valid()
 	}
 	return ex, nil
 }

@@ -97,46 +97,6 @@ func FromCSRHybrid(m *sparse.CSR, q float64) (*Hybrid, error) {
 	return h, nil
 }
 
-// WithValues re-skins h for re, the CSR h was built from with new
-// nonzero values (same RowPtr/ColIdx): the result shares the slab's
-// RowLen and Cols and the work prefix with h, and owns new slab values
-// and a new spill list. Each row's first RowLen entries fill its slab
-// slots and the rest its spill entries, in row order, exactly as
-// FromCSRHybrid placed them. It fails if re's shape or any spilled
-// entry's column disagrees with h.
-func (h *Hybrid) WithValues(re *sparse.CSR) (*Hybrid, error) {
-	e := h.ELL
-	if re.Rows != e.Rows || len(re.RowPtr) != e.Rows+1 || int(re.RowPtr[e.Rows]) != len(re.Val) ||
-		len(re.Val) != e.NNZ()+len(h.Spill) {
-		return nil, fmt.Errorf("ellpack: re-skin of a %dx%d hybrid (%d stored) with a %d-row, %d-value matrix",
-			e.Rows, e.NCols, h.NNZ(), re.Rows, len(re.Val))
-	}
-	ne := *e
-	ne.Vals = make([]float32, len(e.Vals))
-	for i := 0; i < e.Rows; i++ {
-		vals := re.Val[re.RowPtr[i]:re.RowPtr[i+1]]
-		if int(e.RowLen[i]) > len(vals) {
-			return nil, fmt.Errorf("ellpack: re-skin row %d holds %d slab entries but has %d values", i, e.RowLen[i], len(vals))
-		}
-		for s := 0; s < int(e.RowLen[i]); s++ {
-			ne.Vals[s*e.Rows+i] = vals[s]
-		}
-	}
-	spill := make([]sparse.Entry, len(h.Spill))
-	var pos int32
-	for k, en := range h.Spill {
-		if k == 0 || en.Row != h.Spill[k-1].Row {
-			pos = re.RowPtr[en.Row] + e.RowLen[en.Row]
-		}
-		if pos >= re.RowPtr[en.Row+1] || re.ColIdx[pos] != en.Col {
-			return nil, fmt.Errorf("ellpack: re-skin spill entry %d (%d,%d) does not match the matrix", k, en.Row, en.Col)
-		}
-		spill[k] = sparse.Entry{Row: en.Row, Col: en.Col, Val: re.Val[pos]}
-		pos++
-	}
-	return &Hybrid{ELL: &ne, Spill: spill, cum: h.cum}, nil
-}
-
 // CumWork returns the total stored work (ELL + spill entries) of rows
 // [0, i) — the cumulative-work signal the nnz-balanced executor
 // partitions on. Hand-assembled Hybrids without the prefix array fall

@@ -202,61 +202,3 @@ func TestHybridCumWork(t *testing.T) {
 		}
 	}
 }
-
-// A value re-skin must equal a fresh conversion of the re-valued matrix
-// slot for slot and spill entry for spill entry, while sharing the
-// slab's structure arrays with the hybrid it came from.
-func TestHybridWithValuesMatchesRebuild(t *testing.T) {
-	m, err := synth.RMAT(9, 8, 0.57, 0.19, 0.19, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := ellpack.FromCSRHybrid(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Spill) == 0 {
-		t.Fatal("R-MAT matrix spilled nothing; the test needs a spill")
-	}
-	rng := rand.New(rand.NewSource(2))
-	m2 := &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]float32, m.NNZ())}
-	for i := range m2.Val {
-		m2.Val[i] = rng.Float32()
-	}
-	got, err := h.WithValues(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ellpack.FromCSRHybrid(m2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.ELL.Vals {
-		if got.ELL.Vals[i] != want.ELL.Vals[i] {
-			t.Fatalf("slab slot %d = %v, want %v", i, got.ELL.Vals[i], want.ELL.Vals[i])
-		}
-	}
-	if len(got.Spill) != len(want.Spill) {
-		t.Fatalf("spill has %d entries, want %d", len(got.Spill), len(want.Spill))
-	}
-	for i := range want.Spill {
-		if got.Spill[i] != want.Spill[i] {
-			t.Fatalf("spill %d = %+v, want %+v", i, got.Spill[i], want.Spill[i])
-		}
-	}
-	if &got.ELL.RowLen[0] != &h.ELL.RowLen[0] || &got.ELL.Cols[0] != &h.ELL.Cols[0] {
-		t.Fatal("re-skinned slab does not share RowLen/Cols")
-	}
-	if got.CumWork(m.Rows) != int64(m.NNZ()) {
-		t.Fatalf("CumWork(rows) = %d, want %d", got.CumWork(m.Rows), m.NNZ())
-	}
-	if h.ELL.Vals[0] != m.Val[0] && m.RowLen(0) > 0 {
-		t.Fatal("re-skin modified the source hybrid")
-	}
-
-	// A matrix of another shape is refused, not re-skinned.
-	short := &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: m2.Val[:len(m2.Val)-1]}
-	if _, err := h.WithValues(short); err == nil {
-		t.Fatal("re-skin accepted a matrix with too few values")
-	}
-}

@@ -205,3 +205,39 @@ func BenchmarkKernelCorpus(b *testing.B) {
 		}
 	}
 }
+
+// TestKernelCorpusPick pins the autotuner's one remaining selection on
+// every BenchmarkKernelCorpus family (at the -short sizes), as the
+// bench's deterministic imb@1k signal: merge where row-granular
+// chunking at 1024 chunks is badly imbalanced (R-MAT: 28.0), row-wise
+// where it is about even (scrambled 1.23, banded and uniform 1.00).
+func TestKernelCorpusPick(t *testing.T) {
+	for _, fam := range benchFamilies {
+		src, err := fam.build(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := reorder.DefaultConfig()
+		cfg.Disable = !fam.reorder
+		plan, err := reorder.Preprocess(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imb := rowImbalance(plan.Reordered, 1024)
+		switch plan.Kernel {
+		case reorder.KernelMerge:
+			if imb < 8 {
+				t.Errorf("%s: picked merge at imb@1k %.2f, want >= 8", fam.name, imb)
+			}
+		case reorder.KernelRowWise:
+			if imb > 1.5 {
+				t.Errorf("%s: picked rowwise at imb@1k %.2f, want <= 1.5", fam.name, imb)
+			}
+		default:
+			t.Errorf("%s: picked %v, want rowwise or merge", fam.name, plan.Kernel)
+		}
+		if want := fam.name == "rmat"; (plan.Kernel == reorder.KernelMerge) != want {
+			t.Errorf("%s: picked %v at imb@1k %.2f", fam.name, plan.Kernel, imb)
+		}
+	}
+}

@@ -288,41 +288,43 @@ func eq[T comparable](a, b []T) bool {
 	return true
 }
 
-// TestKernelChoiceCached checks the autotuned kernel is part of plan
-// identity: a cached plan replays its kernel choice, and a config with
-// a different kernel override is a different cache entry.
+// TestKernelChoiceCached checks the autotuned kernel is part of the
+// cached plan: a memory hit and a same-structure value re-skin replay
+// the choice, for a matrix whose pick is row-wise and one whose pick is
+// merge.
 func TestKernelChoiceCached(t *testing.T) {
-	c := New(8)
-	m := clusteredMatrix(t, 1024, 512, 9)
-	cfg := reorder.DefaultConfig()
-	cfg.Kernel = reorder.KernelMerge
-	plan, err := c.Preprocess(m, cfg)
+	skewed, err := synth.RMAT(9, 16, 0.57, 0.19, 0.19, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Kernel != reorder.KernelMerge {
-		t.Fatalf("preprocessed kernel = %v, want merge", plan.Kernel)
-	}
-	hit, ok := c.Get(m, cfg)
-	if !ok {
-		t.Fatal("miss on identical matrix+config")
-	}
-	if hit.Kernel != reorder.KernelMerge {
-		t.Fatalf("cached kernel = %v, want merge", hit.Kernel)
-	}
-	// A hit on the same structure with different values must keep the
-	// kernel too (the reskin path).
-	hit, ok = c.Get(withValues(m, 2), cfg)
-	if !ok {
-		t.Fatal("miss on same-structure matrix")
-	}
-	if hit.Kernel != reorder.KernelMerge {
-		t.Fatalf("reskinned kernel = %v, want merge", hit.Kernel)
-	}
-	// A different kernel override is a different plan.
-	cfg2 := cfg
-	cfg2.Kernel = reorder.KernelRowWise
-	if _, ok := c.Get(m, cfg2); ok {
-		t.Error("hit despite different kernel override")
+	cfg := reorder.DefaultConfig()
+	for _, tc := range []struct {
+		m    *sparse.CSR
+		want reorder.Kernel
+	}{{clusteredMatrix(t, 1024, 512, 9), reorder.KernelRowWise}, {skewed, reorder.KernelMerge}} {
+		c := New(8)
+		plan, err := c.Preprocess(tc.m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Kernel != tc.want {
+			t.Fatalf("preprocessed kernel = %v, want %v", plan.Kernel, tc.want)
+		}
+		hit, ok := c.Get(tc.m, cfg)
+		if !ok {
+			t.Fatal("miss on identical matrix+config")
+		}
+		if hit.Kernel != tc.want {
+			t.Fatalf("cached kernel = %v, want %v", hit.Kernel, tc.want)
+		}
+		// A hit on the same structure with different values must keep the
+		// kernel too (the reskin path).
+		hit, ok = c.Get(withValues(tc.m, 2), cfg)
+		if !ok {
+			t.Fatal("miss on same-structure matrix")
+		}
+		if hit.Kernel != tc.want {
+			t.Fatalf("reskinned kernel = %v, want %v", hit.Kernel, tc.want)
+		}
 	}
 }

@@ -292,3 +292,45 @@ func TestSnapshotBothVariants(t *testing.T) {
 		t.Errorf("stats = %+v, want DiskHits 2", st)
 	}
 }
+
+// TestDiskTierReplaysStoredKernel writes snapshots under a plan's own
+// key with a stored kernel the autotuner would not pick: a stored merge
+// on a row-wise matrix replays merge, and a stored ellhybrid, aspt or
+// legacy 0 — kernels no plan serves — re-resolves to ChooseKernel's
+// pick on a disk hit.
+func TestDiskTierReplaysStoredKernel(t *testing.T) {
+	m := clusteredMatrix(t, 1024, 512, 7)
+	cfg := reorder.DefaultConfig()
+	plan, err := reorder.Preprocess(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := reorder.ChooseKernel(plan.Features)
+	if pick != reorder.KernelRowWise {
+		t.Fatalf("autotuner picked %v, want rowwise", pick)
+	}
+	for _, tc := range []struct{ stored, want reorder.Kernel }{
+		{reorder.KernelMerge, reorder.KernelMerge},
+		{reorder.KernelELLHybrid, pick},
+		{reorder.KernelASpT, pick},
+		{reorder.KernelAuto, pick},
+	} {
+		dir := t.TempDir()
+		stored := *plan
+		stored.Kernel = tc.stored
+		if err := reorder.WritePlanFile(filepath.Join(dir, planFileName(fingerprint(m, cfg))), &stored); err != nil {
+			t.Fatal(err)
+		}
+		c := New(4)
+		if err := c.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got, tier := c.GetTier(m, cfg)
+		if tier != TierDisk {
+			t.Fatalf("stored %v: tier %v, want a disk hit", tc.stored, tier)
+		}
+		if got.Kernel != tc.want {
+			t.Fatalf("stored %v: served kernel %v, want %v", tc.stored, got.Kernel, tc.want)
+		}
+	}
+}

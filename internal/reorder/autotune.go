@@ -2,12 +2,12 @@ package reorder
 
 // Per-matrix kernel selection. The executor in internal/kernels offers
 // four SpMM strategies — row-wise CSR, merge-based nonzero splitting,
-// the ELL+COO hybrid, and the ASpT tiled kernel — and the autotuner
-// picks between the two that win on a CPU: skew (nnz/row coefficient of
-// variation, max/mean row length) rewards the merge kernel, and
-// everything else runs row-wise. The other two run only when a Config
-// forces them, because in BenchmarkKernelCorpus (DESIGN.md §12.4)
-// neither beats the autotuner's pick on any family at K = 1, 4 or 16:
+// the ELL+COO hybrid, and the ASpT tiled kernel — and a plan serves one
+// of the two that win on a CPU: skew (nnz/row coefficient of variation,
+// max/mean row length) rewards the merge kernel, and everything else
+// runs row-wise. The other two are not served, because in
+// BenchmarkKernelCorpus (DESIGN.md §12.4) neither beats the
+// autotuner's pick on any family at K = 1, 4 or 16:
 //   - the hybrid slab is slot-major, so a row walk strides 4·Rows bytes
 //     per slot where a CSR row is one contiguous read, near-uniform
 //     rows included;
@@ -19,9 +19,8 @@ package reorder
 //
 // The choice is made once at preprocessing time from features
 // already computed (or O(rows) to compute), stored in the Plan beside
-// the permutations, serialised into plan snapshots, and keyed into the
-// plan-cache fingerprint via Config — so a cached or deployed plan
-// replays the same kernel it was tuned for, including a snapshot
+// the permutations and serialised into plan snapshots, so a deployed
+// plan replays the kernel it was tuned for, including a snapshot
 // written by an earlier build whose autotuner picked differently.
 //
 // reorder deliberately does not import internal/kernels (kernels' tests
@@ -39,17 +38,19 @@ import (
 type Kernel uint8
 
 const (
-	// KernelAuto resolves to a concrete kernel during Preprocess (or
-	// SavedPlan.Apply) via ChooseKernel. It never appears in a returned
-	// Plan.
+	// KernelAuto is the stored kernel of a plan file written before
+	// kernel tuning existed; SavedPlan.Apply re-resolves it via
+	// ChooseKernel. It never appears in a returned Plan.
 	KernelAuto Kernel = iota
 	// KernelRowWise is the row-wise CSR kernel (paper Alg 1).
 	KernelRowWise
 	// KernelMerge is the merge-based (nonzero-split) CSR kernel.
 	KernelMerge
-	// KernelELLHybrid is the ELL+COO hybrid slab kernel.
+	// KernelELLHybrid and KernelASpT name the ELL+COO hybrid slab
+	// kernel and the tiled kernel. No plan serves them: they remain plan
+	// file codes, which SavedPlan.Apply re-resolves through
+	// ChooseKernel.
 	KernelELLHybrid
-	// KernelASpT executes the plan's tiled representation.
 	KernelASpT
 
 	kernelCount // sentinel for validation
@@ -66,17 +67,6 @@ func (k Kernel) String() string {
 
 // Valid reports whether k is a defined kernel value (including Auto).
 func (k Kernel) Valid() bool { return k < kernelCount }
-
-// ParseKernel maps a name ("auto", "rowwise", "merge", "ellhybrid",
-// "aspt") to its Kernel value.
-func ParseKernel(s string) (Kernel, error) {
-	for i, n := range kernelNames {
-		if s == n {
-			return Kernel(i), nil
-		}
-	}
-	return KernelAuto, fmt.Errorf("reorder: unknown kernel %q", s)
-}
 
 // KernelFeatures are the structural signals ChooseKernel decides on.
 // All are O(rows) from a CSR plus the plan's dense-tile ratio.
@@ -142,17 +132,11 @@ func ChooseKernel(f KernelFeatures) Kernel {
 	return KernelRowWise
 }
 
-// resolveKernel applies the Config override or the autotuner to a
-// freshly built plan, capturing the structural features the decision
-// was made on into the plan so observability layers can replay the
-// verdict (Plan.Features feeds /debug/explain and the autotuner
-// feedback loop). Features are captured even under an explicit Config
-// override — that is exactly the case where predicted-vs-configured
-// disagreement is worth surfacing.
+// resolveKernel runs the autotuner on a freshly built plan, capturing
+// the structural features the decision was made on into the plan so
+// observability layers can replay the verdict (Plan.Features feeds
+// /debug/explain and the autotuner feedback loop).
 func resolveKernel(p *Plan) Kernel {
 	p.Features = kernelFeaturesOf(p.Reordered, p.DenseRatioAfter)
-	if k := p.Cfg.Kernel; k != KernelAuto && k.Valid() {
-		return k
-	}
 	return ChooseKernel(p.Features)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -39,15 +40,13 @@ func TestChooseKernel(t *testing.T) {
 	}
 }
 
-func TestKernelParseAndString(t *testing.T) {
+func TestKernelStringAndValid(t *testing.T) {
+	seen := map[string]bool{}
 	for k := KernelAuto; k < kernelCount; k++ {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
+		if !k.Valid() || seen[k.String()] {
+			t.Fatalf("kernel %d: name %q, valid %v", uint8(k), k.String(), k.Valid())
 		}
-	}
-	if _, err := ParseKernel("vulkan"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown name")
+		seen[k.String()] = true
 	}
 	if Kernel(200).Valid() {
 		t.Fatal("Kernel(200) reported valid")
@@ -56,93 +55,95 @@ func TestKernelParseAndString(t *testing.T) {
 
 func TestPreprocessResolvesKernel(t *testing.T) {
 	// A power-law matrix has high skew: the autotuner must land on
-	// merge — and must never return Auto.
-	m, err := synth.RMAT(9, 16, 0.57, 0.19, 0.19, 5)
+	// merge, and a uniform one on row-wise — never on Auto.
+	skewed, err := synth.RMAT(9, 16, 0.57, 0.19, 0.19, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := synth.Uniform(256, 256, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Disable = true
-	plan, err := Preprocess(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Kernel == KernelAuto {
-		t.Fatal("Preprocess returned an unresolved kernel")
-	}
-	if plan.Kernel != KernelMerge {
-		t.Fatalf("skewed matrix chose %v, want merge", plan.Kernel)
-	}
-
-	cfg.Kernel = KernelRowWise
-	plan, err = Preprocess(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Kernel != KernelRowWise {
-		t.Fatalf("override ignored: got %v", plan.Kernel)
+	for _, c := range []struct {
+		m    *sparse.CSR
+		want Kernel
+	}{{skewed, KernelMerge}, {uniform, KernelRowWise}} {
+		plan, err := Preprocess(c.m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Kernel != c.want || plan.Kernel != ChooseKernel(plan.Features) {
+			t.Fatalf("%dx%d matrix chose %v, want %v", c.m.Rows, c.m.Cols, plan.Kernel, c.want)
+		}
 	}
 }
 
+// A plan file replays a stored row-wise or merge choice, even where the
+// autotuner would now pick the other, and re-resolves any other stored
+// value — a legacy 0, or a kernel no plan serves — through
+// ChooseKernel.
 func TestPlanKernelSnapshotRoundTrip(t *testing.T) {
-	m, err := synth.Uniform(256, 256, 8, 2)
+	uniform, err := synth.Uniform(256, 256, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed, err := synth.RMAT(9, 16, 0.57, 0.19, 0.19, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Disable = true
-	cfg.Kernel = KernelMerge // force a non-default choice through the file
-	plan, err := Preprocess(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := ReadPlan(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Kernel != KernelMerge {
-		t.Fatalf("stored kernel = %v, want merge", sp.Kernel)
-	}
+	for _, c := range []struct {
+		name   string
+		m      *sparse.CSR
+		pick   Kernel // what ChooseKernel says
+		stored Kernel
+		want   Kernel
+	}{
+		{"merge-on-rowwise", uniform, KernelRowWise, KernelMerge, KernelMerge},
+		{"rowwise-on-merge", skewed, KernelMerge, KernelRowWise, KernelRowWise},
+		{"ellhybrid", uniform, KernelRowWise, KernelELLHybrid, KernelRowWise},
+		{"aspt", uniform, KernelRowWise, KernelASpT, KernelRowWise},
+		{"aspt-on-merge", skewed, KernelMerge, KernelASpT, KernelMerge},
+		{"legacy", skewed, KernelMerge, KernelAuto, KernelMerge},
+	} {
+		plan, err := Preprocess(c.m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Kernel != c.pick {
+			t.Fatalf("%s: autotuner picked %v, want %v", c.name, plan.Kernel, c.pick)
+		}
+		plan.Kernel = c.stored
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, plan); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := ReadPlan(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Kernel != c.stored {
+			t.Fatalf("%s: stored kernel = %v, want %v", c.name, sp.Kernel, c.stored)
+		}
+		rebuilt, err := sp.Apply(c.m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt.Kernel != c.want {
+			t.Fatalf("%s: Apply kernel = %v, want %v", c.name, rebuilt.Kernel, c.want)
+		}
+		if rebuilt.Features != plan.Features {
+			t.Fatalf("%s: Apply features %+v, want %+v", c.name, rebuilt.Features, plan.Features)
+		}
 
-	// The stored choice survives Apply under an auto config...
-	autoCfg := DefaultConfig()
-	autoCfg.Disable = true
-	rebuilt, err := sp.Apply(m, autoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Kernel != KernelMerge {
-		t.Fatalf("Apply kernel = %v, want stored merge", rebuilt.Kernel)
-	}
-	// ...an explicit config override beats the stored choice...
-	autoCfg.Kernel = KernelASpT
-	rebuilt, err = sp.Apply(m, autoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Kernel != KernelASpT {
-		t.Fatalf("Apply override kernel = %v, want aspt", rebuilt.Kernel)
-	}
-	// ...and a legacy snapshot with no stored choice re-runs the tuner.
-	sp.Kernel = KernelAuto
-	autoCfg.Kernel = KernelAuto
-	rebuilt, err = sp.Apply(m, autoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Kernel == KernelAuto {
-		t.Fatal("Apply left a legacy plan unresolved")
-	}
-
-	// A corrupt kernel field in the flags is rejected at read time.
-	raw := buf.Bytes()
-	bad := append([]byte(nil), raw...)
-	bad[13] |= 0x0F // flags bits 8-11 = 15: out of range
-	if _, err := ReadPlan(bytes.NewReader(bad)); !errors.Is(err, ErrPlanFormat) {
-		t.Fatalf("corrupt kernel field accepted: %v", err)
+		// A corrupt kernel field in the flags is rejected at read time.
+		bad := append([]byte(nil), buf.Bytes()...)
+		bad[13] |= 0x0F // flags bits 8-11 = 15: out of range
+		if _, err := ReadPlan(bytes.NewReader(bad)); !errors.Is(err, ErrPlanFormat) {
+			t.Fatalf("%s: corrupt kernel field accepted: %v", c.name, err)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package reorder
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // withReservedFlagBits returns a copy of a serialised v1 plan with the
@@ -51,6 +53,7 @@ func FuzzReadPlan(f *testing.F) {
 	// together, including the all-ones epoch boundary.
 	for _, p := range []*Plan{
 		{RowPerm: []int32{1, 0, 2}, RestOrder: []int32{0, 2, 1}, Round1Applied: true, Kernel: KernelMerge},
+		{RowPerm: []int32{2, 1, 0}, RestOrder: []int32{0, 1, 2}, Kernel: KernelRowWise, Cfg: Config{Epoch: 7}},
 		{RowPerm: []int32{1, 0, 2}, RestOrder: []int32{0, 2, 1}, Kernel: KernelELLHybrid, Cfg: Config{Epoch: 0xABCDE}},
 		{RowPerm: []int32{0, 1}, RestOrder: []int32{1, 0}, Round1Applied: true, Round2Applied: true,
 			Kernel: KernelASpT, Cfg: Config{Epoch: 0xFFFFF}},
@@ -73,6 +76,33 @@ func FuzzReadPlan(f *testing.F) {
 		}
 		if !sp.Kernel.Valid() {
 			t.Fatalf("accepted plan with invalid kernel %v", sp.Kernel)
+		}
+		// Applied to a matrix of its row count, an accepted plan serves
+		// the stored row-wise or merge choice, or the autotuner's pick
+		// for any other stored value.
+		if sp.Rows <= 64 {
+			cols := make([][]int32, sp.Rows)
+			vals := make([][]float32, sp.Rows)
+			for i := range cols {
+				cols[i], vals[i] = []int32{int32(i)}, []float32{1}
+			}
+			m, err := sparse.FromRows(sp.Rows, max(sp.Rows, 1), cols, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Epoch = sp.Epoch
+			plan, err := sp.Apply(m, cfg)
+			if err != nil {
+				t.Fatalf("Apply of an accepted plan: %v", err)
+			}
+			want := ChooseKernel(plan.Features)
+			if sp.Kernel == KernelRowWise || sp.Kernel == KernelMerge {
+				want = sp.Kernel
+			}
+			if plan.Kernel != want {
+				t.Fatalf("stored %v applied as %v, want %v", sp.Kernel, plan.Kernel, want)
+			}
 		}
 		if len(sp.RowPerm) != sp.Rows || len(sp.RestOrder) != sp.Rows {
 			t.Fatalf("accepted plan with inconsistent lengths")

@@ -55,11 +55,6 @@ type Config struct {
 	// Disable turns the pipeline into plain ASpT-NR: no reordering at
 	// all, only tiling.
 	Disable bool
-	// Kernel overrides the per-matrix kernel autotuner: KernelAuto (the
-	// zero value) lets ChooseKernel pick from the matrix's structural
-	// features; any other value is used as-is. Participates in the
-	// plan-cache fingerprint like every Config field.
-	Kernel Kernel
 	// Workers bounds the parallelism of the whole preprocessing engine
 	// (tiling, row permutation, similarity scans; LSH inherits it when
 	// LSH.Workers is 0, and tiling when ASpT.Workers is 0). 0 means
@@ -134,15 +129,15 @@ type Plan struct {
 	Round1Applied bool
 	Round2Applied bool
 
-	// Kernel is the SpMM execution strategy selected for this plan —
-	// Cfg.Kernel when overridden, otherwise the autotuner's choice from
-	// the reordered matrix's structure. Never KernelAuto in a Plan
-	// returned by Preprocess or SavedPlan.Apply.
+	// Kernel is the SpMM execution strategy selected for this plan: the
+	// autotuner's choice from the reordered matrix's structure, or the
+	// row-wise or merge choice a plan snapshot stored. Always
+	// KernelRowWise or KernelMerge in a Plan returned by Preprocess or
+	// SavedPlan.Apply.
 	Kernel Kernel
 
 	// Features are the structural signals the kernel decision was made
-	// on (captured even when Cfg.Kernel overrides the autotuner), kept
-	// for decision observability: /debug/explain replays
+	// on, kept for decision observability: /debug/explain replays
 	// ChooseKernel(Features) against Kernel, and the autotuner feedback
 	// loop compares realized throughput to the structural prediction.
 	Features KernelFeatures

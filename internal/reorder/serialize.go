@@ -53,7 +53,7 @@ const (
 //	bit  0       round 1 (row reordering) applied
 //	bit  1       round 2 (rest ordering) applied
 //	bits 2-7     reserved — must be zero
-//	bits 8-11    kernel choice (Kernel; 0 = KernelAuto, re-resolve at Apply)
+//	bits 8-11    kernel choice (Kernel; Apply re-resolves all but rowwise and merge)
 //	bits 12-31   structural epoch (low 20 bits of Config.Epoch)
 //
 // Legacy v0 files predate everything past bit 1; a v0 flags word with
@@ -167,7 +167,8 @@ type SavedPlan struct {
 	Round1Applied bool
 	Round2Applied bool
 	// Kernel is the stored kernel choice; KernelAuto for legacy files
-	// written before kernel tuning existed (Apply re-resolves it).
+	// written before kernel tuning existed. Apply replays a stored
+	// row-wise or merge choice and re-resolves anything else.
 	Kernel Kernel
 	// Epoch is the structural epoch (low 20 bits of Config.Epoch) the
 	// snapshot was taken at; 0 for immutable pipelines and legacy files.
@@ -357,20 +358,12 @@ func (sp *SavedPlan) Apply(m *sparse.CSR, cfg Config) (*Plan, error) {
 		Round2Applied: sp.Round2Applied,
 	}
 	p.DenseRatioAfter = tiled.DenseRatio()
-	// Features are recomputed from the rebuilt matrix regardless of how
-	// the kernel is picked below, so explain/feedback observability has
-	// them even for snapshot-carried and overridden choices.
-	p.Features = kernelFeaturesOf(p.Reordered, p.DenseRatioAfter)
-	// Kernel precedence: an explicit Config override wins, then the
-	// choice stored with the snapshot; legacy files with no stored
-	// choice re-run the autotuner on the rebuilt plan.
-	switch {
-	case cfg.Kernel != KernelAuto && cfg.Kernel.Valid():
-		p.Kernel = cfg.Kernel
-	case sp.Kernel != KernelAuto:
+	// A stored row-wise or merge choice replays; any other stored value
+	// (a legacy file's 0, or a kernel no plan serves) re-runs the
+	// autotuner on the rebuilt plan.
+	p.Kernel = resolveKernel(p)
+	if sp.Kernel == KernelRowWise || sp.Kernel == KernelMerge {
 		p.Kernel = sp.Kernel
-	default:
-		p.Kernel = ChooseKernel(p.Features)
 	}
 	return p, nil
 }

@@ -103,15 +103,6 @@ func (mu *Mutation) empty() bool {
 // LiveConfig tunes a LivePipeline's mutation machinery. The zero value
 // gets serving defaults.
 type LiveConfig struct {
-	// RebuildMaxAttempts bounds tries per background re-preprocess
-	// round; attempts back off with full jitter between RebuildRetryBase
-	// and RebuildRetryMax. When a round exhausts its attempts the
-	// pipeline permanently degrades to overlay-forever serving
-	// (mirroring OnlinePipeline.Degraded): still correct, never fast
-	// again, visible in Stats and Degraded. Defaults 3, 10ms, 250ms.
-	RebuildMaxAttempts int
-	RebuildRetryBase   time.Duration
-	RebuildRetryMax    time.Duration
 	// MaxOverlayRows bounds the structural overlay (overlaid base rows
 	// plus appended tail rows). Mutations that would exceed it fail with
 	// ErrOverlayFull until a rebuild drains the overlay. Default 65536;
@@ -124,16 +115,19 @@ type LiveConfig struct {
 	RebuildDisabled bool
 }
 
+// A background re-preprocess round makes up to rebuildMaxAttempts
+// tries, backing off with full jitter between rebuildRetryBase and
+// rebuildRetryMax. When a round exhausts its attempts the pipeline
+// permanently degrades to overlay-forever serving (mirroring
+// OnlinePipeline.Degraded): still correct, never fast again, visible in
+// Stats and Degraded.
+const (
+	rebuildMaxAttempts = 3
+	rebuildRetryBase   = 10 * time.Millisecond
+	rebuildRetryMax    = 250 * time.Millisecond
+)
+
 func (c LiveConfig) withDefaults() LiveConfig {
-	if c.RebuildMaxAttempts <= 0 {
-		c.RebuildMaxAttempts = 3
-	}
-	if c.RebuildRetryBase <= 0 {
-		c.RebuildRetryBase = 10 * time.Millisecond
-	}
-	if c.RebuildRetryMax <= 0 {
-		c.RebuildRetryMax = 250 * time.Millisecond
-	}
 	if c.MaxOverlayRows == 0 {
 		c.MaxOverlayRows = 1 << 16
 	}
@@ -166,8 +160,9 @@ type liveState struct {
 	// overlay is the set of base rows (< baseM.Rows) whose contents
 	// differ from baseM — served from cur, masking the base kernel's
 	// output for those rows. Rows >= baseM.Rows (the appended tail) are
-	// always served from cur. Unordered: rows are independent in SpMM
-	// and SDDMM, so the merge is a pure row-range overwrite.
+	// always served from cur. Unordered: rows are independent in SpMM,
+	// so the merge is a pure row-range overwrite. A mutated state's
+	// SDDMM runs on cur whole.
 	overlay    map[int]struct{}
 	overlayNNZ int // nonzeros served through the overlay (incl. tail)
 	tailRows   int // cur.Rows - baseM.Rows
@@ -175,10 +170,6 @@ type liveState struct {
 	// dirtySince is when the oldest still-unrebuilt mutation landed;
 	// zero when the state is clean (base == cur).
 	dirtySince time.Time
-
-	// sddmmPool recycles base-structure SDDMM scratch for the overlay
-	// path; states are immutable so the pool's New is fixed at publish.
-	sddmmPool *sync.Pool
 }
 
 func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows > 0 }
@@ -206,18 +197,6 @@ func (st *liveState) baseCfg() Config {
 	return st.sharded.panels[0].pipe.plan.Cfg
 }
 
-func newSDDMMPool(m *Matrix) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &sparse.CSR{
-			Rows:   m.Rows,
-			Cols:   m.Cols,
-			RowPtr: m.RowPtr,
-			ColIdx: m.ColIdx,
-			Val:    make([]float32, m.NNZ()),
-		}
-	}}
-}
-
 // LivePipeline serves a matrix that can be mutated while being served,
 // without ever going unavailable or exposing a torn state (DESIGN.md
 // §14). Every read pins one immutable liveState via a single atomic
@@ -226,7 +205,7 @@ func newSDDMMPool(m *Matrix) *sync.Pool {
 //   - Value-only updates on a clean state re-skin the base plans with
 //     one O(nnz) row walk per plan (Pipeline.withValues): every
 //     structure array is shared, only values move, no plan-cache lookup
-//     or HYB rebuild runs, and — the structure being unchanged — the §4
+//     runs, and — the structure being unchanged — the §4
 //     trial decision and the served plans' configurations carry over.
 //     The walk range-checks its reads and checkBasePlans gates the
 //     publish; an in-range value misroute (the
@@ -234,9 +213,10 @@ func newSDDMMPool(m *Matrix) *sync.Pool {
 //     plan until a rebuild replaces it, and only shadow verification
 //     can see it.
 //   - Structural mutations accumulate in a bounded row overlay served
-//     alongside the base — the base kernels run unchanged over the old
-//     structure and overlaid/appended rows are computed from the fused
-//     matrix at output time — while a background budgeted re-preprocess
+//     alongside the base — the base SpMM kernels run unchanged over
+//     the old structure and overlaid/appended rows are computed from
+//     the fused matrix at output time; SDDMM runs the row-wise kernel
+//     on the fused matrix — while a background budgeted re-preprocess
 //     rebuilds the fused matrix (under a bumped structural epoch, with
 //     full-jitter retry) and atomically swaps it in. Requests in flight
 //     on the old epoch drain on the state they pinned.
@@ -361,7 +341,7 @@ func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeli
 	} else {
 		m = sharded.Matrix()
 	}
-	st := &liveState{online: online, sharded: sharded, baseM: m, cur: m, sddmmPool: newSDDMMPool(m)}
+	st := &liveState{online: online, sharded: sharded, baseM: m, cur: m}
 	st.structEpoch = st.baseCfg().Epoch
 	l.state.Store(st)
 	return l
@@ -583,7 +563,6 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 			structEpoch: st.structEpoch,
 			online:      online, sharded: sharded,
 			baseM: newCur, cur: newCur,
-			sddmmPool: newSDDMMPool(newCur),
 		}
 		return ns, true, nil
 	}
@@ -623,7 +602,6 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 		overlay:    ov,
 		tailRows:   newCur.Rows - baseRows,
 		dirtySince: st.dirtySince,
-		sddmmPool:  st.sddmmPool,
 	}
 	if ns.dirtySince.IsZero() {
 		ns.dirtySince = time.Now()
@@ -950,36 +928,14 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mo
 	if err := st.checkSDDMM(out, x, y); err != nil {
 		return err
 	}
-	cur := st.cur
-	if mode == modeQuarantine {
-		return kernels.SDDMMRowWiseIntoCtx(ctx, out, cur, x, y)
+	// A mutated state runs the row-wise kernel on the fused matrix:
+	// every plan's SDDMM is that kernel over reordered rows, and each
+	// nonzero is one dot whichever order the rows are visited in, so the
+	// bits match a base pass plus the overlay.
+	if mode == modeQuarantine || st.mutated() {
+		return kernels.SDDMMRowWiseIntoCtx(ctx, out, st.cur, x, y)
 	}
-	base := st.baseUnit(mode == modeFallback)
-	if !st.mutated() {
-		return base.SDDMMIntoCtx(ctx, out, x, y)
-	}
-	// The base pass computes into base-structure scratch (overlaid rows'
-	// structures differ, so out can't be handed over wholesale), then
-	// untouched rows copy across segment-by-segment and overlay/tail
-	// rows are computed from the fused structure directly.
-	scratch := st.sddmmPool.Get().(*sparse.CSR)
-	defer st.sddmmPool.Put(scratch)
-	var yb dense.Matrix
-	yb.Rows, yb.Cols = st.baseM.Rows, y.Cols
-	yb.Data = y.Data[:st.baseM.Rows*y.Cols]
-	if err := base.SDDMMIntoCtx(ctx, scratch, x, &yb); err != nil {
-		return err
-	}
-	bm := st.baseM
-	for r := 0; r < bm.Rows; r++ {
-		if _, ovl := st.overlay[r]; ovl {
-			continue
-		}
-		copy(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], scratch.Val[bm.RowPtr[r]:bm.RowPtr[r+1]])
-	}
-	return st.overlayRows(ctx, func(r int) {
-		kernels.SDDMMRow(out.Val[cur.RowPtr[r]:cur.RowPtr[r+1]], y.Row(r), x.Data, cur.RowCols(r), cur.RowVals(r))
-	})
+	return st.baseUnit(mode == modeFallback).SDDMMIntoCtx(ctx, out, x, y)
 }
 
 // overlayRows calls fn for every row served from the fused matrix
@@ -1051,9 +1007,9 @@ func (l *LivePipeline) rebuildLoop() {
 // rebuildOnce is one full-jitter-retried rebuild round.
 func (l *LivePipeline) rebuildOnce() error {
 	pol := serve.RetryPolicy{
-		MaxAttempts: l.lcfg.RebuildMaxAttempts,
-		BaseDelay:   l.lcfg.RebuildRetryBase,
-		MaxDelay:    l.lcfg.RebuildRetryMax,
+		MaxAttempts: rebuildMaxAttempts,
+		BaseDelay:   rebuildRetryBase,
+		MaxDelay:    rebuildRetryMax,
 	}
 	// Every non-context failure is worth retrying: preprocessing is
 	// time-dependent (budget pressure, injected faults, memory churn).
@@ -1144,7 +1100,6 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 		structEpoch: snapEpoch,
 		online:      online, sharded: sharded,
 		baseM: snapM, cur: snapM,
-		sddmmPool: newSDDMMPool(snapM),
 	}
 	for _, nm := range l.pending {
 		// Replay through the same apply path the mutations originally

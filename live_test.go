@@ -542,12 +542,7 @@ func TestLiveFaultSites(t *testing.T) {
 			defer faultinject.Reset()
 			rng := rand.New(rand.NewSource(23))
 			mo := newLiveModel(32, 24, 5, rng)
-			l, err := repro.NewLivePipelineCtx(context.Background(), mo.matrix(t), liveTestConfig(),
-				repro.LiveConfig{
-					RebuildMaxAttempts: 2,
-					RebuildRetryBase:   time.Millisecond,
-					RebuildRetryMax:    2 * time.Millisecond,
-				})
+			l, err := repro.NewLivePipelineCtx(context.Background(), mo.matrix(t), liveTestConfig(), repro.LiveConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -568,7 +563,7 @@ func TestLiveFaultSites(t *testing.T) {
 				t.Fatalf("Degraded = %v, %v; want permanent degradation on faultinject.Err", deg, cause)
 			}
 			st := l.Stats()
-			if st.Swaps != 0 || st.RebuildsStarted != 2 || st.RebuildsFailed != 2 || st.RebuildsCancelled != 0 {
+			if st.Swaps != 0 || st.RebuildsStarted != 3 || st.RebuildsFailed != 3 || st.RebuildsCancelled != 0 {
 				t.Fatalf("attempt ledger off after exhausted retries: %+v", st)
 			}
 			if st.OverlayRows == 0 {
@@ -582,7 +577,7 @@ func TestLiveFaultSites(t *testing.T) {
 			}
 			mo.apply(t, mu2)
 			assertLiveMatchesModel(t, l, mo, rng)
-			if st := l.Stats(); st.RebuildsStarted != 2 || st.Rebuilding {
+			if st := l.Stats(); st.RebuildsStarted != 3 || st.Rebuilding {
 				t.Fatalf("degraded pipeline armed another rebuild: %+v", st)
 			}
 		})

@@ -37,10 +37,6 @@ var (
 		"Pipelines constructed, by selected SpMM kernel.", obs.L("kernel", "rowwise"))
 	kernelChoiceMerge = obs.Default().Counter("spmmrr_kernel_choice_total",
 		"Pipelines constructed, by selected SpMM kernel.", obs.L("kernel", "merge"))
-	kernelChoiceELLHybrid = obs.Default().Counter("spmmrr_kernel_choice_total",
-		"Pipelines constructed, by selected SpMM kernel.", obs.L("kernel", "ellhybrid"))
-	kernelChoiceASpT = obs.Default().Counter("spmmrr_kernel_choice_total",
-		"Pipelines constructed, by selected SpMM kernel.", obs.L("kernel", "aspt"))
 
 	// Row-panel sharding: the panel-count distribution shows how the
 	// nnz threshold actually splits the workload's matrices (all-ones =
@@ -63,18 +59,12 @@ var (
 func recordShardPanels(n int) { shardPanelsBuilt.Observe(float64(n)) }
 
 // recordKernelChoice publishes a constructed pipeline's kernel to the
-// process registry. Unknown values (a hand-built plan) count as the
-// ASpT fallback the executor will actually take.
+// process registry, booked as Pipeline.SpMMIntoCtx dispatches it.
 func recordKernelChoice(k Kernel) {
-	switch k {
-	case KernelRowWise:
-		kernelChoiceRowWise.Inc()
-	case KernelMerge:
+	if k == KernelMerge {
 		kernelChoiceMerge.Inc()
-	case KernelELLHybrid:
-		kernelChoiceELLHybrid.Inc()
-	default:
-		kernelChoiceASpT.Inc()
+	} else {
+		kernelChoiceRowWise.Inc()
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/dense"
-	"repro/internal/ellpack"
 	"repro/internal/faultinject"
 	"repro/internal/gpusim"
 	"repro/internal/integrity"
@@ -28,14 +26,6 @@ type Pipeline struct {
 	orig *Matrix
 	plan *Plan
 
-	// hyb is the ELL+COO representation of the reordered matrix, built
-	// at construction only when the plan's kernel choice is
-	// KernelELLHybrid. It is built per pipeline, never stored in the
-	// plan cache, so its values always match this pipeline's matrix; a
-	// value re-skin (withValues) refills its values in place of a
-	// rebuild.
-	hyb *ellpack.Hybrid
-
 	// dst is the kernels' row map: reordered row i of a product is
 	// original row dst[i], so SpMM writes it straight to the caller's
 	// row dst[i] and SDDMM reads Y row dst[i] and writes that row's
@@ -46,43 +36,24 @@ type Pipeline struct {
 	dst []int32
 }
 
-// newPipeline finishes construction from a built plan: the kernel
-// choice is materialised (the hybrid slab is converted now, off the
-// serving path) and published to the kernel-choice counter.
-func newPipeline(orig *Matrix, plan *Plan) (*Pipeline, error) {
-	p := &Pipeline{orig: orig, plan: plan, dst: rowMap(plan.RowPerm)}
-	if plan.Kernel == reorder.KernelELLHybrid {
-		hyb, err := ellpack.FromCSRHybrid(plan.Reordered, 0)
-		if err != nil {
-			return nil, fmt.Errorf("repro: building hybrid representation: %w", err)
-		}
-		p.hyb = hyb
-	}
+// newPipeline finishes construction from a built plan and publishes
+// its kernel choice to the kernel-choice counter.
+func newPipeline(orig *Matrix, plan *Plan) *Pipeline {
 	recordKernelChoice(plan.Kernel)
-	return p, nil
+	return &Pipeline{orig: orig, plan: plan, dst: rowMap(plan.RowPerm)}
 }
 
 // withValues re-skins p for m, a matrix with p's sparsity structure but
 // new nonzero values: one O(nnz) walk regathers the plan's value arrays
-// (reorder.Plan.WithValues) and, for a hybrid plan, refills the slab and
-// spill values. Every structure array is shared with p; no plan-cache
-// lookup, hashing or HYB rebuild runs. The new plan's Stages are zero
+// (reorder.Plan.WithValues). Every structure array is shared with p; no
+// plan-cache lookup or hashing runs. The new plan's Stages are zero
 // except Permute, which holds the walk's time.
 func (p *Pipeline) withValues(m *Matrix) (*Pipeline, error) {
 	plan, err := p.plan.WithValues(m, p.plan.Cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: re-skinning plan: %w", err)
 	}
-	np := &Pipeline{orig: m, plan: plan, dst: rowMap(plan.RowPerm)}
-	if p.hyb != nil {
-		t0 := time.Now()
-		if np.hyb, err = p.hyb.WithValues(plan.Reordered); err != nil {
-			return nil, fmt.Errorf("repro: re-skinning hybrid representation: %w", err)
-		}
-		plan.Stages.Permute += time.Since(t0)
-		plan.Preprocess = plan.Stages.Permute
-	}
-	return np, nil
+	return &Pipeline{orig: m, plan: plan, dst: rowMap(plan.RowPerm)}, nil
 }
 
 // rowMap returns perm as a kernel row map: perm itself, or nil when it
@@ -118,7 +89,7 @@ func NewPipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*Pipeline, erro
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(m, plan)
+	return newPipeline(m, plan), nil
 }
 
 // NewPipelineNR builds a no-reordering (plain ASpT) pipeline — the
@@ -148,9 +119,9 @@ func (p *Pipeline) PlanStages() StageTimings { return p.plan.Stages }
 // Matrix returns the original (unreordered) matrix.
 func (p *Pipeline) Matrix() *Matrix { return p.orig }
 
-// Kernel returns the SpMM execution strategy this pipeline runs —
-// either the Config override or the per-matrix autotuner's choice (see
-// reorder.ChooseKernel). SDDMM runs the row-wise kernel over the
+// Kernel returns the SpMM execution strategy this pipeline runs,
+// KernelRowWise or KernelMerge: the per-matrix autotuner's choice (see
+// reorder.ChooseKernel), or the one a loaded plan snapshot stored. SDDMM runs the row-wise kernel over the
 // reordered matrix whatever the choice: each nonzero is its own dot, so
 // no SpMM strategy changes its arithmetic.
 func (p *Pipeline) Kernel() Kernel { return p.plan.Kernel }
@@ -180,54 +151,21 @@ func (p *Pipeline) SpMMInto(y *Dense, x *Dense) error {
 }
 
 // fireCorruptPlan is the "integrity.corrupt.plan" fault site: when a
-// test arms it with faultinject.CorruptAt, it flips one value in every
-// executable slab derived from the plan — the reordered CSR, the ASpT
-// tile and leftover arrays, and the ELL/HYB slab — so whichever kernel
-// the plan selected serves a plausible-but-wrong number. The flips are
-// persistent (exactly like a real corrupted plan build); only eviction
-// and a rebuild heal them. Any hook error other than ErrCorrupt (e.g.
-// the generic chaos soak arming ErrorAt at every site) is a no-op.
-// Callers must not run this concurrently with other requests on the
-// same pipeline — the integrity soak serves sequentially while armed.
+// test arms it with faultinject.CorruptAt, it flips one value of the
+// reordered CSR, which both served kernels read, so the pipeline serves
+// a plausible-but-wrong number. The flip is persistent (exactly like a
+// real corrupted plan build); only eviction and a rebuild heal it. Any
+// hook error other than ErrCorrupt (e.g. the generic chaos soak arming
+// ErrorAt at every site) is a no-op. Callers must not run this
+// concurrently with other requests on the same pipeline — the
+// integrity soak serves sequentially while armed.
 func (p *Pipeline) fireCorruptPlan() {
 	if !errors.Is(faultinject.Fire("integrity.corrupt.plan"), faultinject.ErrCorrupt) {
 		return
 	}
-	hit := false
-	flip := func(v []float32) {
-		if len(v) > 0 {
-			i := len(v) / 2
-			v[i] = v[i]*2 + 1
-			hit = true
-		}
-	}
-	if p.plan.Reordered != nil && p.plan.Reordered != p.orig {
-		flip(p.plan.Reordered.Val)
-	}
-	if t := p.plan.Tiled; t != nil {
-		flip(t.TileVal)
-		if t.Rest != nil && t.Rest != p.orig {
-			flip(t.Rest.Val)
-		}
-	}
-	if h := p.hyb; h != nil {
-		// Flip a real (non-padding) ELL slot: padded tails are never
-		// read by the kernel, so a flip there would be undetectable. The
-		// slab is slot-major (slot s of row r at s*Rows+r), so row r's
-		// first slot is index r.
-		flipped := false
-		for r := 0; r < h.ELL.Rows && !flipped; r++ {
-			if h.ELL.RowLen[r] > 0 {
-				h.ELL.Vals[r] = h.ELL.Vals[r]*2 + 1
-				flipped, hit = true, true
-			}
-		}
-		if !flipped && len(h.Spill) > 0 {
-			h.Spill[0].Val = h.Spill[0].Val*2 + 1
-			hit = true
-		}
-	}
-	if hit {
+	if v := p.plan.Reordered.Val; len(v) > 0 && p.plan.Reordered != p.orig {
+		i := len(v) / 2
+		v[i] = v[i]*2 + 1
 		integrity.CorruptionInjected()
 	}
 }
@@ -244,24 +182,13 @@ func (p *Pipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 	}
 	p.fireCorruptPlan()
 	// Execute in reordered row space with the plan's tuned kernel; row i
-	// of the result lands in y's row p.dst[i]. Every variant honours the
+	// of the result lands in y's row p.dst[i]. Both kernels honour the
 	// same contract: cancellation between chunks, panic isolation, zero
 	// steady-state allocations.
-	switch p.plan.Kernel {
-	case reorder.KernelRowWise:
-		return kernels.SpMMRowWiseIntoRowsCtx(ctx, y, p.dst, p.plan.Reordered, x)
-	case reorder.KernelMerge:
+	if p.plan.Kernel == reorder.KernelMerge {
 		return kernels.SpMMMergeIntoRowsCtx(ctx, y, p.dst, p.plan.Reordered, x)
-	case reorder.KernelELLHybrid:
-		if p.hyb != nil {
-			return kernels.SpMMHybridIntoRowsCtx(ctx, y, p.dst, p.hyb, x)
-		}
-		// A hand-assembled Pipeline without the slab (zero value plus
-		// field poking) still computes, via the tiled fallback.
-		fallthrough
-	default:
-		return kernels.SpMMASpTIntoRowsCtx(ctx, y, p.dst, p.plan.Tiled, x)
 	}
+	return kernels.SpMMRowWiseIntoRowsCtx(ctx, y, p.dst, p.plan.Reordered, x)
 }
 
 // SDDMM computes O = S ⊙ (Y·Xᵀ) with the reordered execution; O has
@@ -339,7 +266,7 @@ func NewPipelineFromSavedPlan(m *Matrix, cfg Config, r io.Reader) (*Pipeline, er
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(m, plan)
+	return newPipeline(m, plan), nil
 }
 
 // SavePlanFile writes the plan to path atomically and durably (temp
@@ -361,7 +288,7 @@ func NewPipelineFromPlanFile(m *Matrix, cfg Config, path string) (*Pipeline, err
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(m, plan)
+	return newPipeline(m, plan), nil
 }
 
 // ErrPlanFormat is wrapped by every plan-file deserialization failure:

@@ -8,18 +8,15 @@ import (
 
 	"repro"
 	"repro/internal/dense"
-	"repro/internal/ellpack"
 	"repro/internal/faultinject"
 	"repro/internal/kernels"
 )
 
 // rowMapPipelines builds a reordered pipeline (both rounds forced, so
-// its RowPerm is not the identity) and a no-reordering pipeline for m
-// with kernel k.
-func rowMapPipelines(t *testing.T, m *repro.Matrix, k repro.Kernel) map[string]*repro.Pipeline {
+// its RowPerm is not the identity) and a no-reordering pipeline for m.
+func rowMapPipelines(t *testing.T, m *repro.Matrix) map[string]*repro.Pipeline {
 	t.Helper()
 	cfg := repro.DefaultConfig()
-	cfg.Kernel = k
 	cfg.Force = true
 	rr, err := repro.NewPipeline(m, cfg)
 	if err != nil {
@@ -30,7 +27,7 @@ func rowMapPipelines(t *testing.T, m *repro.Matrix, k repro.Kernel) map[string]*
 		identity = identity && int(r) == i
 	}
 	if identity {
-		t.Fatalf("%v: forced reordering left the identity permutation", k)
+		t.Fatal("forced reordering left the identity permutation")
 	}
 	nr, err := repro.NewPipelineNR(m, cfg)
 	if err != nil {
@@ -46,21 +43,11 @@ func twoPassSpMM(t *testing.T, p *repro.Pipeline, x *repro.Dense) *repro.Dense {
 	t.Helper()
 	plan, ctx := p.Plan(), context.Background()
 	yre := repro.NewDense(p.Matrix().Rows, x.Cols)
-	var err error
-	switch p.Kernel() {
-	case repro.KernelRowWise:
-		err = kernels.SpMMRowWiseIntoCtx(ctx, yre, plan.Reordered, x)
-	case repro.KernelMerge:
-		err = kernels.SpMMMergeIntoCtx(ctx, yre, plan.Reordered, x)
-	case repro.KernelELLHybrid:
-		var h *ellpack.Hybrid
-		if h, err = ellpack.FromCSRHybrid(plan.Reordered, 0); err == nil {
-			err = kernels.SpMMHybridIntoCtx(ctx, yre, h, x)
-		}
-	default:
-		err = kernels.SpMMASpTIntoCtx(ctx, yre, plan.Tiled, x)
+	kernel := kernels.SpMMRowWiseIntoCtx
+	if p.Kernel() == repro.KernelMerge {
+		kernel = kernels.SpMMMergeIntoCtx
 	}
-	if err != nil {
+	if err := kernel(ctx, yre, plan.Reordered, x); err != nil {
 		t.Fatal(err)
 	}
 	y := repro.NewDense(yre.Rows, yre.Cols)
@@ -82,23 +69,31 @@ func sameBits(a, b *repro.Dense) int {
 // TestPipelineSpMMWritesCallerRows checks that Pipeline.SpMMIntoCtx,
 // whose kernels write each reordered row straight to its original row,
 // matches the two-pass kernel-then-permute composition bit for bit, on
-// a reordered plan and on an NR plan, for every kernel. Against the
-// row-wise kernel on the unpermuted matrix it is bit-identical where
-// the kernel sums each row in CSR order (row-wise, HYB), and within the
-// reassociation tolerance where it does not (ASpT's tile-then-rest,
-// merge's carries).
+// a reordered plan and on an NR plan, for both served kernels: row-wise
+// on a scrambled-cluster matrix and merge on a shuffled R-MAT one, each
+// pick asserted. Against the row-wise kernel on the unpermuted matrix
+// it is bit-identical where the kernel sums each row in CSR order
+// (row-wise), and within the reassociation tolerance where it does not
+// (merge's carries).
 func TestPipelineSpMMWritesCallerRows(t *testing.T) {
-	m, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4411)
+	rowwise, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4411)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := repro.NewRandomDense(m.Cols, 17, 3)
-	want, err := repro.SpMM(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []repro.Kernel{repro.KernelRowWise, repro.KernelELLHybrid, repro.KernelMerge, repro.KernelASpT} {
-		for name, p := range rowMapPipelines(t, m, k) {
+	for _, in := range []struct {
+		m    *repro.Matrix
+		pick repro.Kernel
+	}{{rowwise, repro.KernelRowWise}, {skewed(t), repro.KernelMerge}} {
+		m, k := in.m, in.pick
+		x := repro.NewRandomDense(m.Cols, 17, 3)
+		want, err := repro.SpMM(m, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range rowMapPipelines(t, m) {
+			if p.Kernel() != k {
+				t.Fatalf("%s: pipeline kernel = %v, want %v", name, p.Kernel(), k)
+			}
 			y := repro.NewRandomDense(m.Rows, x.Cols, 5) // noise: every element must be overwritten
 			if err := p.SpMMIntoCtx(context.Background(), y, x); err != nil {
 				t.Fatal(err)
@@ -106,7 +101,7 @@ func TestPipelineSpMMWritesCallerRows(t *testing.T) {
 			if i := sameBits(y, twoPassSpMM(t, p, x)); i >= 0 {
 				t.Fatalf("%v/%s: element %d differs from kernel-then-permute", k, name, i)
 			}
-			if k == repro.KernelRowWise || k == repro.KernelELLHybrid {
+			if k == repro.KernelRowWise {
 				if i := sameBits(y, want); i >= 0 {
 					t.Fatalf("%v/%s: element %d differs from row-wise on the unpermuted matrix", k, name, i)
 				}
@@ -132,7 +127,7 @@ func TestPipelineSpMMIntoNoScratch(t *testing.T) {
 	y := repro.NewDense(m.Rows, 16)
 	var poolCalls atomic.Int64
 	defer faultinject.Set("dense.pool", func() error { poolCalls.Add(1); return nil })()
-	for name, p := range rowMapPipelines(t, m, repro.KernelAuto) {
+	for name, p := range rowMapPipelines(t, m) {
 		call := func() {
 			if err := p.SpMMIntoCtx(ctx, y, x); err != nil {
 				t.Fatal(err)
@@ -172,7 +167,7 @@ func TestPipelineSpMMRejectsAliasedOperand(t *testing.T) {
 	buf := repro.NewRandomDense(m.Cols+1, 4, 1)
 	x := &repro.Dense{Rows: m.Cols, Cols: 4, Data: buf.Data[:m.Cols*4]}
 	shifted := &repro.Dense{Rows: m.Rows, Cols: 4, Data: buf.Data[4:]}
-	for name, p := range rowMapPipelines(t, m, repro.KernelRowWise) {
+	for name, p := range rowMapPipelines(t, m) {
 		if err := p.SpMMIntoCtx(context.Background(), x, x); err == nil {
 			t.Errorf("%s: SpMMIntoCtx accepted y == x", name)
 		}
@@ -232,7 +227,7 @@ func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
 			t.Fatalf("%s: value %d differs from row-wise on the unpermuted matrix", name, i)
 		}
 	}
-	for name, p := range rowMapPipelines(t, m, repro.KernelAuto) {
+	for name, p := range rowMapPipelines(t, m) {
 		check(name, func(out *repro.Matrix) error { return p.SDDMMIntoCtx(ctx, out, x, y) })
 	}
 	cfg := repro.DefaultConfig()
@@ -297,7 +292,7 @@ func TestPipelineSDDMMIntoNoScratch(t *testing.T) {
 	out := m.Clone()
 	var poolCalls atomic.Int64
 	defer faultinject.Set("dense.pool", func() error { poolCalls.Add(1); return nil })()
-	for name, p := range rowMapPipelines(t, m, repro.KernelAuto) {
+	for name, p := range rowMapPipelines(t, m) {
 		call := func() {
 			if err := p.SDDMMIntoCtx(ctx, out, x, y); err != nil {
 				t.Fatal(err)

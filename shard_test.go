@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,21 +17,22 @@ import (
 const shardTarget = 2000
 
 // TestShardedBitIdenticalAcrossCorpus is the sharding correctness
-// property: with the row-wise kernel forced — the one kernel whose
-// per-row accumulation order cannot depend on what other rows are in
-// the panel — the sharded output must be bit-identical to the
-// unsharded pipeline's on every corpus family. (Merge and ASpT group a
-// row's partial sums by chunk/tile boundaries, which legitimately move
-// when the matrix is split, so bit-identity is only a theorem for
-// order-preserving kernels; the autotuned cross-check below bounds
-// those within float tolerance.)
+// property: under the row-wise kernel — the one kernel whose per-row
+// accumulation order cannot depend on what other rows are in the
+// panel — the sharded output must be bit-identical to the unsharded
+// pipeline's. Every corpus family but R-MAT picks row-wise on the whole
+// matrix and on every panel, which is asserted; R-MAT's skew picks
+// merge, which groups a row's partial sums by chunk boundaries that
+// legitimately move when the matrix is split, so its SpMM is bounded
+// within float tolerance by TestShardedAutotunedWithinTolerance below.
+// SDDMM is the row-wise kernel on every plan, so it is bit-identical on
+// every family.
 func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 	entries, err := synth.Corpus(synth.Options{Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := repro.DefaultConfig()
-	cfg.Kernel = repro.KernelRowWise
 	for _, e := range entries {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -47,18 +49,29 @@ func TestShardedBitIdenticalAcrossCorpus(t *testing.T) {
 				t.Fatalf("expected multiple panels for nnz=%d, got %d", m.NNZ(), sp.Panels())
 			}
 			x := repro.NewRandomDense(m.Cols, 8, 99)
-			want := repro.NewDense(m.Rows, 8)
-			if err := p.SpMMInto(want, x); err != nil {
-				t.Fatal(err)
-			}
-			got := repro.NewDense(m.Rows, 8)
-			if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("sharded (%d panels) diverges from unsharded at %d: %v vs %v",
-						sp.Panels(), i, got.Data[i], want.Data[i])
+			if strings.HasPrefix(e.Name, "rmat") {
+				if k := p.Kernel(); k != repro.KernelMerge {
+					t.Fatalf("R-MAT picked %v, want merge", k)
+				}
+			} else {
+				for i := 0; i < sp.Panels(); i++ {
+					if k := sp.PanelKernel(i); k != repro.KernelRowWise || p.Kernel() != repro.KernelRowWise {
+						t.Fatalf("picks: whole matrix %v, panel %d %v; want rowwise", p.Kernel(), i, k)
+					}
+				}
+				want := repro.NewDense(m.Rows, 8)
+				if err := p.SpMMInto(want, x); err != nil {
+					t.Fatal(err)
+				}
+				got := repro.NewDense(m.Rows, 8)
+				if err := sp.SpMMIntoCtx(context.Background(), got, x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Data {
+					if want.Data[i] != got.Data[i] {
+						t.Fatalf("sharded (%d panels) diverges from unsharded at %d: %v vs %v",
+							sp.Panels(), i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 			// SDDMM rides the same panel views; it scatters by value
@@ -115,17 +128,25 @@ func TestShardedAutotunedWithinTolerance(t *testing.T) {
 
 // TestShardedBatchMatchesUnsharded routes a multi-operand batch through
 // the sharded pipeline: stack → per-panel pass → scatter must equal
-// per-operand sharded calls bit-for-bit.
+// per-operand sharded calls bit-for-bit. R-MAT's panels pick both
+// kernels (hub rows at the top of the row range run merge, the rest
+// row-wise), and neither kernel's per-column arithmetic depends on the
+// stacked width.
 func TestShardedBatchMatchesUnsharded(t *testing.T) {
 	m, err := repro.GenerateRMAT(11, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := repro.DefaultConfig()
-	cfg.Kernel = repro.KernelRowWise
-	sp, err := repro.NewShardedPipeline(m, cfg, m.NNZ()/4+1)
+	sp, err := repro.NewShardedPipeline(m, repro.DefaultConfig(), m.NNZ()/4+1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	picks := map[repro.Kernel]bool{}
+	for i := 0; i < sp.Panels(); i++ {
+		picks[sp.PanelKernel(i)] = true
+	}
+	if !picks[repro.KernelRowWise] || !picks[repro.KernelMerge] {
+		t.Fatalf("panel picks %v, want both rowwise and merge", picks)
 	}
 	ctx := context.Background()
 	ops := make([]repro.BatchOp, 3)
@@ -163,7 +184,6 @@ func TestShardedCancelledMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := repro.DefaultConfig()
-	cfg.Kernel = repro.KernelRowWise
 	p, err := repro.NewPipeline(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +194,12 @@ func TestShardedCancelledMidFlight(t *testing.T) {
 	}
 	if sp.Panels() < 2 {
 		t.Fatalf("want multiple panels, got %d", sp.Panels())
+	}
+	// Bit-identity below holds for the row-wise pick.
+	for i := 0; i < sp.Panels(); i++ {
+		if k := sp.PanelKernel(i); k != repro.KernelRowWise || p.Kernel() != repro.KernelRowWise {
+			t.Fatalf("picks: whole matrix %v, panel %d %v; want rowwise", p.Kernel(), i, k)
+		}
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 3)
 	want := repro.NewDense(m.Rows, 16)
