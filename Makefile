@@ -49,7 +49,7 @@ race:
 # names. go tool objdump cannot decode VEX instructions, so the amd64
 # binary is read with binutils objdump.
 NOFMA_PRIM = addRows
-NOFMA_FUNCS = kernels\.($(NOFMA_PRIM)|spmm|run|SDDMMRow|SpMMRow|oracle|naive)
+NOFMA_FUNCS = kernels\.($(NOFMA_PRIM)|spmm|run|sddmmRow|SpMMRow|oracle|naive)
 NOFMA_AWK = \
 	/^TEXT / || / <.*>:$$/ { keep = $$0 ~ /$(NOFMA_FUNCS)/; n += keep; prim += $$0 ~ /kernels\.$(NOFMA_PRIM)[^A-Za-z0-9_]/; fn = $$2; next } \
 	keep && toupper($$0) ~ /FN?M(ADD|SUB)/ { print fn ": " $$0; bad++ } \

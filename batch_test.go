@@ -50,6 +50,7 @@ func TestPipelineSpMMBatchMatchesInto(t *testing.T) {
 // like any other first call, decide, and still scatter each operand's
 // columns back correctly.
 func TestOnlinePipelineSpMMBatch(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
@@ -119,4 +120,44 @@ func TestPipelineSpMMPooledOutput(t *testing.T) {
 			t.Fatalf("pooled SpMM output diverges at %d (stale scratch leaked through?)", i)
 		}
 	}
+}
+
+// The Server's coalesced pass over a live tenant asks the reorder gate
+// about the widest operand, and that plumbing keeps the batched path
+// allocation-free at steady state.
+func TestLiveBatchPassAllocFree(t *testing.T) {
+	m := scrambled(t)
+	l, err := repro.NewLivePipelineCtx(context.Background(), m, repro.DefaultConfig(), repro.LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	defer l.Quiesce(ctx)
+	pass := repro.LiveBatchPass(l)
+	ops := []repro.BatchOp{
+		{Y: repro.NewDense(m.Rows, 4), X: repro.NewRandomDense(m.Cols, 4, 1)},
+		{Y: repro.NewDense(m.Rows, 1), X: repro.NewRandomDense(m.Cols, 1, 2)},
+	}
+	call := func() {
+		if err := kernels.SpMMBatchIntoCtx(ctx, pass, ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		call()
+	}
+	// A GC can empty the pools mid-measurement, and under -race the
+	// detector drops pool puts at random, so a reading over the limit
+	// is retried; a real per-call allocation fails every attempt.
+	limit, attempts := 0.0, 3
+	if raceDetectorEnabled {
+		limit, attempts = 2, 10
+	}
+	var allocs float64
+	for a := 0; a < attempts; a++ {
+		if allocs = testing.AllocsPerRun(20, call); allocs <= limit {
+			return
+		}
+	}
+	t.Fatalf("batched live pass allocates %v objects per call, want <= %v", allocs, limit)
 }

@@ -11,6 +11,7 @@ import (
 // cache, and an online pipeline on a seen structure hits for both of
 // its builds (full + NR variants).
 func TestPipelineConstructionUsesPlanCache(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	// Isolate from whatever other tests did to the process-wide cache,
 	// and restore the default afterwards.
 	repro.SetPlanCacheCapacity(8)

@@ -399,6 +399,18 @@ func TestCLIServeObservability(t *testing.T) {
 				t.Fatalf("/debug/explain missing %q:\n%s", key, body)
 			}
 		}
+		// The reorder gate: 512 scrambled rows at K=16 stay far below
+		// it, so nothing starts the reordered build.
+		trial, _ := doc["trial"].(map[string]any)
+		for _, key := range []string{"l2_bytes", "referenced_cols", "min_reorder_k"} {
+			if v, _ := trial[key].(float64); v <= 0 {
+				t.Fatalf("/debug/explain trial.%s = %v, want > 0:\n%s", key, trial[key], body)
+			}
+		}
+		if k, _ := trial["min_reorder_k"].(float64); k <= 16 || trial["build"] != "none" {
+			t.Fatalf("/debug/explain gate passes from K=%v with build %v; want > 16 and none:\n%s",
+				trial["min_reorder_k"], trial["build"], body)
+		}
 	}
 	if code, _, _ := get("/debug/explain?tenant=ghost"); code != http.StatusNotFound {
 		t.Fatalf("/debug/explain?tenant=ghost = %d, want 404", code)

@@ -68,11 +68,19 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 		return err
 	}
 	k := opts.k
+	ex, err := s.Explain(repro.DefaultTenant)
+	if err != nil {
+		return err
+	}
+	gate := "no width reaches the reorder gate"
+	if g := ex.Trial.MinReorderK; g > 0 {
+		gate = fmt.Sprintf("reordered plan builds once a request has K >= %d", g)
+	}
 	if sh := s.Sharded(); sh != nil {
-		fmt.Printf("serve: accepting requests (K=%d); matrix sharded into %d row panels, all plans ready\n",
-			k, sh.Panels())
+		fmt.Printf("serve: accepting requests (K=%d); matrix sharded into %d row panels, no-reorder plans ready, %s\n",
+			k, sh.Panels(), gate)
 	} else {
-		fmt.Printf("serve: accepting requests (K=%d); no-reorder plan ready, reordered plan building in background\n", k)
+		fmt.Printf("serve: accepting requests (K=%d); no-reorder plan ready, %s\n", k, gate)
 	}
 	if opts.coalesceWindow > 0 {
 		fmt.Printf("serve: coalescing concurrent requests into batched passes (wait capped at %v)\n", opts.coalesceWindow)
@@ -215,6 +223,9 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 			trial = "trial chose reordered"
 		case decided:
 			trial = "trial chose no-reorder"
+			if rr, nr := pipe.TrialTimes(); rr == 0 && nr == 0 {
+				trial = "no reorder trial"
+			}
 		}
 	}
 	fmt.Printf("serve: drained; %d completed, %d failed, %d shed, %d retries, breaker %s, %s\n",

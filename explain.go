@@ -10,26 +10,53 @@ package repro
 // values.
 
 import (
+	"math"
+
 	"repro/internal/integrity"
 	"repro/internal/kernels"
 	"repro/internal/plancache"
 	"repro/internal/reorder"
 )
 
-// TrialExplain is the §4 online-trial section of a TenantExplain.
+// TrialExplain is the reorder-decision section of a TenantExplain: the
+// width gate, the lazy reordered build, and the §4 online trial.
 type TrialExplain struct {
-	// Decided is true once the first-iteration trial (or degradation)
-	// settled the pipeline; ReorderingWon reports the verdict.
+	// Decided is true once the trial (or degradation) settled wide
+	// calls, and before any wide call (every call then runs the plain
+	// plan); ReorderingWon reports the verdict. Sharded tenants run no
+	// trial and leave these false.
 	Decided       bool `json:"decided"`
 	ReorderingWon bool `json:"reordering_won"`
-	// ReorderedSeconds/PlainSeconds are the trial's measured wall
-	// times (zero until decided, and forever for a degraded pipeline).
+	// ReorderedSeconds/PlainSeconds are the medians of the trial's
+	// timed runs (zero until a trial decided, and forever for a
+	// degraded pipeline).
 	ReorderedSeconds float64 `json:"reordered_seconds"`
 	PlainSeconds     float64 `json:"plain_seconds"`
 	// Degraded is true when the reordered build was abandoned
 	// (budget, cancellation, error, panic); Reason records why.
 	Degraded bool   `json:"degraded"`
 	Reason   string `json:"degraded_reason,omitempty"`
+
+	// The reorder gate: L2Bytes is the per-core L2 size it used,
+	// ReferencedCols the distinct columns the matrix references (the
+	// largest panel's for a sharded tenant), and MinReorderK the
+	// smallest width whose X footprint, ReferencedCols·K·4 bytes,
+	// reaches ¾ of L2 — 0 when no width does (reordering disabled).
+	// Build is the lazy reordered build's state: "none" (no call has
+	// passed the gate), "building", "built" or "degraded".
+	L2Bytes        int64  `json:"l2_bytes"`
+	ReferencedCols int    `json:"referenced_cols"`
+	MinReorderK    int    `json:"min_reorder_k"`
+	Build          string `json:"build"`
+}
+
+// gateExplain fills the gate and build fields of a TrialExplain.
+func gateExplain[T any](ex *TrialExplain, g reorderGate, b *lazyBuild[T]) {
+	ex.L2Bytes, ex.ReferencedCols, ex.MinReorderK = g.l2, g.cols, g.minK
+	if g.minK == math.MaxInt {
+		ex.MinReorderK = 0
+	}
+	ex.Build = b.state()
 }
 
 // PanelExplain is one row panel of a sharded tenant.
@@ -131,6 +158,7 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		if derr != nil {
 			ex.Trial.Reason = derr.Error()
 		}
+		gateExplain(&ex.Trial, o.gate, &o.rr)
 	} else {
 		sp := st.sharded
 		ex.Mode = "sharded"
@@ -140,6 +168,10 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		// full layout in Panels.
 		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, st.baseCfg())
 		plan = sp.panels[0].pipe.plan
+		gateExplain(&ex.Trial, sp.gate, &sp.rr)
+		if derr := sp.rr.failure(); derr != nil {
+			ex.Trial.Degraded, ex.Trial.Reason = true, derr.Error()
+		}
 		ex.Panels = make([]PanelExplain, sp.Panels())
 		for i := range ex.Panels {
 			lo, hi := sp.PanelRange(i)

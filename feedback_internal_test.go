@@ -13,6 +13,7 @@ import (
 // against.
 func decidedOnline(t *testing.T) *OnlinePipeline {
 	t.Helper()
+	SetGateL2ForTest(t, 0)
 	m, err := GenerateScrambledClusters(512, 512, 32, 917)
 	if err != nil {
 		t.Fatal(err)

@@ -92,6 +92,7 @@ func TestPublicAPIRejectsInvalidMatrix(t *testing.T) {
 // that answers its first SpMM immediately via the no-reorder plan, then
 // report the degradation.
 func TestOnlinePipelineCtxBudgetExpired(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1003)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -138,6 +139,7 @@ func TestOnlinePipelineCtxBudgetExpired(t *testing.T) {
 // A failing background build (not a timeout) must degrade the same way
 // and never crash even when the failure is a worker panic.
 func TestOnlinePipelineCtxBuildPanicDegrades(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1004)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -164,6 +166,7 @@ func TestOnlinePipelineCtxBuildPanicDegrades(t *testing.T) {
 // A trial cancelled mid-flight must not publish a winner; a later call
 // re-runs the trial and decides.
 func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1005)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -212,6 +215,7 @@ func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 // still pending (or doomed) must all be served correctly from the
 // no-reorder plan, with no locking them behind preprocessing.
 func TestOnlinePipelineCtxConcurrentDegraded(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1006)
 	warmKernelPool(t, m)
 
@@ -269,6 +273,7 @@ func TestOnlinePipelineCtxConcurrentDegraded(t *testing.T) {
 // the background build land, the first call runs the trial, and nothing
 // is degraded.
 func TestOnlinePipelineCtxBuildLands(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1007)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -307,6 +312,7 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 // Cancelling the constructor's ctx aborts the background build (and is
 // reported as the degradation cause).
 func TestOnlinePipelineCtxConstructorCancel(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1008)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()

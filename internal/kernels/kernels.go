@@ -20,7 +20,7 @@
 // start-up, and SSE (16-, then 4-wide strips), the amd64 baseline,
 // otherwise. StripPath names the path. Elsewhere, and under the
 // standard purego build tag, addRows is plain Go. Every SDDMM row goes
-// through SDDMMRow, one dot per nonzero in k order.
+// through sddmmRow, one dot per nonzero in k order.
 //
 // One rounding contract holds on every GOARCH: each accumulator starts
 // at +0 and adds its products in a fixed order with a separate multiply
@@ -245,20 +245,14 @@ func checkSDDMMShapes(s *sparse.CSR, x, y *dense.Matrix) error {
 	return nil
 }
 
-// checkSDDMMOut verifies that out can take the values of s's product.
-// Without a row map out must mirror s's structure; the full pattern
-// comparison is O(nnz) with no allocations, negligible next to the
-// O(nnz·K) kernel. With a row map out is in the caller's row order, so
-// only its shape and nonzero count are checked here, and the kernel
-// checks each row segment's length as it visits the row.
+// checkSDDMMOut verifies that out can take the values of s's product:
+// the same shape and nonzero count, and no in-place write over S under
+// a row map. It is O(1) — the kernel checks each row segment's length
+// as it visits the row — so it does not compare column patterns: that
+// O(nnz) check is made once, where the output enters (SDDMMRowWiseIntoCtx
+// here, a pipeline's entry point at the root).
 func checkSDDMMOut(s, out *sparse.CSR, dst []int32) error {
-	if dst == nil {
-		if out == s || out.SameStructure(s) {
-			return nil // writing values in place over the source is allowed
-		}
-		return fmt.Errorf("kernels: SDDMM output structure differs from S (%s vs %s)", out, s)
-	}
-	if out == s {
+	if dst != nil && out == s {
 		return errors.New("kernels: SDDMM with a row map cannot write in place over S")
 	}
 	if out.Rows != s.Rows || out.Cols != s.Cols || out.NNZ() != s.NNZ() {
@@ -290,6 +284,9 @@ func SDDMMRowWise(s *sparse.CSR, x, y *dense.Matrix) (*sparse.CSR, error) {
 // out.Val is written. On error the output values are unspecified. At
 // steady state the call performs no heap allocations.
 func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Matrix) error {
+	if out != s && !out.SameStructure(s) {
+		return fmt.Errorf("kernels: SDDMM output structure differs from S (%s vs %s)", out, s)
+	}
 	return SDDMMRowWiseIntoRowsCtx(ctx, out, nil, s, x, y)
 }
 
@@ -298,7 +295,9 @@ func SDDMMRowWiseIntoCtx(ctx context.Context, out, s *sparse.CSR, x, y *dense.Ma
 // reads Y row dst[i] and writes out's row dst[i]. s is read in order
 // and the work is balanced by s.RowPtr. out is in the caller's row
 // order; a row segment whose length differs from its s row fails the
-// call as a *par.PanicError, and nothing is written outside out.Val. A
+// call as a *par.PanicError, and nothing is written outside out.Val.
+// Unlike SDDMMRowWiseIntoCtx it does not compare out's column pattern
+// with s's: the caller checks that once, where the output enters. A
 // pipeline passes its reordered matrix and the plan's RowPerm, so the
 // reordering stays an execution order: no operand or result is
 // permuted.
@@ -344,20 +343,18 @@ func runSDDMMRowWise(j *job, lo, hi int) {
 		if len(ovals) != len(cols) {
 			panic(errRowLength)
 		}
-		SDDMMRow(ovals, j.y.Row(r), xd, cols, s.RowVals(i))
+		sddmmRow(ovals, j.y.Row(r), xd, cols, s.RowVals(i))
 	}
 }
 
-// SDDMMRow computes one row of O = S ⊙ (Y·Xᵀ) from the row's nonzeros
+// sddmmRow computes one row of O = S ⊙ (Y·Xᵀ) from the row's nonzeros
 // (cols, vals): ovals[j] = vals[j] · Σ_k yi[k]·X[cols[j]][k]. xd is X's
 // row-major data with len(yi) columns. Each dot keeps one accumulator,
 // starts at +0 and adds its rounded products in k order, so its sum
 // order is fixed; the X row is resliced to K, so the dot has no bounds
 // checks. A column outside X's rows panics with an index error. It is
-// the SDDMM kernel's row loop, exported for callers that compute single
-// rows outside a kernel pass, such as a live overlay (the SDDMM twin of
-// SpMMRow).
-func SDDMMRow(ovals, yi, xd []float32, cols []int32, vals []float32) {
+// the SDDMM kernel's row loop.
+func sddmmRow(ovals, yi, xd []float32, cols []int32, vals []float32) {
 	k := len(yi)
 	vals, ovals = vals[:len(cols)], ovals[:len(cols)]
 	for j, c := range cols {

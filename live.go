@@ -174,27 +174,39 @@ type liveState struct {
 
 func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows > 0 }
 
-// baseUnit picks the executor for the base rows: the online pipeline
-// (or, for breaker-routed fallback attempts, its no-reorder plan
-// directly) or the sharded pipeline.
-func (st *liveState) baseUnit(nrOnly bool) servingUnit {
-	if st.online != nil {
+// baseSpMM runs the base rows' SpMM, with the gate judging width k:
+// the online pipeline (or, for breaker-routed fallback attempts, its
+// no-reorder plan directly) or the sharded pipeline.
+func (st *liveState) baseSpMM(ctx context.Context, y, x *Dense, k int, nrOnly bool) error {
+	if o := st.online; o != nil {
 		if nrOnly {
-			return st.online.nr
+			return o.nr.SpMMIntoCtx(ctx, y, x)
 		}
-		return st.online
+		return o.spmmInto(ctx, y, x, k)
 	}
-	return st.sharded
+	return st.sharded.spmmInto(ctx, y, x, k)
 }
 
-// baseCfg is the Config of the base's no-reorder plan (panel 0's plan
-// for a sharded base): its plan-cache key, whose Epoch is the
-// structEpoch at base-build time.
+// baseSDDMM is baseSpMM's SDDMM analog, for an out whose structure the
+// caller has checked.
+func (st *liveState) baseSDDMM(ctx context.Context, out *Matrix, x, y *Dense, nrOnly bool) error {
+	if o := st.online; o != nil {
+		if nrOnly {
+			return o.nr.sddmmInto(ctx, out, x, y)
+		}
+		return o.sddmmInto(ctx, out, x, y)
+	}
+	return st.sharded.sddmmInto(ctx, out, x, y)
+}
+
+// baseCfg is the Config the base was built under: the plan-cache key of
+// its reordered plans, whose Epoch is the structEpoch at base-build
+// time.
 func (st *liveState) baseCfg() Config {
 	if st.online != nil {
-		return st.online.nr.plan.Cfg
+		return st.online.cfg
 	}
-	return st.sharded.panels[0].pipe.plan.Cfg
+	return st.sharded.cfg
 }
 
 // LivePipeline serves a matrix that can be mutated while being served,
@@ -305,9 +317,10 @@ type LiveStats struct {
 }
 
 // NewLivePipelineCtx builds a mutable serving pipeline over m: the base
-// is an online pipeline (no-reorder plan synchronously, reordered plan
-// in the background under cfg.PreprocessBudget, §4 trial on first use),
-// and Mutate keeps it current as the matrix changes. Background
+// is an online pipeline (no-reorder plan synchronously; the reordered
+// plan in the background under ctx and cfg.PreprocessBudget, started by
+// the first call the reorder gate passes, then the §4 trial on the next
+// one), and Mutate keeps it current as the matrix changes. Background
 // rebuilds run under ctx: cancelling it stops them without degrading.
 func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveConfig) (*LivePipeline, error) {
 	o, err := newOnlinePipelineCtx(ctx, m, cfg, nil)
@@ -799,7 +812,23 @@ func applyStructure(cur *Matrix, nm *Mutation) (*Matrix, error) {
 // base rows directly into y's prefix and the overlaid/appended rows are
 // filled from the fused matrix at output-scatter time.
 func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return l.state.Load().spmmInto(ctx, y, x, modeFull)
+	return l.state.Load().spmmInto(ctx, y, x, x.Cols, modeFull)
+}
+
+// batchPass is the coalescer's pass over a live pipeline. It is a
+// kernels.WidthPass: a batch tells it its widest operand's width, and
+// the base's reorder gate judges that width rather than the stacked
+// one, so stacking requests never starts or uses a reordered plan that
+// none of them would. One pointer wide, so passing it as an interface
+// does not allocate.
+type batchPass struct{ l *LivePipeline }
+
+func (p batchPass) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
+	return p.l.SpMMIntoCtx(ctx, y, x)
+}
+
+func (p batchPass) SpMMWidthIntoCtx(ctx context.Context, y *Dense, x *Dense, width int) error {
+	return p.l.state.Load().spmmInto(ctx, y, x, width, modeFull)
 }
 
 // SpMMInto is SpMMIntoCtx without cancellation.
@@ -847,9 +876,13 @@ func (l *LivePipeline) evictPlans() {
 		}
 		return
 	}
+	rr := st.sharded.rr.Load()
 	for i := range st.sharded.panels {
 		p := st.sharded.panels[i].pipe
 		pc.Evict(p.Matrix(), p.plan.Cfg)
+		if rr != nil {
+			pc.Evict(p.Matrix(), (*rr)[i].plan.Cfg)
+		}
 	}
 }
 
@@ -866,7 +899,10 @@ func (l *LivePipeline) evictPlans() {
 //     the cold-rebuild oracle (repro.SpMM runs the same kernel on the
 //     same matrix). For a sharded tenant the breaker's fallback IS the
 //     sharded pipeline, which may be the very thing quarantined.
-func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serveMode) error {
+//
+// k is the width the base's reorder gate judges: x.Cols, or a coalesced
+// batch's widest operand.
+func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, k int, mode serveMode) error {
 	if err := st.checkSpMM(y, x); err != nil {
 		return err
 	}
@@ -874,9 +910,9 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serv
 	if mode == modeQuarantine {
 		return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
 	}
-	base := st.baseUnit(mode == modeFallback)
+	nrOnly := mode == modeFallback
 	if !st.mutated() {
-		return base.SpMMIntoCtx(ctx, y, x)
+		return st.baseSpMM(ctx, y, x, k, nrOnly)
 	}
 	// Rows are independent: the base pass writes its rows straight into
 	// y's prefix (a zero-copy view), then the overlay overwrites its
@@ -884,7 +920,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, mode serv
 	var yb dense.Matrix
 	yb.Rows, yb.Cols = st.baseM.Rows, y.Cols
 	yb.Data = y.Data[:st.baseM.Rows*y.Cols]
-	if err := base.SpMMIntoCtx(ctx, &yb, x); err != nil {
+	if err := st.baseSpMM(ctx, &yb, x, k, nrOnly); err != nil {
 		return err
 	}
 	err := st.overlayRows(ctx, func(r int) {
@@ -928,14 +964,16 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mo
 	if err := st.checkSDDMM(out, x, y); err != nil {
 		return err
 	}
-	// A mutated state runs the row-wise kernel on the fused matrix:
-	// every plan's SDDMM is that kernel over reordered rows, and each
-	// nonzero is one dot whichever order the rows are visited in, so the
-	// bits match a base pass plus the overlay.
+	// out's structure was checked against cur above, once: no layer
+	// below compares it again. A mutated state runs the row-wise kernel
+	// on the fused matrix: every plan's SDDMM is that kernel over
+	// reordered rows, and each nonzero is one dot whichever order the
+	// rows are visited in, so the bits match a base pass plus the
+	// overlay.
 	if mode == modeQuarantine || st.mutated() {
-		return kernels.SDDMMRowWiseIntoCtx(ctx, out, st.cur, x, y)
+		return kernels.SDDMMRowWiseIntoRowsCtx(ctx, out, nil, st.cur, x, y)
 	}
-	return st.baseUnit(mode == modeFallback).SDDMMIntoCtx(ctx, out, x, y)
+	return st.baseSDDMM(ctx, out, x, y, mode == modeFallback)
 }
 
 // overlayRows calls fn for every row served from the fused matrix
@@ -1052,12 +1090,8 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	var online *OnlinePipeline
 	var sharded *ShardedPipeline
 	if st.online != nil {
-		// Live rebuilds stay NR by decision: at the live widths (K <= 16)
-		// reordering does not pay (rr/nr 0.99 at K=16, DESIGN §14.3), so
-		// a fold builds one no-reorder plan, decided on it, and never
-		// pays a full LSH preprocess. A width-aware choice is ROADMAP
-		// item 3's.
-		cfg.Disable = true
+		// The rebuilt base is gated like any other: it builds its
+		// reordered plan only if a call wide enough to use it arrives.
 		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, nil)
 		if err != nil {
 			return err
@@ -1068,7 +1102,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 			online.sink.Store(es)
 		}
 	} else {
-		sharded, err = NewShardedPipelineCtx(l.ctx, snapM, cfg, l.shardNNZ)
+		sharded, err = newShardedPipeline(l.ctx, l.ctx, snapM, cfg, l.shardNNZ, nil)
 		if err != nil {
 			return err
 		}
@@ -1080,11 +1114,12 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 		return err
 	}
 	// Name the rebuilt base for the swap event while still off the lock
-	// (a sharded base's digest is O(nnz); an online base holds its key).
+	// (each digest is O(nnz)): an online base by its no-reorder plan,
+	// which serves every call until a wide call's trial decides.
 	var swapFP, swapKernel string
 	if es := l.sink.Load(); es != nil {
 		if online != nil {
-			swapFP, swapKernel = online.PlanFingerprint(), online.Kernel().String()
+			swapFP, swapKernel = online.nrFingerprint(), online.nr.Kernel().String()
 		} else {
 			swapFP, swapKernel = plancache.Fingerprint(snapM, cfg), sharded.PanelKernel(0).String()
 		}
@@ -1132,9 +1167,9 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 
 // checkBasePlans validates the pre-swap structural invariants
 // (integrity.CheckPlan: permutation bijectivity, RowPtr monotonicity,
-// index ranges) of every plan a base unit serves from — the NR and
-// reordered plans of an online base, or every panel of a sharded one.
-// Exactly one of online/sharded is non-nil.
+// index ranges) of every plan a base unit serves from — the NR and,
+// once built, reordered plans of an online base, or of every panel of a
+// sharded one. Exactly one of online/sharded is non-nil.
 func checkBasePlans(online *OnlinePipeline, sharded *ShardedPipeline) error {
 	if online != nil {
 		if err := checkPipelinePlan(online.nr); err != nil {
@@ -1148,6 +1183,13 @@ func checkBasePlans(online *OnlinePipeline, sharded *ShardedPipeline) error {
 	for i := range sharded.panels {
 		if err := checkPipelinePlan(sharded.panels[i].pipe); err != nil {
 			return err
+		}
+	}
+	if rr := sharded.rr.Load(); rr != nil {
+		for _, p := range *rr {
+			if err := checkPipelinePlan(p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

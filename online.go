@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/plancache"
 )
 
@@ -17,58 +17,66 @@ import (
 // strategy: "perform row-reordering in the first iteration and do SpMM
 // on both the reordered matrix and the original matrix. If the
 // reordered matrix is faster, keep the row-reordering for the rest of
-// iterations; otherwise, discard [it]". The first SpMM (or SDDMM) call
-// after both plans exist runs the trial — one untimed warm-up of each
-// plan to strip the cold-cache penalty, then one timed run of each —
-// and locks in the winner for every subsequent call.
+// iterations; otherwise, discard [it]" — but only at the widths where
+// reordering can pay. Reordering saves time through cache reuse of X's
+// rows, which matters only once X overflows the per-core L2, so a width
+// gate (gate.go) compares X's footprint at a call's width K with ¾ of
+// L2:
 //
-// Built with NewOnlinePipelineCtx, the pipeline is additionally
-// *degradation-hardened*: only the cheap no-reorder (ASpT-NR) plan is
-// built before the constructor returns, while the expensive reordered
-// plan builds in the background under cfg.PreprocessBudget. Until that
-// build lands, calls serve the NR plan immediately; if the build runs
-// over budget, is cancelled, or fails, the pipeline permanently settles
-// on NR and records why (see Degraded). Serving is therefore never
+//   - A call below the gate runs the no-reorder (NR) plan on the
+//     lock-free path: no reordered build, no trial.
+//   - The first call at or above the gate starts the reordered build in
+//     the background (at construction when even K=1 passes, as for a
+//     matrix too wide for any width to fit). Calls keep serving NR until
+//     it lands; the next wide call then runs the trial — one untimed
+//     warm-up of each plan, then three alternated timed runs of each,
+//     medians compared, ties to NR — and its winner serves every later
+//     wide call.
+//
+// Only the cheap NR plan is built before a constructor returns. The
+// reordered build runs under the constructor's context and, when
+// positive, cfg.PreprocessBudget of wall-clock time from its start; if
+// it runs over budget, is cancelled, or fails, wide calls permanently
+// settle on NR and Degraded records why. Serving is therefore never
 // blocked on — and never crashes because of — preprocessing.
 //
-// A pipeline whose Config sets Disable has nothing to trial: it builds
-// only the NR plan and is decided on it before its constructor returns
-// (no background build, no trial, zero TrialTimes). The live rebuild
-// builds its bases this way.
+// Before any wide call a pipeline is decided on its NR plan: Decided
+// reports (true, false), Pipeline returns the NR plan, PlanFingerprint
+// its plan-cache key, and TrialTimes zeros. The first wide call reopens
+// the decision for wide calls (Decided (false, false), Pipeline nil)
+// until the trial, or a degraded build, settles it. A Config that sets
+// Disable gets a gate no width passes.
 //
-// OnlinePipeline is safe for concurrent use. Once the trial has
-// decided, calls load the winner through an atomic pointer and execute
-// without taking any lock, so N goroutines get N-way parallel
-// SpMM/SDDMM; only concurrent *undecided* calls with both plans ready
-// serialise, and they serialise only the trial itself.
+// OnlinePipeline is safe for concurrent use. Narrow calls and decided
+// wide calls execute without taking any lock, so N goroutines get
+// N-way parallel SpMM/SDDMM; only concurrent undecided wide calls with
+// both plans ready serialise, and they serialise only the trial itself.
 type OnlinePipeline struct {
 	nr *Pipeline
 
-	// rr is nil until the reordered build lands (immediately in
-	// NewOnlinePipeline; in the background in NewOnlinePipelineCtx), and
-	// forever when the Config disables reordering.
-	rr atomic.Pointer[Pipeline]
+	// gate decides which widths may use the reordered plan; rr is that
+	// plan's build, started at most once by the first call gate passes.
+	gate reorderGate
+	rr   lazyBuild[Pipeline]
+	// The build's inputs: its context (the constructor's), Config and
+	// trace ring.
+	bctx context.Context
+	cfg  Config
+	ring *obs.TraceRing
 
-	// winner is nil until the trial decides or the pipeline degrades;
-	// decided calls go straight through this pointer without touching mu.
+	// winner is the plan wide calls run, nil until the trial decides or
+	// the build degrades; decided calls go straight through this pointer
+	// without touching mu.
 	winner atomic.Pointer[Pipeline]
-
-	// degraded records why the reordered build was abandoned (nil while
-	// it is pending or after it succeeded).
-	degraded atomic.Pointer[degradeReason]
-
-	// buildDone closes when the background reordered build finishes,
-	// for better or worse.
-	buildDone chan struct{}
 
 	mu     sync.Mutex // serialises the trial; guards the times below
 	rrTime time.Duration
 	nrTime time.Duration
 
 	// Autotuner feedback (observability only — the winner is never
-	// flipped mid-serve). Decided SpMM calls accumulate wall time and
-	// flops into the fb* atomics; every fbWindow samples the window is
-	// drained and its observed cost per flop compared against
+	// flipped mid-serve). Decided wide SpMM calls accumulate wall time
+	// and flops into the fb* atomics; every fbWindow samples the window
+	// is drained and its observed cost per flop compared against
 	// loserNSPerFlop, the trial loser's measured cost — a window where
 	// the serving plan underperforms the plan the trial rejected is a
 	// mispick (see DESIGN.md §16). loserNSPerFlop and planFP are plain
@@ -83,6 +91,10 @@ type OnlinePipeline struct {
 
 	loserNSPerFlop float64
 	planFP         string
+
+	// nrFP caches the no-reorder plan's plan-cache key (an O(nnz) hash),
+	// computed on first use.
+	nrFP atomic.Pointer[string]
 
 	// sink, when set, receives decision events (trial winner, mispick).
 	sink atomic.Pointer[eventSink]
@@ -114,63 +126,66 @@ const mispickSlack = 1.1
 
 type degradeReason struct{ err error }
 
-// closedChan is shared by every synchronously constructed pipeline.
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
-
-// NewOnlinePipeline preprocesses m both ways (with the §4 heuristics and
-// without any reordering) and returns a pipeline that will pick between
-// them on first use. Both builds go through the process-wide plan
-// cache, so an online pipeline over an already-seen sparsity structure
-// (e.g. the same graph re-served with new values) starts in O(nnz)
-// without any LSH, clustering, or tiling work.
+// NewOnlinePipeline builds m's no-reorder plan and returns a pipeline
+// that builds the reordered plan only for widths that pass the reorder
+// gate (see OnlinePipeline). Both builds go through the process-wide
+// plan cache, so an online pipeline over an already-seen sparsity
+// structure (e.g. the same graph re-served with new values) starts in
+// O(nnz) without any LSH, clustering, or tiling work.
 //
-// Both builds run synchronously: the constructor does not return until
-// the reordered plan exists (or errors). For budgeted, non-blocking
-// construction use NewOnlinePipelineCtx. With cfg.Disable set only the
-// no-reorder plan is built, and the pipeline is decided on it.
+// When every width passes the gate the reordered plan is built
+// synchronously too, and the constructor returns its error; otherwise
+// the first wide call starts it in the background, with no context but
+// cfg.PreprocessBudget. For budgeted, cancellable construction use
+// NewOnlinePipelineCtx.
 func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	nr, err := NewPipelineNR(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Disable {
-		return singlePlan(nr), nil
+	o := newOnline(context.Background(), nr, cfg, nil, newReorderGate(m, cfg))
+	if o.gate.pass(1) {
+		rr, err := NewPipeline(m, cfg)
+		if err != nil {
+			return nil, err
+		}
+		o.rr.set(rr)
 	}
-	rr, err := NewPipeline(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
-	o.rr.Store(rr)
 	return o, nil
 }
 
-// singlePlan returns the online pipeline over nr alone, already decided
-// on it: its Config disables reordering, so there is no reordered plan
-// to build and no trial to run. PlanFingerprint is nr's own key.
-func singlePlan(nr *Pipeline) *OnlinePipeline {
-	o := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: defaultMispickWindow}
-	o.planFP = plancache.Fingerprint(nr.orig, nr.plan.Cfg)
-	o.winner.Store(nr)
+// newOnline returns the online pipeline over the built NR plan with
+// gate, and no reordered build started.
+func newOnline(bctx context.Context, nr *Pipeline, cfg Config, ring *obs.TraceRing, gate reorderGate) *OnlinePipeline {
+	o := &OnlinePipeline{
+		nr:       nr,
+		gate:     gate,
+		bctx:     bctx,
+		cfg:      cfg,
+		ring:     ring,
+		fbWindow: defaultMispickWindow,
+	}
+	o.rr.init()
 	return o
 }
 
 // NewOnlinePipelineCtx builds the serving-grade online pipeline: the
 // cheap no-reorder plan is built synchronously (its error, if any, is
 // the constructor's error), and the expensive reordered plan builds in
-// a background goroutine governed by ctx and, when positive, by
-// cfg.PreprocessBudget of wall-clock time.
+// a background goroutine — started by the first call the reorder gate
+// passes, or here when every width passes — governed by ctx and, when
+// positive, by cfg.PreprocessBudget of wall-clock time from its start.
+// ctx must therefore outlive the pipeline's wide calls: a build started
+// under a dead ctx degrades at once.
 //
-// The pipeline serves immediately: SpMM/SDDMM calls arriving before the
-// reordered plan is ready execute on the no-reorder plan without
-// waiting. When the background build lands, the next call runs the §4
-// trial as usual. If the build exceeds its budget, observes ctx's
-// cancellation, fails, or panics (surfaced as a *PanicError), the
-// pipeline permanently degrades to the no-reorder plan — Decided then
-// reports (true, false) and Degraded returns the recorded cause. A
-// failed or cancelled build is never stored in the plan cache. With
-// cfg.Disable set there is no background build: the pipeline returns
-// decided on the no-reorder plan and cannot degrade.
+// The pipeline serves immediately: calls arriving before the reordered
+// plan is ready execute on the no-reorder plan without waiting. When
+// the background build lands, the next wide call runs the §4 trial. If
+// the build exceeds its budget, observes ctx's cancellation, fails, or
+// panics (surfaced as a *PanicError), wide calls permanently settle on
+// the no-reorder plan — Decided then reports (true, false) and Degraded
+// returns the recorded cause. A failed or cancelled build is never
+// stored in the plan cache.
 func NewOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	return newOnlinePipelineCtx(ctx, m, cfg, nil)
 }
@@ -185,60 +200,46 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Disable {
-		return singlePlan(nr), nil
+	o := newOnline(ctx, nr, cfg, ring, newReorderGate(m, cfg))
+	if o.gate.pass(1) {
+		o.startBuild(0)
 	}
-	o := &OnlinePipeline{nr: nr, buildDone: make(chan struct{}), fbWindow: defaultMispickWindow}
-	bctx, cancel := context.WithCancel(ctx)
-	if cfg.PreprocessBudget > 0 {
-		bctx, cancel = context.WithTimeout(ctx, cfg.PreprocessBudget)
-	}
-	go func() {
-		defer close(o.buildDone)
-		defer cancel()
-		var tr *obs.Trace
-		if ring != nil {
-			tr = obs.NewTrace("build_reordered")
-			bctx = obs.WithTrace(bctx, tr)
-		}
-		var rr *Pipeline
-		// Guard the whole build: stage-internal panics already surface
-		// as errors, and this converts any residual glue-code panic too
-		// — a background goroutine must never crash the process.
-		err := par.Guard(func() error {
-			var err error
-			rr, err = NewPipelineCtx(bctx, m, cfg)
-			return err
-		})
-		if err != nil {
-			o.degraded.Store(&degradeReason{err: err})
-			o.winner.Store(o.nr)
-			onlineDegraded.Inc()
-			if tr != nil {
-				tr.Annotate("outcome", "degraded")
-				tr.Finish(err)
-				ring.Push(tr)
-			}
-			return
-		}
-		o.rr.Store(rr)
-		if tr != nil {
-			tr.Annotate("outcome", "ok")
-			tr.Annotate("stages", rr.PlanStages().String())
-			tr.Finish(nil)
-			ring.Push(tr)
-		}
-	}()
 	return o, nil
 }
 
-// Decided reports whether the pipeline has settled on a plan, and if so
-// whether reordering won. Settling happens through the first-iteration
-// trial or — for budgeted pipelines — by degrading to the no-reorder
-// plan (in which case reorderingWon is false; see Degraded for why).
+// startBuild starts the reordered build unless it already started;
+// width is the call width that asked for it (0: the constructor).
+func (o *OnlinePipeline) startBuild(width int) {
+	if o.rr.started.Load() {
+		return
+	}
+	o.rr.start(o.bctx, o.cfg.PreprocessBudget, o.ring, width,
+		func(ctx context.Context) (*Pipeline, error) {
+			rr, err := NewPipelineCtx(ctx, o.nr.orig, o.cfg)
+			if err == nil {
+				obs.TraceFrom(ctx).Annotate("stages", rr.PlanStages().String())
+			}
+			return rr, err
+		},
+		func(err error) {
+			if err != nil {
+				o.winner.Store(o.nr)
+				onlineDegraded.Inc()
+			}
+		})
+}
+
+// Decided reports whether wide calls — those at or above the reorder
+// gate — have settled on a plan, and if so whether reordering won.
+// Settling happens through the trial or by degrading to the no-reorder
+// plan (reorderingWon false; see Degraded for why). A pipeline that has
+// seen no wide call is decided on its no-reorder plan, which every call
+// below the gate runs: (true, false).
 func (o *OnlinePipeline) Decided() (done, reorderingWon bool) {
-	w := o.winner.Load()
-	return w != nil, w != nil && w == o.rr.Load()
+	if w := o.winner.Load(); w != nil {
+		return true, w == o.rr.Load()
+	}
+	return !o.rr.started.Load(), false
 }
 
 // Degraded reports whether the reordered build was abandoned — budget
@@ -246,35 +247,26 @@ func (o *OnlinePipeline) Decided() (done, reorderingWon bool) {
 // error that caused it. A degraded pipeline serves the no-reorder plan
 // permanently.
 func (o *OnlinePipeline) Degraded() (bool, error) {
-	if d := o.degraded.Load(); d != nil {
-		return true, d.err
-	}
-	return false, nil
+	err := o.rr.failure()
+	return err != nil, err
 }
 
-// WaitPreprocessed blocks until the background reordered build has
-// finished (successfully or by degrading) or ctx is cancelled. It
-// returns ctx's error in the latter case and nil otherwise; check
-// Degraded for the build's outcome. Pipelines built with
-// NewOnlinePipeline return immediately.
-func (o *OnlinePipeline) WaitPreprocessed(ctx context.Context) error {
-	select {
-	case <-o.buildDone:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+// WaitPreprocessed blocks until no reordered build is in flight —
+// it finished (successfully or by degrading), or none was ever started
+// — or ctx is cancelled. It returns ctx's error in the latter case and
+// nil otherwise; check Degraded for the build's outcome.
+func (o *OnlinePipeline) WaitPreprocessed(ctx context.Context) error { return o.rr.wait(ctx) }
 
-// TrialTimes returns the wall times measured in the deciding iteration.
+// TrialTimes returns the medians of the timed runs in the deciding
+// trial.
 //
-// Pre-decision contract: until Decided reports done, TrialTimes returns
-// (0, 0) immediately — it is guarded by the decided flag and never
+// Pre-decision contract: until a trial has decided, TrialTimes returns
+// (0, 0) immediately — it is guarded by the winner pointer and never
 // blocks on the decision lock, which an in-flight trial holds for the
-// full duration of four kernel executions. A degraded pipeline, and one
-// whose reordered plan applied no round, returns zeros forever: no
-// trial ever runs. Poll Decided (or WaitPreprocessed plus one serving
-// call) before treating the times as meaningful.
+// full duration of its kernel executions. A pipeline that has seen no
+// wide call, a degraded one, and one whose reordered plan applied no
+// round return zeros: no trial ran. Poll Decided (or WaitPreprocessed
+// plus one wide call) before treating the times as meaningful.
 func (o *OnlinePipeline) TrialTimes() (reordered, plain time.Duration) {
 	if o.winner.Load() == nil {
 		return 0, 0
@@ -284,28 +276,31 @@ func (o *OnlinePipeline) TrialTimes() (reordered, plain time.Duration) {
 	return o.rrTime, o.nrTime
 }
 
-// Pipeline returns the winning pipeline once decided (nil before).
-func (o *OnlinePipeline) Pipeline() *Pipeline { return o.winner.Load() }
+// Pipeline returns the plan wide calls run once decided: the trial's
+// winner, or the no-reorder plan after degrading or before any wide
+// call. It returns nil while a wide call's decision is pending.
+func (o *OnlinePipeline) Pipeline() *Pipeline {
+	if w := o.winner.Load(); w != nil {
+		return w
+	}
+	if !o.rr.started.Load() {
+		return o.nr
+	}
+	return nil
+}
 
 // Matrix returns the original (unreordered) matrix.
 func (o *OnlinePipeline) Matrix() *Matrix { return o.nr.Matrix() }
 
-// Preprocessed reports, without blocking, whether the background
-// reordered build has finished (successfully or by degrading) — the
-// readiness signal a /readyz probe wants: once true, every serving
-// decision the pipeline will ever make is already cheap.
-func (o *OnlinePipeline) Preprocessed() bool {
-	select {
-	case <-o.buildDone:
-		return true
-	default:
-		return false
-	}
-}
+// Preprocessed reports, without blocking, whether no reordered build
+// is in flight — the readiness signal a /readyz probe wants. It is true
+// from construction until a wide call starts the build, and again once
+// that build has finished (successfully or by degrading).
+func (o *OnlinePipeline) Preprocessed() bool { return o.rr.idle() }
 
-// current returns the plan a call arriving now executes on: the winner
-// once decided, else the reordered plan once built (the call runs the
-// trial on it), else the no-reorder plan.
+// current returns the plan a call at or above the gate arriving now
+// executes on: the winner once decided, else the reordered plan once
+// built (the call runs the trial on it), else the no-reorder plan.
 func (o *OnlinePipeline) current() *Pipeline {
 	if w := o.winner.Load(); w != nil {
 		return w
@@ -316,27 +311,44 @@ func (o *OnlinePipeline) current() *Pipeline {
 	return o.nr
 }
 
+// plan returns the plan a call of width k arriving now executes on.
+func (o *OnlinePipeline) plan(k int) *Pipeline {
+	if !o.gate.pass(k) {
+		return o.nr
+	}
+	return o.current()
+}
+
 // PlanStages returns the preprocessing stage breakdown of the plan a
-// call arriving now would execute on: the winner's once decided, else
-// the reordered plan's when its build has landed, else the no-reorder
-// plan's.
+// call at or above the gate arriving now would execute on: the
+// winner's once decided, else the reordered plan's when its build has
+// landed, else the no-reorder plan's (which every narrower call runs).
 func (o *OnlinePipeline) PlanStages() StageTimings { return o.current().PlanStages() }
 
-// Kernel returns the SpMM kernel of the plan a call arriving now would
-// execute on (winner, else built reordered plan, else the no-reorder
-// plan), resolving the same way as PlanStages.
+// Kernel returns the SpMM kernel of the plan a call at or above the
+// gate arriving now would execute on, resolving the same way as
+// PlanStages.
 func (o *OnlinePipeline) Kernel() Kernel { return o.current().Kernel() }
 
 // SpMMIntoCtx computes Y = S·X into y with cooperative cancellation
-// between kernel chunks and panic isolation. The first call with both
-// plans ready runs the trial and keeps the faster plan; later calls use
-// the winner lock-free and allocation-free. While the reordered plan is
-// still building in the background, calls serve the no-reorder plan
-// immediately. A call cancelled mid-trial returns ctx's error without
-// publishing a winner; a later call re-runs the trial.
+// between kernel chunks and panic isolation. A call below the reorder
+// gate runs the no-reorder plan. At or above it, the first call starts
+// the reordered build and runs the no-reorder plan, as do later calls
+// while the build runs; the first call after it lands runs the trial
+// and keeps the faster plan, and later calls use the winner. Every
+// call but the trial is lock-free and allocation-free. A call
+// cancelled mid-trial returns ctx's error without publishing a winner;
+// a later wide call re-runs the trial.
 func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
+	return o.spmmInto(ctx, y, x, x.Cols)
+}
+
+// spmmInto is SpMMIntoCtx with the gate asked about width k rather
+// than x.Cols: a coalesced batch passes its widest operand's width, so
+// stacking requests never changes which plan serves them.
+func (o *OnlinePipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {
 	start := time.Now()
-	decided, err := o.dispatch(x.Cols, y.Data, func(p *Pipeline, dst []float32) error {
+	decided, err := o.dispatch(k, x.Cols, y.Data, func(p *Pipeline, dst []float32) error {
 		if dst == nil {
 			return p.SpMMIntoCtx(ctx, y, x)
 		}
@@ -349,48 +361,70 @@ func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 }
 
 // SDDMMIntoCtx computes O = S ⊙ (Y·Xᵀ) into out, which must have the
-// matrix's sparsity structure, with the same first-call trial, the same
-// lock-free decided path, and the same serve-NR-while-building
-// behaviour as SpMMIntoCtx.
+// matrix's sparsity structure, with the same gate, the same trial, the
+// same lock-free decided path, and the same serve-NR-while-building
+// behaviour as SpMMIntoCtx. out's structure is checked once, here.
 func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	_, err := o.dispatch(x.Cols, out.Val, func(p *Pipeline, dst []float32) error {
+	if err := checkSDDMMOut(out, o.nr.orig); err != nil {
+		return err
+	}
+	return o.sddmmInto(ctx, out, x, y)
+}
+
+// sddmmInto is SDDMMIntoCtx for an out whose structure the caller has
+// checked.
+func (o *OnlinePipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense) error {
+	_, err := o.dispatch(x.Cols, x.Cols, out.Val, func(p *Pipeline, dst []float32) error {
 		if dst == nil {
-			return p.SDDMMIntoCtx(ctx, out, x, y)
+			return p.sddmmInto(ctx, out, x, y)
 		}
 		view := *out
 		view.Val = dst
-		return p.SDDMMIntoCtx(ctx, &view, x, y)
+		return p.sddmmInto(ctx, &view, x, y)
 	})
 	return err
 }
 
-// dispatch routes one call: a decided pipeline runs the winner, a
-// pipeline whose reordered plan is still building runs the no-reorder
-// plan, and otherwise the call runs the §4 trial. run executes the call
-// on plan p, into the caller's output (whose values are out) when dst is
-// nil and otherwise into dst, a scratch buffer of len(out). decided
-// reports whether the winner served the call.
-func (o *OnlinePipeline) dispatch(k int, out []float32, run func(p *Pipeline, dst []float32) error) (decided bool, err error) {
+// dispatch routes one call the gate judges at width k: below the gate,
+// or with the reordered plan not yet built, it runs the no-reorder
+// plan (starting the build if the gate passes); a decided pipeline runs
+// the winner; otherwise the call runs the §4 trial at width flopK, the
+// call's own. run executes the call on plan p, into the caller's
+// output (whose values are out) when dst is nil and otherwise into dst,
+// a scratch buffer of len(out). decided reports whether the winner
+// served the call.
+func (o *OnlinePipeline) dispatch(k, flopK int, out []float32, run func(p *Pipeline, dst []float32) error) (decided bool, err error) {
+	if !o.gate.pass(k) {
+		return false, run(o.nr, nil)
+	}
 	if w := o.winner.Load(); w != nil {
 		return true, run(w, nil)
 	}
 	if rr := o.rr.Load(); rr != nil {
-		return false, o.trial(rr, k, out, run)
+		return false, o.trial(rr, flopK, out, run)
 	}
 	// Reordered plan not ready: serve the no-reorder plan now rather
 	// than blocking the caller on preprocessing.
+	o.startBuild(k)
 	return false, run(o.nr, nil)
 }
 
+// trialRuns is how many timed runs of each plan a trial compares by
+// median, so no decision hinges on one noisy sample. The trial runs
+// only at widths where a pass costs ~0.6 ms or more on the serving
+// matrices, so the extra runs are cheap.
+const trialRuns = 3
+
 // trial runs the §4 trial under the decision lock: warm-up both plans
 // untimed (so neither eats the cold-cache penalty the other is measured
-// without), then time one run of each, and publish the winner. Both
-// plans run into pooled scratch and the winner's result is copied into
-// the caller's output, so the loser's discarded output is never what
-// the caller observes. Any error — including ctx's cancellation
-// mid-flight — aborts the trial without publishing a winner. When the
-// reordered plan applied no round there is nothing to decide: NR is
-// published with zero times before the call runs once.
+// without), then time trialRuns alternated runs of each, and publish
+// the plan with the lower median (ties keep NR). Both plans run into
+// pooled scratch and the winner's result is copied into the caller's
+// output, so the loser's discarded output is never what the caller
+// observes. Any error — including ctx's cancellation mid-flight —
+// aborts the trial without publishing a winner. When the reordered
+// plan applied no round there is nothing to decide: NR is published
+// with zero times before the call runs once.
 func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pipeline, []float32) error) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -414,22 +448,31 @@ func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pip
 	if err := run(o.nr, dstNR); err != nil {
 		return err
 	}
-	t0 := time.Now()
-	if err := run(rr, dstRR); err != nil {
-		return err
+	var rrT, nrT [trialRuns]time.Duration
+	for i := range trialRuns {
+		t0 := time.Now()
+		if err := run(rr, dstRR); err != nil {
+			return err
+		}
+		rrT[i] = time.Since(t0)
+		t0 = time.Now()
+		if err := run(o.nr, dstNR); err != nil {
+			return err
+		}
+		nrT[i] = time.Since(t0)
 	}
-	rrTime := time.Since(t0)
-	t0 = time.Now()
-	if err := run(o.nr, dstNR); err != nil {
-		return err
-	}
-	nrTime := time.Since(t0)
-	if o.decide(rr, rrTime, nrTime, k) == rr {
+	if o.decide(rr, median(rrT), median(nrT), k) == rr {
 		copy(out, dstRR)
 	} else {
 		copy(out, dstNR)
 	}
 	return nil
+}
+
+// median returns the median of the trial's timed runs.
+func median(t [trialRuns]time.Duration) time.Duration {
+	slices.Sort(t[:])
+	return t[trialRuns/2]
 }
 
 // reskin re-skins this online pipeline for a matrix with the *same
@@ -438,17 +481,17 @@ func (o *OnlinePipeline) trial(rr *Pipeline, k int, out []float32, run func(*Pip
 // O(nnz) value walk (Pipeline.withValues) that shares every structure
 // array: no plan-cache lookup, no preprocessing, and the plans — and
 // the configurations they were built under — stay exactly the ones the
-// trial measured.
+// trial measured. The gate carries over too: it depends on the
+// structure alone.
 //
 // The trial decision carries over: structure is what the §4 trial
 // measures, and the structure has not changed, so if the old pipeline
 // had settled on (say) the reordered plan the new one starts settled on
 // its reskinned counterpart — no re-trial, no window where serving
-// would flap back to NR. A pipeline with no reordered plan (degraded or
-// single-plan) reskins to one decided on its re-skinned NR plan, keeping
-// the recorded cause or the fingerprint. A pipeline whose background
-// build is still in flight is waited for first: reskinning a moving
-// target would race the build's publication.
+// would flap back to NR. A pipeline whose reordered build never started
+// reskins to one that has not started it either; a degraded one keeps
+// its recorded cause. A reordered build still in flight is waited for
+// first: reskinning a moving target would race the build's publication.
 func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline, error) {
 	if err := o.WaitPreprocessed(ctx); err != nil {
 		return nil, err
@@ -457,24 +500,28 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err != nil {
 		return nil, err
 	}
-	n := &OnlinePipeline{nr: nr, buildDone: closedChan, fbWindow: o.fbWindow}
+	n := newOnline(o.bctx, nr, o.cfg, o.ring, o.gate)
+	n.nrFP.Store(o.nrFP.Load()) // the key names structure and Config, not values
+	n.fbWindow = o.fbWindow
 	n.sink.Store(o.sink.Load())
 	n.mispicks.Store(o.mispicks.Load())
+	if d := o.rr.failed.Load(); d != nil {
+		// Degraded: the re-skinned NR plan serves, decided.
+		n.rr.fail(d)
+		n.winner.Store(nr)
+		return n, nil
+	}
 	oldRR := o.rr.Load()
 	if oldRR == nil {
-		// Degraded or single-plan: the re-skinned NR plan serves, decided.
-		if d := o.degraded.Load(); d != nil {
-			n.degraded.Store(d)
-		}
-		n.planFP = o.planFP
-		n.winner.Store(nr)
+		// No wide call yet: nothing was built, nothing is decided beyond
+		// the gate.
 		return n, nil
 	}
 	rr, err := oldRR.withValues(m)
 	if err != nil {
 		return nil, err
 	}
-	n.rr.Store(rr)
+	n.rr.set(rr)
 	if w := o.winner.Load(); w != nil {
 		// n is not published yet, so its fields need no lock.
 		n.rrTime, n.nrTime = o.TrialTimes()
@@ -574,15 +621,29 @@ func (o *OnlinePipeline) evaluateWindow() {
 // plan underperforming the measured trial loser (see DESIGN.md §16).
 func (o *OnlinePipeline) Mispicked() int64 { return o.mispicks.Load() }
 
-// PlanFingerprint returns the plan-cache fingerprint of the winning
-// plan once the trial has decided ("" before, and "" for a degraded
-// pipeline — no trial ever measured its plan). A single-plan pipeline
-// (Config.Disable) returns its one plan's key from construction.
+// PlanFingerprint returns the plan-cache fingerprint of the plan
+// Pipeline returns: the no-reorder plan's key before any wide call, the
+// winning plan's once the trial has decided, and "" while a wide
+// decision is pending or after the build degraded (no trial ever
+// measured a plan).
 func (o *OnlinePipeline) PlanFingerprint() string {
-	if o.winner.Load() == nil {
-		return ""
+	if o.winner.Load() != nil {
+		return o.planFP
 	}
-	return o.planFP
+	if !o.rr.started.Load() {
+		return o.nrFingerprint()
+	}
+	return ""
+}
+
+// nrFingerprint returns the no-reorder plan's plan-cache key.
+func (o *OnlinePipeline) nrFingerprint() string {
+	if fp := o.nrFP.Load(); fp != nil {
+		return *fp
+	}
+	fp := plancache.Fingerprint(o.nr.orig, o.nr.plan.Cfg)
+	o.nrFP.Store(&fp)
+	return fp
 }
 
 // setEventSink routes this pipeline's decision events (trial winner,

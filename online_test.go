@@ -15,6 +15,7 @@ import (
 var errDiverged = errors.New("concurrent result diverged from reference")
 
 func TestOnlinePipelineDecides(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
@@ -69,6 +70,7 @@ func TestOnlinePipelineDecides(t *testing.T) {
 // the same, so the first call publishes the plain plan untimed — zero
 // trial times, one kernel pass, the caller's correct result.
 func TestOnlinePipelineNoTrialWithoutReordering(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	const n, run, width = 2048, 32, 16
 	cols := make([][]int32, n)
 	for i := range cols {
@@ -124,6 +126,7 @@ func TestOnlinePipelineNoTrialWithoutReordering(t *testing.T) {
 }
 
 func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
@@ -165,6 +168,7 @@ func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 // once decided, ≥8 goroutines call SpMM (and SpMMInto) concurrently and
 // repeatedly; all results must be correct and no state may race.
 func TestOnlinePipelineConcurrentDecided(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
@@ -222,6 +226,7 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 // TestOnlinePipelineIntoVariants checks the Into entry points on both
 // the undecided (trial) and decided paths, including output validation.
 func TestOnlinePipelineIntoVariants(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {
@@ -271,6 +276,7 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 }
 
 func TestOnlinePipelineSDDMM(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := scrambled(t)
 	o, err := repro.NewOnlinePipeline(m, repro.DefaultConfig())
 	if err != nil {

@@ -217,12 +217,27 @@ func (p *Pipeline) SDDMMInto(out *Matrix, x, y *Dense) error {
 // dst[i], whose values a row permutation keeps in the same column
 // order.
 func (p *Pipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *Dense) error {
-	p.fireCorruptPlan()
-	if out != p.orig && !out.SameStructure(p.orig) {
-		return fmt.Errorf("repro: SDDMMInto output structure differs from the matrix (%s vs %s)",
-			out, p.orig)
+	if err := checkSDDMMOut(out, p.orig); err != nil {
+		return err
 	}
+	return p.sddmmInto(ctx, out, x, y)
+}
+
+// sddmmInto is SDDMMIntoCtx for an out whose structure the caller has
+// checked: the kernel checks only its shape and row lengths.
+func (p *Pipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense) error {
+	p.fireCorruptPlan()
 	return kernels.SDDMMRowWiseIntoRowsCtx(ctx, out, p.dst, p.plan.Reordered, x, y)
+}
+
+// checkSDDMMOut is the one O(nnz) check of an SDDMM output's structure
+// per call, made where the output enters a pipeline: out must be m or
+// have m's sparsity structure.
+func checkSDDMMOut(out, m *Matrix) error {
+	if out != m && !out.SameStructure(m) {
+		return fmt.Errorf("repro: SDDMMInto output structure differs from the matrix (%s vs %s)", out, m)
+	}
+	return nil
 }
 
 // EstimateSpMM simulates this pipeline's SpMM on the given device for

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/dense"
@@ -206,6 +207,7 @@ func noisyClone(m *repro.Matrix) *repro.Matrix {
 // operands, unlike the live model tests' integer ones, make any change
 // of summation order visible.
 func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4421)
 	if err != nil {
 		t.Fatal(err)
@@ -238,6 +240,10 @@ func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
 	}
 	if sp.Panels() < 2 {
 		t.Fatalf("matrix did not shard: %d panel(s)", sp.Panels())
+	}
+	// Every width passes the gate: the calls run the reordered panels.
+	if err := sp.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
 	}
 	check("sharded", func(out *repro.Matrix) error { return sp.SDDMMIntoCtx(ctx, out, x, y) })
 
@@ -317,4 +323,96 @@ func TestPipelineSDDMMIntoNoScratch(t *testing.T) {
 			t.Errorf("%s: SDDMMIntoCtx made %d dense-pool calls, want 0", name, n)
 		}
 	}
+}
+
+// wrongColumnOut returns a clone of m with one nonzero moved to another
+// column of its row: the same shape, nonzero count and row lengths, so
+// only a full structure comparison tells it from m.
+func wrongColumnOut(t *testing.T, m *repro.Matrix) *repro.Matrix {
+	t.Helper()
+	out := m.Clone()
+	for r := 0; r < out.Rows; r++ {
+		cols := out.ColIdx[out.RowPtr[r]:out.RowPtr[r+1]]
+		if n := len(cols); n > 0 && int(cols[n-1]) < out.Cols-1 {
+			cols[n-1] = int32(out.Cols - 1)
+			return out
+		}
+	}
+	t.Fatal("no row can take a moved column")
+	return nil
+}
+
+// Every SDDMM entry point checks its output's structure once, where the
+// output enters, and the layers below it no longer compare it: an
+// output that differs from the matrix only in one column must still be
+// rejected on every path — plain pipelines with and without a row map,
+// online and sharded pipelines below and above the reorder gate, clean
+// and mutated live pipelines, the Server, and the bare kernel.
+func TestSDDMMRejectsWrongStructureOnEveryPath(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
+	m, err := repro.GenerateScrambledClusters(1024, 1024, 64, 4439)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	x, y := repro.NewRandomDense(m.Cols, 8, 1), repro.NewRandomDense(m.Rows, 8, 2)
+	cfg := repro.DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	paths := map[string]func(out *repro.Matrix) error{
+		"kernel": func(out *repro.Matrix) error { return kernels.SDDMMRowWiseIntoCtx(ctx, out, m, x, y) },
+	}
+	for name, p := range rowMapPipelines(t, m) {
+		paths["pipeline/"+name] = func(out *repro.Matrix) error { return p.SDDMMIntoCtx(ctx, out, x, y) }
+	}
+	o, err := repro.NewOnlinePipelineCtx(ctx, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	paths["online"] = func(out *repro.Matrix) error { return o.SDDMMIntoCtx(ctx, out, x, y) }
+	sp, err := repro.NewShardedPipelineCtx(ctx, m, cfg, m.NNZ()/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	paths["sharded"] = func(out *repro.Matrix) error { return sp.SDDMMIntoCtx(ctx, out, x, y) }
+	s, err := repro.NewServer(ctx, m, cfg, repro.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	paths["server"] = func(out *repro.Matrix) error { return s.SDDMMInto(ctx, out, x, y) }
+	l, err := repro.NewLivePipelineCtx(ctx, m, cfg, repro.LiveConfig{RebuildDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Online().WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	paths["live"] = func(out *repro.Matrix) error { return l.SDDMMIntoCtx(ctx, out, x, y) }
+
+	run := func(name string, call func(*repro.Matrix) error, m *repro.Matrix) {
+		t.Helper()
+		// Twice: online pipelines run their trial on the first call.
+		for i := 0; i < 2; i++ {
+			if err := call(m.Clone()); err != nil {
+				t.Fatalf("%s: the matrix's own structure: %v", name, err)
+			}
+			if err := call(wrongColumnOut(t, m)); err == nil {
+				t.Fatalf("%s: accepted an output with a moved column", name)
+			}
+		}
+	}
+	for name, call := range paths {
+		run(name, call, m)
+	}
+	if err := l.Mutate(ctx, repro.Mutation{ReplaceRows: []repro.RowUpdate{{Row: 3, Def: repro.RowDef{
+		Cols: []int32{4, 40, 400}, Vals: []float32{1, 2, 3}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	run("live/mutated", paths["live"], l.Matrix())
 }

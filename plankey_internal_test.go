@@ -40,11 +40,12 @@ func heldPlanKeys(t *testing.T) map[string]bool {
 	return keys
 }
 
-// coldOnlineServer serves m from a fresh plan cache, so both of the
-// tenant's plans are built on cache misses, and waits for the reordered
-// build.
+// coldOnlineServer serves m from a fresh plan cache, with the reorder
+// gate passing every width, so both of the tenant's plans are built on
+// cache misses, and waits for the reordered build.
 func coldOnlineServer(t *testing.T, m *Matrix, cfg Config, scfg ServerConfig) *Server {
 	t.Helper()
+	SetGateL2ForTest(t, 0)
 	SetPlanCacheCapacity(DefaultPlanCacheCapacity)
 	t.Cleanup(func() { SetPlanCacheCapacity(DefaultPlanCacheCapacity) })
 	ctx := context.Background()
@@ -171,6 +172,9 @@ func TestQuarantineEvictsFirstBasePlans(t *testing.T) {
 		}
 	}
 
+	// The healing rebuild is gated on the host's L2, where no width this
+	// test serves reaches the gate for a 1024-column matrix.
+	l2Hook.Store(nil)
 	release()
 	if err := s.Live().WaitRebuilt(ctx); err != nil {
 		t.Fatal(err)
@@ -191,6 +195,7 @@ func TestPlanCfgIsHeldKeyOnEveryTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
+	SetGateL2ForTest(t, 0)
 	SetPlanCacheCapacity(DefaultPlanCacheCapacity)
 	t.Cleanup(func() { SetPlanCacheCapacity(DefaultPlanCacheCapacity) })
 	dir := t.TempDir()

@@ -26,7 +26,8 @@ func randomValueBatch(m *Matrix, rng *rand.Rand, n int) Mutation {
 }
 
 // basePipelines lists every plan a live state's base serves from, with
-// whether it is an online base's no-reorder plan.
+// whether it is a no-reorder plan: an online base's, or a sharded
+// base's panels and, once built, their reordered plans.
 func basePipelines(st *liveState) (pipes []*Pipeline, nr []bool) {
 	if st.online != nil {
 		if rr := st.online.rr.Load(); rr != nil {
@@ -36,7 +37,13 @@ func basePipelines(st *liveState) (pipes []*Pipeline, nr []bool) {
 	}
 	for i := range st.sharded.panels {
 		pipes = append(pipes, st.sharded.panels[i].pipe)
-		nr = append(nr, false)
+		nr = append(nr, true)
+	}
+	if rr := st.sharded.rr.Load(); rr != nil {
+		for _, p := range *rr {
+			pipes = append(pipes, p)
+			nr = append(nr, false)
+		}
 	}
 	return pipes, nr
 }
@@ -84,6 +91,9 @@ func TestReskinMatchesColdBuild(t *testing.T) {
 				name = in.pick.String() + "/sharded"
 			}
 			t.Run(name, func(t *testing.T) {
+				// Every width passes the gate, so the base holds both
+				// kinds of plan.
+				SetGateL2ForTest(t, 0)
 				cfg := DefaultConfig()
 				cfg.PreprocessBudget = time.Hour
 				var l *LivePipeline
@@ -100,6 +110,8 @@ func TestReskinMatchesColdBuild(t *testing.T) {
 					if err := o.WaitPreprocessed(ctx); err != nil {
 						t.Fatal(err)
 					}
+				} else if err := l.Sharded().WaitPreprocessed(ctx); err != nil {
+					t.Fatal(err)
 				}
 				for batch := 0; batch < 3; batch++ {
 					if err := l.Mutate(ctx, randomValueBatch(l.Matrix(), rng, 1+rng.Intn(64))); err != nil {
@@ -284,6 +296,7 @@ func TestValueMutateSharesStructure(t *testing.T) {
 // no-reorder plan was built on a plan-cache miss (whose Cfg carries
 // Disable).
 func TestReskinKeepsReorderedWinner(t *testing.T) {
+	SetGateL2ForTest(t, 0)
 	m, err := GenerateScrambledClusters(2048, 2048, 128, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -480,11 +480,14 @@ type Server struct {
 }
 
 // NewServer builds a serving-grade front end over m: the no-reorder
-// plan is built synchronously (its error is the constructor's error)
-// and the reordered plan builds in the background under ctx and
-// cfg.PreprocessBudget, exactly as NewOnlinePipelineCtx. With
-// scfg.PlanDir set, the plan cache's disk tier is attached first, so
-// both builds warm start from snapshots left by a previous process.
+// plan (or, past scfg.ShardNNZ, each row panel's) is built
+// synchronously (its error is the constructor's error), and the
+// reordered plan builds in the background under ctx and
+// cfg.PreprocessBudget only once a request passes the reorder gate,
+// exactly as NewOnlinePipelineCtx; its "build_reordered" trace lands in
+// /debug/traces. With scfg.PlanDir set, the plan cache's disk tier is
+// attached first, so both builds warm start from snapshots left by a
+// previous process.
 func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*Server, error) {
 	scfg = scfg.withDefaults()
 	if scfg.PlanDir != "" {
@@ -517,7 +520,7 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		})
 	})
 	if scfg.ShardNNZ > 0 && m.NNZ() > scfg.ShardNNZ {
-		sharded, err := NewShardedPipelineCtx(sctx, m, cfg, scfg.ShardNNZ)
+		sharded, err := newShardedPipeline(sctx, sctx, m, cfg, scfg.ShardNNZ, traces)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -620,7 +623,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 				// context: a waiter's deadline governs how long it waits,
 				// never a pass that other waiters' operands share. Close
 				// cancels baseCtx only after the gate has drained.
-				return kernels.SpMMBatchIntoCtx(s.baseCtx, live, ops)
+				return kernels.SpMMBatchIntoCtx(s.baseCtx, batchPass{live}, ops)
 			})
 		// Launch-time gate: a mutation landing between submit and launch
 		// excises the now-stale operand (ErrStaleShape) instead of
@@ -743,10 +746,12 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 // tiering tenants on one server.
 //
 // The tenant's matrix shards into row panels when it crosses
-// cfg.ShardNNZ (built synchronously under ctx); otherwise it serves
-// through an online pipeline whose reordered plan builds in the
-// background under the server's lifecycle, exactly like NewServer's
-// matrix. Plans flow through the shared process-wide plan cache.
+// cfg.ShardNNZ (their no-reorder plans built synchronously under ctx);
+// otherwise it serves through an online pipeline. Either way the
+// reordered plans build in the background under the server's
+// lifecycle, only once a request passes the reorder gate, exactly like
+// NewServer's matrix. Plans flow through the shared process-wide plan
+// cache.
 func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config, weight int64) error {
 	if s.closed.Load() {
 		return ErrServerClosed
@@ -764,7 +769,7 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	var sharded *ShardedPipeline
 	var err error
 	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
-		sharded, err = NewShardedPipelineCtx(ctx, m, cfg, s.cfg.ShardNNZ)
+		sharded, err = newShardedPipeline(ctx, s.baseCtx, m, cfg, s.cfg.ShardNNZ, s.traces)
 	} else {
 		online, err = newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces)
 	}
@@ -902,8 +907,8 @@ func (s *Server) Events() *obs.EventRing { return s.events }
 
 // ObsHandler returns the Server's observability HTTP handler:
 // /metrics (Prometheus text exposition over the Server's registry
-// merged with the process-wide one), /healthz, /readyz (ready once the
-// background reordered build has settled — built or degraded),
+// merged with the process-wide one), /healthz, /readyz (ready while no
+// background reordered build is in flight),
 // /debug/traces (JSON trace ring), /debug/events (JSON decision-event
 // ring), /debug/explain?tenant=X (one joined diagnosis document, see
 // Explain), and /debug/pprof/*.
@@ -923,12 +928,16 @@ func (s *Server) ObsHandler() http.Handler {
 	})
 }
 
-// preprocessed reports whether every tenant's background build has
-// settled (sharded tenants build synchronously, so they are always
-// ready) — the /readyz condition.
+// preprocessed reports whether no tenant has a background reordered
+// build in flight — the /readyz condition. A tenant whose requests have
+// all stayed below the reorder gate never starts one.
 func (s *Server) preprocessed() bool {
 	for _, t := range s.snapshotTenants() {
-		if o := t.live.Online(); o != nil && !o.Preprocessed() {
+		st := t.live.state.Load()
+		if o := st.online; o != nil && !o.Preprocessed() {
+			return false
+		}
+		if sp := st.sharded; sp != nil && !sp.rr.idle() {
 			return false
 		}
 	}
@@ -958,7 +967,7 @@ func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Den
 	if err != nil {
 		return err
 	}
-	return s.do(ctx, t, "spmm_into", s.reqSpMMInto, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
+	return s.do(ctx, t, "spmm_into", s.reqSpMMInto, x.Cols, func(ctx context.Context, mode serveMode) error {
 		return s.runSpMM(ctx, t, mode, y, x)
 	})
 }
@@ -995,7 +1004,7 @@ const (
 func (s *Server) runSpMM(ctx context.Context, t *tenant, mode serveMode, y, x *Dense) error {
 	serve := func(st *liveState) error {
 		if t.coal == nil || mode == modeFallback || mode == modeQuarantine {
-			return st.spmmInto(ctx, y, x, mode)
+			return st.spmmInto(ctx, y, x, x.Cols, mode)
 		}
 		if err := st.checkSpMM(y, x); err != nil {
 			return err
@@ -1085,7 +1094,7 @@ func (s *Server) SDDMMIntoTenant(ctx context.Context, id string, out *Matrix, x,
 	if err != nil {
 		return err
 	}
-	return s.do(ctx, t, "sddmm_into", s.reqSDDMMInto, int64(x.Cols), func(ctx context.Context, mode serveMode) error {
+	return s.do(ctx, t, "sddmm_into", s.reqSDDMMInto, x.Cols, func(ctx context.Context, mode serveMode) error {
 		return s.runSDDMM(ctx, t, mode, out, x, y)
 	})
 }
@@ -1097,13 +1106,13 @@ func (s *Server) SDDMMIntoTenant(ctx context.Context, id string, out *Matrix, x,
 // serveMode chosen by attempt: the full online path, the same path
 // followed by a sampled shadow verification, the breaker's no-reorder
 // fallback, or the quarantine reference path (the live overlay is
-// merged in every mode). The request's gate cost is weight (the dense
-// column count) scaled by the tenant's admission weight — and by the
-// tenant's current overlay fraction, since overlay rows are computed
-// serially on top of the base pass (see serve.OverlayWeight) — and
-// its terminal outcome lands in exactly one tenant counter (see
-// TenantStats for the reconciliation identities).
-func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogram, weight int64, run func(context.Context, serveMode) error) (err error) {
+// merged in every mode). k is the request's dense width. Its gate cost
+// is k scaled by the tenant's admission weight — and by the tenant's
+// current overlay fraction, since overlay rows are computed serially on
+// top of the base pass (see serve.OverlayWeight) — and its terminal
+// outcome lands in exactly one tenant counter (see TenantStats for the
+// reconciliation identities).
+func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogram, k int, run func(context.Context, serveMode) error) (err error) {
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
@@ -1136,10 +1145,7 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 			defer cancel()
 		}
 	}
-	if weight < 1 {
-		weight = 1
-	}
-	weight *= t.weight
+	weight := max(int64(k), 1) * t.weight
 	overlayNNZ, baseNNZ := t.live.overlayCost()
 	weight = serve.OverlayWeight(weight, overlayNNZ, baseNNZ)
 	asp := tr.StartSpan("admission")
@@ -1166,7 +1172,7 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 	retries, err := serve.Retry(ctx,
 		serve.RetryPolicy{MaxAttempts: s.cfg.MaxAttempts, BaseDelay: s.cfg.RetryBase, MaxDelay: retryMax},
 		transientError,
-		func(int) error { return s.attempt(ctx, t, run) })
+		func(int) error { return s.attempt(ctx, t, k, run) })
 	s.retries.Add(int64(retries))
 	if err != nil {
 		s.failed.Inc()
@@ -1192,14 +1198,15 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 // healthy request upgrades to modeVerify. The breaker is then
 // consulted only when the call would actually exercise the reordered
 // path: a sharded tenant (every panel autotunes its own plan, no
-// matrix-wide reorder trial), a degraded pipeline, a trial already
-// decided for no-reorder, or a reordered build still in flight all
-// serve without the reordered plan, and their outcomes must not open
-// (or close) the reordered path's circuit. A verification mismatch is
+// matrix-wide reorder trial), a call of width k below the reorder gate,
+// a degraded pipeline, a trial already decided for no-reorder, or a
+// reordered build not yet landed all serve without the reordered plan,
+// and their outcomes must not open (or close) the reordered path's
+// circuit. A verification mismatch is
 // likewise excluded from breaker accounting: the quarantine owns that
 // failure mode, and double-charging it would conflate "plan computes
 // wrong numbers" with "path is unhealthy" in the fallback ledgers.
-func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Context, serveMode) error) error {
+func (s *Server) attempt(ctx context.Context, t *tenant, k int, run func(context.Context, serveMode) error) error {
 	tr := obs.TraceFrom(ctx)
 	sp := tr.StartSpan("attempt")
 	defer sp.End()
@@ -1212,7 +1219,7 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 	if dec.Verify {
 		mode = modeVerify
 	}
-	if !reorderedPathActive(t) {
+	if !reorderedPathActive(t, k) {
 		tr.Annotate("path", "plain")
 		return run(ctx, mode)
 	}
@@ -1239,14 +1246,16 @@ func (s *Server) attempt(ctx context.Context, t *tenant, run func(context.Contex
 	return err
 }
 
-// reorderedPathActive reports whether a full-path call for t right now
-// would execute the reordered plan (as the decided winner, or inside
-// the first-call trial).
-func reorderedPathActive(t *tenant) bool {
-	// Sharded tenants run no reorder trial (panels autotune); a degraded
-	// or still-building pipeline serves the no-reorder plan.
+// reorderedPathActive reports whether a full-path call of width k for
+// t right now would execute the reordered plan (as the decided winner,
+// or inside the trial). A coalesced request is judged at its own width,
+// not its batch's.
+func reorderedPathActive(t *tenant, k int) bool {
+	// Sharded tenants run no reorder trial (panels autotune); a call
+	// below the gate, and a degraded or still-building pipeline, serves
+	// the no-reorder plan.
 	o := t.live.Online()
-	return o != nil && o.current() == o.rr.Load()
+	return o != nil && o.plan(k) == o.rr.Load()
 }
 
 // Mutate applies one mutation batch to the default tenant's live
@@ -1304,10 +1313,15 @@ func (s *Server) Close(ctx context.Context) error {
 			if qerr := t.live.Quiesce(ctx); err == nil {
 				err = qerr
 			}
-			if o := t.live.Online(); o != nil {
-				if werr := o.WaitPreprocessed(ctx); err == nil {
-					err = werr
-				}
+			st := t.live.state.Load()
+			var werr error
+			if st.online != nil {
+				werr = st.online.WaitPreprocessed(ctx)
+			} else {
+				werr = st.sharded.WaitPreprocessed(ctx)
+			}
+			if err == nil {
+				err = werr
 			}
 		}
 		if s.cfg.PlanDir != "" {

@@ -15,12 +15,14 @@ import (
 )
 
 // obsTestServer builds a decided, warm Server for observability tests:
-// the reordered build has landed and the first-call trial has run, so
-// requests take the steady-state path.
+// with every width passing the reorder gate, the reordered build has
+// landed and the first-call trial has run, so requests take the
+// steady-state path.
 // Each test passes a distinct seed so its matrix misses the
 // process-wide plan cache and triggers a real background build.
 func obsTestServer(t *testing.T, seed int64) (*repro.Server, *repro.Dense) {
 	t.Helper()
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, seed)
 	cfg := repro.DefaultConfig()
 	cfg.PreprocessBudget = time.Hour

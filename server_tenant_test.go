@@ -78,6 +78,7 @@ func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func
 // held pass is the §4 trial), so they overlap however fast the pass
 // and however busy the host.
 func TestServerCoalescesConcurrentSpMM(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 3001)
 	warmKernelPool(t, m)
 

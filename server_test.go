@@ -18,12 +18,14 @@ import (
 	"repro/internal/testutil"
 )
 
-// degradedServer builds a Server whose reordered build is doomed by an
-// already-expired budget, so every request deterministically serves the
+// degradedServer builds a Server whose reordered build, started at
+// construction because every width passes the reorder gate, is doomed
+// by an already-expired budget, so every request deterministically serves the
 // no-reorder plan — the simplest substrate for admission and retry
 // tests that do not care about breaker routing.
 func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *repro.Server {
 	t.Helper()
+	repro.SetGateL2ForTest(t, 0)
 	cfg := repro.DefaultConfig()
 	cfg.PreprocessBudget = time.Nanosecond
 	s, err := repro.NewServer(context.Background(), m, cfg, scfg)
@@ -44,6 +46,7 @@ func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *rep
 }
 
 func TestServerServesCorrectResults(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 2001)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -245,6 +248,7 @@ func TestServerRetriesTransientFaults(t *testing.T) {
 // the cooldown a successful probe closes the circuit again. Fallback
 // routing and the breaker's Rejected counter must agree exactly.
 func TestServerBreakerTripsAndRecovers(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 2005)
 	warmKernelPool(t, m)
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -388,6 +392,7 @@ func countPlanFiles(t *testing.T, dir string) int {
 // the plan (proven by poisoning the LSH stage, which only a from-scratch
 // build would execute).
 func TestServerWarmStartFromSnapshot(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	dir := t.TempDir()
 	repro.SetPlanCacheCapacity(8)
 	defer repro.SetPlanCacheCapacity(64)
@@ -462,6 +467,7 @@ func TestServerWarmStartFromSnapshot(t *testing.T) {
 // or truncated, the restarted server must detect the damage, never apply
 // the plans, and transparently rebuild from scratch.
 func TestServerCorruptSnapshotFallsBack(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	dir := t.TempDir()
 	repro.SetPlanCacheCapacity(8)
 	defer repro.SetPlanCacheCapacity(64)
@@ -553,6 +559,7 @@ func TestServerCorruptSnapshotFallsBack(t *testing.T) {
 // Close drains: in-flight requests finish, queued requests are
 // rejected, and Close returns only once the gate is idle.
 func TestServerCloseDrainsInFlight(t *testing.T) {
+	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 2009)
 	warmKernelPool(t, m)
 

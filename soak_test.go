@@ -101,6 +101,9 @@ func (sm *soakMutator) halt() {
 // Run under -race (the CI soak job does); the test is also the
 // designated chaos budget for `make soak`.
 func TestServerChaosSoak(t *testing.T) {
+	// The first base builds its reordered plan and trials it; rebuilt
+	// bases are gated on the host's L2 again (see the priming request).
+	gateAll := repro.SetGateL2ForTest(t, 0)
 	chaosBudget, cleanTail := 5*time.Second, 500*time.Millisecond
 	if testing.Short() {
 		chaosBudget, cleanTail = 1200*time.Millisecond, 300*time.Millisecond
@@ -156,6 +159,7 @@ func TestServerChaosSoak(t *testing.T) {
 	if done, _ := s.Pipeline().Decided(); !done {
 		t.Fatalf("priming request did not decide the trial")
 	}
+	gateAll()
 
 	// scrape reads /metrics through the real HTTP handler, requires a
 	// grammar-conformant exposition, and returns the parsed samples.
