@@ -56,6 +56,7 @@ func TestOnlinePipelineSpMMBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 2)
 	x1 := repro.NewRandomDense(m.Cols, 2, 1)
 	x2 := repro.NewRandomDense(m.Cols, 3, 2)
 	want1, err := repro.SpMM(m, x1)
@@ -133,13 +134,12 @@ func TestLiveBatchPassAllocFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	defer l.Quiesce(ctx)
-	pass := repro.LiveBatchPass(l)
 	ops := []repro.BatchOp{
 		{Y: repro.NewDense(m.Rows, 4), X: repro.NewRandomDense(m.Cols, 4, 1)},
 		{Y: repro.NewDense(m.Rows, 1), X: repro.NewRandomDense(m.Cols, 1, 2)},
 	}
 	call := func() {
-		if err := kernels.SpMMBatchIntoCtx(ctx, pass, ops); err != nil {
+		if err := kernels.SpMMBatchIntoCtx(ctx, repro.LiveBatchPass(l, ops), ops); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,17 +57,16 @@ func BenchmarkReorderGate(b *testing.B) {
 	}
 	sharded := func(l2 int64) *repro.ShardedPipeline {
 		// The hook changes the gate of pipelines built while it is set:
-		// L2 0 passes every width, so the panels' reordered plans build
-		// at once and serve every call; a huge L2 passes none.
+		// L2 0 passes every width, so one call builds the panels'
+		// reordered plans and they serve every later call; a huge L2
+		// passes none.
 		restore := repro.SetGateL2ForTest(b, l2)
 		defer restore()
 		sp, err := repro.NewShardedPipelineCtx(ctx, rm, cfg, shard)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sp.WaitPreprocessed(ctx); err != nil {
-			b.Fatal(err)
-		}
+		repro.BuildReorderedForTest(b, sp, 1)
 		return sp
 	}
 	host, err := repro.NewShardedPipelineCtx(ctx, rm, cfg, shard)

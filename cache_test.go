@@ -59,17 +59,20 @@ func TestPipelineConstructionUsesPlanCache(t *testing.T) {
 
 	// An online pipeline on the same structure hits for both variants.
 	before := repro.PlanCacheStats()
-	if _, err := repro.NewOnlinePipeline(m, cfg); err != nil {
+	o, err := repro.NewOnlinePipeline(m, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	cold := repro.PlanCacheStats()
 	if cold.Misses != before.Misses+1 { // NR variant is new; full variant hits
 		t.Fatalf("first online build: misses %d -> %d, want +1 (NR only)",
 			before.Misses, cold.Misses)
 	}
-	if _, err := repro.NewOnlinePipeline(m, cfg); err != nil {
+	if o, err = repro.NewOnlinePipeline(m, cfg); err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	warm := repro.PlanCacheStats()
 	if warm.Misses != cold.Misses || warm.Hits != cold.Hits+2 {
 		t.Fatalf("replayed online build stats = %+v (was %+v), want 2 more hits, no more misses",

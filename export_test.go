@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/kernels"
@@ -19,10 +20,10 @@ func SetGateL2ForTest(tb testing.TB, l2 int64) (restore func()) {
 	return restore
 }
 
-// LiveBatchPass returns the pass the Server's coalescer runs a tenant's
-// batches through, which the tenant's reorder gate judges by the widest
+// LiveBatchPass returns the pass the Server's coalescer runs a batch
+// of ops through on l, which l's reorder gate judges by the widest
 // operand.
-func LiveBatchPass(l *LivePipeline) kernels.WidthPass { return batchPass{l} }
+func LiveBatchPass(l *LivePipeline, ops []BatchOp) kernels.SpMMPass { return l.batchPass(ops) }
 
 // ReorderMinK returns the smallest width at which m's reorder gate
 // passes under cfg (math.MaxInt for none).
@@ -31,3 +32,27 @@ func ReorderMinK(m *Matrix, cfg Config) int { return newReorderGate(m, cfg).minK
 // ShardedMinK returns the smallest width at which s's reorder gate
 // passes.
 func ShardedMinK(s *ShardedPipeline) int { return s.gate.minK }
+
+// lazyReorderer is a base whose reordered build its first wide call
+// starts: an *OnlinePipeline or a *ShardedPipeline.
+type lazyReorderer interface {
+	Matrix() *Matrix
+	SpMMIntoCtx(ctx context.Context, y, x *Dense) error
+	WaitPreprocessed(ctx context.Context) error
+}
+
+// BuildReorderedForTest makes one call of width k on p, which starts
+// p's reordered build when p's reorder gate passes k, and waits for the
+// build to settle. An online pipeline's next call at a passing width
+// then runs the §4 trial; a sharded one's runs the reordered panels.
+func BuildReorderedForTest(tb testing.TB, p lazyReorderer, k int) {
+	tb.Helper()
+	ctx := context.Background()
+	m := p.Matrix()
+	if err := p.SpMMIntoCtx(ctx, NewDense(m.Rows, k), NewRandomDense(m.Cols, k, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.WaitPreprocessed(ctx); err != nil {
+		tb.Fatal(err)
+	}
+}

@@ -22,6 +22,7 @@ func decidedOnline(t *testing.T) *OnlinePipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
+	BuildReorderedForTest(t, o, 8)
 	x := NewRandomDense(m.Cols, 8, 3)
 	if err := o.SpMMIntoCtx(context.Background(), NewDense(m.Rows, 8), x); err != nil {
 		t.Fatal(err)

@@ -191,8 +191,8 @@ func (b *lazyBuild[T]) fail(d *degradeReason) {
 // its error or panic is recorded as the failure. settle, when set,
 // runs with the outcome after it is published and before done closes.
 // With ring set the build runs under a "build_reordered" trace,
-// annotated with width (the width of the call that started it, 0 when
-// the constructor did) and pushed to ring when the build settles.
+// annotated with width (the width of the call that started it) and
+// pushed to ring when the build settles.
 func (b *lazyBuild[T]) start(ctx context.Context, budget time.Duration, ring *obs.TraceRing, width int,
 	build func(context.Context) (*T, error), settle func(error)) {
 	if b.started.Load() || !b.started.CompareAndSwap(false, true) {

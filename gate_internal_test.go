@@ -291,8 +291,13 @@ func TestGateAboveBuildsOnceThenTrials(t *testing.T) {
 	if st := o.rr.state(); st != "building" || o.Preprocessed() {
 		t.Fatalf("wide calls left the build %s (preprocessed %v), want it held in flight", st, o.Preprocessed())
 	}
-	if done, _ := o.Decided(); done || o.Pipeline() != nil || o.PlanFingerprint() != "" {
+	if done, _ := o.Decided(); done {
 		t.Fatal("a pending wide decision reads as decided")
+	}
+	// Until the trial, Pipeline and PlanFingerprint report the plan wide
+	// calls run: the no-reorder plan.
+	if o.Pipeline() != o.nr || o.PlanFingerprint() != o.nrFingerprint() {
+		t.Fatal("a pending wide decision does not report the no-reorder plan it serves")
 	}
 	release()
 	if err := o.WaitPreprocessed(ctx); err != nil {
@@ -349,6 +354,103 @@ func TestGateAboveBuildsOnceThenTrials(t *testing.T) {
 	}
 	if rr := sp.wide(k); len(rr) != sp.Panels() || sp.wide(k-1) != nil {
 		t.Fatalf("sharded: wide calls run %d reordered panels of %d", len(rr), sp.Panels())
+	}
+}
+
+// A caller that waits for preprocessing, makes one wide call and then
+// takes Pipeline() to time the served plan directly (as perfbench's
+// layer sweep does) gets the plan wide calls run now — the no-reorder
+// plan while the build that call started runs and until the next wide
+// call trials it — and the trial's winner after that.
+func TestPipelineReportsServedPlanWhileWideDecisionPends(t *testing.T) {
+	SetGateL2ForTest(t, 64<<10)
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4441)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	s, err := NewServer(ctx, m, cfg, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	o := s.Pipeline()
+	k := o.gate.minK
+	x := NewRandomDense(m.Cols, k, 1)
+	y := NewDense(m.Rows, k)
+	want, err := SpMM(m, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := func(stage string) {
+		t.Helper()
+		p := o.Pipeline()
+		if p == nil {
+			t.Fatalf("%s: Pipeline() is nil", stage)
+		}
+		yd := NewDense(m.Rows, k)
+		if err := p.SpMMIntoCtx(ctx, yd, x); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		for i := range want.Data {
+			if math.Abs(float64(want.Data[i]-yd.Data[i])) > 1e-4 {
+				t.Fatalf("%s: Pipeline() result diverges at %d", stage, i)
+			}
+		}
+	}
+	if err := o.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	release := holdBuilds(t)
+	if err := s.SpMMInto(ctx, y, x); err != nil {
+		t.Fatal(err)
+	}
+	if o.Pipeline() != o.nr || o.PlanFingerprint() != o.nrFingerprint() {
+		t.Fatal("while the build runs, Pipeline does not report the no-reorder plan")
+	}
+	direct("build in flight")
+	release()
+	if err := o.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if o.Pipeline() != o.nr {
+		t.Fatal("before the trial, Pipeline does not report the no-reorder plan")
+	}
+	direct("built, not trialled")
+	if err := s.SpMMInto(ctx, y, x); err != nil {
+		t.Fatal(err)
+	}
+	if done, _ := o.Decided(); !done || o.Pipeline() != o.winner.Load() || o.PlanFingerprint() != o.planFP {
+		t.Fatal("after the trial, Pipeline does not report its winner")
+	}
+	direct("decided")
+}
+
+// NewShardedPipelineCtx's ctx governs construction only: cancelling it
+// afterwards does not degrade the reordered build a later wide call
+// starts.
+func TestShardedConstructorCtxDoesNotGovernLazyBuild(t *testing.T) {
+	SetGateL2ForTest(t, 0)
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4443)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	sp, err := NewShardedPipelineCtx(ctx, m, cfg, m.NNZ()/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	BuildReorderedForTest(t, sp, 8)
+	if err := sp.rr.failure(); err != nil {
+		t.Fatalf("a cancelled constructor ctx degraded the lazy build: %v", err)
+	}
+	if rr := sp.wide(8); len(rr) != sp.Panels() {
+		t.Fatalf("wide calls run %d reordered panels of %d", len(rr), sp.Panels())
 	}
 }
 
@@ -419,7 +521,7 @@ func TestCoalescedBatchGatesOnWidestOperand(t *testing.T) {
 		for i, k := range ks {
 			ops[i] = BatchOp{Y: NewDense(m.Rows, k), X: NewRandomDense(m.Cols, k, int64(i))}
 		}
-		if err := kernels.SpMMBatchIntoCtx(ctx, batchPass{l}, ops); err != nil {
+		if err := kernels.SpMMBatchIntoCtx(ctx, l.batchPass(ops), ops); err != nil {
 			t.Fatal(err)
 		}
 	}

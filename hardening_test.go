@@ -149,9 +149,7 @@ func TestOnlinePipelineCtxBuildPanicDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, o, 8)
 	deg, cause := o.Degraded()
 	var pe *repro.PanicError
 	if !deg || !errors.As(cause, &pe) {
@@ -175,9 +173,7 @@ func TestOnlinePipelineCtxTrialCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, o, 8)
 	if deg, cause := o.Degraded(); deg {
 		t.Fatalf("unexpected degradation: %v", cause)
 	}
@@ -284,9 +280,7 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, o, 8)
 	if deg, cause := o.Degraded(); deg {
 		t.Fatalf("build within budget degraded: %v", cause)
 	}
@@ -309,8 +303,9 @@ func TestOnlinePipelineCtxBuildLands(t *testing.T) {
 	}
 }
 
-// Cancelling the constructor's ctx aborts the background build (and is
-// reported as the degradation cause).
+// Cancelling the constructor's ctx aborts the background build, also
+// one a wide call starts afterwards (and is reported as the degradation
+// cause).
 func TestOnlinePipelineCtxConstructorCancel(t *testing.T) {
 	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 1008)
@@ -323,9 +318,7 @@ func TestOnlinePipelineCtxConstructorCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	if err := o.WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, o, 8)
 	deg, cause := o.Degraded()
 	if !deg || !errors.Is(cause, context.Canceled) {
 		t.Fatalf("Degraded = %v, %v; want true, context.Canceled", deg, cause)

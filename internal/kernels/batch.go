@@ -42,15 +42,6 @@ type SpMMPass interface {
 	SpMMIntoCtx(ctx context.Context, y *dense.Matrix, x *dense.Matrix) error
 }
 
-// WidthPass is an SpMMPass whose plan choice depends on the dense
-// width, such as a pipeline with a reorder gate. A batch runs it at
-// the stacked width but tells it the widest operand's width to choose
-// by, so coalescing requests never changes which plan serves them.
-type WidthPass interface {
-	SpMMPass
-	SpMMWidthIntoCtx(ctx context.Context, y *dense.Matrix, x *dense.Matrix, width int) error
-}
-
 // batchState pools the per-batch operand slice headers so assembling a
 // batch stays allocation-free at steady state.
 type batchState struct {
@@ -69,7 +60,6 @@ var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 // All operands must agree on row counts (every X the same number of
 // rows, every Y the same number of rows) and each op must have
 // Y.Cols == X.Cols; pass itself enforces its matrix's shape contract.
-// A pass that implements WidthPass is told the widest operand's width.
 // On error the outputs' contents are unspecified. Steady-state calls
 // perform no heap allocations.
 func SpMMBatchIntoCtx(ctx context.Context, pass SpMMPass, ops []BatchOp) error {
@@ -82,7 +72,7 @@ func SpMMBatchIntoCtx(ctx context.Context, pass SpMMPass, ops []BatchOp) error {
 		}
 		return pass.SpMMIntoCtx(ctx, ops[0].Y, ops[0].X)
 	}
-	ksum, kmax := 0, 0
+	ksum := 0
 	for i, op := range ops {
 		if err := checkBatchOp(op, i); err != nil {
 			return err
@@ -94,7 +84,6 @@ func SpMMBatchIntoCtx(ctx context.Context, pass SpMMPass, ops []BatchOp) error {
 			return fmt.Errorf("kernels: batch op %d has %d Y rows, want %d", i, op.Y.Rows, ops[0].Y.Rows)
 		}
 		ksum += op.X.Cols
-		kmax = max(kmax, op.X.Cols)
 	}
 	start := time.Now()
 	st := batchPool.Get().(*batchState)
@@ -107,11 +96,7 @@ func SpMMBatchIntoCtx(ctx context.Context, pass SpMMPass, ops []BatchOp) error {
 	yst := dense.Get(ops[0].Y.Rows, ksum)
 	err := dense.StackColsInto(xst, st.xs)
 	if err == nil {
-		if wp, ok := pass.(WidthPass); ok {
-			err = wp.SpMMWidthIntoCtx(ctx, yst, xst, kmax)
-		} else {
-			err = pass.SpMMIntoCtx(ctx, yst, xst)
-		}
+		err = pass.SpMMIntoCtx(ctx, yst, xst)
 	}
 	if err == nil {
 		err = dense.UnstackColsInto(st.ys, yst)

@@ -174,6 +174,14 @@ type liveState struct {
 
 func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows > 0 }
 
+// gate returns the base's reorder gate.
+func (st *liveState) gate() reorderGate {
+	if st.online != nil {
+		return st.online.gate
+	}
+	return st.sharded.gate
+}
+
 // baseSpMM runs the base rows' SpMM, with the gate judging width k:
 // the online pipeline (or, for breaker-routed fallback attempts, its
 // no-reorder plan directly) or the sharded pipeline.
@@ -334,7 +342,7 @@ func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveCon
 // sharded base (see NewShardedPipeline); rebuilds re-shard the fused
 // matrix at the same target.
 func NewLiveShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int, lcfg LiveConfig) (*LivePipeline, error) {
-	sp, err := NewShardedPipelineCtx(ctx, m, cfg, targetNNZ)
+	sp, err := newShardedPipeline(ctx, ctx, m, cfg, targetNNZ, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -815,20 +823,31 @@ func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) erro
 	return l.state.Load().spmmInto(ctx, y, x, x.Cols, modeFull)
 }
 
-// batchPass is the coalescer's pass over a live pipeline. It is a
-// kernels.WidthPass: a batch tells it its widest operand's width, and
-// the base's reorder gate judges that width rather than the stacked
-// one, so stacking requests never starts or uses a reordered plan that
-// none of them would. One pointer wide, so passing it as an interface
-// does not allocate.
-type batchPass struct{ l *LivePipeline }
-
-func (p batchPass) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
-	return p.l.SpMMIntoCtx(ctx, y, x)
+// batchPass returns the pass a coalesced batch runs through. The batch
+// runs at its stacked width, but the base's reorder gate judges the
+// widest operand, so stacking requests never starts or uses a
+// reordered plan that none of them would: where the widest operand
+// passes the gate the stacked width does too, and l serves the batch;
+// otherwise narrowPass runs it below the gate.
+func (l *LivePipeline) batchPass(ops []BatchOp) kernels.SpMMPass {
+	widest := 0
+	for _, op := range ops {
+		widest = max(widest, op.X.Cols)
+	}
+	if l.state.Load().gate().pass(widest) {
+		return l
+	}
+	return narrowPass{l}
 }
 
-func (p batchPass) SpMMWidthIntoCtx(ctx context.Context, y *Dense, x *Dense, width int) error {
-	return p.l.state.Load().spmmInto(ctx, y, x, width, modeFull)
+// narrowPass serves a live pipeline's SpMM as a call below its base's
+// reorder gate — width 0, which no gate passes: the no-reorder plan,
+// starting no reordered build. One pointer wide, so passing it as an
+// interface does not allocate.
+type narrowPass struct{ l *LivePipeline }
+
+func (p narrowPass) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
+	return p.l.state.Load().spmmInto(ctx, y, x, 0, modeFull)
 }
 
 // SpMMInto is SpMMIntoCtx without cancellation.

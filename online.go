@@ -26,9 +26,8 @@ import (
 //   - A call below the gate runs the no-reorder (NR) plan on the
 //     lock-free path: no reordered build, no trial.
 //   - The first call at or above the gate starts the reordered build in
-//     the background (at construction when even K=1 passes, as for a
-//     matrix too wide for any width to fit). Calls keep serving NR until
-//     it lands; the next wide call then runs the trial — one untimed
+//     the background. Calls keep serving NR until it lands; the next
+//     wide call then runs the trial — one untimed
 //     warm-up of each plan, then three alternated timed runs of each,
 //     medians compared, ties to NR — and its winner serves every later
 //     wide call.
@@ -43,9 +42,10 @@ import (
 // Before any wide call a pipeline is decided on its NR plan: Decided
 // reports (true, false), Pipeline returns the NR plan, PlanFingerprint
 // its plan-cache key, and TrialTimes zeros. The first wide call reopens
-// the decision for wide calls (Decided (false, false), Pipeline nil)
-// until the trial, or a degraded build, settles it. A Config that sets
-// Disable gets a gate no width passes.
+// the decision for wide calls (Decided (false, false)) until the trial,
+// or a degraded build, settles it; meanwhile Pipeline and
+// PlanFingerprint keep reporting the NR plan, which those calls run. A
+// Config that sets Disable gets a gate no width passes.
 //
 // OnlinePipeline is safe for concurrent use. Narrow calls and decided
 // wide calls execute without taking any lock, so N goroutines get
@@ -133,25 +133,15 @@ type degradeReason struct{ err error }
 // structure (e.g. the same graph re-served with new values) starts in
 // O(nnz) without any LSH, clustering, or tiling work.
 //
-// When every width passes the gate the reordered plan is built
-// synchronously too, and the constructor returns its error; otherwise
-// the first wide call starts it in the background, with no context but
-// cfg.PreprocessBudget. For budgeted, cancellable construction use
-// NewOnlinePipelineCtx.
+// The first wide call starts the reordered build in the background,
+// with no context but cfg.PreprocessBudget. For cancellable
+// construction use NewOnlinePipelineCtx.
 func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 	nr, err := NewPipelineNR(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := newOnline(context.Background(), nr, cfg, nil, newReorderGate(m, cfg))
-	if o.gate.pass(1) {
-		rr, err := NewPipeline(m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		o.rr.set(rr)
-	}
-	return o, nil
+	return newOnline(context.Background(), nr, cfg, nil, newReorderGate(m, cfg)), nil
 }
 
 // newOnline returns the online pipeline over the built NR plan with
@@ -173,7 +163,7 @@ func newOnline(bctx context.Context, nr *Pipeline, cfg Config, ring *obs.TraceRi
 // cheap no-reorder plan is built synchronously (its error, if any, is
 // the constructor's error), and the expensive reordered plan builds in
 // a background goroutine — started by the first call the reorder gate
-// passes, or here when every width passes — governed by ctx and, when
+// passes — governed by ctx and, when
 // positive, by cfg.PreprocessBudget of wall-clock time from its start.
 // ctx must therefore outlive the pipeline's wide calls: a build started
 // under a dead ctx degrades at once.
@@ -200,15 +190,11 @@ func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.
 	if err != nil {
 		return nil, err
 	}
-	o := newOnline(ctx, nr, cfg, ring, newReorderGate(m, cfg))
-	if o.gate.pass(1) {
-		o.startBuild(0)
-	}
-	return o, nil
+	return newOnline(ctx, nr, cfg, ring, newReorderGate(m, cfg)), nil
 }
 
 // startBuild starts the reordered build unless it already started;
-// width is the call width that asked for it (0: the constructor).
+// width is the width of the call that asked for it.
 func (o *OnlinePipeline) startBuild(width int) {
 	if o.rr.started.Load() {
 		return
@@ -265,8 +251,9 @@ func (o *OnlinePipeline) WaitPreprocessed(ctx context.Context) error { return o.
 // blocks on the decision lock, which an in-flight trial holds for the
 // full duration of its kernel executions. A pipeline that has seen no
 // wide call, a degraded one, and one whose reordered plan applied no
-// round return zeros: no trial ran. Poll Decided (or WaitPreprocessed
-// plus one wide call) before treating the times as meaningful.
+// round return zeros: no trial ran. Poll Decided (or make one wide
+// call, WaitPreprocessed, then one more wide call) before treating the
+// times as meaningful.
 func (o *OnlinePipeline) TrialTimes() (reordered, plain time.Duration) {
 	if o.winner.Load() == nil {
 		return 0, 0
@@ -276,17 +263,15 @@ func (o *OnlinePipeline) TrialTimes() (reordered, plain time.Duration) {
 	return o.rrTime, o.nrTime
 }
 
-// Pipeline returns the plan wide calls run once decided: the trial's
-// winner, or the no-reorder plan after degrading or before any wide
-// call. It returns nil while a wide call's decision is pending.
+// Pipeline returns the plan wide calls run: the trial's winner once
+// decided, and the no-reorder plan before that — before any wide call,
+// while the reordered build runs, before the trial, and after degrading.
+// It is never nil.
 func (o *OnlinePipeline) Pipeline() *Pipeline {
 	if w := o.winner.Load(); w != nil {
 		return w
 	}
-	if !o.rr.started.Load() {
-		return o.nr
-	}
-	return nil
+	return o.nr
 }
 
 // Matrix returns the original (unreordered) matrix.
@@ -343,9 +328,9 @@ func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 	return o.spmmInto(ctx, y, x, x.Cols)
 }
 
-// spmmInto is SpMMIntoCtx with the gate asked about width k rather
-// than x.Cols: a coalesced batch passes its widest operand's width, so
-// stacking requests never changes which plan serves them.
+// spmmInto is SpMMIntoCtx with the reorder gate asked about width k
+// rather than x.Cols (a live base serving a coalesced batch passes the
+// batch's widest operand; see narrowPass).
 func (o *OnlinePipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {
 	start := time.Now()
 	decided, err := o.dispatch(k, x.Cols, y.Data, func(p *Pipeline, dst []float32) error {
@@ -622,18 +607,14 @@ func (o *OnlinePipeline) evaluateWindow() {
 func (o *OnlinePipeline) Mispicked() int64 { return o.mispicks.Load() }
 
 // PlanFingerprint returns the plan-cache fingerprint of the plan
-// Pipeline returns: the no-reorder plan's key before any wide call, the
-// winning plan's once the trial has decided, and "" while a wide
-// decision is pending or after the build degraded (no trial ever
-// measured a plan).
+// Pipeline returns: the winning plan's once the trial has decided, the
+// no-reorder plan's until then, and "" after the build degraded (no
+// trial ever measured a plan).
 func (o *OnlinePipeline) PlanFingerprint() string {
 	if o.winner.Load() != nil {
 		return o.planFP
 	}
-	if !o.rr.started.Load() {
-		return o.nrFingerprint()
-	}
-	return ""
+	return o.nrFingerprint()
 }
 
 // nrFingerprint returns the no-reorder plan's plan-cache key.

@@ -21,11 +21,12 @@ func TestOnlinePipelineDecides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	if done, _ := o.Decided(); done {
 		t.Fatalf("decided before first call")
 	}
-	if o.Pipeline() != nil {
-		t.Fatalf("winner exposed before decision")
+	if p := o.Pipeline(); p == nil || p.Plan().NeedsReordering() {
+		t.Fatalf("before the decision Pipeline is not the no-reorder plan wide calls run")
 	}
 	x := repro.NewRandomDense(m.Cols, 16, 1)
 	want, err := repro.SpMM(m, x)
@@ -93,6 +94,7 @@ func TestOnlinePipelineNoTrialWithoutReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	x := repro.NewRandomDense(m.Cols, 16, 1)
 	tr := obs.NewTrace("first")
 	y, err := spmmOf(obs.WithTrace(context.Background(), tr), o, x)
@@ -132,6 +134,7 @@ func TestOnlinePipelineConcurrentUndecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	x := repro.NewRandomDense(m.Cols, 16, 1)
 	want, err := repro.SpMM(m, x)
 	if err != nil {
@@ -174,6 +177,7 @@ func TestOnlinePipelineConcurrentDecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	x := repro.NewRandomDense(m.Cols, 16, 1)
 	if _, err := spmmOf(context.Background(), o, x); err != nil { // decide
 		t.Fatal(err)
@@ -232,6 +236,7 @@ func TestOnlinePipelineIntoVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	x := repro.NewRandomDense(m.Cols, 8, 4)
 	yin := repro.NewRandomDense(m.Rows, 8, 5)
 	want, err := repro.SpMM(m, x)
@@ -282,6 +287,7 @@ func TestOnlinePipelineSDDMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repro.BuildReorderedForTest(t, o, 16)
 	x := repro.NewRandomDense(m.Cols, 8, 2)
 	y := repro.NewRandomDense(m.Rows, 8, 3)
 	want, err := repro.SDDMM(m, x, y)

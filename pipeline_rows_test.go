@@ -242,9 +242,7 @@ func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
 		t.Fatalf("matrix did not shard: %d panel(s)", sp.Panels())
 	}
 	// Every width passes the gate: the calls run the reordered panels.
-	if err := sp.WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, sp, 8)
 	check("sharded", func(out *repro.Matrix) error { return sp.SDDMMIntoCtx(ctx, out, x, y) })
 
 	// Live: rows 5 and 700 replaced and one row appended, with the
@@ -253,9 +251,7 @@ func TestPipelineSDDMMMatchesRowWise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Online().WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, l.Online(), 8)
 	def := repro.RowDef{Cols: []int32{1, 9, 400, 1000}, Vals: []float32{0.5, -2, 3, 0.25}}
 	if err := l.Mutate(ctx, repro.Mutation{
 		ReplaceRows: []repro.RowUpdate{{Row: 5, Def: def}, {Row: 700, Def: repro.RowDef{Cols: []int32{7}, Vals: []float32{-1}}}},
@@ -368,17 +364,13 @@ func TestSDDMMRejectsWrongStructureOnEveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, o, 8)
 	paths["online"] = func(out *repro.Matrix) error { return o.SDDMMIntoCtx(ctx, out, x, y) }
 	sp, err := repro.NewShardedPipelineCtx(ctx, m, cfg, m.NNZ()/3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, sp, 8)
 	paths["sharded"] = func(out *repro.Matrix) error { return sp.SDDMMIntoCtx(ctx, out, x, y) }
 	s, err := repro.NewServer(ctx, m, cfg, repro.ServerConfig{})
 	if err != nil {
@@ -390,9 +382,7 @@ func TestSDDMMRejectsWrongStructureOnEveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Online().WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, l.Online(), 8)
 	paths["live"] = func(out *repro.Matrix) error { return l.SDDMMIntoCtx(ctx, out, x, y) }
 
 	run := func(name string, call func(*repro.Matrix) error, m *repro.Matrix) {

@@ -42,7 +42,8 @@ func heldPlanKeys(t *testing.T) map[string]bool {
 
 // coldOnlineServer serves m from a fresh plan cache, with the reorder
 // gate passing every width, so both of the tenant's plans are built on
-// cache misses, and waits for the reordered build.
+// cache misses, and starts the reordered build with one call and waits
+// for it.
 func coldOnlineServer(t *testing.T, m *Matrix, cfg Config, scfg ServerConfig) *Server {
 	t.Helper()
 	SetGateL2ForTest(t, 0)
@@ -53,10 +54,7 @@ func coldOnlineServer(t *testing.T, m *Matrix, cfg Config, scfg ServerConfig) *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := s.Live().Online()
-	if err := o.WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	BuildReorderedForTest(t, s.Live().Online(), 1)
 	if st := PlanCacheStats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("plan cache stats %+v: want both plans built on misses", st)
 	}
@@ -219,6 +217,7 @@ func TestPlanCfgIsHeldKeyOnEveryTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		BuildReorderedForTest(t, o, 1)
 		st := PlanCacheStats()
 		got := map[plancache.Tier]int64{
 			plancache.TierMiss:   st.Misses - st.DiskHits - (before.Misses - before.DiskHits),

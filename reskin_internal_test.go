@@ -107,11 +107,9 @@ func TestReskinMatchesColdBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				if o := l.Online(); o != nil {
-					if err := o.WaitPreprocessed(ctx); err != nil {
-						t.Fatal(err)
-					}
-				} else if err := l.Sharded().WaitPreprocessed(ctx); err != nil {
-					t.Fatal(err)
+					BuildReorderedForTest(t, o, 8)
+				} else {
+					BuildReorderedForTest(t, l.Sharded(), 8)
 				}
 				for batch := 0; batch < 3; batch++ {
 					if err := l.Mutate(ctx, randomValueBatch(l.Matrix(), rng, 1+rng.Intn(64))); err != nil {
@@ -311,9 +309,7 @@ func TestReskinKeepsReorderedWinner(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := l.Online()
-	if err := o.WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
-	}
+	BuildReorderedForTest(t, o, 8)
 	rr := o.rr.Load()
 	if !rr.plan.Round1Applied {
 		t.Fatal("clustered matrix was not reordered; the test needs a reordered plan")

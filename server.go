@@ -103,7 +103,9 @@ type ServerConfig struct {
 	// panels of ~ShardNNZ nonzeros, each preprocessed and served
 	// through its own pipeline (plan cache shared), with SpMM panels
 	// writing disjoint row ranges of the output concurrently. Sharded
-	// tenants build synchronously in the constructor and never consult
+	// tenants build their no-reorder panels synchronously in the
+	// constructor (reordered panels only once a request passes the
+	// reorder gate, as for online tenants) and never consult
 	// the reordered-path circuit breaker (each panel autotunes its own
 	// kernel instead of trialling reordering matrix-wide). 0 disables
 	// sharding.
@@ -623,7 +625,7 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 				// context: a waiter's deadline governs how long it waits,
 				// never a pass that other waiters' operands share. Close
 				// cancels baseCtx only after the gate has drained.
-				return kernels.SpMMBatchIntoCtx(s.baseCtx, batchPass{live}, ops)
+				return kernels.SpMMBatchIntoCtx(s.baseCtx, live.batchPass(ops), ops)
 			})
 		// Launch-time gate: a mutation landing between submit and launch
 		// excises the now-stale operand (ErrStaleShape) instead of

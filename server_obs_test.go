@@ -37,9 +37,7 @@ func obsTestServer(t *testing.T, seed int64) (*repro.Server, *repro.Dense) {
 		defer cancel()
 		s.Close(ctx)
 	})
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 64)
 	x := repro.NewRandomDense(m.Cols, 64, 11)
 	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x); err != nil {
 		t.Fatal(err)

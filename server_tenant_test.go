@@ -99,9 +99,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 
 	xs := make([]*repro.Dense, n)
 	want := make([]*repro.Dense, n)

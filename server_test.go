@@ -18,9 +18,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// degradedServer builds a Server whose reordered build, started at
-// construction because every width passes the reorder gate, is doomed
-// by an already-expired budget, so every request deterministically serves the
+// degradedServer builds a Server whose reordered build, started by one
+// call because every width passes the reorder gate, is doomed by an
+// already-expired budget, so every request deterministically serves the
 // no-reorder plan — the simplest substrate for admission and retry
 // tests that do not care about breaker routing.
 func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *repro.Server {
@@ -32,9 +32,7 @@ func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *rep
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -57,9 +55,7 @@ func TestServerServesCorrectResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 	x := repro.NewRandomDense(m.Cols, 16, 21)
 	want, err := repro.SpMM(m, x)
 	if err != nil {
@@ -264,9 +260,7 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 	if deg, cause := s.Pipeline().Degraded(); deg {
 		t.Fatalf("unexpected degradation: %v", cause)
 	}
@@ -406,9 +400,7 @@ func TestServerWarmStartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s1.Pipeline(), 8)
 	if deg, cause := s1.Pipeline().Degraded(); deg {
 		t.Fatalf("first server degraded: %v", cause)
 	}
@@ -440,9 +432,7 @@ func TestServerWarmStartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s2.Pipeline(), 8)
 	if deg, cause := s2.Pipeline().Degraded(); deg {
 		t.Fatalf("restarted server rebuilt instead of warm starting: %v", cause)
 	}
@@ -481,9 +471,7 @@ func TestServerCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s1.Pipeline(), 8)
 	x := repro.NewRandomDense(m.Cols, 16, 29)
 	want, err := repro.SpMM(m, x)
 	if err != nil {
@@ -529,9 +517,7 @@ func TestServerCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s2.Pipeline(), 8)
 	if deg, cause := s2.Pipeline().Degraded(); deg {
 		t.Fatalf("corrupt snapshots degraded the rebuild: %v", cause)
 	}
@@ -569,9 +555,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 
 	entered := make(chan struct{}, 64)
 	gate := make(chan struct{})

@@ -123,12 +123,12 @@ func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline,
 }
 
 // NewShardedPipelineCtx is NewShardedPipeline with cooperative
-// cancellation of the per-panel builds. The panels' reordered plans
-// build in the background under ctx and cfg.PreprocessBudget — started
-// by the first call the reorder gate passes, or here when every width
-// passes — so ctx must outlive the pipeline's wide calls.
+// cancellation of the per-panel no-reorder builds: ctx governs
+// construction only. The panels' reordered plans build later, in the
+// background, started by the first call the reorder gate passes and
+// bounded by cfg.PreprocessBudget alone.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
-	return newShardedPipeline(ctx, ctx, m, cfg, targetNNZ, nil)
+	return newShardedPipeline(ctx, context.Background(), m, cfg, targetNNZ, nil)
 }
 
 // newShardedPipeline is NewShardedPipelineCtx with the reordered build's
@@ -157,16 +157,13 @@ func newShardedPipeline(ctx, bctx context.Context, m *Matrix, cfg Config, target
 	s.gate = gateFor(slices.Max(cols), cfg)
 	s.rr.init()
 	s.bctx, s.cfg, s.ring = bctx, cfg, ring
-	if s.gate.pass(1) {
-		s.startBuild(0)
-	}
 	recordShardPanels(len(bounds))
 	return s, nil
 }
 
 // startBuild starts building every panel's reordered plan, in parallel,
-// unless that already started; width is the call width that asked for
-// it (0: the constructor).
+// unless that already started; width is the width of the call that
+// asked for it.
 func (s *ShardedPipeline) startBuild(width int) {
 	if s.rr.started.Load() {
 		return
@@ -318,8 +315,8 @@ func (s *ShardedPipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) e
 	return s.spmmInto(ctx, y, x, x.Cols)
 }
 
-// spmmInto is SpMMIntoCtx with the gate asked about width k rather
-// than x.Cols (see OnlinePipeline.spmmInto).
+// spmmInto is SpMMIntoCtx with the reorder gate asked about width k
+// rather than x.Cols (see OnlinePipeline.spmmInto).
 func (s *ShardedPipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {
 	if y.Rows != s.orig.Rows || y.Cols != x.Cols {
 		return fmt.Errorf("repro: SpMMInto output is %dx%d, want %dx%d",

@@ -144,9 +144,7 @@ func TestServerChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Pipeline().WaitPreprocessed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	repro.BuildReorderedForTest(t, s.Pipeline(), 8)
 	if deg, cause := s.Pipeline().Degraded(); deg {
 		t.Fatalf("build degraded before chaos started: %v", cause)
 	}
