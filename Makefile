@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint nofma soak integrity-smoke obs-smoke bench fuzz experiments corpus clean
+.PHONY: all build test race vet lint nofma soak integrity-smoke obs-smoke bench fuzz experiments corpus size clean
 
 all: build lint test
 
@@ -112,6 +112,15 @@ experiments:
 # Dump the synthetic corpus as Matrix Market files into ./corpus.
 corpus:
 	mkdir -p corpus && $(GO) run ./cmd/mtxgen -corpus -outdir corpus
+
+# Lines of Go, the measure the size targets in ROADMAP.md use: non-test
+# files of the root package, of internal/ and of cmd/, then every test
+# file of the module (perfbench is a module of its own and not counted).
+size:
+	@printf 'root      %6d\n' $$(cat $$(ls *.go | grep -v '_test\.go$$') | wc -l)
+	@printf 'internal  %6d\n' $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'cmd       %6d\n' $$(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'tests     %6d\n' $$(find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

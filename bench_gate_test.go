@@ -13,8 +13,10 @@ import (
 // reorder gate's pick's regret: its time over the faster plan's. The
 // scrambled and uniform families run as online tenants do (one plan
 // each); R-MAT runs as the sharded tenant does (row panels of ~400k
-// nonzeros, or ~100k under -short), its gate judged on the widest
-// panel. The gate reads this host's L2, so the picks follow the host.
+// nonzeros, or ~100k under -short), every panel forced onto its
+// reordered plan against every panel on its no-reorder plan. Each
+// panel has its own gate; the R-MAT pick switches at the first panel's
+// (gateK). The gate reads this host's L2, so the picks follow the host.
 //
 // Each K times nr, then rr, and the later line carries the regret.
 func BenchmarkReorderGate(b *testing.B) {
@@ -58,7 +60,7 @@ func BenchmarkReorderGate(b *testing.B) {
 	sharded := func(l2 int64) *repro.ShardedPipeline {
 		// The hook changes the gate of pipelines built while it is set:
 		// L2 0 passes every width, so one call builds the panels'
-		// reordered plans and they serve every later call; a huge L2
+		// reordered plans, forced to serve every later call; a huge L2
 		// passes none.
 		restore := repro.SetGateL2ForTest(b, l2)
 		defer restore()
@@ -67,6 +69,7 @@ func BenchmarkReorderGate(b *testing.B) {
 			b.Fatal(err)
 		}
 		repro.BuildReorderedForTest(b, sp, 1)
+		repro.ForceReorderedForTest(sp)
 		return sp
 	}
 	host, err := repro.NewShardedPipelineCtx(ctx, rm, cfg, shard)

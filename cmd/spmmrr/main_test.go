@@ -159,7 +159,7 @@ func TestCLIServeCoalescedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve run: %v\n%s", err, out)
 	}
-	for _, want := range []string{"sharded into", "row panels", "coalescing concurrent requests", "drained;", "no reorder trial", "coalescing ", "leads"} {
+	for _, want := range []string{"sharded into", "row panels", "coalescing concurrent requests", "drained;", "panels: ", " no reorder trial", "coalescing ", "leads"} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("coalesced sharded serve output missing %q:\n%s", want, out)
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,9 +73,17 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 	if err != nil {
 		return err
 	}
+	// A sharded matrix gates each panel on its own: report the panel
+	// that reorders from the narrowest width.
+	minK := ex.Trial.MinReorderK
+	for _, p := range ex.Panels {
+		if g := p.Trial.MinReorderK; g > 0 && (minK == 0 || g < minK) {
+			minK = g
+		}
+	}
 	gate := "no width reaches the reorder gate"
-	if g := ex.Trial.MinReorderK; g > 0 {
-		gate = fmt.Sprintf("reordered plan builds once a request has K >= %d", g)
+	if minK > 0 {
+		gate = fmt.Sprintf("reordered plan builds once a request has K >= %d", minK)
 	}
 	if sh := s.Sharded(); sh != nil {
 		fmt.Printf("serve: accepting requests (K=%d); matrix sharded into %d row panels, no-reorder plans ready, %s\n",
@@ -211,25 +220,27 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 	}
 
 	st := s.Stats()
-	trial := "trial undecided"
-	if pipe := s.Pipeline(); pipe == nil {
-		trial = fmt.Sprintf("sharded (%d panels, no reorder trial)", s.Sharded().Panels())
-	} else {
-		decided, rrWon := pipe.Decided()
-		switch {
-		case st.Degraded:
-			trial = "degraded to no-reorder"
-		case decided && rrWon:
-			trial = "trial chose reordered"
-		case decided:
-			trial = "trial chose no-reorder"
-			if rr, nr := pipe.TrialTimes(); rr == 0 && nr == 0 {
-				trial = "no reorder trial"
-			}
-		}
+	ex, err = s.Explain(repro.DefaultTenant)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("serve: drained; %d completed, %d failed, %d shed, %d retries, breaker %s, %s\n",
-		st.Completed, st.Failed, st.Admission.Shed, st.Retries, st.Breaker.State, trial)
+	trial := trialOutcome(ex.Trial)
+	if len(ex.Panels) > 0 {
+		// One outcome per panel, counted: "sharded (4 panels: 3 no
+		// reorder trial, 1 trial chose reordered)".
+		counts := map[string]int{}
+		for _, p := range ex.Panels {
+			counts[trialOutcome(p.Trial)]++
+		}
+		outcomes := make([]string, 0, len(counts))
+		for o, n := range counts {
+			outcomes = append(outcomes, fmt.Sprintf("%d %s", n, o))
+		}
+		sort.Strings(outcomes)
+		trial = fmt.Sprintf("sharded (%d panels: %s)", len(ex.Panels), strings.Join(outcomes, ", "))
+	}
+	fmt.Printf("serve: drained; %d completed, %d failed, %d cancelled, %d shed, %d retries, breaker %s, %s\n",
+		st.Completed, st.Failed, st.Cancelled, st.Admission.Shed, st.Retries, st.Breaker.State, trial)
 	if ts, ok := s.TenantStats(repro.DefaultTenant); ok && opts.coalesceWindow > 0 {
 		fmt.Printf("serve: coalescing %d leads, %d joins, %d excised\n",
 			ts.Coalesce.Leads, ts.Coalesce.Joins, ts.Coalesce.Excised)
@@ -276,4 +287,20 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 		fmt.Printf("serve: plan cache snapshotted to %s (%d file(s))\n", opts.planDir, n)
 	}
 	return nil
+}
+
+// trialOutcome names one online pipeline's reorder decision for the
+// drain line.
+func trialOutcome(tr repro.TrialExplain) string {
+	switch {
+	case tr.Degraded:
+		return "degraded to no-reorder"
+	case !tr.Decided:
+		return "trial undecided"
+	case tr.ReorderingWon:
+		return "trial chose reordered"
+	case tr.ReorderedSeconds == 0 && tr.PlainSeconds == 0:
+		return "no reorder trial"
+	}
+	return "trial chose no-reorder"
 }

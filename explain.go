@@ -14,17 +14,16 @@ import (
 
 	"repro/internal/integrity"
 	"repro/internal/kernels"
-	"repro/internal/plancache"
 	"repro/internal/reorder"
 )
 
-// TrialExplain is the reorder-decision section of a TenantExplain: the
-// width gate, the lazy reordered build, and the §4 online trial.
+// TrialExplain is the reorder-decision section of a TenantExplain or a
+// PanelExplain: one online pipeline's width gate, lazy reordered
+// build, and §4 online trial.
 type TrialExplain struct {
 	// Decided is true once the trial (or degradation) settled wide
 	// calls, and before any wide call (every call then runs the plain
-	// plan); ReorderingWon reports the verdict. Sharded tenants run no
-	// trial and leave these false.
+	// plan); ReorderingWon reports the verdict.
 	Decided       bool `json:"decided"`
 	ReorderingWon bool `json:"reordering_won"`
 	// ReorderedSeconds/PlainSeconds are the medians of the trial's
@@ -38,32 +37,48 @@ type TrialExplain struct {
 	Reason   string `json:"degraded_reason,omitempty"`
 
 	// The reorder gate: L2Bytes is the per-core L2 size it used,
-	// ReferencedCols the distinct columns the matrix references (the
-	// largest panel's for a sharded tenant), and MinReorderK the
-	// smallest width whose X footprint, ReferencedCols·K·4 bytes,
-	// reaches ¾ of L2 — 0 when no width does (reordering disabled).
-	// Build is the lazy reordered build's state: "none" (no call has
-	// passed the gate), "building", "built" or "degraded".
+	// ReferencedCols the distinct columns the matrix (or panel)
+	// references, and MinReorderK the smallest width whose X
+	// footprint, ReferencedCols·K·4 bytes, reaches ¾ of L2 — 0 when no
+	// width does (reordering disabled). Build is the lazy reordered
+	// build's state: "none" (no call has passed the gate), "building",
+	// "built" or "degraded".
 	L2Bytes        int64  `json:"l2_bytes"`
 	ReferencedCols int    `json:"referenced_cols"`
 	MinReorderK    int    `json:"min_reorder_k"`
 	Build          string `json:"build"`
 }
 
-// gateExplain fills the gate and build fields of a TrialExplain.
-func gateExplain[T any](ex *TrialExplain, g reorderGate, b *lazyBuild[T]) {
-	ex.L2Bytes, ex.ReferencedCols, ex.MinReorderK = g.l2, g.cols, g.minK
-	if g.minK == math.MaxInt {
+// trialExplain reports o's gate, build and trial.
+func (o *OnlinePipeline) trialExplain() TrialExplain {
+	done, won := o.Decided()
+	rrT, nrT := o.TrialTimes()
+	ex := TrialExplain{
+		Decided:          done,
+		ReorderingWon:    won,
+		ReorderedSeconds: rrT.Seconds(),
+		PlainSeconds:     nrT.Seconds(),
+		L2Bytes:          o.gate.l2,
+		ReferencedCols:   o.gate.cols,
+		MinReorderK:      o.gate.minK,
+		Build:            o.rr.state(),
+	}
+	if o.gate.minK == math.MaxInt {
 		ex.MinReorderK = 0
 	}
-	ex.Build = b.state()
+	if _, err := o.Degraded(); err != nil {
+		ex.Degraded, ex.Reason = true, err.Error()
+	}
+	return ex
 }
 
-// PanelExplain is one row panel of a sharded tenant.
+// PanelExplain is one row panel of a sharded tenant, with the panel's
+// own reorder decision.
 type PanelExplain struct {
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	Kernel string `json:"kernel"`
+	Lo     int          `json:"lo"`
+	Hi     int          `json:"hi"`
+	Kernel string       `json:"kernel"`
+	Trial  TrialExplain `json:"trial"`
 }
 
 // TenantExplain is the /debug/explain document for one tenant: the
@@ -93,6 +108,8 @@ type TenantExplain struct {
 	KernelVerdict string         `json:"kernel_verdict"`
 	Features      KernelFeatures `json:"features"`
 
+	// Trial is the reorder decision of the base's first panel — the
+	// whole matrix for an online tenant — as Features is its plan's.
 	Trial TrialExplain `json:"trial"`
 	// Mispicks counts autotuner-feedback windows where the serving
 	// plan underperformed the measured trial loser (DESIGN.md §16).
@@ -140,48 +157,23 @@ func (s *Server) Explain(id string) (*TenantExplain, error) {
 		SIMD:        kernels.StripPath(),
 		SLO:         t.slo.status(),
 	}
-	var plan *Plan
-	if o := st.online; o != nil {
-		ex.Mode = "online"
-		plan = o.current().plan
-		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, plan.Cfg)
-		done, won := o.Decided()
-		rrT, nrT := o.TrialTimes()
-		deg, derr := o.Degraded()
-		ex.Trial = TrialExplain{
-			Decided:          done,
-			ReorderingWon:    won,
-			ReorderedSeconds: rrT.Seconds(),
-			PlainSeconds:     nrT.Seconds(),
-			Degraded:         deg,
-		}
-		if derr != nil {
-			ex.Trial.Reason = derr.Error()
-		}
-		gateExplain(&ex.Trial, o.gate, &o.rr)
-	} else {
-		sp := st.sharded
+	// The plan, features and trial sections report panel 0 — the whole
+	// matrix unless the tenant is sharded, whose layout is in Panels.
+	o := st.base.panels[0].pipe
+	plan := o.current().plan
+	ex.Mode = "online"
+	ex.PlanFingerprint = st.base.fingerprint()
+	ex.Kernel = plan.Kernel.String()
+	ex.Features = plan.Features
+	ex.KernelVerdict = reorder.ChooseKernel(plan.Features).String()
+	ex.Trial = o.trialExplain()
+	if t.live.sharded {
 		ex.Mode = "sharded"
-		// A sharded base has one plan per panel; the fingerprint
-		// identifies the fused base matrix (what plan_swap events
-		// carry), the features/kernel sections report panel 0 with the
-		// full layout in Panels.
-		ex.PlanFingerprint = plancache.Fingerprint(st.baseM, st.baseCfg())
-		plan = sp.panels[0].pipe.plan
-		gateExplain(&ex.Trial, sp.gate, &sp.rr)
-		if derr := sp.rr.failure(); derr != nil {
-			ex.Trial.Degraded, ex.Trial.Reason = true, derr.Error()
+		ex.Panels = make([]PanelExplain, len(st.base.panels))
+		for i, pn := range st.base.panels {
+			ex.Panels[i] = PanelExplain{Lo: pn.lo, Hi: pn.hi,
+				Kernel: pn.pipe.nr.Kernel().String(), Trial: pn.pipe.trialExplain()}
 		}
-		ex.Panels = make([]PanelExplain, sp.Panels())
-		for i := range ex.Panels {
-			lo, hi := sp.PanelRange(i)
-			ex.Panels[i] = PanelExplain{Lo: lo, Hi: hi, Kernel: sp.PanelKernel(i).String()}
-		}
-	}
-	if plan != nil {
-		ex.Kernel = plan.Kernel.String()
-		ex.Features = plan.Features
-		ex.KernelVerdict = reorder.ChooseKernel(plan.Features).String()
 	}
 	return ex, nil
 }

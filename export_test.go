@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/kernels"
@@ -29,12 +30,30 @@ func LiveBatchPass(l *LivePipeline, ops []BatchOp) kernels.SpMMPass { return l.b
 // passes under cfg (math.MaxInt for none).
 func ReorderMinK(m *Matrix, cfg Config) int { return newReorderGate(m, cfg).minK }
 
-// ShardedMinK returns the smallest width at which s's reorder gate
-// passes.
-func ShardedMinK(s *ShardedPipeline) int { return s.gate.minK }
+// ShardedMinK returns the smallest width at which some panel of s
+// passes its reorder gate.
+func ShardedMinK(s *ShardedPipeline) int {
+	k := math.MaxInt
+	for _, pn := range s.panels {
+		k = min(k, pn.pipe.gate.minK)
+	}
+	return k
+}
+
+// ForceReorderedForTest makes each panel of s whose reordered plan is
+// built serve it to every call its gate passes, as if the panel's trial
+// had picked it.
+func ForceReorderedForTest(s *ShardedPipeline) {
+	for _, pn := range s.panels {
+		if rr := pn.pipe.rr.Load(); rr != nil {
+			pn.pipe.winner.Store(rr)
+		}
+	}
+}
 
 // lazyReorderer is a base whose reordered build its first wide call
-// starts: an *OnlinePipeline or a *ShardedPipeline.
+// starts: an *OnlinePipeline, or a *ShardedPipeline whose panels' gates
+// pass that width.
 type lazyReorderer interface {
 	Matrix() *Matrix
 	SpMMIntoCtx(ctx context.Context, y, x *Dense) error
@@ -42,9 +61,9 @@ type lazyReorderer interface {
 }
 
 // BuildReorderedForTest makes one call of width k on p, which starts
-// p's reordered build when p's reorder gate passes k, and waits for the
-// build to settle. An online pipeline's next call at a passing width
-// then runs the §4 trial; a sharded one's runs the reordered panels.
+// p's reordered build when p's reorder gate passes k (each such panel's,
+// for a sharded p), and waits for the builds to settle. The next call
+// at a passing width then runs the §4 trial (each panel's).
 func BuildReorderedForTest(tb testing.TB, p lazyReorderer, k int) {
 	tb.Helper()
 	ctx := context.Background()

@@ -7,8 +7,9 @@ package repro
 // cached whatever the row order, and the reordered plan's row map costs
 // about what its locality saves. The gate therefore compares X's
 // footprint at width K, F(K) = (distinct columns the matrix references)
-// × K × 4 bytes, against ¾ of L2, and an online or sharded base builds
-// its reordered plan only when a call passes it (DESIGN §7).
+// × K × 4 bytes, against ¾ of L2, and an online pipeline — a whole
+// matrix, or one row panel of a sharded one — builds its reordered plan
+// only when a call passes it (DESIGN §7).
 
 import (
 	"context"
@@ -110,14 +111,9 @@ type reorderGate struct {
 // the gate from them. A Config that disables reordering gets a gate no
 // width passes.
 func newReorderGate(m *Matrix, cfg Config) reorderGate {
-	return gateFor(referencedCols(m), cfg)
-}
-
-// gateFor is the gate of a matrix that references cols columns.
-func gateFor(cols int, cfg Config) reorderGate {
-	g := reorderGate{l2: gateL2(), cols: cols, minK: math.MaxInt}
+	g := reorderGate{l2: gateL2(), cols: referencedCols(m), minK: math.MaxInt}
 	if !cfg.Disable {
-		g.minK = minReorderK(cols, g.l2)
+		g.minK = minReorderK(g.cols, g.l2)
 	}
 	return g
 }
@@ -153,34 +149,34 @@ func referencedCols(m *Matrix) int {
 	return n
 }
 
-// lazyBuild is a build that runs at most once, in the background: the
-// reordered plan of an online base, or the reordered panels of a
-// sharded one. start launches it, done closes when it settles, and a
-// failed build records why instead of publishing a value. Until start
-// is called no build is in flight, so waiting on it returns at once.
-type lazyBuild[T any] struct {
+// lazyBuild is an online pipeline's reordered plan, built at most once
+// and in the background. start launches it, done closes when it
+// settles, and a failed build records why instead of publishing a
+// plan. Until start is called no build is in flight, so waiting on it
+// returns at once.
+type lazyBuild struct {
 	started atomic.Bool
 	done    chan struct{}
-	val     atomic.Pointer[T]
+	val     atomic.Pointer[Pipeline]
 	failed  atomic.Pointer[degradeReason]
 }
 
 // init readies b for use; the zero lazyBuild is not.
-func (b *lazyBuild[T]) init() { b.done = make(chan struct{}) }
+func (b *lazyBuild) init() { b.done = make(chan struct{}) }
 
 // Load returns the built value, nil until the build lands and forever
 // when it fails or never starts.
-func (b *lazyBuild[T]) Load() *T { return b.val.Load() }
+func (b *lazyBuild) Load() *Pipeline { return b.val.Load() }
 
 // set publishes v as a build that has already landed.
-func (b *lazyBuild[T]) set(v *T) {
+func (b *lazyBuild) set(v *Pipeline) {
 	b.started.Store(true)
 	b.val.Store(v)
 	close(b.done)
 }
 
 // fail publishes d as a build that has already failed.
-func (b *lazyBuild[T]) fail(d *degradeReason) {
+func (b *lazyBuild) fail(d *degradeReason) {
 	b.started.Store(true)
 	b.failed.Store(d)
 	close(b.done)
@@ -193,8 +189,8 @@ func (b *lazyBuild[T]) fail(d *degradeReason) {
 // With ring set the build runs under a "build_reordered" trace,
 // annotated with width (the width of the call that started it) and
 // pushed to ring when the build settles.
-func (b *lazyBuild[T]) start(ctx context.Context, budget time.Duration, ring *obs.TraceRing, width int,
-	build func(context.Context) (*T, error), settle func(error)) {
+func (b *lazyBuild) start(ctx context.Context, budget time.Duration, ring *obs.TraceRing, width int,
+	build func(context.Context) (*Pipeline, error), settle func(error)) {
 	if b.started.Load() || !b.started.CompareAndSwap(false, true) {
 		return
 	}
@@ -211,7 +207,7 @@ func (b *lazyBuild[T]) start(ctx context.Context, budget time.Duration, ring *ob
 			tr.Annotate("width", strconv.Itoa(width))
 			bctx = obs.WithTrace(bctx, tr)
 		}
-		var v *T
+		var v *Pipeline
 		// Guard the whole build: stage-internal panics already surface
 		// as errors, and this converts any residual glue-code panic too
 		// — a background goroutine must never crash the process.
@@ -240,7 +236,7 @@ func (b *lazyBuild[T]) start(ctx context.Context, budget time.Duration, ring *ob
 }
 
 // wait blocks until no build is in flight or ctx is done.
-func (b *lazyBuild[T]) wait(ctx context.Context) error {
+func (b *lazyBuild) wait(ctx context.Context) error {
 	if !b.started.Load() {
 		return nil
 	}
@@ -253,7 +249,7 @@ func (b *lazyBuild[T]) wait(ctx context.Context) error {
 }
 
 // idle reports, without blocking, whether no build is in flight.
-func (b *lazyBuild[T]) idle() bool {
+func (b *lazyBuild) idle() bool {
 	if !b.started.Load() {
 		return true
 	}
@@ -266,7 +262,7 @@ func (b *lazyBuild[T]) idle() bool {
 }
 
 // failure returns why the build failed, nil unless it did.
-func (b *lazyBuild[T]) failure() error {
+func (b *lazyBuild) failure() error {
 	if d := b.failed.Load(); d != nil {
 		return d.err
 	}
@@ -275,7 +271,7 @@ func (b *lazyBuild[T]) failure() error {
 
 // state names the build's progress for /debug/explain: "none" before
 // it starts, then "building", and "built" or "degraded" once it settles.
-func (b *lazyBuild[T]) state() string {
+func (b *lazyBuild) state() string {
 	switch {
 	case !b.started.Load():
 		return "none"

@@ -2,11 +2,13 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kernels"
+	"repro/internal/plancache"
 )
 
 func TestParseCacheSize(t *testing.T) {
@@ -76,7 +79,8 @@ func TestReadL2(t *testing.T) {
 // The gate's decisions on the serve workload's matrices (seed 41) with
 // a 2 MiB L2: no serving width (K ≤ 16, X at most 0.56·L2) reorders,
 // and K ≥ 32 does, for the hot and uniform tenants and every R-MAT
-// panel. The sharded tenant's gate is its widest panel's.
+// panel. Each panel of the sharded tenant is gated on the columns it
+// references itself.
 func TestGateOnServeMatrices(t *testing.T) {
 	const l2 = 2 << 20
 	SetGateL2ForTest(t, l2)
@@ -100,14 +104,12 @@ func TestGateOnServeMatrices(t *testing.T) {
 		t.Fatalf("R-MAT did not shard: %d panel", sp.Panels())
 	}
 	mats := map[string]*Matrix{"hot": hot, "uniform": uni}
-	minPanelK := math.MaxInt
-	for i := range sp.panels {
-		m := sp.panels[i].pipe.Matrix()
+	for i, pn := range sp.panels {
+		m := pn.pipe.Matrix()
 		mats["rmat panel "+strconv.Itoa(i)] = m
-		minPanelK = min(minPanelK, newReorderGate(m, DefaultConfig()).minK)
-	}
-	if sp.gate.minK != minPanelK {
-		t.Errorf("sharded gate passes from K=%d, its widest panel's from K=%d", sp.gate.minK, minPanelK)
+		if g := pn.pipe.gate; g != newReorderGate(m, DefaultConfig()) {
+			t.Errorf("panel %d is gated on %d columns, references %d", i, g.cols, referencedCols(m))
+		}
 	}
 	for name, m := range mats {
 		g := newReorderGate(m, DefaultConfig())
@@ -188,8 +190,8 @@ func TestGateBelowBuildsNoReorderedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve(sp, m)
-	if st := sp.rr.state(); st != "none" || misses() != int64(sp.Panels()) {
-		t.Fatalf("sharded: build %s after %d plan-cache misses, want none after %d", st, misses(), sp.Panels())
+	if st := buildStates(sp); st != "none" || misses() != int64(sp.Panels()) {
+		t.Fatalf("sharded: builds %s after %d plan-cache misses, want none after %d", st, misses(), sp.Panels())
 	}
 
 	misses = fresh()
@@ -214,6 +216,21 @@ func TestGateBelowBuildsNoReorderedPlan(t *testing.T) {
 	if got := trials() - trials0; got != 0 {
 		t.Fatalf("%d trials ran below the gate", got)
 	}
+}
+
+// buildStates joins the reordered-build states of sp's panels into one
+// string, or returns the single state they share.
+func buildStates(sp *ShardedPipeline) string {
+	states := map[string]bool{}
+	for _, pn := range sp.panels {
+		states[pn.pipe.rr.state()] = true
+	}
+	if len(states) == 1 {
+		for st := range states {
+			return st
+		}
+	}
+	return fmt.Sprint(states)
 }
 
 // holdBuilds blocks every reordered build at its clustering stage until
@@ -335,25 +352,231 @@ func TestGateAboveBuildsOnceThenTrials(t *testing.T) {
 	if tr := ex.Trial; tr.L2Bytes != 64<<10 || tr.ReferencedCols != o.gate.cols || tr.MinReorderK != k || tr.Build != "built" {
 		t.Fatalf("explain gate fields %+v", tr)
 	}
+}
 
-	// A sharded pipeline builds every panel's reordered plan on its
-	// first wide call and serves them to wide calls only.
-	sp, err := NewShardedPipelineCtx(ctx, m, cfg, m.NNZ()/3)
+// checkOracle fails the test unless got is the row-wise reference
+// result on the unpermuted matrix, want, within float reassociation.
+func checkOracle(t *testing.T, stage string, want, got []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Abs(float64(want[i]-got[i])) > 1e-4 {
+			t.Fatalf("%s: result diverges from the row-wise oracle at %d: %v vs %v", stage, i, got[i], want[i])
+		}
+	}
+}
+
+// Above the gate every panel of a sharded pipeline runs the online
+// strategy on its own rows: the first wide call starts each panel's
+// reordered build and serves the no-reorder panels, the next one runs
+// one §4 trial per panel, and the winners serve after that — for SpMM
+// and for SDDMM, each call matching the row-wise oracle.
+func TestShardedPanelsTrialAboveGate(t *testing.T) {
+	SetGateL2ForTest(t, 0)
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4445)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k = sp.gate.minK
-	if sp.wide(k-1) != nil || sp.rr.state() != "none" {
-		t.Fatal("sharded: a narrow width started the build")
-	}
-	if err := sp.SpMMIntoCtx(ctx, NewDense(m.Rows, k), NewRandomDense(m.Cols, k, 1)); err != nil {
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	const k = 8
+	x, yd := NewRandomDense(m.Cols, k, 1), NewRandomDense(m.Rows, k, 2)
+	wantY, err := SpMM(m, x)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.WaitPreprocessed(ctx); err != nil {
+	wantO, err := SDDMM(m, x, yd)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rr := sp.wide(k); len(rr) != sp.Panels() || sp.wide(k-1) != nil {
-		t.Fatalf("sharded: wide calls run %d reordered panels of %d", len(rr), sp.Panels())
+	for _, op := range []string{"spmm", "sddmm"} {
+		sp, err := NewShardedPipelineCtx(ctx, m, cfg, m.NNZ()/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Panels() < 2 {
+			t.Fatalf("%s: %d panel", op, sp.Panels())
+		}
+		call := func(stage string) {
+			t.Helper()
+			stage = op + ": " + stage
+			if op == "spmm" {
+				y := NewDense(m.Rows, k)
+				if err := sp.SpMMIntoCtx(ctx, y, x); err != nil {
+					t.Fatal(err)
+				}
+				checkOracle(t, stage, wantY.Data, y.Data)
+				return
+			}
+			out := m.Clone()
+			if err := sp.SDDMMIntoCtx(ctx, out, x, yd); err != nil {
+				t.Fatal(err)
+			}
+			checkOracle(t, stage, wantO.Val, out.Val)
+		}
+		trials0 := trials()
+		call("first wide call")
+		if err := sp.WaitPreprocessed(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := buildStates(sp); st != "built" || trials() != trials0 {
+			t.Fatalf("%s: builds %s after %d trials, want built after 0", op, st, trials()-trials0)
+		}
+		call("trial")
+		if got := trials() - trials0; got != int64(sp.Panels()) {
+			t.Fatalf("%s: %d trials ran for %d panels", op, got, sp.Panels())
+		}
+		for i, pn := range sp.panels {
+			if done, _ := pn.pipe.Decided(); !done {
+				t.Fatalf("%s: panel %d undecided after its trial", op, i)
+			}
+		}
+		call("decided")
+		if got := trials() - trials0; got != int64(sp.Panels()) {
+			t.Fatalf("%s: decided panels ran %d more trials", op, got-int64(sp.Panels()))
+		}
+	}
+}
+
+// A sharded tenant whose panels serve their reordered plans consults
+// the breaker, and the tripped breaker's fallback runs every panel's
+// no-reorder plan: with every reordered plan's values poisoned, the
+// fallback still matches the row-wise oracle.
+func TestShardedBreakerFallbackRunsEveryNoReorderPlan(t *testing.T) {
+	SetGateL2ForTest(t, 0)
+	SetPlanCacheCapacity(DefaultPlanCacheCapacity)
+	t.Cleanup(func() { SetPlanCacheCapacity(DefaultPlanCacheCapacity) })
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4447)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	s, err := NewServer(ctx, m, cfg, ServerConfig{
+		ShardNNZ:         m.NNZ()/3 + 1,
+		MaxAttempts:      1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	sp := s.Sharded()
+	if sp == nil || sp.Panels() < 2 {
+		t.Fatal("matrix did not shard")
+	}
+	const k = 8
+	BuildReorderedForTest(t, sp, k)
+	for i, pn := range sp.panels {
+		o := pn.pipe
+		rr := o.rr.Load()
+		if rr == nil || !rr.plan.NeedsReordering() || rr.plan.Reordered == o.Matrix() {
+			t.Fatalf("panel %d has no reordered plan of its own", i)
+		}
+		// Force the verdict (timing decides a real trial), then poison
+		// the plan it picked.
+		o.mu.Lock()
+		o.decide(rr, time.Millisecond, 2*time.Millisecond, k)
+		o.mu.Unlock()
+		for j, v := range rr.plan.Reordered.Val {
+			rr.plan.Reordered.Val[j] = v*2 + 1
+		}
+	}
+	x, yd := NewRandomDense(m.Cols, k, 1), NewRandomDense(m.Rows, k, 2)
+	want, err := SpMM(m, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantO, err := SDDMM(m, x, yd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reorderedPathActive(s.def, k) {
+		t.Fatal("the decided reordered panels do not count as the reordered path")
+	}
+	restore := faultinject.ErrorAt("kernels.exec")
+	err = s.SpMMInto(ctx, NewDense(m.Rows, k), x)
+	restore()
+	if !errors.Is(err, faultinject.Err) || s.Stats().Breaker.Trips != 1 {
+		t.Fatalf("a failing reordered request = %v and %d trips, want the fault and 1", err, s.Stats().Breaker.Trips)
+	}
+	y := NewDense(m.Rows, k)
+	if err := s.SpMMInto(ctx, y, x); err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, "spmm fallback", want.Data, y.Data)
+	out := m.Clone()
+	if err := s.SDDMMInto(ctx, out, x, yd); err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, "sddmm fallback", wantO.Val, out.Val)
+	if st := s.Stats(); st.Fallbacks != 2 || st.Fallbacks != st.Breaker.Rejected {
+		t.Fatalf("fallbacks %d, breaker rejected %d; want 2 and equal", st.Fallbacks, st.Breaker.Rejected)
+	}
+}
+
+// A one-panel base is the caller's matrix itself: the live pipeline,
+// its online base and the Server's default tenant all report m, and
+// serve NewPipelineNR(m)'s plan under its fingerprint.
+func TestOnePanelBaseIsTheMatrix(t *testing.T) {
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4449)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	nr, err := NewPipelineNR(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plancache.Fingerprint(m, nr.plan.Cfg)
+	l, err := NewLivePipelineCtx(ctx, m, cfg, LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Quiesce(ctx)
+	s, err := NewServer(ctx, m, cfg, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	for name, o := range map[string]*OnlinePipeline{"live": l.Online(), "server": s.Pipeline()} {
+		if o == nil || o.Matrix() != m || o.nr.Matrix() != m {
+			t.Fatalf("%s: the online base does not serve m itself", name)
+		}
+		if got := o.PlanFingerprint(); got != fp {
+			t.Fatalf("%s: fingerprint %s, NewPipelineNR(m)'s %s", name, got, fp)
+		}
+	}
+	if l.Matrix() != m || l.Sharded() != nil || s.Sharded() != nil {
+		t.Fatal("an unsharded live pipeline reports a sharded base, or not m")
+	}
+	ex, err := s.Explain(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Mode != "online" || ex.PlanFingerprint != fp || len(ex.Panels) != 0 {
+		t.Fatalf("explain: mode %s, fingerprint %s, %d panels", ex.Mode, ex.PlanFingerprint, len(ex.Panels))
+	}
+	sp, err := NewShardedPipeline(m, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Panels() != 1 || sp.Matrix() != m || sp.panels[0].pipe.Matrix() != m {
+		t.Fatal("a one-panel sharded pipeline does not serve m itself")
+	}
+	y, want := NewDense(m.Rows, 4), NewDense(m.Rows, 4)
+	x := NewRandomDense(m.Cols, 4, 1)
+	if err := sp.SpMMIntoCtx(ctx, y, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := nr.SpMMIntoCtx(ctx, want, x); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(y.Data, want.Data) {
+		t.Fatal("a one-panel base does not compute its no-reorder plan's bits")
 	}
 }
 
@@ -446,11 +669,13 @@ func TestShardedConstructorCtxDoesNotGovernLazyBuild(t *testing.T) {
 	}
 	cancel()
 	BuildReorderedForTest(t, sp, 8)
-	if err := sp.rr.failure(); err != nil {
-		t.Fatalf("a cancelled constructor ctx degraded the lazy build: %v", err)
+	for i, pn := range sp.panels {
+		if _, err := pn.pipe.Degraded(); err != nil {
+			t.Fatalf("a cancelled constructor ctx degraded panel %d's lazy build: %v", i, err)
+		}
 	}
-	if rr := sp.wide(8); len(rr) != sp.Panels() {
-		t.Fatalf("wide calls run %d reordered panels of %d", len(rr), sp.Panels())
+	if st := buildStates(sp); st != "built" {
+		t.Fatalf("panel builds %s, want built", st)
 	}
 }
 
@@ -496,44 +721,64 @@ func TestReskinWaitsForLazyBuild(t *testing.T) {
 }
 
 // A coalesced batch asks the gate about its widest operand: two K=16
-// requests stack to K=32 but start no build below a gate at K=24. One
-// K=24 operand starts it.
+// requests stack to K=32 but start no build below a gate at K=24, on an
+// online base and on a sharded one (gated at K=24 on its widest panel,
+// later on the rest). One K=24 operand starts it. Every batch matches
+// the row-wise oracle.
 func TestCoalescedBatchGatesOnWidestOperand(t *testing.T) {
 	m, err := GenerateScrambledClusters(1024, 1024, 64, 4437)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetGateL2ForTest(t, int64(128*referencedCols(m))) // gate at K=24
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	cfg.PreprocessBudget = time.Hour
-	l, err := NewLivePipelineCtx(ctx, m, cfg, LiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Quiesce(ctx)
-	if k := l.Online().gate.minK; k != 24 {
-		t.Fatalf("gate passes from K=%d, want 24", k)
-	}
-	batch := func(ks ...int) {
-		t.Helper()
-		ops := make([]BatchOp, len(ks))
-		for i, k := range ks {
-			ops[i] = BatchOp{Y: NewDense(m.Rows, k), X: NewRandomDense(m.Cols, k, int64(i))}
+	for _, sharded := range []bool{false, true} {
+		target, cols := 0, referencedCols(m)
+		if sharded {
+			target, cols = m.NNZ()/3, 0
+			for _, b := range panelBounds(m, target) {
+				lo, hi := m.RowPtr[b[0]], m.RowPtr[b[1]]
+				cols = max(cols, referencedCols(&Matrix{Cols: m.Cols, ColIdx: m.ColIdx[lo:hi]}))
+			}
 		}
-		if err := kernels.SpMMBatchIntoCtx(ctx, l.batchPass(ops), ops); err != nil {
+		SetGateL2ForTest(t, int64(128*cols)) // gate at K=24
+		l, err := newLivePipeline(ctx, m, cfg, target, sharded, LiveConfig{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	batch(16, 16)
-	if st := l.Online().rr.state(); st != "none" {
-		t.Fatalf("a 16+16 batch left the build %s", st)
-	}
-	batch(24, 8)
-	if st := l.Online().rr.state(); st == "none" {
-		t.Fatal("a batch with a K=24 operand did not start the build")
-	}
-	if err := l.Online().WaitPreprocessed(ctx); err != nil {
-		t.Fatal(err)
+		defer l.Quiesce(ctx)
+		sp := l.state.Load().base
+		if k := ShardedMinK(sp); k != 24 || sharded != (sp.Panels() > 1) {
+			t.Fatalf("sharded=%v: %d panels gated from K=%d, want from 24", sharded, sp.Panels(), k)
+		}
+		batch := func(ks ...int) {
+			t.Helper()
+			ops := make([]BatchOp, len(ks))
+			for i, k := range ks {
+				ops[i] = BatchOp{Y: NewDense(m.Rows, k), X: NewRandomDense(m.Cols, k, int64(i))}
+			}
+			if err := kernels.SpMMBatchIntoCtx(ctx, l.batchPass(ops), ops); err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range ops {
+				want, err := SpMM(m, op.X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkOracle(t, fmt.Sprintf("sharded=%v batch %v", sharded, ks), want.Data, op.Y.Data)
+			}
+		}
+		batch(16, 16)
+		if st := buildStates(sp); st != "none" {
+			t.Fatalf("sharded=%v: a 16+16 batch left the builds %s", sharded, st)
+		}
+		batch(24, 8)
+		if st := buildStates(sp); st == "none" {
+			t.Fatalf("sharded=%v: a batch with a K=24 operand did not start a build", sharded)
+		}
+		if err := sp.WaitPreprocessed(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -149,13 +148,12 @@ type liveState struct {
 	// plan or snapshot can ever be applied to mutated structure.
 	structEpoch uint32
 
-	// Exactly one of online/sharded is the preprocessed base, built for
-	// baseM. cur is the fused matrix actually being served: baseM plus
-	// every mutation since the base was built.
-	online  *OnlinePipeline
-	sharded *ShardedPipeline
-	baseM   *Matrix
-	cur     *Matrix
+	// base is the preprocessed base, built for baseM: row panels, one
+	// for an unsharded tenant. cur is the fused matrix actually being
+	// served: baseM plus every mutation since the base was built.
+	base  *ShardedPipeline
+	baseM *Matrix
+	cur   *Matrix
 
 	// overlay is the set of base rows (< baseM.Rows) whose contents
 	// differ from baseM — served from cur, masking the base kernel's
@@ -173,49 +171,6 @@ type liveState struct {
 }
 
 func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows > 0 }
-
-// gate returns the base's reorder gate.
-func (st *liveState) gate() reorderGate {
-	if st.online != nil {
-		return st.online.gate
-	}
-	return st.sharded.gate
-}
-
-// baseSpMM runs the base rows' SpMM, with the gate judging width k:
-// the online pipeline (or, for breaker-routed fallback attempts, its
-// no-reorder plan directly) or the sharded pipeline.
-func (st *liveState) baseSpMM(ctx context.Context, y, x *Dense, k int, nrOnly bool) error {
-	if o := st.online; o != nil {
-		if nrOnly {
-			return o.nr.SpMMIntoCtx(ctx, y, x)
-		}
-		return o.spmmInto(ctx, y, x, k)
-	}
-	return st.sharded.spmmInto(ctx, y, x, k)
-}
-
-// baseSDDMM is baseSpMM's SDDMM analog, for an out whose structure the
-// caller has checked.
-func (st *liveState) baseSDDMM(ctx context.Context, out *Matrix, x, y *Dense, nrOnly bool) error {
-	if o := st.online; o != nil {
-		if nrOnly {
-			return o.nr.sddmmInto(ctx, out, x, y)
-		}
-		return o.sddmmInto(ctx, out, x, y)
-	}
-	return st.sharded.sddmmInto(ctx, out, x, y)
-}
-
-// baseCfg is the Config the base was built under: the plan-cache key of
-// its reordered plans, whose Epoch is the structEpoch at base-build
-// time.
-func (st *liveState) baseCfg() Config {
-	if st.online != nil {
-		return st.online.cfg
-	}
-	return st.sharded.cfg
-}
 
 // LivePipeline serves a matrix that can be mutated while being served,
 // without ever going unavailable or exposing a torn state (DESIGN.md
@@ -248,9 +203,13 @@ func (st *liveState) baseCfg() Config {
 // serving surface as Pipeline/OnlinePipeline/ShardedPipeline, so the
 // Server wraps every tenant in one.
 type LivePipeline struct {
-	ctx      context.Context
-	lcfg     LiveConfig
-	shardNNZ int // >0: rebuilds re-shard at this target
+	ctx  context.Context
+	lcfg LiveConfig
+	// shardNNZ is the panel target rebuilds re-shard at (0: one panel);
+	// sharded reports the base as a ShardedPipeline rather than an
+	// OnlinePipeline (Online, Sharded).
+	shardNNZ int
+	sharded  bool
 
 	state atomic.Pointer[liveState]
 
@@ -266,7 +225,7 @@ type LivePipeline struct {
 	degraded atomic.Pointer[degradeReason]
 
 	// sink receives decision events (plan swaps, overlay degradation;
-	// trial/mispick events flow through the online base's own sink).
+	// trial/mispick events flow through the base panels' own sinks).
 	// mispickCarry accumulates mispick counts of bases replaced by
 	// rebuild swaps so Mispicked never goes backwards.
 	sink         atomic.Pointer[eventSink]
@@ -331,40 +290,36 @@ type LiveStats struct {
 // one), and Mutate keeps it current as the matrix changes. Background
 // rebuilds run under ctx: cancelling it stops them without degrading.
 func NewLivePipelineCtx(ctx context.Context, m *Matrix, cfg Config, lcfg LiveConfig) (*LivePipeline, error) {
-	o, err := newOnlinePipelineCtx(ctx, m, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return newLive(ctx, o, nil, 0, lcfg), nil
+	return newLivePipeline(ctx, m, cfg, 0, false, lcfg)
 }
 
 // NewLiveShardedPipelineCtx is NewLivePipelineCtx with a row-panel
-// sharded base (see NewShardedPipeline); rebuilds re-shard the fused
-// matrix at the same target.
+// sharded base (see NewShardedPipeline): each panel is gated and
+// trialled on its own, and rebuilds re-shard the fused matrix at the
+// same target.
 func NewLiveShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int, lcfg LiveConfig) (*LivePipeline, error) {
-	sp, err := newShardedPipeline(ctx, ctx, m, cfg, targetNNZ, nil)
-	if err != nil {
-		return nil, err
-	}
-	return newLive(ctx, nil, sp, targetNNZ, lcfg), nil
+	return newLivePipeline(ctx, m, cfg, targetNNZ, true, lcfg)
 }
 
-// newLive wraps an already-built base unit (exactly one of online or
-// sharded).
-func newLive(ctx context.Context, online *OnlinePipeline, sharded *ShardedPipeline, shardNNZ int, lcfg LiveConfig) *LivePipeline {
+// newLivePipeline builds m's base at panel target shardNNZ and wraps it
+// (see newLive).
+func newLivePipeline(ctx context.Context, m *Matrix, cfg Config, shardNNZ int, sharded bool, lcfg LiveConfig) (*LivePipeline, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ}
-	var m *Matrix
-	if online != nil {
-		m = online.Matrix()
-	} else {
-		m = sharded.Matrix()
+	base, err := newShardedPipeline(ctx, ctx, m, cfg, shardNNZ, nil)
+	if err != nil {
+		return nil, err
 	}
-	st := &liveState{online: online, sharded: sharded, baseM: m, cur: m}
-	st.structEpoch = st.baseCfg().Epoch
-	l.state.Store(st)
+	return newLive(ctx, base, shardNNZ, sharded, lcfg), nil
+}
+
+// newLive wraps an already-built base whose panels target shardNNZ
+// nonzeros; sharded selects which of Online and Sharded reports it.
+func newLive(ctx context.Context, base *ShardedPipeline, shardNNZ int, sharded bool, lcfg LiveConfig) *LivePipeline {
+	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ, sharded: sharded}
+	m := base.Matrix()
+	l.state.Store(&liveState{base: base, baseM: m, cur: m, structEpoch: base.cfg().Epoch})
 	return l
 }
 
@@ -375,11 +330,21 @@ func (l *LivePipeline) Matrix() *Matrix { return l.state.Load().cur }
 
 // Online returns the current base online pipeline (nil for a sharded
 // live pipeline). A rebuild swap replaces it; re-read after WaitRebuilt.
-func (l *LivePipeline) Online() *OnlinePipeline { return l.state.Load().online }
+func (l *LivePipeline) Online() *OnlinePipeline {
+	if l.sharded {
+		return nil
+	}
+	return l.state.Load().base.panels[0].pipe
+}
 
 // Sharded returns the current base sharded pipeline (nil for an online
 // live pipeline).
-func (l *LivePipeline) Sharded() *ShardedPipeline { return l.state.Load().sharded }
+func (l *LivePipeline) Sharded() *ShardedPipeline {
+	if !l.sharded {
+		return nil
+	}
+	return l.state.Load().base
+}
 
 // Epoch returns the current publish generation: it bumps by one per
 // applied mutation and per rebuild swap.
@@ -388,14 +353,10 @@ func (l *LivePipeline) Epoch() uint64 { return l.state.Load().epoch }
 // Mispicked returns the tenant's total autotuner-feedback mispick
 // count: windows in which the serving plan underperformed the trial
 // loser, summed across every base this pipeline has served through
-// (re-skins copy the count; rebuild swaps fold it into a carry).
-// Always 0 for a sharded base — panels run no trial to second-guess.
+// (re-skins copy the count; rebuild swaps fold it into a carry). A
+// sharded base counts every panel's windows.
 func (l *LivePipeline) Mispicked() int64 {
-	n := l.mispickCarry.Load()
-	if o := l.state.Load().online; o != nil {
-		n += o.Mispicked()
-	}
-	return n
+	return l.mispickCarry.Load() + l.state.Load().base.mispicks()
 }
 
 // setEventSink routes this pipeline's decision events (plan swaps,
@@ -407,9 +368,7 @@ func (l *LivePipeline) setEventSink(ring *obs.EventRing, tenant string) {
 	}
 	es := &eventSink{ring: ring, tenant: tenant}
 	l.sink.Store(es)
-	if o := l.state.Load().online; o != nil {
-		o.sink.Store(es)
-	}
+	l.state.Load().base.setSink(es)
 }
 
 // Degraded reports whether background rebuilding was permanently
@@ -563,29 +522,18 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 	if !nm.structural() && !st.mutated() {
 		// Value-only on a clean state: re-skin every base plan with one
 		// O(nnz) value walk (no plan-cache lookup, no preprocessing); the
-		// §4 trial decision carries over inside reskin.
-		var online *OnlinePipeline
-		var sharded *ShardedPipeline
-		if st.online != nil {
-			online, err = st.online.reskin(ctx, newCur)
-		} else {
-			sharded, err = st.sharded.reskin(ctx, newCur)
-		}
+		// §4 trial decisions carry over inside reskin.
+		base, err := st.base.reskin(ctx, newCur)
 		if err != nil {
 			return nil, false, err
 		}
 		// Pre-publish invariant gate: the walk checks its own reads, and
 		// this re-checks the structure the re-skinned plans share, so a
 		// structurally broken plan is rejected before it can serve.
-		if cerr := checkBasePlans(online, sharded); cerr != nil {
+		if cerr := checkBasePlans(base); cerr != nil {
 			return nil, false, cerr
 		}
-		ns := &liveState{
-			structEpoch: st.structEpoch,
-			online:      online, sharded: sharded,
-			baseM: newCur, cur: newCur,
-		}
-		return ns, true, nil
+		return &liveState{structEpoch: st.structEpoch, base: base, baseM: newCur, cur: newCur}, true, nil
 	}
 	// Overlay path: the base keeps serving its old structure; every
 	// touched base row joins the overlay and is served from the fused
@@ -618,11 +566,12 @@ func (l *LivePipeline) applyLocked(ctx context.Context, st *liveState, nm *Mutat
 	}
 	ns := &liveState{
 		structEpoch: se,
-		online:      st.online, sharded: st.sharded,
-		baseM: st.baseM, cur: newCur,
-		overlay:    ov,
-		tailRows:   newCur.Rows - baseRows,
-		dirtySince: st.dirtySince,
+		base:        st.base,
+		baseM:       st.baseM,
+		cur:         newCur,
+		overlay:     ov,
+		tailRows:    newCur.Rows - baseRows,
+		dirtySince:  st.dirtySince,
 	}
 	if ns.dirtySince.IsZero() {
 		ns.dirtySince = time.Now()
@@ -824,24 +773,24 @@ func (l *LivePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) erro
 }
 
 // batchPass returns the pass a coalesced batch runs through. The batch
-// runs at its stacked width, but the base's reorder gate judges the
-// widest operand, so stacking requests never starts or uses a
-// reordered plan that none of them would: where the widest operand
-// passes the gate the stacked width does too, and l serves the batch;
-// otherwise narrowPass runs it below the gate.
+// runs at its stacked width, but the base panels' reorder gates judge
+// the widest operand, so stacking requests never starts or uses a
+// reordered plan that none of them would: where some panel's gate
+// passes the widest operand, l serves the batch at the stacked width;
+// otherwise narrowPass runs it below every gate.
 func (l *LivePipeline) batchPass(ops []BatchOp) kernels.SpMMPass {
 	widest := 0
 	for _, op := range ops {
 		widest = max(widest, op.X.Cols)
 	}
-	if l.state.Load().gate().pass(widest) {
+	if l.state.Load().base.anyPanel(func(o *OnlinePipeline) bool { return o.gate.pass(widest) }) {
 		return l
 	}
 	return narrowPass{l}
 }
 
 // narrowPass serves a live pipeline's SpMM as a call below its base's
-// reorder gate — width 0, which no gate passes: the no-reorder plan,
+// reorder gates — width 0, which no gate passes: the no-reorder plans,
 // starting no reordered build. One pointer wide, so passing it as an
 // interface does not allocate.
 type narrowPass struct{ l *LivePipeline }
@@ -880,44 +829,31 @@ func (l *LivePipeline) ForceRebuild() {
 	l.startRebuildLocked()
 }
 
-// evictPlans removes the current base's plans — each plan an online
-// base holds, every panel's for a sharded base — from both plan-cache
-// tiers (memory and disk snapshot), each under its own plan.Cfg key, so
-// the healing rebuild recomputes them from scratch instead of reloading
-// the suspect entries.
+// evictPlans removes the current base's plans — every plan each panel
+// holds — from both plan-cache tiers (memory and disk snapshot), each
+// under its own plan.Cfg key, so the healing rebuild recomputes them
+// from scratch instead of reloading the suspect entries.
 func (l *LivePipeline) evictPlans() {
-	st := l.state.Load()
 	pc := planCache.Load()
-	if o := st.online; o != nil {
-		pc.Evict(st.baseM, o.nr.plan.Cfg)
-		if rr := o.rr.Load(); rr != nil {
-			pc.Evict(st.baseM, rr.plan.Cfg)
-		}
-		return
-	}
-	rr := st.sharded.rr.Load()
-	for i := range st.sharded.panels {
-		p := st.sharded.panels[i].pipe
+	for _, p := range l.state.Load().base.plans() {
 		pc.Evict(p.Matrix(), p.plan.Cfg)
-		if rr != nil {
-			pc.Evict(p.Matrix(), (*rr)[i].plan.Cfg)
-		}
 	}
 }
 
 // spmmInto serves y = cur·x against this state in mode:
 //
 //   - modeFull and modeVerify run the base unit, with the overlay merged.
-//   - modeFallback (the breaker's) runs the online base's no-reorder
-//     plan with the same overlay merge — a mutated tenant's fallback
-//     must not resurrect pre-mutation data or shapes.
+//   - modeFallback (the breaker's) runs the base at width 0, which no
+//     reorder gate passes: every panel's no-reorder plan, with the same
+//     overlay merge — a mutated tenant's fallback must not resurrect
+//     pre-mutation data or shapes.
 //   - modeQuarantine (the integrity reference path) runs the plain
 //     row-wise kernel on the fused, original-order matrix. It shares no
 //     transformed representation (permutation, tiles, slabs, gather
 //     maps) with any plan under suspicion, and it is bit-identical to
 //     the cold-rebuild oracle (repro.SpMM runs the same kernel on the
-//     same matrix). For a sharded tenant the breaker's fallback IS the
-//     sharded pipeline, which may be the very thing quarantined.
+//     same matrix). The breaker's fallback runs the no-reorder plans,
+//     which may be the very thing quarantined.
 //
 // k is the width the base's reorder gate judges: x.Cols, or a coalesced
 // batch's widest operand.
@@ -929,9 +865,11 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, k int, mo
 	if mode == modeQuarantine {
 		return kernels.SpMMRowWiseIntoCtx(ctx, y, cur, x)
 	}
-	nrOnly := mode == modeFallback
+	if mode == modeFallback {
+		k = 0
+	}
 	if !st.mutated() {
-		return st.baseSpMM(ctx, y, x, k, nrOnly)
+		return st.base.spmmInto(ctx, y, x, k)
 	}
 	// Rows are independent: the base pass writes its rows straight into
 	// y's prefix (a zero-copy view), then the overlay overwrites its
@@ -939,7 +877,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, k int, mo
 	var yb dense.Matrix
 	yb.Rows, yb.Cols = st.baseM.Rows, y.Cols
 	yb.Data = y.Data[:st.baseM.Rows*y.Cols]
-	if err := st.baseSpMM(ctx, &yb, x, k, nrOnly); err != nil {
+	if err := st.base.spmmInto(ctx, &yb, x, k); err != nil {
 		return err
 	}
 	err := st.overlayRows(ctx, func(r int) {
@@ -992,7 +930,11 @@ func (st *liveState) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, mo
 	if mode == modeQuarantine || st.mutated() {
 		return kernels.SDDMMRowWiseIntoRowsCtx(ctx, out, nil, st.cur, x, y)
 	}
-	return st.baseSDDMM(ctx, out, x, y, mode == modeFallback)
+	k := x.Cols
+	if mode == modeFallback {
+		k = 0
+	}
+	return st.base.sddmmInto(ctx, out, x, y, k)
 }
 
 // overlayRows calls fn for every row served from the fused matrix
@@ -1104,44 +1046,30 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	l.pending = nil
 	l.mu.Unlock()
 
-	cfg := st.baseCfg()
+	cfg := st.base.cfg()
 	cfg.Epoch = snapEpoch
-	var online *OnlinePipeline
-	var sharded *ShardedPipeline
-	if st.online != nil {
-		// The rebuilt base is gated like any other: it builds its
-		// reordered plan only if a call wide enough to use it arrives.
-		online, err = newOnlinePipelineCtx(l.ctx, snapM, cfg, nil)
-		if err != nil {
-			return err
-		}
-		// The rebuilt base inherits the event sink before it publishes
-		// (nothing serves through it yet).
-		if es := l.sink.Load(); es != nil {
-			online.sink.Store(es)
-		}
-	} else {
-		sharded, err = newShardedPipeline(l.ctx, l.ctx, snapM, cfg, l.shardNNZ, nil)
-		if err != nil {
-			return err
-		}
+	// The rebuilt base is gated like any other: a panel builds its
+	// reordered plan only if a call wide enough to use it arrives.
+	base, err := newShardedPipeline(l.ctx, l.ctx, snapM, cfg, l.shardNNZ, nil)
+	if err != nil {
+		return err
+	}
+	// The rebuilt base inherits the event sink before it publishes
+	// (nothing serves through it yet).
+	if es := l.sink.Load(); es != nil {
+		base.setSink(es)
 	}
 	// Pre-swap invariant gate (outside the lock — O(rows+nnz)): a
 	// structurally corrupt rebuild counts as a failed attempt and never
 	// publishes; the retry/degrade machinery owns what happens next.
-	if err := checkBasePlans(online, sharded); err != nil {
+	if err := checkBasePlans(base); err != nil {
 		return err
 	}
 	// Name the rebuilt base for the swap event while still off the lock
-	// (each digest is O(nnz)): an online base by its no-reorder plan,
-	// which serves every call until a wide call's trial decides.
+	// (the digest is O(nnz)).
 	var swapFP, swapKernel string
-	if es := l.sink.Load(); es != nil {
-		if online != nil {
-			swapFP, swapKernel = online.nrFingerprint(), online.nr.Kernel().String()
-		} else {
-			swapFP, swapKernel = plancache.Fingerprint(snapM, cfg), sharded.PanelKernel(0).String()
-		}
+	if l.sink.Load() != nil {
+		swapFP, swapKernel = base.fingerprint(), base.panels[0].pipe.Kernel().String()
 	}
 
 	l.mu.Lock()
@@ -1150,11 +1078,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 		return err
 	}
 	cur := l.state.Load()
-	ns := &liveState{
-		structEpoch: snapEpoch,
-		online:      online, sharded: sharded,
-		baseM: snapM, cur: snapM,
-	}
+	ns := &liveState{structEpoch: snapEpoch, base: base, baseM: snapM, cur: snapM}
 	for _, nm := range l.pending {
 		// Replay through the same apply path the mutations originally
 		// took; they were counted then, so only the state moves now.
@@ -1170,9 +1094,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	l.pending = nil
 	// The replaced base's mispick count folds into the carry so the
 	// tenant's total never goes backwards across swaps.
-	if cur.online != nil {
-		l.mispickCarry.Add(cur.online.mispicks.Load())
-	}
+	l.mispickCarry.Add(cur.base.mispicks())
 	l.state.Store(ns)
 	l.swaps.Inc()
 	l.sink.Load().emit(obs.Event{
@@ -1186,29 +1108,12 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 
 // checkBasePlans validates the pre-swap structural invariants
 // (integrity.CheckPlan: permutation bijectivity, RowPtr monotonicity,
-// index ranges) of every plan a base unit serves from — the NR and,
-// once built, reordered plans of an online base, or of every panel of a
-// sharded one. Exactly one of online/sharded is non-nil.
-func checkBasePlans(online *OnlinePipeline, sharded *ShardedPipeline) error {
-	if online != nil {
-		if err := checkPipelinePlan(online.nr); err != nil {
+// index ranges) of every plan a base serves from — each panel's
+// no-reorder and, once built, reordered plan.
+func checkBasePlans(base *ShardedPipeline) error {
+	for _, p := range base.plans() {
+		if err := checkPipelinePlan(p); err != nil {
 			return err
-		}
-		if rr := online.rr.Load(); rr != nil {
-			return checkPipelinePlan(rr)
-		}
-		return nil
-	}
-	for i := range sharded.panels {
-		if err := checkPipelinePlan(sharded.panels[i].pipe); err != nil {
-			return err
-		}
-	}
-	if rr := sharded.rr.Load(); rr != nil {
-		for _, p := range *rr {
-			if err := checkPipelinePlan(p); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -47,6 +47,9 @@ import (
 // PlanFingerprint keep reporting the NR plan, which those calls run. A
 // Config that sets Disable gets a gate no width passes.
 //
+// Each row panel of a ShardedPipeline is an OnlinePipeline, so a panel
+// runs this same gate, build and trial on its own rows.
+//
 // OnlinePipeline is safe for concurrent use. Narrow calls and decided
 // wide calls execute without taking any lock, so N goroutines get
 // N-way parallel SpMM/SDDMM; only concurrent undecided wide calls with
@@ -57,9 +60,8 @@ type OnlinePipeline struct {
 	// gate decides which widths may use the reordered plan; rr is that
 	// plan's build, started at most once by the first call gate passes.
 	gate reorderGate
-	rr   lazyBuild[Pipeline]
-	// The build's inputs: its context (the constructor's), Config and
-	// trace ring.
+	rr   lazyBuild
+	// The build's inputs: its context, Config and trace ring.
 	bctx context.Context
 	cfg  Config
 	ring *obs.TraceRing
@@ -83,7 +85,7 @@ type OnlinePipeline struct {
 	// fields written in decide before winner publishes; the
 	// release-acquire pair on winner makes them safe to read on any
 	// decided call.
-	fbWindow int64 // samples per evaluation window (0 disables)
+	fbWindow int64 // samples per evaluation window
 	fbCount  atomic.Int64
 	fbNS     atomic.Int64
 	fbFlops  atomic.Int64
@@ -137,15 +139,12 @@ type degradeReason struct{ err error }
 // with no context but cfg.PreprocessBudget. For cancellable
 // construction use NewOnlinePipelineCtx.
 func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
-	nr, err := NewPipelineNR(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newOnline(context.Background(), nr, cfg, nil, newReorderGate(m, cfg)), nil
+	return NewOnlinePipelineCtx(context.Background(), m, cfg)
 }
 
 // newOnline returns the online pipeline over the built NR plan with
-// gate, and no reordered build started.
+// gate, and no reordered build started. The build, once a wide call
+// starts it, runs under bctx and traces into ring when set.
 func newOnline(bctx context.Context, nr *Pipeline, cfg Config, ring *obs.TraceRing, gate reorderGate) *OnlinePipeline {
 	o := &OnlinePipeline{
 		nr:       nr,
@@ -177,20 +176,11 @@ func newOnline(bctx context.Context, nr *Pipeline, cfg Config, ring *obs.TraceRi
 // returns the recorded cause. A failed or cancelled build is never
 // stored in the plan cache.
 func NewOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*OnlinePipeline, error) {
-	return newOnlinePipelineCtx(ctx, m, cfg, nil)
-}
-
-// newOnlinePipelineCtx is NewOnlinePipelineCtx with an optional trace
-// ring: when ring is non-nil, the background reordered build runs under
-// a "build_reordered" trace — carrying the preprocessing stage spans
-// recorded inside reorder — which is pushed to the ring when the build
-// settles. The Server passes its /debug/traces ring here.
-func newOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config, ring *obs.TraceRing) (*OnlinePipeline, error) {
 	nr, err := NewPipelineNRCtx(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newOnline(ctx, nr, cfg, ring, newReorderGate(m, cfg)), nil
+	return newOnline(ctx, nr, cfg, nil, newReorderGate(m, cfg)), nil
 }
 
 // startBuild starts the reordered build unless it already started;
@@ -329,8 +319,9 @@ func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 }
 
 // spmmInto is SpMMIntoCtx with the reorder gate asked about width k
-// rather than x.Cols (a live base serving a coalesced batch passes the
-// batch's widest operand; see narrowPass).
+// rather than x.Cols: 0, which no gate passes, for the breaker's
+// no-reorder fallback and for a coalesced batch whose operands are all
+// below the gate (see narrowPass).
 func (o *OnlinePipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {
 	start := time.Now()
 	decided, err := o.dispatch(k, x.Cols, y.Data, func(p *Pipeline, dst []float32) error {
@@ -353,13 +344,13 @@ func (o *OnlinePipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *De
 	if err := checkSDDMMOut(out, o.nr.orig); err != nil {
 		return err
 	}
-	return o.sddmmInto(ctx, out, x, y)
+	return o.sddmmInto(ctx, out, x, y, x.Cols)
 }
 
 // sddmmInto is SDDMMIntoCtx for an out whose structure the caller has
-// checked.
-func (o *OnlinePipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense) error {
-	_, err := o.dispatch(x.Cols, x.Cols, out.Val, func(p *Pipeline, dst []float32) error {
+// checked, with the reorder gate asked about width k (see spmmInto).
+func (o *OnlinePipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, k int) error {
+	_, err := o.dispatch(k, x.Cols, out.Val, func(p *Pipeline, dst []float32) error {
 		if dst == nil {
 			return p.sddmmInto(ctx, out, x, y)
 		}
@@ -567,9 +558,6 @@ func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k in
 // feedback window and evaluates the window when it fills. Atomics
 // only — this sits on the zero-allocation serving fast path.
 func (o *OnlinePipeline) observeServe(d time.Duration, k int) {
-	if o.fbWindow <= 0 {
-		return
-	}
 	o.fbNS.Add(d.Nanoseconds())
 	o.fbFlops.Add(int64(kernels.Flops(o.nr.Matrix().NNZ(), k)))
 	if n := o.fbCount.Add(1); n%o.fbWindow == 0 {

@@ -26,24 +26,12 @@ func randomValueBatch(m *Matrix, rng *rand.Rand, n int) Mutation {
 }
 
 // basePipelines lists every plan a live state's base serves from, with
-// whether it is a no-reorder plan: an online base's, or a sharded
-// base's panels and, once built, their reordered plans.
+// whether it is a no-reorder plan: each panel's no-reorder plan and,
+// once built, its reordered plan.
 func basePipelines(st *liveState) (pipes []*Pipeline, nr []bool) {
-	if st.online != nil {
-		if rr := st.online.rr.Load(); rr != nil {
-			return []*Pipeline{st.online.nr, rr}, []bool{true, false}
-		}
-		return []*Pipeline{st.online.nr}, []bool{true}
-	}
-	for i := range st.sharded.panels {
-		pipes = append(pipes, st.sharded.panels[i].pipe)
-		nr = append(nr, true)
-	}
-	if rr := st.sharded.rr.Load(); rr != nil {
-		for _, p := range *rr {
-			pipes = append(pipes, p)
-			nr = append(nr, false)
-		}
+	pipes = st.base.plans()
+	for _, p := range pipes {
+		nr = append(nr, p.plan.Cfg.Disable)
 	}
 	return pipes, nr
 }

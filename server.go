@@ -101,14 +101,12 @@ type ServerConfig struct {
 	// ShardNNZ, when positive, row-panel-shards any tenant matrix with
 	// more than this many nonzeros: the matrix splits into nnz-balanced
 	// panels of ~ShardNNZ nonzeros, each preprocessed and served
-	// through its own pipeline (plan cache shared), with SpMM panels
-	// writing disjoint row ranges of the output concurrently. Sharded
-	// tenants build their no-reorder panels synchronously in the
-	// constructor (reordered panels only once a request passes the
-	// reorder gate, as for online tenants) and never consult
-	// the reordered-path circuit breaker (each panel autotunes its own
-	// kernel instead of trialling reordering matrix-wide). 0 disables
-	// sharding.
+	// through its own online pipeline (plan cache shared), with SpMM
+	// panels writing disjoint row ranges of the output concurrently.
+	// Each panel has its own reorder gate and §4 trial; a request that
+	// runs any panel's reordered plan consults the reordered-path
+	// circuit breaker, whose fallback runs every panel's no-reorder
+	// plan. 0 disables sharding.
 	ShardNNZ int
 	// VerifyFraction enables sampled shadow verification: this fraction
 	// of served SpMM/SDDMM requests (per tenant) is recomputed on a
@@ -310,14 +308,18 @@ func (w *sloWindow) status() SLOStatus {
 
 // ServerStats is a point-in-time snapshot of every resilience counter;
 // the fields reconcile exactly with client-observed outcomes (each
-// request ends in exactly one of Completed, Failed, a shed/expired
-// admission outcome, or ErrServerClosed).
+// request ends in exactly one of Completed, Failed, Cancelled, a
+// shed/expired admission outcome, or ErrServerClosed):
+//
+//	Admission.Admitted == Completed + Failed + Cancelled
 type ServerStats struct {
 	Admission AdmissionStats
 	Breaker   BreakerStats
-	// Completed counts requests that returned a result; Failed counts
-	// admitted requests whose final attempt still errored.
-	Completed, Failed int64
+	// Completed counts requests that returned a result; Cancelled
+	// counts admitted requests that ended with their context's error;
+	// Failed counts every other admitted request whose final attempt
+	// still errored. Each sums the tenants' ledgers (TenantStats).
+	Completed, Failed, Cancelled int64
 	// Retries counts re-attempts after transient failures (attempts
 	// beyond each request's first).
 	Retries int64
@@ -325,16 +327,16 @@ type ServerStats struct {
 	// because the breaker rejected the reordered path; it equals the
 	// breaker's Rejected counter.
 	Fallbacks int64
-	// Degraded reports whether the background reordered build was
-	// abandoned (see OnlinePipeline.Degraded).
+	// Degraded reports whether a background reordered build of the
+	// default tenant's base was abandoned (see OnlinePipeline.Degraded).
 	Degraded bool
 }
 
 // servingUnit is the one execution contract every pipeline implements:
-// a tenant's live pipeline serves its base rows through an
-// OnlinePipeline (the §4 trial between reordered and plain execution),
-// its no-reorder Pipeline (the breaker fallback), or a ShardedPipeline
-// (nnz-balanced row panels, each with its own autotuned plan). Batched
+// a tenant's live pipeline serves its base rows through a
+// ShardedPipeline — nnz-balanced row panels, one for an unsharded
+// tenant, each an OnlinePipeline (the §4 trial between reordered and
+// plain execution) whose no-reorder Pipeline is the breaker fallback. Batched
 // SpMM needs nothing more: kernels.SpMMBatchIntoCtx runs one SpMMIntoCtx
 // at the combined width. SpMMIntoCtx's y must not share storage with x:
 // the kernels write output rows while they still read operand rows, and
@@ -353,8 +355,8 @@ var (
 
 // tenant is one served matrix: its live (mutable) pipeline, admission
 // weight, optional request coalescer, and per-outcome counters. Every
-// tenant serves through a LivePipeline wrapping an online or sharded
-// base, so every tenant is mutable (Server.MutateTenant).
+// tenant serves through a LivePipeline, so every tenant is mutable
+// (Server.MutateTenant).
 type tenant struct {
 	id     string
 	weight int64
@@ -472,8 +474,6 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	completed *obs.Counter
-	failed    *obs.Counter
 	retries   *obs.Counter
 	fallbacks *obs.Counter
 
@@ -483,10 +483,10 @@ type Server struct {
 
 // NewServer builds a serving-grade front end over m: the no-reorder
 // plan (or, past scfg.ShardNNZ, each row panel's) is built
-// synchronously (its error is the constructor's error), and the
-// reordered plan builds in the background under ctx and
-// cfg.PreprocessBudget only once a request passes the reorder gate,
-// exactly as NewOnlinePipelineCtx; its "build_reordered" trace lands in
+// synchronously (its error is the constructor's error), and a reordered
+// plan builds in the background under ctx and cfg.PreprocessBudget
+// only once a request passes its reorder gate, exactly as
+// NewOnlinePipelineCtx; each build's "build_reordered" trace lands in
 // /debug/traces. With scfg.PlanDir set, the plan cache's disk tier is
 // attached first, so both builds warm start from snapshots left by a
 // previous process.
@@ -521,26 +521,19 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 			Detail: from.String() + "->" + to.String(),
 		})
 	})
-	if scfg.ShardNNZ > 0 && m.NNZ() > scfg.ShardNNZ {
-		sharded, err := newShardedPipeline(sctx, sctx, m, cfg, scfg.ShardNNZ, traces)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.def = s.newTenant(DefaultTenant, 1, nil, sharded)
-	} else {
-		pipe, err := newOnlinePipelineCtx(sctx, m, cfg, traces)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.def = s.newTenant(DefaultTenant, 1, pipe, nil)
+	target := s.shardTarget(m)
+	base, err := newShardedPipeline(sctx, sctx, m, cfg, target, traces)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	s.def = s.newTenant(DefaultTenant, 1, base, target)
 	s.tenants[DefaultTenant] = s.def
-	s.completed = reg.Counter("spmmrr_server_completed_total",
-		"Requests that returned a result.")
-	s.failed = reg.Counter("spmmrr_server_failed_total",
-		"Admitted requests whose final attempt still errored.")
+	reg.CounterFunc("spmmrr_server_completed_total", "Requests that returned a result.",
+		func() int64 { return s.Stats().Completed })
+	reg.CounterFunc("spmmrr_server_failed_total",
+		"Admitted requests whose final attempt still errored with other than their context's error.",
+		func() int64 { return s.Stats().Failed })
 	s.retries = reg.Counter("spmmrr_server_retries_total",
 		"Re-attempts after transient failures (attempts beyond each request's first).")
 	s.fallbacks = reg.Counter("spmmrr_server_fallbacks_total",
@@ -551,13 +544,9 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 	s.reqSDDMMInto = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
 		obs.LatencyBuckets(), obs.L("op", "sddmm_into"))
 	reg.GaugeFunc("spmmrr_server_degraded",
-		"1 when the background reordered build was abandoned, else 0.",
+		"1 when a background reordered build of the default tenant was abandoned, else 0.",
 		func() float64 {
-			o := s.def.live.Online()
-			if o == nil {
-				return 0 // sharded default: no reordered trial to abandon
-			}
-			if d, _ := o.Degraded(); d {
+			if s.Stats().Degraded {
 				return 1
 			}
 			return 0
@@ -590,11 +579,11 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 // counters in the Server registry (labelled by tenant id), the request
 // coalescer when CoalesceWindow is on, and mirror counters so /metrics
 // carries per-tenant coalesce and live-mutation families.
-func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, sharded *ShardedPipeline) *tenant {
+func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shardNNZ int) *tenant {
 	if weight < 1 {
 		weight = 1
 	}
-	live := newLive(s.baseCtx, online, sharded, s.cfg.ShardNNZ, LiveConfig{})
+	live := newLive(s.baseCtx, base, shardNNZ, shardNNZ > 0, LiveConfig{})
 	live.setEventSink(s.events, id)
 	t := &tenant{id: id, weight: weight, live: live,
 		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),
@@ -748,12 +737,12 @@ func (s *Server) newTenant(id string, weight int64, online *OnlinePipeline, shar
 // tiering tenants on one server.
 //
 // The tenant's matrix shards into row panels when it crosses
-// cfg.ShardNNZ (their no-reorder plans built synchronously under ctx);
-// otherwise it serves through an online pipeline. Either way the
+// cfg.ShardNNZ; otherwise it serves through an online pipeline. Either
+// way its no-reorder plans build synchronously under ctx, and the
 // reordered plans build in the background under the server's
-// lifecycle, only once a request passes the reorder gate, exactly like
-// NewServer's matrix. Plans flow through the shared process-wide plan
-// cache.
+// lifecycle, only once a request passes their reorder gate, exactly
+// like NewServer's matrix. Plans flow through the shared process-wide
+// plan cache.
 func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config, weight int64) error {
 	if s.closed.Load() {
 		return ErrServerClosed
@@ -767,14 +756,8 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	var online *OnlinePipeline
-	var sharded *ShardedPipeline
-	var err error
-	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
-		sharded, err = newShardedPipeline(ctx, s.baseCtx, m, cfg, s.cfg.ShardNNZ, s.traces)
-	} else {
-		online, err = newOnlinePipelineCtx(s.baseCtx, m, cfg, s.traces)
-	}
+	target := s.shardTarget(m)
+	base, err := newShardedPipeline(ctx, s.baseCtx, m, cfg, target, s.traces)
 	if err != nil {
 		return err
 	}
@@ -786,8 +769,17 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if _, dup := s.tenants[id]; dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	s.tenants[id] = s.newTenant(id, weight, online, sharded)
+	s.tenants[id] = s.newTenant(id, weight, base, target)
 	return nil
+}
+
+// shardTarget is the panel target a tenant matrix m is served at:
+// ShardNNZ once m crosses it, else 0 (one panel).
+func (s *Server) shardTarget(m *Matrix) int {
+	if s.cfg.ShardNNZ > 0 && m.NNZ() > s.cfg.ShardNNZ {
+		return s.cfg.ShardNNZ
+	}
+	return 0
 }
 
 // Tenants lists the registered tenant ids, sorted.
@@ -850,9 +842,9 @@ func (s *Server) snapshotTenants() []*tenant {
 
 // Pipeline exposes the default tenant's *current* online pipeline
 // (trial state, Degraded, WaitPreprocessed) — nil when the default
-// matrix is served sharded (ShardNNZ crossed), which has no online
-// trial. A live-mutation rebuild swap replaces the pipeline; re-read
-// after mutating.
+// matrix is served sharded (ShardNNZ crossed), whose panels each run
+// their own trial (see Sharded). A live-mutation rebuild swap replaces
+// the pipeline; re-read after mutating.
 func (s *Server) Pipeline() *OnlinePipeline { return s.def.live.Online() }
 
 // Sharded exposes the default tenant's current sharded pipeline — nil
@@ -877,19 +869,21 @@ func (s *Server) LiveTenant(id string) (*LivePipeline, error) {
 // is read from the same registry objects /metrics renders, so the two
 // views cannot disagree.
 func (s *Server) Stats() ServerStats {
-	degraded := false
-	if o := s.def.live.Online(); o != nil {
-		degraded, _ = o.Degraded()
-	}
-	return ServerStats{
+	st := ServerStats{
 		Admission: s.adm.Stats(),
 		Breaker:   s.brk.Stats(),
-		Completed: s.completed.Value(),
-		Failed:    s.failed.Value(),
 		Retries:   s.retries.Value(),
 		Fallbacks: s.fallbacks.Value(),
-		Degraded:  degraded,
+		Degraded: s.def.live.state.Load().base.anyPanel(func(o *OnlinePipeline) bool {
+			return o.rr.failure() != nil
+		}),
 	}
+	for _, t := range s.snapshotTenants() {
+		st.Completed += t.completed.Value()
+		st.Failed += t.failed.Value()
+		st.Cancelled += t.cancelled.Value()
+	}
+	return st
 }
 
 // Registry exposes the Server's metric registry (admission, breaker,
@@ -935,11 +929,7 @@ func (s *Server) ObsHandler() http.Handler {
 // all stayed below the reorder gate never starts one.
 func (s *Server) preprocessed() bool {
 	for _, t := range s.snapshotTenants() {
-		st := t.live.state.Load()
-		if o := st.online; o != nil && !o.Preprocessed() {
-			return false
-		}
-		if sp := st.sharded; sp != nil && !sp.rr.idle() {
+		if t.live.state.Load().base.anyPanel(func(o *OnlinePipeline) bool { return !o.Preprocessed() }) {
 			return false
 		}
 	}
@@ -977,8 +967,8 @@ func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Den
 // serveMode selects how one attempt executes a request. The breaker
 // and the integrity quarantine each own a degraded mode; they are
 // deliberately distinct paths — the breaker's no-reorder fallback can
-// itself be the suspect pipeline for a sharded tenant, so quarantined
-// requests run the reference row-wise kernels instead.
+// itself be the suspect plan, so quarantined requests run the
+// reference row-wise kernels instead.
 type serveMode int
 
 const (
@@ -987,7 +977,8 @@ const (
 	// modeVerify: the normal path, then shadow-verify sampled output
 	// rows against the reference kernel on the unpermuted matrix.
 	modeVerify
-	// modeFallback: the breaker's no-reorder fallback.
+	// modeFallback: the breaker's no-reorder fallback (width 0, which no
+	// reorder gate passes).
 	modeFallback
 	// modeQuarantine: the integrity reference path — row-wise kernels
 	// on the original matrix, bypassing every transformed plan.
@@ -1177,7 +1168,6 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 		func(int) error { return s.attempt(ctx, t, k, run) })
 	s.retries.Add(int64(retries))
 	if err != nil {
-		s.failed.Inc()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			t.cancelled.Inc()
 		} else {
@@ -1187,7 +1177,6 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 		tr.Finish(err)
 		return err
 	}
-	s.completed.Inc()
 	t.completed.Inc()
 	tr.Annotate("outcome", "completed")
 	tr.Finish(nil)
@@ -1198,13 +1187,11 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 // quarantined tenant serves the reference path outright (no breaker
 // accounting — the transformed plans aren't exercised), and a sampled
 // healthy request upgrades to modeVerify. The breaker is then
-// consulted only when the call would actually exercise the reordered
-// path: a sharded tenant (every panel autotunes its own plan, no
-// matrix-wide reorder trial), a call of width k below the reorder gate,
-// a degraded pipeline, a trial already decided for no-reorder, or a
-// reordered build not yet landed all serve without the reordered plan,
-// and their outcomes must not open (or close) the reordered path's
-// circuit. A verification mismatch is
+// consulted only when the call would actually exercise a reordered
+// plan: a call of width k below every panel's reorder gate, and panels
+// that are degraded, decided for no-reorder, or still building, serve
+// without one, and their outcomes must not open (or close) the
+// reordered path's circuit. A verification mismatch is
 // likewise excluded from breaker accounting: the quarantine owns that
 // failure mode, and double-charging it would conflate "plan computes
 // wrong numbers" with "path is unhealthy" in the fallback ledgers.
@@ -1249,15 +1236,11 @@ func (s *Server) attempt(ctx context.Context, t *tenant, k int, run func(context
 }
 
 // reorderedPathActive reports whether a full-path call of width k for
-// t right now would execute the reordered plan (as the decided winner,
-// or inside the trial). A coalesced request is judged at its own width,
-// not its batch's.
+// t right now would execute some panel's reordered plan (as the decided
+// winner, or inside the trial). A coalesced request is judged at its
+// own width, not its batch's.
 func reorderedPathActive(t *tenant, k int) bool {
-	// Sharded tenants run no reorder trial (panels autotune); a call
-	// below the gate, and a degraded or still-building pipeline, serves
-	// the no-reorder plan.
-	o := t.live.Online()
-	return o != nil && o.plan(k) == o.rr.Load()
+	return t.live.state.Load().base.anyPanel(func(o *OnlinePipeline) bool { return o.plan(k) == o.rr.Load() })
 }
 
 // Mutate applies one mutation batch to the default tenant's live
@@ -1315,14 +1298,7 @@ func (s *Server) Close(ctx context.Context) error {
 			if qerr := t.live.Quiesce(ctx); err == nil {
 				err = qerr
 			}
-			st := t.live.state.Load()
-			var werr error
-			if st.online != nil {
-				werr = st.online.WaitPreprocessed(ctx)
-			} else {
-				werr = st.sharded.WaitPreprocessed(ctx)
-			}
-			if err == nil {
+			if werr := t.live.state.Load().base.WaitPreprocessed(ctx); err == nil {
 				err = werr
 			}
 		}

@@ -364,7 +364,8 @@ func TestServerExplainOnline(t *testing.T) {
 }
 
 // A sharded tenant's explain document reports the panel layout: the
-// panels must tile the row space exactly, each with a valid kernel.
+// panels must tile the row space exactly, each with a valid kernel and
+// its own reorder decision, and the tenant-level trial is panel 0's.
 func TestServerExplainSharded(t *testing.T) {
 	m := freshScrambled(t, 7006)
 	s, err := repro.NewServer(context.Background(), m, repro.DefaultConfig(), repro.ServerConfig{
@@ -392,7 +393,7 @@ func TestServerExplainSharded(t *testing.T) {
 	}
 	next := 0
 	for i, p := range ex.Panels {
-		if p.Lo != next || p.Hi <= p.Lo || p.Kernel == "" {
+		if p.Lo != next || p.Hi <= p.Lo || p.Kernel == "" || p.Trial.ReferencedCols <= 0 || p.Trial.Build != "none" {
 			t.Fatalf("panel %d malformed: %+v", i, p)
 		}
 		next = p.Hi
@@ -400,7 +401,7 @@ func TestServerExplainSharded(t *testing.T) {
 	if next != m.Rows {
 		t.Fatalf("panels cover %d rows of %d", next, m.Rows)
 	}
-	if ex.PlanFingerprint == "" || ex.Trial.Decided {
+	if ex.PlanFingerprint == "" || ex.Trial != ex.Panels[0].Trial || !ex.Trial.Decided {
 		t.Fatalf("sharded identity/trial: %+v", ex)
 	}
 }

@@ -193,8 +193,8 @@ func TestServerDefaultDeadline(t *testing.T) {
 	if st.Retries != 0 {
 		t.Fatalf("context error was retried %d times", st.Retries)
 	}
-	if st.Failed != 1 {
-		t.Fatalf("stats = %+v, want 1 failed", st)
+	if st.Cancelled != 1 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want 1 cancelled, 0 failed", st)
 	}
 }
 

@@ -3,22 +3,23 @@ package repro
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/plancache"
 	"repro/internal/sparse"
 )
 
 // ShardedPipeline splits a large matrix into nnz-balanced row panels at
-// preprocessing time and serves each panel through its own Pipeline —
-// the 1-D row-tiling decomposition (Gale et al.) lifted to the serving
-// layer. Because SpMM rows are independent, a panel's output is exactly
-// the corresponding row range of the unsharded output: "merging" the
-// panels is not a reduction, each panel writes straight into a
-// zero-copy row-range view of the caller's Y.
+// preprocessing time and serves each panel through its own
+// OnlinePipeline — the 1-D row-tiling decomposition (Gale et al.)
+// lifted to the serving layer. Because SpMM rows are independent, a
+// panel's output is exactly the corresponding row range of the
+// unsharded output: "merging" the panels is not a reduction, each
+// panel writes straight into a zero-copy row-range view of the
+// caller's Y.
 //
 // What sharding buys over one big pipeline:
 //
@@ -26,19 +27,18 @@ import (
 //     clustering, and tiling run per panel (concurrently), and each
 //     panel's plan is cached independently in the process-wide plan
 //     cache, so growing a matrix reuses the untouched panels' plans.
-//   - Panel-local kernel choice: the autotuner sees each panel's
-//     structure in isolation, so a matrix whose top rows are hub-heavy
-//     and whose tail is uniform can run merge on one panel and
-//     row-wise on another, instead of one compromise kernel.
+//   - Panel-local decisions: the autotuner sees each panel's structure
+//     in isolation, so a matrix whose top rows are hub-heavy and whose
+//     tail is uniform can run merge on one panel and row-wise on
+//     another. Each panel also has its own reorder gate, judged on the
+//     columns that panel references, and runs its own §4 trial once a
+//     call passes it (see OnlinePipeline); a panel whose reordered
+//     build fails keeps serving its no-reorder plan.
 //
-// Panels are built without reordering, and their reordered plans are
-// built only for widths that pass the reorder gate (gate.go), judged
-// on the panel whose X footprint is largest (each panel runs on its own
-// core and L2): the first such call builds every panel's reordered plan
-// in the background while calls keep serving the no-reorder panels, and
-// wide calls run the reordered panels once they land. Panels run no §4
-// trial — each panel's plan autotunes its kernel — and a failed build
-// leaves the no-reorder panels serving every width.
+// A single panel is the whole matrix: its OnlinePipeline serves the
+// caller's matrix itself, and calls go straight to it. Every serving
+// base is such a pipeline — an unsharded live tenant is a one-panel
+// base.
 //
 // A ShardedPipeline is safe for concurrent use. It implements the same
 // one-primitive serving contract as every other pipeline type
@@ -48,16 +48,6 @@ type ShardedPipeline struct {
 	orig   *Matrix
 	panels []shardPanel
 
-	// gate is judged on the panel that references the most columns; rr
-	// builds the reordered panel plans, index-aligned with panels. The
-	// build runs under bctx with the pipeline's Config, tracing into
-	// ring when set.
-	gate reorderGate
-	rr   lazyBuild[[]*Pipeline]
-	bctx context.Context
-	cfg  Config
-	ring *obs.TraceRing
-
 	// views pools the per-call panel view structs (dense row-range
 	// windows into Y, CSR value windows into SDDMM outputs) so serving
 	// calls do not allocate per panel.
@@ -65,13 +55,13 @@ type ShardedPipeline struct {
 }
 
 // shardPanel is one row panel [lo, hi) of the original matrix. pipe
-// executes the panel's sub-CSR without reordering; the sub-CSR shares
-// ColIdx/Val backing arrays with the original matrix (only the rebased
-// RowPtr is panel-owned).
+// serves the panel's sub-CSR, which shares ColIdx/Val backing arrays
+// with the original matrix (only the rebased RowPtr is panel-owned); a
+// single panel's sub-CSR is the original matrix.
 type shardPanel struct {
 	lo, hi int
 	base   int // original RowPtr[lo]: offset of the panel's first nonzero
-	pipe   *Pipeline
+	pipe   *OnlinePipeline
 }
 
 // shardViews is the pooled per-call scratch: one dense view and one CSR
@@ -117,146 +107,147 @@ func panelBounds(m *Matrix, targetNNZ int) [][2]int {
 // targetNNZ nonzeros each and builds every panel's no-reorder plan (in
 // parallel, through the process-wide plan cache). targetNNZ <= 0 or a
 // matrix smaller than one panel yields a single-panel pipeline, which
-// behaves exactly like a plain Pipeline.
+// behaves exactly like an OnlinePipeline over m.
 func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	return NewShardedPipelineCtx(context.Background(), m, cfg, targetNNZ)
 }
 
 // NewShardedPipelineCtx is NewShardedPipeline with cooperative
 // cancellation of the per-panel no-reorder builds: ctx governs
-// construction only. The panels' reordered plans build later, in the
-// background, started by the first call the reorder gate passes and
-// bounded by cfg.PreprocessBudget alone.
+// construction only. A panel's reordered plan builds later, in the
+// background, started by the first call the panel's reorder gate
+// passes and bounded by cfg.PreprocessBudget alone.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	return newShardedPipeline(ctx, context.Background(), m, cfg, targetNNZ, nil)
 }
 
-// newShardedPipeline is NewShardedPipelineCtx with the reordered build's
-// context bctx and trace ring given separately (the Server passes its
-// lifecycle context and /debug/traces ring).
+// newShardedPipeline is NewShardedPipelineCtx with the panels' reordered
+// builds run under bctx and traced into ring when set (the Server
+// passes its lifecycle context and /debug/traces ring).
 func newShardedPipeline(ctx, bctx context.Context, m *Matrix, cfg Config, targetNNZ int, ring *obs.TraceRing) (*ShardedPipeline, error) {
 	bounds := panelBounds(m, targetNNZ)
-	cols := make([]int, len(bounds))
-	s, err := buildPanels(ctx, m, len(bounds), "preprocessing",
-		func(w int) (shardPanel, []int32) {
-			lo, hi := bounds[w][0], bounds[w][1]
-			base := m.RowPtr[lo]
-			rp := make([]int32, hi-lo+1)
-			for i := range rp {
-				rp[i] = m.RowPtr[lo+i] - base
-			}
-			return shardPanel{lo: lo, hi: hi, base: int(base)}, rp
-		},
-		func(w int, sub *Matrix) (*Pipeline, error) {
-			cols[w] = referencedCols(sub)
-			return NewPipelineNRCtx(ctx, sub, cfg)
-		})
-	if err != nil {
-		return nil, err
+	panels := make([]shardPanel, len(bounds))
+	for i, b := range bounds {
+		panels[i] = shardPanel{lo: b[0], hi: b[1], base: int(m.RowPtr[b[0]])}
 	}
-	s.gate = gateFor(slices.Max(cols), cfg)
-	s.rr.init()
-	s.bctx, s.cfg, s.ring = bctx, cfg, ring
-	recordShardPanels(len(bounds))
-	return s, nil
-}
-
-// startBuild starts building every panel's reordered plan, in parallel,
-// unless that already started; width is the width of the call that
-// asked for it.
-func (s *ShardedPipeline) startBuild(width int) {
-	if s.rr.started.Load() {
-		return
-	}
-	s.rr.start(s.bctx, s.cfg.PreprocessBudget, s.ring, width,
-		func(ctx context.Context) (*[]*Pipeline, error) {
-			pipes := make([]*Pipeline, len(s.panels))
-			err := par.DoCtx(ctx, len(pipes), func(w int) error {
-				var err error
-				pipes[w], err = NewPipelineCtx(ctx, s.panels[w].pipe.Matrix(), s.cfg)
-				return err
-			})
-			return &pipes, err
-		}, nil)
-}
-
-// wide returns the reordered panel plans a call of width k runs: nil
-// below the gate, and nil until they are built (the first call the gate
-// passes starts the build).
-func (s *ShardedPipeline) wide(k int) []*Pipeline {
-	if !s.gate.pass(k) {
-		return nil
-	}
-	if rr := s.rr.Load(); rr != nil {
-		return *rr
-	}
-	s.startBuild(k)
-	return nil
-}
-
-// WaitPreprocessed blocks until no reordered panel build is in flight
-// — it finished (successfully or failing), or none was ever started —
-// or ctx is cancelled, whose error it then returns.
-func (s *ShardedPipeline) WaitPreprocessed(ctx context.Context) error { return s.rr.wait(ctx) }
-
-// reskin re-skins the sharded pipeline for a matrix with the *same
-// sparsity structure* but new nonzero values — the value-only mutation
-// path of a live sharded tenant. The panel bounds and the gate are
-// inherited (the structure, and therefore the nnz balance, is
-// unchanged), each panel's rebased RowPtr is shared with the old panel,
-// and every panel plan — no-reorder and, once built, reordered — is
-// re-skinned by one O(nnz) value walk (Pipeline.withValues): no
-// plan-cache lookup, no LSH, clustering, or tiling. A reordered build
-// still in flight is waited for first; a failed one stays failed.
-func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (*ShardedPipeline, error) {
-	if err := s.WaitPreprocessed(ctx); err != nil {
-		return nil, err
-	}
-	n, err := buildPanels(ctx, m, len(s.panels), "reskinning",
-		func(w int) (shardPanel, []int32) {
-			pn := s.panels[w]
-			return pn, pn.pipe.Matrix().RowPtr
-		},
-		func(w int, sub *Matrix) (*Pipeline, error) { return s.panels[w].pipe.withValues(sub) })
-	if err != nil {
-		return nil, err
-	}
-	n.gate = s.gate
-	n.rr.init()
-	n.bctx, n.cfg, n.ring = s.bctx, s.cfg, s.ring
-	if d := s.rr.failed.Load(); d != nil {
-		n.rr.fail(d)
-	} else if old := s.rr.Load(); old != nil {
-		pipes := make([]*Pipeline, len(*old))
-		err := par.DoCtx(ctx, len(pipes), func(w int) error {
-			var err error
-			pipes[w], err = (*old)[w].withValues(n.panels[w].pipe.Matrix())
-			return err
-		})
+	s, err := buildPanels(ctx, m, panels, "preprocessing", func(w int, sub *Matrix) (*OnlinePipeline, error) {
+		nr, err := NewPipelineNRCtx(ctx, sub, cfg)
 		if err != nil {
 			return nil, err
 		}
-		n.rr.set(&pipes)
+		return newOnline(bctx, nr, cfg, ring, newReorderGate(sub, cfg)), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	recordShardPanels(len(panels))
+	return s, nil
 }
 
-// buildPanels builds np row panels of m concurrently. panel(w) returns
-// panel w's row range and nonzero offset and its rebased RowPtr; build
-// turns the panel's sub-CSR, which shares m's ColIdx/Val backing
-// arrays, into the panel's pipeline.
-func buildPanels(ctx context.Context, m *Matrix, np int, op string,
-	panel func(w int) (shardPanel, []int32), build func(w int, sub *Matrix) (*Pipeline, error)) (*ShardedPipeline, error) {
+// WaitPreprocessed blocks until no panel's reordered build is in flight
+// — each finished (successfully or failing), or none was ever started —
+// or ctx is cancelled, whose error it then returns.
+func (s *ShardedPipeline) WaitPreprocessed(ctx context.Context) error {
+	for i := range s.panels {
+		if err := s.panels[i].pipe.WaitPreprocessed(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// anyPanel reports whether f holds for some panel's pipeline.
+func (s *ShardedPipeline) anyPanel(f func(o *OnlinePipeline) bool) bool {
+	for i := range s.panels {
+		if f(s.panels[i].pipe) {
+			return true
+		}
+	}
+	return false
+}
+
+// cfg returns the Config the panels were built under.
+func (s *ShardedPipeline) cfg() Config { return s.panels[0].pipe.cfg }
+
+// plans lists every plan the panels serve from: each panel's
+// no-reorder plan and, once built, its reordered plan.
+func (s *ShardedPipeline) plans() []*Pipeline {
+	var ps []*Pipeline
+	for i := range s.panels {
+		o := s.panels[i].pipe
+		ps = append(ps, o.nr)
+		if rr := o.rr.Load(); rr != nil {
+			ps = append(ps, rr)
+		}
+	}
+	return ps
+}
+
+// fingerprint names the base by a plan-cache key of the whole matrix
+// under the Config of the plan panel 0 serves wide calls from now. For
+// a single panel that is the served plan's own key.
+func (s *ShardedPipeline) fingerprint() string {
+	return plancache.Fingerprint(s.orig, s.panels[0].pipe.current().plan.Cfg)
+}
+
+// mispicks sums the panels' autotuner-feedback mispick counts.
+func (s *ShardedPipeline) mispicks() int64 {
+	var n int64
+	for i := range s.panels {
+		n += s.panels[i].pipe.Mispicked()
+	}
+	return n
+}
+
+// setSink routes every panel's decision events to es.
+func (s *ShardedPipeline) setSink(es *eventSink) {
+	for i := range s.panels {
+		s.panels[i].pipe.sink.Store(es)
+	}
+}
+
+// reskin re-skins the sharded pipeline for a matrix with the *same
+// sparsity structure* but new nonzero values — the value-only mutation
+// path of a live tenant. The panel bounds are inherited (the structure,
+// and therefore the nnz balance, is unchanged), each panel's rebased
+// RowPtr is shared with the old panel, and each panel re-skins its
+// plans and carries its gate and trial decision over
+// (OnlinePipeline.reskin): no plan-cache lookup, no LSH, clustering,
+// or tiling.
+func (s *ShardedPipeline) reskin(ctx context.Context, m *Matrix) (*ShardedPipeline, error) {
+	return buildPanels(ctx, m, s.panels, "reskinning", func(w int, sub *Matrix) (*OnlinePipeline, error) {
+		return s.panels[w].pipe.reskin(ctx, sub)
+	})
+}
+
+// buildPanels builds m's row panels concurrently. Each panel's sub-CSR
+// shares m's ColIdx/Val backing arrays, with the RowPtr of the panel's
+// current pipeline when it has one and a rebased copy of m's
+// otherwise; a single panel's sub-CSR is m itself. build turns the
+// sub-CSR into the panel's pipeline.
+func buildPanels(ctx context.Context, m *Matrix, panels []shardPanel, op string,
+	build func(w int, sub *Matrix) (*OnlinePipeline, error)) (*ShardedPipeline, error) {
+	np := len(panels)
 	s := &ShardedPipeline{orig: m, panels: make([]shardPanel, np)}
 	err := par.DoCtx(ctx, np, func(w int) error {
-		pn, rp := panel(w)
-		end := int(m.RowPtr[pn.hi])
-		sub := &sparse.CSR{
-			Rows:   pn.hi - pn.lo,
-			Cols:   m.Cols,
-			RowPtr: rp,
-			ColIdx: m.ColIdx[pn.base:end:end],
-			Val:    m.Val[pn.base:end:end],
+		pn := panels[w]
+		sub := m
+		if np > 1 {
+			end := int(m.RowPtr[pn.hi])
+			sub = &sparse.CSR{
+				Rows:   pn.hi - pn.lo,
+				Cols:   m.Cols,
+				ColIdx: m.ColIdx[pn.base:end:end],
+				Val:    m.Val[pn.base:end:end],
+			}
+			if pn.pipe != nil {
+				sub.RowPtr = pn.pipe.Matrix().RowPtr
+			} else {
+				sub.RowPtr = make([]int32, sub.Rows+1)
+				for i := range sub.RowPtr {
+					sub.RowPtr[i] = m.RowPtr[pn.lo+i] - int32(pn.base)
+				}
+			}
 		}
 		pipe, err := build(w, sub)
 		if err != nil {
@@ -287,9 +278,9 @@ func (s *ShardedPipeline) PanelRange(i int) (lo, hi int) {
 }
 
 // PanelKernel returns the SpMM kernel the autotuner chose for panel i's
-// no-reorder plan, which every call below the reorder gate runs —
-// panels of one matrix may legitimately run different kernels.
-func (s *ShardedPipeline) PanelKernel(i int) Kernel { return s.panels[i].pipe.Kernel() }
+// no-reorder plan, which every call below the panel's reorder gate
+// runs — panels of one matrix may legitimately run different kernels.
+func (s *ShardedPipeline) PanelKernel(i int) Kernel { return s.panels[i].pipe.nr.Kernel() }
 
 // Matrix returns the original (unsharded, unreordered) matrix.
 func (s *ShardedPipeline) Matrix() *Matrix { return s.orig }
@@ -309,20 +300,24 @@ func (s *ShardedPipeline) putViews(v *shardViews) {
 // rows are independent in SpMM, so there is no merge step, and a
 // failing or cancelled panel cannot corrupt another panel's rows (on
 // error y's contents are unspecified, as with Pipeline). Cancellation
-// is observed between kernel chunks inside every panel. A call the
-// reorder gate passes runs the reordered panels once they are built.
+// is observed between kernel chunks inside every panel. Each panel
+// serves the call as its OnlinePipeline does: below the panel's reorder
+// gate on its no-reorder plan, above it through the panel's lazy build
+// and trial.
 func (s *ShardedPipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) error {
 	return s.spmmInto(ctx, y, x, x.Cols)
 }
 
-// spmmInto is SpMMIntoCtx with the reorder gate asked about width k
-// rather than x.Cols (see OnlinePipeline.spmmInto).
+// spmmInto is SpMMIntoCtx with the panels' reorder gates asked about
+// width k rather than x.Cols (see OnlinePipeline.spmmInto).
 func (s *ShardedPipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {
+	if len(s.panels) == 1 {
+		return s.panels[0].pipe.spmmInto(ctx, y, x, k)
+	}
 	if y.Rows != s.orig.Rows || y.Cols != x.Cols {
 		return fmt.Errorf("repro: SpMMInto output is %dx%d, want %dx%d",
 			y.Rows, y.Cols, s.orig.Rows, x.Cols)
 	}
-	rr := s.wide(k)
 	v := s.views.Get().(*shardViews)
 	defer s.putViews(v)
 	return par.DoCtx(ctx, len(s.panels), func(w int) error {
@@ -330,10 +325,7 @@ func (s *ShardedPipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k in
 		yv := &v.ys[w]
 		yv.Rows, yv.Cols = pn.hi-pn.lo, y.Cols
 		yv.Data = y.Data[pn.lo*y.Cols : pn.hi*y.Cols]
-		if rr != nil {
-			return rr[w].SpMMIntoCtx(ctx, yv, x)
-		}
-		return pn.pipe.SpMMIntoCtx(ctx, yv, x)
+		return pn.pipe.spmmInto(ctx, yv, x, k)
 	})
 }
 
@@ -347,24 +339,22 @@ func (s *ShardedPipeline) SDDMMIntoCtx(ctx context.Context, out *Matrix, x, y *D
 	if err := checkSDDMMOut(out, s.orig); err != nil {
 		return err
 	}
-	return s.sddmmInto(ctx, out, x, y)
+	return s.sddmmInto(ctx, out, x, y, x.Cols)
 }
 
 // sddmmInto is SDDMMIntoCtx for an out whose structure the caller has
-// checked.
-func (s *ShardedPipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense) error {
+// checked, with the panels' reorder gates asked about width k.
+func (s *ShardedPipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dense, k int) error {
+	if len(s.panels) == 1 {
+		return s.panels[0].pipe.sddmmInto(ctx, out, x, y, k)
+	}
 	if y.Rows != s.orig.Rows {
 		return fmt.Errorf("repro: SDDMM y has %d rows, want %d", y.Rows, s.orig.Rows)
 	}
-	rr := s.wide(x.Cols)
 	v := s.views.Get().(*shardViews)
 	defer s.putViews(v)
 	return par.DoCtx(ctx, len(s.panels), func(w int) error {
 		pn := s.panels[w]
-		pipe := pn.pipe
-		if rr != nil {
-			pipe = rr[w]
-		}
 		sub := pn.pipe.Matrix()
 		ov := &v.outs[w]
 		ov.Rows, ov.Cols = sub.Rows, sub.Cols
@@ -373,6 +363,6 @@ func (s *ShardedPipeline) sddmmInto(ctx context.Context, out *Matrix, x, y *Dens
 		yv := &v.ys[w]
 		yv.Rows, yv.Cols = pn.hi-pn.lo, y.Cols
 		yv.Data = y.Data[pn.lo*y.Cols : pn.hi*y.Cols]
-		return pipe.sddmmInto(ctx, ov, x, yv)
+		return pn.pipe.sddmmInto(ctx, ov, x, yv, k)
 	})
 }

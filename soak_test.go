@@ -378,9 +378,9 @@ func TestServerChaosSoak(t *testing.T) {
 	if st.Admission.Shed != total.sheds {
 		t.Fatalf("server shed %d, clients observed %d overload errors", st.Admission.Shed, total.sheds)
 	}
-	if st.Admission.Admitted != st.Completed+st.Failed {
-		t.Fatalf("admitted %d != completed %d + failed %d",
-			st.Admission.Admitted, st.Completed, st.Failed)
+	if st.Admission.Admitted != st.Completed+st.Failed+st.Cancelled {
+		t.Fatalf("admitted %d != completed %d + failed %d + cancelled %d",
+			st.Admission.Admitted, st.Completed, st.Failed, st.Cancelled)
 	}
 	if got := st.Admission.Admitted + st.Admission.Shed + st.Admission.Expired; got > total.requests {
 		t.Fatalf("admission accounted for %d requests, clients made %d", got, total.requests)
