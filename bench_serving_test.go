@@ -38,10 +38,10 @@ func BenchmarkServingEffectiveK(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				scfg := repro.ServerConfig{}
 				if variant.coalesce {
-					// The round's first request launches at once; the rest
-					// gather behind it and launch together when it returns
-					// (or when effK fill a batch). The window only caps
-					// that wait.
+					// The round's first GOMAXPROCS requests launch at once;
+					// the rest gather behind them and launch together when
+					// one returns (or when effK fill a batch). The window
+					// only caps that wait.
 					scfg.CoalesceWindow = 2 * time.Millisecond
 					scfg.CoalesceMaxOps = effK
 				}

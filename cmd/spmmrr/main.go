@@ -51,7 +51,7 @@ func main() {
 		planDir   = flag.String("plandir", "", "with -serve: plan snapshot directory for warm start and shutdown snapshot")
 		serveFor  = flag.Duration("serve-duration", 0, "with -serve: stop automatically after this long (0 = run until a signal)")
 		obsListen = flag.String("obs-listen", "", "with -serve: expose /metrics, /healthz, /readyz, /debug/traces and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = no listener)")
-		coalesce  = flag.Duration("coalesce-window", 0, "with -serve: coalesce SpMM requests that arrive while a pass runs into one kernel pass at the combined width, launched when the running pass returns or after at most this wait (0 = off; try 200us-1ms)")
+		coalesce  = flag.Duration("coalesce-window", 0, "with -serve: once every CPU (GOMAXPROCS) already runs a pass for the matrix, coalesce further SpMM requests into one kernel pass at the combined width, launched when a running pass returns or after at most this wait (0 = off; try 200us-1ms)")
 		shardNNZ  = flag.Int("shard-nnz", 0, "with -serve: split matrices above this many nonzeros into nnz-balanced row panels, each served by its own pipeline (0 = off)")
 		mutRate   = flag.Duration("mutate-rate", 0, "with -serve: submit one live row mutation through the mutation path per interval — value re-skins and structural row replacements alternate, exercising overlay serving and background plan swaps under load (0 = off; try 5ms-50ms)")
 		verifyFr  = flag.Float64("verify-fraction", 0, "with -serve: shadow-verify this fraction of requests by recomputing sampled output rows with the reference kernel on the original matrix; a confirmed mismatch quarantines the transformed plans until a rebuild passes probation (0 = off; try 0.01)")

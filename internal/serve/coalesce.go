@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -9,18 +10,24 @@ import (
 )
 
 // Coalescer batches concurrent requests for the same downstream
-// resource into one execution, group-commit style: a request arriving
-// while the coalescer is idle runs at once as a batch of one; requests
-// arriving while one of its batches runs gather into a single pending
+// resource into one execution, group-commit style, but only once every
+// CPU already runs one of its batches. While fewer than
+// runtime.GOMAXPROCS(0) of its batches are in flight (the cap, read at
+// each arrival), a request launches at once as a batch of one on the
+// caller's goroutine: a new pass there has a CPU to itself, so gathering
+// would only add wait. At the cap, arrivals gather into a single pending
 // batch, which launches at the earliest of three events — a running
-// batch returns, the coalescing window expires, or the batch reaches
-// its operand cap — and then runs as a single call to the run
-// function. The window therefore caps the wait a request can add; it
-// never adds one to an idle coalescer, and batches form only under
-// contention. Like the rest of this package it is generic over the
-// work: T is whatever per-request operand the caller's run function
-// consumes (the Server uses one Y/X operand pair per request, so a
-// batch is one wide column-stacked kernel pass).
+// batch returns, the coalescing window expires, or the batch reaches its
+// operand cap — and then runs as a single call to the run function. The
+// window therefore caps the wait a request can add; it adds none below
+// the cap, and batches form only when a new pass would queue for a CPU.
+// At GOMAXPROCS = 1 the cap is one: an idle coalescer launches, a busy
+// one gathers. A batch counts as in flight from the moment it launches,
+// under the same lock that decides the launch, so the cap is exact. Like
+// the rest of this package it is generic over the work: T is whatever
+// per-request operand the caller's run function consumes (the Server
+// uses one Y/X operand pair per request, so a batch is one wide
+// column-stacked kernel pass).
 //
 // Per-waiter contract:
 //
@@ -42,14 +49,13 @@ type Coalescer[T any] struct {
 	validate func(T) error // optional per-operand launch-time gate
 
 	mu      sync.Mutex
-	cur     *cbatch[T] // pending batch, gathering while others run
+	cur     *cbatch[T] // pending batch, gathering while the cap is reached
 	running int        // launched batches whose run has not returned
 
-	leads   *obs.Counter
-	joins   *obs.Counter
-	excised *obs.Counter
-	invalid *obs.Counter
-	sizes   *obs.Histogram // operands per launched batch (after excision)
+	leads   obs.Counter
+	joins   obs.Counter
+	excised obs.Counter
+	invalid obs.Counter
 }
 
 // cbatch is one coalescing batch. items/dead are guarded by the
@@ -70,7 +76,7 @@ type cbatch[T any] struct {
 
 // CoalescerStats is a snapshot of a coalescer's counters.
 type CoalescerStats struct {
-	Leads   int64 // batches opened (an idle launch or a pending batch's first arrival)
+	Leads   int64 // batches opened (a launch at once or a pending batch's first arrival)
 	Joins   int64 // requests that joined an open batch
 	Excised int64 // waiters removed pre-launch by context expiry
 	Invalid int64 // operands rejected at launch by the validate hook
@@ -81,30 +87,7 @@ type CoalescerStats struct {
 // disables coalescing (every request runs alone, immediately); maxOps
 // < 1 means an unbounded batch.
 func NewCoalescer[T any](window time.Duration, maxOps int, run func([]T) error) *Coalescer[T] {
-	return NewCoalescerObs(window, maxOps, run, nil)
-}
-
-// NewCoalescerObs is NewCoalescer with the coalescer's counters and
-// batch-size histogram registered in reg (metric families
-// spmmrr_coalesce_*). A nil reg keeps the counters private.
-func NewCoalescerObs[T any](window time.Duration, maxOps int, run func([]T) error, reg *obs.Registry) *Coalescer[T] {
-	c := &Coalescer[T]{window: window, maxOps: maxOps, run: run}
-	if reg == nil {
-		c.leads, c.joins, c.excised, c.invalid = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}, &obs.Counter{}
-		return c
-	}
-	c.leads = reg.Counter("spmmrr_coalesce_batches_total",
-		"Coalescing batches opened (an idle launch or a pending batch's first arrival).")
-	c.joins = reg.Counter("spmmrr_coalesce_joins_total",
-		"Requests that joined an already-open coalescing batch.")
-	c.excised = reg.Counter("spmmrr_coalesce_excised_total",
-		"Waiters excised from a batch pre-launch by context expiry.")
-	c.invalid = reg.Counter("spmmrr_coalesce_invalid_total",
-		"Operands rejected at batch launch by the validate hook.")
-	c.sizes = reg.Histogram("spmmrr_coalesce_batch_ops",
-		"Operands per launched coalescing batch (after excision).",
-		obs.ExponentialBuckets(1, 2, 8))
-	return c
+	return &Coalescer[T]{window: window, maxOps: maxOps, run: run}
 }
 
 // SetValidate installs a per-operand gate evaluated at batch launch,
@@ -151,7 +134,6 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 			}
 		}
 		c.leads.Inc()
-		c.sizes.Observe(1)
 		return c.run([]T{item})
 	}
 	submit := time.Now()
@@ -161,10 +143,10 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 	if b == nil {
 		b = &cbatch[T]{done: make(chan struct{})}
 		c.leads.Inc()
-		if c.running == 0 {
-			// Idle: nothing to gather behind, so launch at once as a
-			// batch of one — a dead context is excised first, exactly as
-			// it would be from a pending batch.
+		if c.running < runtime.GOMAXPROCS(0) {
+			// A CPU has no pass of ours: launch at once as a batch of one
+			// — a dead context is excised first, exactly as it would be
+			// from a pending batch.
 			if err := ctx.Err(); err != nil {
 				c.excised.Inc()
 				c.mu.Unlock()
@@ -172,8 +154,8 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 			}
 			launchNow = true
 		} else {
-			// A batch is running: gather behind it. The window caps the
-			// wait; the running batch's return or a full batch usually
+			// Every CPU runs a pass: gather behind them. The window caps
+			// the wait; a running batch's return or a full batch usually
 			// launches it first. launch() resolves the race (first in
 			// wins) and stops the timer.
 			c.cur = b
@@ -186,15 +168,19 @@ func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
 	b.items = append(b.items, item)
 	b.dead = append(b.dead, false)
 	if c.maxOps > 0 && len(b.items) >= c.maxOps && c.cur == b {
-		// Detach under the lock so no further request can join, then
-		// launch synchronously: the waiter that filled the batch pays
-		// the launch, not a timer goroutine.
-		c.cur = nil
+		// Full: the waiter that filled the batch pays the launch, not a
+		// timer goroutine.
 		launchNow = true
+	}
+	var live []T
+	if launchNow {
+		// Seal under the lock that decided the launch, so the batch
+		// counts as in flight before the next arrival reads running.
+		live = c.seal(b)
 	}
 	c.mu.Unlock()
 	if launchNow {
-		c.launch(b)
+		c.exec(b, live)
 	}
 
 	select {
@@ -232,26 +218,34 @@ func (b *cbatch[T]) waiterErr(idx int) error {
 	return b.err
 }
 
-// launch runs a batch exactly once: the idle path, the batch-full
-// path, the window timer and a returning batch's hand-off race here,
-// first in wins. Live operands are compacted under the lock; the run
-// executes outside it. When the run returns, the pending batch (if
-// any) launches on a fresh goroutine, so no waiter of this batch
-// waits out the next pass.
+// launch runs a batch exactly once: the window timer and a returning
+// batch's hand-off race here, first in wins (a batch Do launches itself
+// is sealed before either can see it).
 func (c *Coalescer[T]) launch(b *cbatch[T]) {
 	c.mu.Lock()
 	if b.launched {
 		c.mu.Unlock()
 		return
 	}
+	live := c.seal(b)
+	c.mu.Unlock()
+	c.exec(b, live)
+}
+
+// seal marks b launched, detaches it if pending, runs the launch-time
+// validation and compacts the live operands, counting b in running when
+// any remain. c.mu must be held: no mutation can slip between the check
+// and the run's snapshot of the live slots. A rejected operand fails
+// alone — its slot records the error and is compacted away with the
+// dead ones.
+func (c *Coalescer[T]) seal(b *cbatch[T]) []T {
 	b.launched = true
 	if c.cur == b {
 		c.cur = nil
 	}
-	// Launch-time validation, under the same lock that seals the batch:
-	// no mutation can slip between the check and the run's snapshot of
-	// the live slots. A rejected operand fails alone — its slot records
-	// the error and is compacted away with the dead ones.
+	if b.timer != nil {
+		b.timer.Stop()
+	}
 	if v := c.validate; v != nil {
 		for i := range b.items {
 			if b.dead[i] {
@@ -274,16 +268,17 @@ func (c *Coalescer[T]) launch(b *cbatch[T]) {
 			n++
 		}
 	}
-	live := b.items[:n]
 	if n > 0 {
 		c.running++
 	}
-	c.mu.Unlock()
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	if n > 0 {
-		c.sizes.Observe(float64(n))
+	return b.items[:n]
+}
+
+// exec runs a sealed batch outside the lock and releases its waiters.
+// When the run returns, the pending batch (if any) launches on a fresh
+// goroutine, so no waiter of this batch waits out the next pass.
+func (c *Coalescer[T]) exec(b *cbatch[T], live []T) {
+	if len(live) > 0 {
 		b.start = time.Now()
 		b.err = c.run(live)
 		b.end = time.Now()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,24 +12,25 @@ import (
 	"repro/internal/obs"
 )
 
-// heldOp is the operand holdBatch runs alone to keep a batch in flight.
+// heldOp is the operand holdBatches runs alone to keep a batch in
+// flight.
 const heldOp = -1
 
 // batchRecorder collects the batches a coalescer launches. A batch of
-// heldOp alone is not recorded: it blocks until release closes (see
-// holdBatch).
+// heldOp alone is not recorded: it blocks until it takes a token from
+// release, or release closes (see holdBatches).
 type batchRecorder struct {
 	mu      sync.Mutex
 	batches [][]int
 	err     error
 
-	entered chan struct{} // closed once the held batch is running
-	release chan struct{} // closing it lets the held batch return
+	entered chan struct{} // one token per held batch now running
+	release chan struct{} // a send lets one held batch return; close lets all
 }
 
 func (r *batchRecorder) run(items []int) error {
 	if len(items) == 1 && items[0] == heldOp && r.release != nil {
-		close(r.entered)
+		r.entered <- struct{}{}
 		<-r.release
 		return nil
 	}
@@ -39,37 +41,52 @@ func (r *batchRecorder) run(items []int) error {
 	return r.err
 }
 
-// holdBatch runs heldOp on the idle coalescer c (whose run is rec.run)
-// and returns once that batch is blocked inside its run: the batch in
-// flight that later arrivals gather behind. The returned release lets
-// the held batch return and waits for its waiter; it is idempotent and
-// also runs at test cleanup, so a failing test never leaks the waiter.
-func holdBatch(t *testing.T, c *Coalescer[int], rec *batchRecorder) (release func()) {
+// holdBatches runs heldOp n times on the coalescer c (whose run is
+// rec.run), one arrival after another, and returns once all n batches
+// are blocked inside their runs: the batches in flight that later
+// arrivals launch beside or gather behind. Each arrival must launch at
+// once, so n must not exceed the cap (runtime.GOMAXPROCS). A send on
+// rec.release lets one held batch return; the returned release lets
+// every held batch return and waits for their waiters. It is idempotent
+// and also runs at test cleanup, so a failing test never leaks a waiter.
+func holdBatches(t *testing.T, c *Coalescer[int], rec *batchRecorder, n int) (release func()) {
 	t.Helper()
-	rec.entered, rec.release = make(chan struct{}), make(chan struct{})
-	held := make(chan error, 1)
-	go func() { held <- c.Do(context.Background(), heldOp) }()
-	select {
-	case <-rec.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("an idle coalescer did not launch the held operand")
-	}
+	rec.entered, rec.release = make(chan struct{}, n), make(chan struct{})
+	held := make(chan error, n)
 	var once sync.Once
 	release = func() {
 		once.Do(func() {
 			close(rec.release)
-			select {
-			case err := <-held:
-				if err != nil {
-					t.Errorf("held batch: %v", err)
+			for i := 0; i < n; i++ {
+				select {
+				case err := <-held:
+					if err != nil {
+						t.Errorf("held batch: %v", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Errorf("held batch did not return")
+					return
 				}
-			case <-time.After(5 * time.Second):
-				t.Errorf("held batch did not return")
 			}
 		})
 	}
 	t.Cleanup(release)
+	for i := 0; i < n; i++ {
+		go func() { held <- c.Do(context.Background(), heldOp) }()
+		select {
+		case <-rec.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("held operand %d of %d did not launch at once", i+1, n)
+		}
+	}
 	return release
+}
+
+// holdBatch holds the cap, runtime.GOMAXPROCS(0) batches, so that every
+// later arrival gathers into the pending batch.
+func holdBatch(t *testing.T, c *Coalescer[int], rec *batchRecorder) (release func()) {
+	t.Helper()
+	return holdBatches(t, c, rec, runtime.GOMAXPROCS(0))
 }
 
 // statsSince is the counter delta from base to now.
@@ -90,8 +107,8 @@ func (r *batchRecorder) snapshot() [][]int {
 }
 
 // TestCoalescerWindowBatches: concurrent arrivals inside one window
-// coalesce into a single run. The batch forms behind a batch held in
-// flight past the window, so the window expiry launches it.
+// coalesce into a single run. The batch forms behind the cap of batches
+// held in flight past the window, so the window expiry launches it.
 func TestCoalescerWindowBatches(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(200*time.Millisecond, 0, rec.run)
@@ -192,8 +209,8 @@ func TestCoalescerDisabled(t *testing.T) {
 
 // TestCoalescerExcisePreLaunch: a waiter whose context dies before
 // launch returns its context error promptly, and the batch runs with
-// only the surviving operands. The batch gathers behind a held batch
-// and launches when that batch returns.
+// only the surviving operands. The batch gathers behind the held
+// batches and launches when they return.
 func TestCoalescerExcisePreLaunch(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(400*time.Millisecond, 0, rec.run)
@@ -232,7 +249,7 @@ func TestCoalescerExcisePreLaunch(t *testing.T) {
 
 // TestCoalescerEmptyBatchSkipsRun: if every waiter is excised, the
 // window fires on an empty batch and the run function never executes.
-// The batch gathers behind a held batch that outlives the window.
+// The batch gathers behind held batches that outlive the window.
 func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(50*time.Millisecond, 0, rec.run)
@@ -251,7 +268,7 @@ func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 	if batches := rec.snapshot(); len(batches) != 0 {
 		t.Fatalf("empty batch still ran: %v", batches)
 	}
-	release() // the held batch's return finds no pending batch to launch
+	release() // the held batches' returns find no pending batch to launch
 	if batches := rec.snapshot(); len(batches) != 0 {
 		t.Fatalf("empty batch ran after the held batch returned: %v", batches)
 	}
@@ -334,9 +351,127 @@ func TestCoalescerIdleLaunchesAtOnce(t *testing.T) {
 	}
 }
 
-// TestCoalescerPendingLaunchesWhenHeldReturns: N arrivals during a held
-// batch form exactly one pending batch, which launches when the held
-// batch returns, long before its window.
+// TestCoalescerLaunchesAtOnceBelowCap: with one batch fewer than the cap
+// (runtime.GOMAXPROCS) in flight, an arrival still has a CPU to itself,
+// so it launches at once as a batch of one; even an hour-long window
+// adds no wait.
+func TestCoalescerLaunchesAtOnceBelowCap(t *testing.T) {
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+	holdBatches(t, c, rec, runtime.GOMAXPROCS(0)-1)
+	base := c.Stats()
+	done := make(chan error, 1)
+	go func() { done <- c.Do(context.Background(), 7) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("with %d of %d batches in flight, an arrival waited on the window",
+			runtime.GOMAXPROCS(0)-1, runtime.GOMAXPROCS(0))
+	}
+	if batches := rec.snapshot(); len(batches) != 1 || len(batches[0]) != 1 || batches[0][0] != 7 {
+		t.Fatalf("batches = %v, want [[7]]", batches)
+	}
+	if st := statsSince(c, base); st.Leads != 1 || st.Joins != 0 {
+		t.Fatalf("stats = %+v, want 1 lead and no joins", st)
+	}
+}
+
+// TestCoalescerGathersAtCapUntilAnyHeldReturns: with the cap of batches
+// in flight, arrivals gather into one pending batch, and the return of
+// any one held batch launches it, long before its window; the other held
+// batches are still running.
+func TestCoalescerGathersAtCapUntilAnyHeldReturns(t *testing.T) {
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+	release := holdBatch(t, c, rec)
+	base := c.Stats()
+	const n = 4
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.Do(context.Background(), i)
+		}(i)
+	}
+	waitFor(t, func() bool { st := statsSince(c, base); return st.Leads+st.Joins == n })
+	if st := statsSince(c, base); st.Leads != 1 || st.Joins != n-1 {
+		t.Fatalf("stats = %+v, want 1 lead and %d joins at the cap", st, n-1)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if batches := rec.snapshot(); len(batches) != 0 {
+		t.Fatalf("an arrival ran while the cap of batches was in flight: %v", batches)
+	}
+	rec.release <- struct{}{} // one held batch returns
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending batch did not launch when a held batch returned")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	if batches := rec.snapshot(); len(batches) != 1 || len(batches[0]) != n {
+		t.Fatalf("batches = %v, want one batch of %d", batches, n)
+	}
+	release()
+}
+
+// TestCoalescerOneProcSequence: at GOMAXPROCS = 1 the cap is one, so the
+// coalescer runs the one-batch-in-flight sequence: an idle arrival
+// launches at once, arrivals while it runs gather into one pending batch
+// that launches when it returns, and the next arrival at the idle
+// coalescer launches at once again.
+func TestCoalescerOneProcSequence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rec := &batchRecorder{}
+	c := NewCoalescer(time.Hour, 0, rec.run)
+	release := holdBatch(t, c, rec) // the idle launch, held
+	if st := c.Stats(); st.Leads != 1 || st.Joins != 0 {
+		t.Fatalf("stats = %+v, want the held batch as the one lead", st)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := c.Do(context.Background(), i); err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+			}
+		}(i)
+		waitFor(t, func() bool { st := c.Stats(); return st.Leads+st.Joins == int64(1+i) })
+	}
+	if st := c.Stats(); st.Leads != 2 || st.Joins != 1 {
+		t.Fatalf("stats = %+v, want 2 leads and 1 join behind the held batch", st)
+	}
+	if batches := rec.snapshot(); len(batches) != 0 {
+		t.Fatalf("an arrival ran beside the held batch at one P: %v", batches)
+	}
+	release()
+	wg.Wait()
+	if err := c.Do(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	batches := rec.snapshot()
+	if len(batches) != 2 || len(batches[0]) != 2 || len(batches[1]) != 1 || batches[1][0] != 3 {
+		t.Fatalf("batches = %v, want one pending batch of two, then [3] alone", batches)
+	}
+	if st := c.Stats(); st.Leads != 3 || st.Joins != 1 {
+		t.Fatalf("stats = %+v, want 3 leads and 1 join", st)
+	}
+}
+
+// TestCoalescerPendingLaunchesWhenHeldReturns: N arrivals while the cap
+// of batches is held form exactly one pending batch, which launches when
+// the held batches return, long before its window.
 func TestCoalescerPendingLaunchesWhenHeldReturns(t *testing.T) {
 	rec := &batchRecorder{}
 	c := NewCoalescer(time.Hour, 0, rec.run)
@@ -377,9 +512,9 @@ func TestCoalescerPendingLaunchesWhenHeldReturns(t *testing.T) {
 	}
 }
 
-// TestCoalescerWindowCapsWaitBehindOverrun: when the held batch overruns
+// TestCoalescerWindowCapsWaitBehindOverrun: when the held batches overrun
 // the window, the pending batch launches at window expiry and runs
-// concurrently with it, so the window bounds the wait it adds.
+// concurrently with them, so the window bounds the wait it adds.
 func TestCoalescerWindowCapsWaitBehindOverrun(t *testing.T) {
 	const window = 50 * time.Millisecond
 	rec := &batchRecorder{}
@@ -397,7 +532,7 @@ func TestCoalescerWindowCapsWaitBehindOverrun(t *testing.T) {
 			errs[i] = c.Do(context.Background(), i)
 		}(i)
 	}
-	wg.Wait() // the held batch is still blocked: only the window launched these
+	wg.Wait() // the held batches are still blocked: only the window launched these
 	if elapsed := time.Since(start); elapsed < window {
 		t.Fatalf("pending batch launched after %v, before the %v window", elapsed, window)
 	}
@@ -417,26 +552,38 @@ func TestCoalescerWindowCapsWaitBehindOverrun(t *testing.T) {
 
 // TestCoalescerFinishedWaitersSkipNextPass: when a batch returns and
 // hands off to the pending batch, the finished batch's waiter returns at
-// once; it does not run, or wait out, the next pass. The held batch
+// once; it does not run, or wait out, the next pass. The returning batch
 // here was launched inline by its own waiter, the case where running
-// the hand-off inline would make that waiter pay two passes.
+// the hand-off inline would make that waiter pay two passes; the other
+// cap-1 batches are held, so its pass is the one that fills the cap.
 func TestCoalescerFinishedWaitersSkipNextPass(t *testing.T) {
+	rec := &batchRecorder{}
 	entered := make(chan int, 2)
 	gates := map[int]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
 	c := NewCoalescer(time.Hour, 0, func(items []int) error {
+		if items[0] == heldOp {
+			return rec.run(items)
+		}
 		entered <- items[0]
 		<-gates[items[0]]
 		return nil
 	})
 	defer close(gates[2])
+	others := runtime.GOMAXPROCS(0) - 1
+	holdBatches(t, c, rec, others)
 	errA := make(chan error, 1)
 	go func() { errA <- c.Do(context.Background(), 1) }()
-	if got := <-entered; got != 1 {
-		t.Fatalf("first pass ran %d, want 1", got)
+	select {
+	case got := <-entered:
+		if got != 1 {
+			t.Fatalf("first pass ran %d, want 1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the arrival that fills the cap did not launch at once")
 	}
 	errB := make(chan error, 1)
 	go func() { errB <- c.Do(context.Background(), 2) }()
-	waitFor(t, func() bool { return c.Stats().Leads == 2 })
+	waitFor(t, func() bool { return c.Stats().Leads == int64(others)+2 })
 	close(gates[1])
 	select {
 	case err := <-errA:
@@ -463,8 +610,8 @@ func TestCoalescerFinishedWaitersSkipNextPass(t *testing.T) {
 
 // TestCoalescerTraceSpans: a waiter whose context carries a trace records
 // coalesce_wait (submit to launch) and coalesce_run (launch to done);
-// the wait is near zero for an idle launch and spans the held batch for
-// a pending one.
+// the wait is near zero for a launch at once and spans the held batches
+// for a pending one.
 func TestCoalescerTraceSpans(t *testing.T) {
 	spans := func(tr *obs.Trace) map[string]obs.SpanSnapshot {
 		m := map[string]obs.SpanSnapshot{}
@@ -499,7 +646,7 @@ func TestCoalescerTraceSpans(t *testing.T) {
 	pending := obs.NewTrace("pending")
 	done := make(chan error, 1)
 	go func() { done <- c.Do(obs.WithTrace(context.Background(), pending), 2) }()
-	waitFor(t, func() bool { return c.Stats().Leads == 3 })
+	waitFor(t, func() bool { return c.Stats().Leads == int64(runtime.GOMAXPROCS(0))+2 })
 	time.Sleep(hold)
 	release()
 	if err := <-done; err != nil {

@@ -85,18 +85,19 @@ type ServerConfig struct {
 	// cache back to it.
 	PlanDir string
 	// CoalesceWindow, when positive, batches concurrent SpMM requests
-	// against the same tenant matrix. A request reaching an idle tenant
-	// runs at once; requests arriving while one of its passes runs
-	// gather into one pending batch that launches when that pass
-	// returns, column-stacked into ONE kernel pass at the combined width
-	// (the K-scaling effect: the sparse structure is traversed once for
-	// the whole batch). The window caps how long a pending batch waits
-	// for a running pass; it adds no wait to an idle tenant. Each waiter
-	// keeps its own context, deadline, and admission accounting. 0
-	// disables coalescing.
+	// against the same tenant matrix once every CPU already runs one of
+	// its passes. While fewer than GOMAXPROCS of the tenant's passes are
+	// in flight, a request runs at once as a pass of its own; at that
+	// cap, arriving requests gather into one pending batch that launches
+	// when any running pass returns, column-stacked into ONE kernel pass
+	// at the combined width (the K-scaling effect: the sparse structure
+	// is traversed once for the whole batch). The window caps how long a
+	// pending batch waits for a running pass; it adds no wait below the
+	// cap. Each waiter keeps its own context, deadline, and admission
+	// accounting. 0 disables coalescing.
 	CoalesceWindow time.Duration
 	// CoalesceMaxOps caps operands per coalesced batch; a full pending
-	// batch launches at once, beside the running pass. Default 16.
+	// batch launches at once, beside the running passes. Default 16.
 	CoalesceMaxOps int
 	// ShardNNZ, when positive, row-panel-shards any tenant matrix with
 	// more than this many nonzeros: the matrix splits into nnz-balanced
@@ -621,7 +622,7 @@ func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shard
 		// failing — or torn-writing — the batch it joined.
 		t.coal.SetValidate(live.validateBatchOp)
 		s.reg.CounterFunc("spmmrr_coalesce_batches_total",
-			"Coalescing batches opened (an idle launch or a pending batch's first arrival).",
+			"Coalescing batches opened (a launch at once or a pending batch's first arrival).",
 			func() int64 { return t.coal.Stats().Leads }, obs.L("tenant", id))
 		s.reg.CounterFunc("spmmrr_coalesce_joins_total",
 			"Requests that joined an already-open coalescing batch.",
@@ -951,9 +952,9 @@ func (s *Server) SpMMInto(ctx context.Context, y *Dense, x *Dense) error {
 // allocates only per batch, in pooled scratch).
 //
 // With CoalesceWindow configured, calls for the same tenant that arrive
-// while one of its passes runs coalesce into one batched kernel pass at
-// the combined width; each caller still pays its own admission weight
-// and keeps its own deadline.
+// while GOMAXPROCS of its passes run coalesce into one batched kernel
+// pass at the combined width; each caller still pays its own admission
+// weight and keeps its own deadline.
 func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Dense) error {
 	t, err := s.tenantByID(id)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,14 +25,18 @@ func waitForStat(t *testing.T, cond func() bool) {
 	}
 }
 
-// holdServerPass serves one SpMM for the default tenant of s and returns
-// once its kernel pass is blocked in a kernels.exec hook: the batch in
-// flight that later coalesced requests gather behind. The returned
-// release unblocks every kernel pass, removes the hook and waits for the
-// held request, which must succeed; it is idempotent and also runs at
-// test cleanup, so a failing test never wedges the kernel pool.
-func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func()) {
+// holdServerPass serves runtime.GOMAXPROCS(0) SpMMs for the default
+// tenant of s, one arrival after another, each launched at once as a
+// pass of its own, and returns once all of them are in flight with their
+// kernel passes blocked in a kernels.exec hook: the cap of passes that
+// later coalesced requests gather behind. held is how many it holds. The
+// returned release unblocks every kernel pass, removes the hook and
+// waits for the held requests, which must succeed; it is idempotent and
+// also runs at test cleanup, so a failing test never wedges the kernel
+// pool.
+func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (held int, release func()) {
 	t.Helper()
+	held = runtime.GOMAXPROCS(0)
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	restore := faultinject.Set("kernels.exec", func() error {
@@ -42,31 +47,45 @@ func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func
 		<-gate
 		return nil
 	})
-	held := make(chan error, 1)
-	go func() {
-		y, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
-		if err == nil {
-			repro.PutDense(y)
-		}
-		held <- err
-	}()
+	errs := make(chan error, held)
+	started := 0
 	var once sync.Once
 	release = func() {
 		once.Do(func() {
 			close(gate)
 			restore()
-			if err := <-held; err != nil {
-				t.Errorf("held request: %v", err)
+			for i := 0; i < started; i++ {
+				if err := <-errs; err != nil {
+					t.Errorf("held request: %v", err)
+				}
 			}
 		})
 	}
 	t.Cleanup(release)
+	leads := func() int64 {
+		ts, _ := s.TenantStats(repro.DefaultTenant)
+		return ts.Coalesce.Leads
+	}
+	base := leads()
+	for i := 1; i <= held; i++ {
+		started++
+		go func() {
+			y, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
+			if err == nil {
+				repro.PutDense(y)
+			}
+			errs <- err
+		}()
+		// A launch at once is counted in flight under the same lock that
+		// books its lead, so the next arrival sees it.
+		waitForStat(t, func() bool { return leads() == base+int64(i) })
+	}
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("held request never reached the kernel")
+		t.Fatal("held requests never reached the kernel")
 	}
-	return release
+	return held, release
 }
 
 // TestServerCoalescesConcurrentSpMM: concurrent SpMM calls inside one
@@ -74,9 +93,9 @@ func holdServerPass(t *testing.T, s *repro.Server, x *repro.Dense) (release func
 // reconcile with the submission count, with at least one join), and
 // every waiter still gets exactly its own product — including waiters
 // with different dense widths sharing one batch. The calls gather
-// behind a request held in its kernel pass (the first call, so the
-// held pass is the §4 trial), so they overlap however fast the pass
-// and however busy the host.
+// behind the cap of requests held in their kernel passes (the first of
+// them is the §4 trial), so they overlap however fast the pass and
+// however busy the host.
 func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 3001)
@@ -112,7 +131,7 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 		want[i] = w
 	}
 
-	release := holdServerPass(t, s, repro.NewRandomDense(m.Cols, 2, 31)) // one admitted and completed request
+	held, release := holdServerPass(t, s, repro.NewRandomDense(m.Cols, 2, 31)) // held admitted and completed requests
 	got := make([]*repro.Dense, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -144,14 +163,14 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats for the default tenant")
 	}
-	if ts.Coalesce.Leads+ts.Coalesce.Joins != n+1 {
-		t.Fatalf("leads %d + joins %d != %d submissions beside the held request", ts.Coalesce.Leads, ts.Coalesce.Joins, n)
+	if ts.Coalesce.Leads+ts.Coalesce.Joins != int64(n+held) {
+		t.Fatalf("leads %d + joins %d != %d submissions beside the %d held requests", ts.Coalesce.Leads, ts.Coalesce.Joins, n, held)
 	}
 	if ts.Coalesce.Joins == 0 {
 		t.Fatalf("no request joined a batch: %d concurrent calls all led", n)
 	}
-	if ts.Admitted != n+1 || ts.Completed != n+1 {
-		t.Fatalf("tenant stats = %+v, want %d admitted and completed beside the held request", ts, n)
+	if ts.Admitted != int64(n+held) || ts.Completed != int64(n+held) {
+		t.Fatalf("tenant stats = %+v, want %d admitted and completed beside the %d held requests", ts, n, held)
 	}
 }
 
@@ -159,7 +178,8 @@ func TestServerCoalescesConcurrentSpMM(t *testing.T) {
 // while its batch is still open returns the context error promptly,
 // lands in the Cancelled counter, and the batch serves the surviving
 // waiters — the per-tenant reconciliation identities hold throughout.
-// The batch opens behind a request held in its kernel pass.
+// The batch opens behind the cap of requests held in their kernel
+// passes.
 func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	m := freshScrambled(t, 3002)
 	warmKernelPool(t, m)
@@ -170,7 +190,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	})
 
 	x := repro.NewRandomDense(m.Cols, 2, 31)
-	release := holdServerPass(t, s, x) // one admitted and completed request
+	held, release := holdServerPass(t, s, x) // held admitted and completed requests
 	ctx, cancel := context.WithCancel(context.Background())
 	excised := make(chan error, 1)
 	go func() {
@@ -179,7 +199,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 	}()
 	waitForStat(t, func() bool {
 		ts, _ := s.TenantStats(repro.DefaultTenant)
-		return ts.Coalesce.Leads == 2
+		return ts.Coalesce.Leads == int64(held)+1
 	})
 	cancel()
 	select {
@@ -193,7 +213,7 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 
 	// Three survivors fill the still-open batch (the excised waiter's
 	// dead slot still counts toward maxOps until launch compacts it) and
-	// launch it early; its pass runs once the held pass is released.
+	// launch it early; its pass runs once the held passes are released.
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := range errs {
@@ -227,8 +247,8 @@ func TestServerCoalesceExcisedWaiterCancelled(t *testing.T) {
 		t.Fatalf("admitted %d != completed %d + failed %d + cancelled %d",
 			ts.Admitted, ts.Completed, ts.Failed, ts.Cancelled)
 	}
-	if ts.Admitted != 4+1 || ts.Completed != 3+1 {
-		t.Fatalf("stats = %+v, want 4 admitted / 3 completed beside the held request", ts)
+	if ts.Admitted != int64(4+held) || ts.Completed != int64(3+held) {
+		t.Fatalf("stats = %+v, want 4 admitted / 3 completed beside the %d held requests", ts, held)
 	}
 }
 
@@ -292,20 +312,20 @@ func TestServerCoalesceBadShapeDoesNotPoisonBatch(t *testing.T) {
 // now-stale waiter with its own typed ErrStaleShape — the launch-time
 // re-validation gate, not a batch-wide error or a silently misshapen
 // kernel pass — and the very next correctly-shaped request must
-// succeed. The batch gathers behind a request held in its kernel pass
-// and launches when that pass returns.
+// succeed. The batch gathers behind the cap of requests held in their
+// kernel passes and launches when those passes return.
 func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 	m := freshScrambled(t, 3005)
 	warmKernelPool(t, m)
 
 	const n = 3
 	s := degradedServer(t, m, repro.ServerConfig{
-		CoalesceWindow: 10 * time.Second, // launch via the held pass's return
+		CoalesceWindow: 10 * time.Second, // launch via a held pass's return
 		CoalesceMaxOps: n + 4,            // never op count
 	})
 
 	x := repro.NewRandomDense(m.Cols, 2, 51)
-	release := holdServerPass(t, s, x)
+	held, release := holdServerPass(t, s, x)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -316,12 +336,12 @@ func TestServerCoalesceMutationMidWindowStaleShape(t *testing.T) {
 			errs[i] = s.SpMMInto(context.Background(), y, x)
 		}(i)
 	}
-	// Wait until the batch has formed behind the held request (one lead,
+	// Wait until the batch has formed behind the held requests (one lead,
 	// the rest joined), then grow the matrix while it is still open.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		ts, _ := s.TenantStats(repro.DefaultTenant)
-		if ts.Coalesce.Leads == 1+1 && ts.Coalesce.Joins == n-1 {
+		if ts.Coalesce.Leads == int64(held)+1 && ts.Coalesce.Joins == n-1 {
 			break
 		}
 		if time.Now().After(deadline) {

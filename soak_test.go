@@ -711,37 +711,53 @@ func TestServerCoalescedMultiTenantSoak(t *testing.T) {
 
 	// Join phase. The -short budget books only a few joins, and faster
 	// kernels shrink the windows' overlap further, so the joins check
-	// below must not hinge on timing luck. Release the default tenant's
-	// clients together from a barrier, burst after burst, until that
-	// tenant's Joins moves. Each burst's outcomes are booked in the
-	// clients' tallies, so the ledgers still reconcile exactly.
+	// below must not hinge on timing luck. Release GOMAXPROCS+2 of the
+	// default tenant's requests together from a barrier, burst after
+	// burst, until that tenant's Joins moves: the first GOMAXPROCS
+	// launch at once, so a join needs one more to open the pending batch
+	// and another to join it. The burst's operands are one column wide,
+	// so the whole burst fits the admission gate at once even when the
+	// mutator's overlay raises each request's weight (a K=4 request
+	// weighs 5 then, and only four fit in 24 units). Burst request c is
+	// booked in client c%clientsPerTenant's tally, so the ledgers still
+	// reconcile exactly.
 	joins := func() int64 {
 		ts, _ := s.TenantStats(repro.DefaultTenant)
 		return ts.Coalesce.Joins
 	}
 	const maxJoinBursts = 200
+	burst := runtime.GOMAXPROCS(0) + 2
+	xj := make([]*repro.Dense, burst)
+	for c := range xj {
+		xj[c] = repro.NewRandomDense(ma.Cols, 1, int64(2000+c))
+	}
 	joins0, bursts := joins(), 0
 	for ; bursts < maxJoinBursts && joins() == joins0; bursts++ {
 		release := make(chan struct{})
+		errs := make([]error, burst)
 		var bw sync.WaitGroup
-		for c := 0; c < clientsPerTenant; c++ {
+		for c := 0; c < burst; c++ {
 			bw.Add(1)
 			go func(c int) {
 				defer bw.Done()
-				ta := &tallies[c] // the default tenant's clients come first
-				y := repro.GetDense(ma.Rows, xss[0][c].Cols)
+				x := xj[c]
+				y := repro.GetDense(ma.Rows, x.Cols)
 				defer repro.PutDense(y)
 				<-release
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				defer cancel()
-				ta.requests++
-				book(ta, s.SpMMIntoTenant(ctx, repro.DefaultTenant, y, xss[0][c]))
+				errs[c] = s.SpMMIntoTenant(ctx, repro.DefaultTenant, y, x)
 			}(c)
 		}
 		close(release)
 		bw.Wait()
+		for c, err := range errs {
+			ta := &tallies[c%clientsPerTenant] // the default tenant's clients come first
+			ta.requests++
+			book(ta, err)
+		}
 	}
-	t.Logf("join phase: %d burst(s) of %d clients", bursts, clientsPerTenant)
+	t.Logf("join phase: %d burst(s) of %d requests", bursts, burst)
 
 	for ti, tn := range tenants {
 		muts[ti].halt()
