@@ -8,23 +8,26 @@ import (
 	"repro/internal/obs"
 )
 
-// decidedOnline builds an online pipeline and runs its first-call trial
-// so the feedback loop has a baseline to compare serving windows
-// against.
-func decidedOnline(t *testing.T) *OnlinePipeline {
+// decidedOnline builds an online pipeline whose decision events land in
+// ring under the tenant label "unit", and runs its first-call trial so
+// the feedback loop has a baseline to compare serving windows against.
+func decidedOnline(t *testing.T, ring *obs.EventRing) *OnlinePipeline {
 	t.Helper()
 	SetGateL2ForTest(t, 0)
 	m, err := GenerateScrambledClusters(512, 512, 32, 917)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOnlinePipeline(m, DefaultConfig())
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	nr, err := NewPipelineNRCtx(ctx, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := newOnline(&servingEnv{ctx: ctx, events: ring, tenant: "unit"}, nr, cfg, newReorderGate(m, cfg))
 	BuildReorderedForTest(t, o, 8)
 	x := NewRandomDense(m.Cols, 8, 3)
-	if err := o.SpMMIntoCtx(context.Background(), NewDense(m.Rows, 8), x); err != nil {
+	if err := o.SpMMIntoCtx(ctx, NewDense(m.Rows, 8), x); err != nil {
 		t.Fatal(err)
 	}
 	if done, _ := o.Decided(); !done {
@@ -38,15 +41,14 @@ func decidedOnline(t *testing.T) *OnlinePipeline {
 // within it. Window accounting is driven directly for determinism —
 // wall-clock serving times are too noisy to pin a threshold on.
 func TestMispickWindowEvaluation(t *testing.T) {
-	o := decidedOnline(t)
+	ring := obs.NewEventRing(8)
+	o := decidedOnline(t, ring)
 	if o.loserNSPerFlop <= 0 {
 		t.Fatalf("trial left no cost baseline: %v", o.loserNSPerFlop)
 	}
 	if o.PlanFingerprint() == "" {
 		t.Fatal("decided pipeline has no plan fingerprint")
 	}
-	ring := obs.NewEventRing(8)
-	o.setEventSink(ring, "unit")
 	base := o.loserNSPerFlop
 
 	// A window within the slack: observed = 1.05× the loser.
@@ -69,8 +71,8 @@ func TestMispickWindowEvaluation(t *testing.T) {
 		t.Fatalf("spmmrr_autotune_mispick_total moved %d -> %d, want +1", before, got)
 	}
 	evs := ring.Snapshot()
-	if len(evs) != 1 || evs[0].Type != obs.EventMispick {
-		t.Fatalf("ring = %+v, want one mispick event", evs)
+	if len(evs) != 2 || evs[0].Type != obs.EventMispick || evs[1].Type != obs.EventTrialWinner {
+		t.Fatalf("ring = %+v, want the trial winner then one mispick event", evs)
 	}
 	e := evs[0]
 	if e.Tenant != "unit" || e.PlanFP != o.planFP || e.Kernel == "" {
@@ -96,26 +98,22 @@ func TestMispickWindowEvaluation(t *testing.T) {
 }
 
 // observeServe must fill the window from served calls and evaluate it
-// exactly every fbWindow samples, and the serving entry points must
-// feed it.
+// exactly every mispickWindow samples, and the serving entry points
+// must feed it.
 func TestMispickWindowFromServing(t *testing.T) {
-	o := decidedOnline(t)
-	ring := obs.NewEventRing(8)
-	o.setEventSink(ring, "unit")
-	o.setMispickWindow(4)
+	o := decidedOnline(t, nil)
 	// Make every window a guaranteed mispick: the baseline says the
 	// loser is (implausibly) sub-femtosecond per flop.
 	o.loserNSPerFlop = 1e-12
 
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*mispickWindow; i++ {
 		o.observeServe(time.Millisecond, 8)
 	}
 	if got := o.Mispicked(); got != 2 {
-		t.Fatalf("mispicks = %d after 8 samples with window 4, want 2", got)
+		t.Fatalf("mispicks = %d after %d samples with window %d, want 2", got, 2*mispickWindow, mispickWindow)
 	}
 
 	// The decided SpMM path itself must feed the window.
-	o.setMispickWindow(1)
 	x := NewRandomDense(o.Matrix().Cols, 8, 5)
 	before := o.fbCount.Load()
 	if err := o.SpMMIntoCtx(context.Background(), NewDense(o.Matrix().Rows, 8), x); err != nil {
@@ -124,21 +122,13 @@ func TestMispickWindowFromServing(t *testing.T) {
 	if got := o.fbCount.Load(); got != before+1 {
 		t.Fatalf("served call did not enter the feedback window: count %d -> %d", before, got)
 	}
-
-	// setMispickWindow(0) restores the default rather than disabling.
-	o.setMispickWindow(0)
-	if o.fbWindow != defaultMispickWindow {
-		t.Fatalf("fbWindow = %d, want default %d", o.fbWindow, defaultMispickWindow)
-	}
 }
 
 // A reskin (same structure, new values) must carry the feedback
 // baseline, fingerprint, and mispick history into the successor
 // pipeline.
 func TestMispickStateSurvivesReskin(t *testing.T) {
-	o := decidedOnline(t)
-	ring := obs.NewEventRing(8)
-	o.setEventSink(ring, "unit")
+	o := decidedOnline(t, obs.NewEventRing(8))
 	o.mispicks.Store(3)
 
 	m2 := o.Matrix().Clone()
@@ -155,7 +145,7 @@ func TestMispickStateSurvivesReskin(t *testing.T) {
 	if n.loserNSPerFlop != o.loserNSPerFlop || n.planFP != o.planFP {
 		t.Fatal("reskin dropped the feedback baseline")
 	}
-	if n.sink.Load() != o.sink.Load() {
-		t.Fatal("reskin dropped the event sink")
+	if n.env != o.env {
+		t.Fatal("reskin dropped the serving env")
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/plancache"
 )
 
@@ -351,6 +352,88 @@ func TestGateAboveBuildsOnceThenTrials(t *testing.T) {
 	}
 	if tr := ex.Trial; tr.L2Bytes != 64<<10 || tr.ReferencedCols != o.gate.cols || tr.MinReorderK != k || tr.Build != "built" {
 		t.Fatalf("explain gate fields %+v", tr)
+	}
+}
+
+// A rebuilt base reports where its predecessor did: after a structural
+// mutation's rebuild swap, the first wide call starts the new base's
+// reordered build, which pushes its own build_reordered trace to the
+// Server's ring, and the trial that follows emits the tenant's
+// trial_winner event.
+func TestRebuiltBaseTracesItsReorderedBuild(t *testing.T) {
+	SetGateL2ForTest(t, 0)
+	m, err := GenerateScrambledClusters(1024, 1024, 64, 4447)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	s, err := NewServer(ctx, m, cfg, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, s)
+	builds := func() int {
+		n := 0
+		for _, tr := range s.Traces().Snapshot() {
+			if tr.Op == "build_reordered" {
+				n++
+			}
+		}
+		return n
+	}
+	const k = 8
+	wide := func() {
+		t.Helper()
+		if err := s.SpMMInto(ctx, NewDense(m.Rows, k), NewRandomDense(m.Cols, k, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide()
+	if err := s.Pipeline().WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := builds(); n != 1 {
+		t.Fatalf("%d build_reordered traces after the first base's build, want 1", n)
+	}
+
+	row := RowDef{Cols: []int32{2, 9, 900}, Vals: []float32{1, 2, 3}}
+	if err := s.Mutate(ctx, Mutation{ReplaceRows: []RowUpdate{{Row: 5, Def: row}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Live().WaitRebuilt(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ls := s.Live().Stats(); ls.Swaps != 1 {
+		t.Fatalf("live stats after the fold: %+v", ls)
+	}
+	o := s.Pipeline()
+	wide()
+	if err := o.WaitPreprocessed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := o.rr.state(); st != "built" {
+		t.Fatalf("the rebuilt base's reordered build is %s, want built", st)
+	}
+	if n := builds(); n != 2 {
+		t.Fatalf("%d build_reordered traces after the rebuilt base's build, want 2", n)
+	}
+	swapSeq := uint64(0)
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == obs.EventPlanSwap {
+			swapSeq = e.Seq
+		}
+	}
+	wide()
+	var winners int
+	for _, e := range s.Events().Snapshot() {
+		if e.Type == obs.EventTrialWinner && e.Seq > swapSeq && e.Tenant == DefaultTenant {
+			winners++
+		}
+	}
+	if swapSeq == 0 || winners != 1 {
+		t.Fatalf("plan swap at seq %d, %d trial winners after it; want one from the rebuilt base", swapSeq, winners)
 	}
 }
 

@@ -124,9 +124,13 @@ type Monitor struct {
 // verified requests before reinstating after quarantine. fraction <= 0
 // disables sampling (quarantine still engages if OnMismatch is called,
 // e.g. from an explicitly verified request); fraction >= 1 verifies
-// everything. probation < 1 is treated as 1.
-func NewMonitor(fraction float64, probation int) *Monitor {
-	m := &Monitor{probation: probation}
+// everything. probation < 1 is treated as 1. A non-nil onReinstate is
+// fired exactly once per reinstatement (probation window completing),
+// under the monitor's lock — it must not call back into the monitor.
+// The serving stack uses it to emit reinstate decision events whose
+// count reconciles with Stats().
+func NewMonitor(fraction float64, probation int, onReinstate func()) *Monitor {
+	m := &Monitor{probation: probation, onReinstate: onReinstate}
 	if m.probation < 1 {
 		m.probation = 1
 	}
@@ -241,16 +245,6 @@ func (m *Monitor) OnVerified() {
 			m.onReinstate()
 		}
 	}
-}
-
-// OnReinstate registers a hook fired exactly once per reinstatement
-// (probation window completing), under the monitor's lock — it must
-// not call back into the monitor. The serving stack uses it to emit
-// reinstate decision events whose count reconciles with Stats().
-func (m *Monitor) OnReinstate(fn func()) {
-	m.mu.Lock()
-	m.onReinstate = fn
-	m.mu.Unlock()
 }
 
 // OnSkipped records a verification that could not run because the

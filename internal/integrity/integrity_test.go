@@ -64,7 +64,7 @@ func spmmRef(s *sparse.CSR, x *dense.Matrix) *dense.Matrix {
 }
 
 func TestMonitorLifecycle(t *testing.T) {
-	m := NewMonitor(1.0, 3)
+	m := NewMonitor(1.0, 3, nil)
 	if st := m.State(); st != Healthy {
 		t.Fatalf("initial state %v", st)
 	}
@@ -132,7 +132,7 @@ func TestMonitorLifecycle(t *testing.T) {
 }
 
 func TestMonitorSkipsDoNotAdvanceProbation(t *testing.T) {
-	m := NewMonitor(1.0, 2)
+	m := NewMonitor(1.0, 2, nil)
 	m.OnMismatch(1)
 	m.Route(2) // enter probation
 	m.OnSkipped()
@@ -160,7 +160,7 @@ func TestMonitorSampleFraction(t *testing.T) {
 		{0.5, 48500, 51500},
 		{1.0, 100000, 100000},
 	} {
-		m := NewMonitor(tc.fraction, 1)
+		m := NewMonitor(tc.fraction, 1, nil)
 		hits := 0
 		for i := 0; i < 100000; i++ {
 			if m.Route(0).Verify {
@@ -174,7 +174,7 @@ func TestMonitorSampleFraction(t *testing.T) {
 }
 
 func TestMonitorHealthyRouteZeroAlloc(t *testing.T) {
-	m := NewMonitor(0.01, 8)
+	m := NewMonitor(0.01, 8, nil)
 	if n := testing.AllocsPerRun(1000, func() { m.Route(3) }); n != 0 {
 		t.Fatalf("healthy Route allocates %v per call", n)
 	}

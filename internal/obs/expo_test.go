@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -157,6 +158,25 @@ func TestRegistryIdempotentHandles(t *testing.T) {
 	for _, s := range snap {
 		if s.Name == "x_total" && s.Value != 1 {
 			t.Fatalf("snapshot value %v, want 1", s.Value)
+		}
+	}
+
+	// Concurrent registrations of one series, beside a scrape, all get
+	// the one object (run under -race to see the slot filled unlocked).
+	hs := make([]*Histogram, 8)
+	var wg sync.WaitGroup
+	for i := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hs[i] = r.Histogram("c_seconds", "", []float64{1}, L("k", "v"))
+		}()
+	}
+	r.Snapshot()
+	wg.Wait()
+	for _, h := range hs {
+		if h != hs[0] {
+			t.Fatal("concurrent registrations returned distinct histograms")
 		}
 	}
 }

@@ -73,6 +73,8 @@ func Default() *Registry { return defaultRegistry }
 // Counter returns the counter registered under name with the given
 // labels, creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindCounter, labels)
 	if c.counter == nil {
 		c.counter = &Counter{}
@@ -83,6 +85,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // Gauge returns the int64 gauge registered under name with the given
 // labels, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindGauge, labels)
 	if c.gauge == nil && c.gaugeFloat == nil && c.gaugeFunc == nil {
 		c.gauge = &Gauge{}
@@ -96,6 +100,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // GaugeFloat returns the float64 gauge registered under name with the
 // given labels, creating it on first use.
 func (r *Registry) GaugeFloat(name, help string, labels ...Label) *GaugeFloat {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindGauge, labels)
 	if c.gauge == nil && c.gaugeFloat == nil && c.gaugeFunc == nil {
 		c.gaugeFloat = &GaugeFloat{}
@@ -110,6 +116,8 @@ func (r *Registry) GaugeFloat(name, help string, labels ...Label) *GaugeFloat {
 // labels, creating it with the given bucket bounds on first use.
 // Bounds of an already registered histogram are kept (first wins).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindHistogram, labels)
 	if c.hist == nil {
 		c.hist = NewHistogram(bounds)
@@ -122,6 +130,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // the registry does not enforce it. Used to expose counters owned by
 // mutex-guarded subsystems without double bookkeeping.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindCounter, labels)
 	if c.counter != nil || c.counterFunc != nil {
 		panic(fmt.Sprintf("obs: counter %q%s registered twice", name, formatLabels(labels)))
@@ -131,6 +141,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 
 // GaugeFunc registers a collect-at-scrape gauge read from fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c := r.child(name, help, KindGauge, labels)
 	if c.gauge != nil || c.gaugeFloat != nil || c.gaugeFunc != nil {
 		panic(fmt.Sprintf("obs: gauge %q%s registered twice", name, formatLabels(labels)))
@@ -138,15 +150,16 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	c.gaugeFunc = fn
 }
 
-// child locates or creates the (family, labelset) slot.
+// child locates or creates the (family, labelset) slot. The caller
+// holds r.mu until it has filled the slot's value field, so concurrent
+// registrations of one series agree on the object and a scrape never
+// reads a half-registered slot.
 func (r *Registry) child(name, help string, kind Kind, labels []Label) *child {
 	mustValidName(name)
 	for _, l := range labels {
 		mustValidLabelName(l.Name)
 	}
 	key := labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, children: make(map[string]*child)}

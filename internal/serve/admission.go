@@ -102,16 +102,11 @@ type Admission struct {
 }
 
 // NewAdmission returns a gate with the given weight capacity and wait
-// queue bound. capacity < 1 is raised to 1; queueCap < 0 is treated as
-// 0 (shed immediately when saturated).
-func NewAdmission(capacity int64, queueCap int) *Admission {
-	return NewAdmissionObs(capacity, queueCap, nil)
-}
-
-// NewAdmissionObs is NewAdmission with the gate's counters, gauges,
-// and admission-wait histogram registered in reg (metric families
-// spmmrr_admission_*). A nil reg keeps the counters private.
-func NewAdmissionObs(capacity int64, queueCap int, reg *obs.Registry) *Admission {
+// queue bound, its counters, gauges and admission-wait histogram
+// registered in reg (metric families spmmrr_admission_*). capacity < 1
+// is raised to 1; queueCap < 0 is treated as 0 (shed immediately when
+// saturated). A nil reg keeps the counters private.
+func NewAdmission(capacity int64, queueCap int, reg *obs.Registry) *Admission {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -66,7 +66,7 @@ type Breaker struct {
 	probing     bool // a HalfOpen probe is in flight
 
 	// onTransition, when set, is invoked under mu at every state
-	// change (see OnTransition).
+	// change (see NewBreaker).
 	onTransition func(from, to BreakerState)
 
 	// Counters are obs objects (updated under mu) so a registry-backed
@@ -77,18 +77,6 @@ type Breaker struct {
 	rejected  *obs.Counter
 	failures  *obs.Counter
 	successes *obs.Counter
-}
-
-// OnTransition registers a hook invoked at every state change with the
-// old and new state, exactly once per transition (it runs under the
-// breaker's lock, so it sees transitions in order and must not call
-// back into the breaker). The serving stack uses it to emit
-// breaker_transition decision events whose count reconciles exactly
-// with the trips/half-opens/closes counters.
-func (b *Breaker) OnTransition(fn func(from, to BreakerState)) {
-	b.mu.Lock()
-	b.onTransition = fn
-	b.mu.Unlock()
 }
 
 // transitionLocked records a state change and fires the hook. Callers
@@ -103,22 +91,22 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 
 // NewBreaker returns a closed breaker tripping after threshold
 // consecutive failures (min 1) and cooling down for cooldown (min 1ms)
-// before probing.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	return NewBreakerObs(threshold, cooldown, nil)
-}
-
-// NewBreakerObs is NewBreaker with the breaker's counters and a state
-// gauge registered in reg (metric families spmmrr_breaker_*). A nil
-// reg keeps the counters private.
-func NewBreakerObs(threshold int, cooldown time.Duration, reg *obs.Registry) *Breaker {
+// before probing, with its counters and a state gauge registered in reg
+// (metric families spmmrr_breaker_*); a nil reg keeps the counters
+// private. A non-nil onTransition is invoked at every state change with
+// the old and new state, exactly once per transition: it runs under the
+// breaker's lock, so it sees transitions in order and must not call
+// back into the breaker. The serving stack uses it to emit
+// breaker_transition decision events whose count reconciles exactly
+// with the trips/half-opens/closes counters.
+func NewBreaker(threshold int, cooldown time.Duration, reg *obs.Registry, onTransition func(from, to BreakerState)) *Breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if cooldown <= 0 {
 		cooldown = time.Millisecond
 	}
-	b := &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	b := &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now, onTransition: onTransition}
 	if reg == nil {
 		b.trips, b.halfOpens, b.closes = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}
 		b.rejected, b.failures, b.successes = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}

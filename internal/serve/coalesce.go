@@ -83,23 +83,15 @@ type CoalescerStats struct {
 }
 
 // NewCoalescer returns a coalescer batching up to maxOps requests, each
-// waiting at most window for a running batch to return. window <= 0
-// disables coalescing (every request runs alone, immediately); maxOps
-// < 1 means an unbounded batch.
-func NewCoalescer[T any](window time.Duration, maxOps int, run func([]T) error) *Coalescer[T] {
-	return &Coalescer[T]{window: window, maxOps: maxOps, run: run}
-}
-
-// SetValidate installs a per-operand gate evaluated at batch launch,
-// under the same lock that seals the batch: a mutation that lands
-// between submit and launch (e.g. a live matrix changing shape) is
-// caught at the last possible moment, the stale operand is excised with
-// its own error, and the rest of the batch runs untouched. Call before
-// the coalescer receives traffic; a nil fn disables the gate.
-func (c *Coalescer[T]) SetValidate(fn func(T) error) {
-	c.mu.Lock()
-	c.validate = fn
-	c.mu.Unlock()
+// waiting at most window for a running batch to return. window must be
+// positive; maxOps < 1 means an unbounded batch. A non-nil validate is
+// a per-operand gate evaluated at batch launch, under the same lock that
+// seals the batch: a mutation that lands between submit and launch
+// (e.g. a live matrix changing shape) is caught at the last possible
+// moment, the stale operand is excised with its own error, and the rest
+// of the batch runs untouched.
+func NewCoalescer[T any](window time.Duration, maxOps int, run func([]T) error, validate func(T) error) *Coalescer[T] {
+	return &Coalescer[T]{window: window, maxOps: maxOps, run: run, validate: validate}
 }
 
 // Stats returns a snapshot of the coalescer's counters.
@@ -120,22 +112,6 @@ func (c *Coalescer[T]) Stats() CoalescerStats {
 // batch's timestamps: coalesce_wait (submit to launch) and
 // coalesce_run (launch to done).
 func (c *Coalescer[T]) Do(ctx context.Context, item T) error {
-	if c.window <= 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		v := c.validate
-		c.mu.Unlock()
-		if v != nil {
-			if err := v(item); err != nil {
-				c.invalid.Inc()
-				return err
-			}
-		}
-		c.leads.Inc()
-		return c.run([]T{item})
-	}
 	submit := time.Now()
 	c.mu.Lock()
 	b := c.cur

@@ -111,7 +111,7 @@ func (r *batchRecorder) snapshot() [][]int {
 // held in flight past the window, so the window expiry launches it.
 func TestCoalescerWindowBatches(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(200*time.Millisecond, 0, rec.run)
+	c := NewCoalescer(200*time.Millisecond, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	defer release()
 	base := c.Stats()
@@ -152,7 +152,7 @@ func TestCoalescerWindowBatches(t *testing.T) {
 // window — the filling waiter launches it synchronously.
 func TestCoalescerMaxOpsLaunchesEarly(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 4, rec.run)
+	c := NewCoalescer(time.Hour, 4, rec.run, nil)
 	const n = 8
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -181,39 +181,13 @@ func TestCoalescerMaxOpsLaunchesEarly(t *testing.T) {
 	}
 }
 
-// TestCoalescerDisabled: window <= 0 runs every request alone,
-// immediately, with no timer in the path.
-func TestCoalescerDisabled(t *testing.T) {
-	rec := &batchRecorder{}
-	c := NewCoalescer(0, 0, rec.run)
-	for i := 0; i < 3; i++ {
-		if err := c.Do(context.Background(), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batches := rec.snapshot()
-	if len(batches) != 3 {
-		t.Fatalf("disabled coalescer ran %d batches, want 3 solo runs", len(batches))
-	}
-	for _, b := range batches {
-		if len(b) != 1 {
-			t.Fatalf("disabled coalescer batched %d operands", len(b))
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.Do(ctx, 9); err != context.Canceled {
-		t.Fatalf("cancelled solo Do = %v, want context.Canceled", err)
-	}
-}
-
 // TestCoalescerExcisePreLaunch: a waiter whose context dies before
 // launch returns its context error promptly, and the batch runs with
 // only the surviving operands. The batch gathers behind the held
 // batches and launches when they return.
 func TestCoalescerExcisePreLaunch(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(400*time.Millisecond, 0, rec.run)
+	c := NewCoalescer(400*time.Millisecond, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	defer release()
 	base := c.Stats()
@@ -252,7 +226,7 @@ func TestCoalescerExcisePreLaunch(t *testing.T) {
 // The batch gathers behind held batches that outlive the window.
 func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(50*time.Millisecond, 0, rec.run)
+	c := NewCoalescer(50*time.Millisecond, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	defer release()
 	base := c.Stats()
@@ -279,7 +253,7 @@ func TestCoalescerEmptyBatchSkipsRun(t *testing.T) {
 func TestCoalescerErrorFansOut(t *testing.T) {
 	sentinel := errors.New("kernel exploded")
 	rec := &batchRecorder{err: sentinel}
-	c := NewCoalescer(100*time.Millisecond, 0, rec.run)
+	c := NewCoalescer(100*time.Millisecond, 0, rec.run, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := range errs {
@@ -307,7 +281,7 @@ func TestCoalescerPostLaunchCancelRides(t *testing.T) {
 		close(entered)
 		<-release
 		return nil
-	})
+	}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errCh := make(chan error, 1)
@@ -330,7 +304,7 @@ func TestCoalescerPostLaunchCancelRides(t *testing.T) {
 // wait.
 func TestCoalescerIdleLaunchesAtOnce(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 	for i := 0; i < 3; i++ {
 		done := make(chan error, 1)
 		go func() { done <- c.Do(context.Background(), i) }()
@@ -357,7 +331,7 @@ func TestCoalescerIdleLaunchesAtOnce(t *testing.T) {
 // adds no wait.
 func TestCoalescerLaunchesAtOnceBelowCap(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 	holdBatches(t, c, rec, runtime.GOMAXPROCS(0)-1)
 	base := c.Stats()
 	done := make(chan error, 1)
@@ -385,7 +359,7 @@ func TestCoalescerLaunchesAtOnceBelowCap(t *testing.T) {
 // batches are still running.
 func TestCoalescerGathersAtCapUntilAnyHeldReturns(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	base := c.Stats()
 	const n = 4
@@ -433,7 +407,7 @@ func TestCoalescerGathersAtCapUntilAnyHeldReturns(t *testing.T) {
 func TestCoalescerOneProcSequence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 	release := holdBatch(t, c, rec) // the idle launch, held
 	if st := c.Stats(); st.Leads != 1 || st.Joins != 0 {
 		t.Fatalf("stats = %+v, want the held batch as the one lead", st)
@@ -474,7 +448,7 @@ func TestCoalescerOneProcSequence(t *testing.T) {
 // the held batches return, long before its window.
 func TestCoalescerPendingLaunchesWhenHeldReturns(t *testing.T) {
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	base := c.Stats()
 	const n = 5
@@ -518,7 +492,7 @@ func TestCoalescerPendingLaunchesWhenHeldReturns(t *testing.T) {
 func TestCoalescerWindowCapsWaitBehindOverrun(t *testing.T) {
 	const window = 50 * time.Millisecond
 	rec := &batchRecorder{}
-	c := NewCoalescer(window, 0, rec.run)
+	c := NewCoalescer(window, 0, rec.run, nil)
 	release := holdBatch(t, c, rec)
 	defer release()
 	const n = 3
@@ -567,7 +541,7 @@ func TestCoalescerFinishedWaitersSkipNextPass(t *testing.T) {
 		entered <- items[0]
 		<-gates[items[0]]
 		return nil
-	})
+	}, nil)
 	defer close(gates[2])
 	others := runtime.GOMAXPROCS(0) - 1
 	holdBatches(t, c, rec, others)
@@ -621,7 +595,7 @@ func TestCoalescerTraceSpans(t *testing.T) {
 		return m
 	}
 	rec := &batchRecorder{}
-	c := NewCoalescer(time.Hour, 0, rec.run)
+	c := NewCoalescer(time.Hour, 0, rec.run, nil)
 
 	idle := obs.NewTrace("idle")
 	if err := c.Do(obs.WithTrace(context.Background(), idle), 1); err != nil {
@@ -673,7 +647,7 @@ func TestCoalescerChaos(t *testing.T) {
 		mu.Unlock()
 		time.Sleep(100 * time.Microsecond)
 		return nil
-	})
+	}, nil)
 	const n = 256
 	var wg sync.WaitGroup
 	excised := make([]bool, n)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAdmissionImmediateAndRelease(t *testing.T) {
-	a := NewAdmission(4, 2)
+	a := NewAdmission(4, 2, nil)
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
 		if err := a.Acquire(ctx, 1); err != nil {
@@ -28,7 +28,7 @@ func TestAdmissionImmediateAndRelease(t *testing.T) {
 }
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
-	a := NewAdmission(1, 1)
+	a := NewAdmission(1, 1, nil)
 	ctx := context.Background()
 	if err := a.Acquire(ctx, 1); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestAdmissionFIFONoBarging(t *testing.T) {
-	a := NewAdmission(4, 8)
+	a := NewAdmission(4, 8, nil)
 	ctx := context.Background()
 	if err := a.Acquire(ctx, 4); err != nil { // saturate
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestAdmissionFIFONoBarging(t *testing.T) {
 }
 
 func TestAdmissionDeadlineWhileQueued(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := NewAdmission(1, 4, nil)
 	if err := a.Acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAdmissionDeadlineWhileQueued(t *testing.T) {
 }
 
 func TestAdmissionWeightClamping(t *testing.T) {
-	a := NewAdmission(4, 0)
+	a := NewAdmission(4, 0, nil)
 	// An outsized request degrades to whole-gate exclusivity, not deadlock.
 	if err := a.Acquire(context.Background(), 100); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestAdmissionWeightClamping(t *testing.T) {
 }
 
 func TestAdmissionCloseAndDrain(t *testing.T) {
-	a := NewAdmission(2, 4)
+	a := NewAdmission(2, 4, nil)
 	ctx := context.Background()
 	if err := a.Acquire(ctx, 1); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestAdmissionCloseAndDrain(t *testing.T) {
 }
 
 func TestAdmissionConcurrentStress(t *testing.T) {
-	a := NewAdmission(8, 16)
+	a := NewAdmission(8, 16, nil)
 	var peak atomic.Int64
 	var inUse atomic.Int64
 	var wg sync.WaitGroup
@@ -208,7 +208,7 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 }
 
 func TestBreakerTripHalfOpenCloseCycle(t *testing.T) {
-	b := NewBreaker(3, time.Hour)
+	b := NewBreaker(3, time.Hour, nil, nil)
 	clock := time.Now()
 	b.now = func() time.Time { return clock }
 
@@ -264,7 +264,7 @@ func TestBreakerTripHalfOpenCloseCycle(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
-	b := NewBreaker(3, time.Minute)
+	b := NewBreaker(3, time.Minute, nil, nil)
 	for i := 0; i < 10; i++ {
 		b.Allow()
 		b.Failure()
@@ -282,7 +282,7 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 }
 
 func TestBreakerCounterInvariants(t *testing.T) {
-	b := NewBreaker(2, time.Millisecond)
+	b := NewBreaker(2, time.Millisecond, nil, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

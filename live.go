@@ -203,7 +203,9 @@ func (st *liveState) mutated() bool { return len(st.overlay) > 0 || st.tailRows 
 // serving surface as Pipeline/OnlinePipeline/ShardedPipeline, so the
 // Server wraps every tenant in one.
 type LivePipeline struct {
-	ctx  context.Context
+	// env is where the pipeline and every base it serves report; its
+	// context bounds rebuilds and the bases' reordered builds.
+	env  *servingEnv
 	lcfg LiveConfig
 	// shardNNZ is the panel target rebuilds re-shard at (0: one panel);
 	// sharded reports the base as a ShardedPipeline rather than an
@@ -224,11 +226,8 @@ type LivePipeline struct {
 
 	degraded atomic.Pointer[degradeReason]
 
-	// sink receives decision events (plan swaps, overlay degradation;
-	// trial/mispick events flow through the base panels' own sinks).
 	// mispickCarry accumulates mispick counts of bases replaced by
 	// rebuild swaps so Mispicked never goes backwards.
-	sink         atomic.Pointer[eventSink]
 	mispickCarry atomic.Int64
 
 	mutations    obs.Counter // published mutation batches
@@ -238,10 +237,6 @@ type LivePipeline struct {
 	rowsDeleted  obs.Counter
 	reskins      obs.Counter // value-only base re-skins
 	swaps        obs.Counter // rebuild swap publishes
-
-	// mutateReskin and mutateOverlay time each published Mutate call by
-	// the path it took (nil-safe; the Server registers them per tenant).
-	mutateReskin, mutateOverlay *obs.Histogram
 
 	rebuildsStarted   obs.Counter // attempts (each ends in exactly one bucket below or a swap)
 	rebuildsFailed    obs.Counter
@@ -307,17 +302,19 @@ func newLivePipeline(ctx context.Context, m *Matrix, cfg Config, shardNNZ int, s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	base, err := newShardedPipeline(ctx, ctx, m, cfg, shardNNZ, nil)
+	env := &servingEnv{ctx: ctx}
+	base, err := newShardedPipeline(ctx, env, m, cfg, shardNNZ)
 	if err != nil {
 		return nil, err
 	}
-	return newLive(ctx, base, shardNNZ, sharded, lcfg), nil
+	return newLive(env, base, shardNNZ, sharded, lcfg), nil
 }
 
-// newLive wraps an already-built base whose panels target shardNNZ
-// nonzeros; sharded selects which of Online and Sharded reports it.
-func newLive(ctx context.Context, base *ShardedPipeline, shardNNZ int, sharded bool, lcfg LiveConfig) *LivePipeline {
-	l := &LivePipeline{ctx: ctx, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ, sharded: sharded}
+// newLive wraps an already-built base, reporting to env, whose panels
+// target shardNNZ nonzeros; sharded selects which of Online and Sharded
+// reports it.
+func newLive(env *servingEnv, base *ShardedPipeline, shardNNZ int, sharded bool, lcfg LiveConfig) *LivePipeline {
+	l := &LivePipeline{env: env, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ, sharded: sharded}
 	m := base.Matrix()
 	l.state.Store(&liveState{base: base, baseM: m, cur: m, structEpoch: base.cfg().Epoch})
 	return l
@@ -357,18 +354,6 @@ func (l *LivePipeline) Epoch() uint64 { return l.state.Load().epoch }
 // sharded base counts every panel's windows.
 func (l *LivePipeline) Mispicked() int64 {
 	return l.mispickCarry.Load() + l.state.Load().base.mispicks()
-}
-
-// setEventSink routes this pipeline's decision events (plan swaps,
-// overlay degradation, trial winners, mispicks) to ring, labelled with
-// tenant. Call before serving; rebuilt bases inherit the sink.
-func (l *LivePipeline) setEventSink(ring *obs.EventRing, tenant string) {
-	if ring == nil {
-		return
-	}
-	es := &eventSink{ring: ring, tenant: tenant}
-	l.sink.Store(es)
-	l.state.Load().base.setSink(es)
 }
 
 // Degraded reports whether background rebuilding was permanently
@@ -498,9 +483,9 @@ func (l *LivePipeline) Mutate(ctx context.Context, mu Mutation) error {
 	l.rowsDeleted.Add(int64(len(nm.DeleteRows)))
 	if reskinned {
 		l.reskins.Inc()
-		l.mutateReskin.ObserveSince(start)
+		l.env.mutateReskin.ObserveSince(start)
 	} else {
-		l.mutateOverlay.ObserveSince(start)
+		l.env.mutateOverlay.ObserveSince(start)
 	}
 	if l.rebuilding {
 		l.pending = append(l.pending, nm)
@@ -977,12 +962,12 @@ func (l *LivePipeline) rebuildLoop() {
 	for {
 		err := l.rebuildOnce()
 		l.mu.Lock()
-		if err != nil && l.ctx.Err() == nil && !l.closed {
+		if err != nil && l.env.ctx.Err() == nil && !l.closed {
 			// Out of attempts with a live pipeline: stop trading CPU for
 			// a base that will not build. The overlay keeps serving —
 			// correct, bounded, and visibly degraded.
 			l.degraded.Store(&degradeReason{err: err})
-			l.sink.Load().emit(obs.Event{
+			l.env.emit(obs.Event{
 				Type:   obs.EventOverlayDegraded,
 				Epoch:  l.state.Load().epoch,
 				Detail: err.Error(),
@@ -1012,7 +997,7 @@ func (l *LivePipeline) rebuildOnce() error {
 	}
 	// Every non-context failure is worth retrying: preprocessing is
 	// time-dependent (budget pressure, injected faults, memory churn).
-	_, err := serve.Retry(l.ctx, pol,
+	_, err := serve.Retry(l.env.ctx, pol,
 		func(error) bool { return true },
 		func(int) error { return l.rebuildAttempt() })
 	return err
@@ -1027,7 +1012,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	l.rebuildsStarted.Inc()
 	defer func() {
 		if err != nil {
-			if l.ctx.Err() != nil {
+			if l.env.ctx.Err() != nil {
 				l.rebuildsCancelled.Inc()
 			} else {
 				l.rebuildsFailed.Inc()
@@ -1049,15 +1034,11 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	cfg := st.base.cfg()
 	cfg.Epoch = snapEpoch
 	// The rebuilt base is gated like any other: a panel builds its
-	// reordered plan only if a call wide enough to use it arrives.
-	base, err := newShardedPipeline(l.ctx, l.ctx, snapM, cfg, l.shardNNZ, nil)
+	// reordered plan only if a call wide enough to use it arrives, and
+	// reports to the tenant's env like the base it replaces.
+	base, err := newShardedPipeline(l.env.ctx, l.env, snapM, cfg, l.shardNNZ)
 	if err != nil {
 		return err
-	}
-	// The rebuilt base inherits the event sink before it publishes
-	// (nothing serves through it yet).
-	if es := l.sink.Load(); es != nil {
-		base.setSink(es)
 	}
 	// Pre-swap invariant gate (outside the lock — O(rows+nnz)): a
 	// structurally corrupt rebuild counts as a failed attempt and never
@@ -1068,7 +1049,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	// Name the rebuilt base for the swap event while still off the lock
 	// (the digest is O(nnz)).
 	var swapFP, swapKernel string
-	if l.sink.Load() != nil {
+	if l.env.events != nil {
 		swapFP, swapKernel = base.fingerprint(), base.panels[0].pipe.Kernel().String()
 	}
 
@@ -1082,7 +1063,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	for _, nm := range l.pending {
 		// Replay through the same apply path the mutations originally
 		// took; they were counted then, so only the state moves now.
-		next, _, aerr := l.applyLocked(l.ctx, ns, nm)
+		next, _, aerr := l.applyLocked(l.env.ctx, ns, nm)
 		if aerr != nil {
 			return fmt.Errorf("repro: replaying %d pending mutations at swap: %w", len(l.pending), aerr)
 		}
@@ -1097,7 +1078,7 @@ func (l *LivePipeline) rebuildAttempt() (err error) {
 	l.mispickCarry.Add(cur.base.mispicks())
 	l.state.Store(ns)
 	l.swaps.Inc()
-	l.sink.Load().emit(obs.Event{
+	l.env.emit(obs.Event{
 		Type:   obs.EventPlanSwap,
 		Epoch:  ns.epoch,
 		PlanFP: swapFP,
@@ -1121,13 +1102,6 @@ func checkBasePlans(base *ShardedPipeline) error {
 
 func checkPipelinePlan(p *Pipeline) error {
 	return integrity.CheckPlan(p.plan.RowPerm, p.plan.InvRowPerm, p.plan.Reordered)
-}
-
-// Rebuilding reports whether a background re-preprocess is in flight.
-func (l *LivePipeline) Rebuilding() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rebuilding
 }
 
 // WaitRebuilt blocks until no background rebuild is in flight (the

@@ -61,10 +61,10 @@ type OnlinePipeline struct {
 	// plan's build, started at most once by the first call gate passes.
 	gate reorderGate
 	rr   lazyBuild
-	// The build's inputs: its context, Config and trace ring.
-	bctx context.Context
-	cfg  Config
-	ring *obs.TraceRing
+	// env is where the pipeline reports and holds the context its
+	// build runs under; cfg is the build's Config.
+	env *servingEnv
+	cfg Config
 
 	// winner is the plan wide calls run, nil until the trial decides or
 	// the build degrades; decided calls go straight through this pointer
@@ -77,15 +77,14 @@ type OnlinePipeline struct {
 
 	// Autotuner feedback (observability only — the winner is never
 	// flipped mid-serve). Decided wide SpMM calls accumulate wall time
-	// and flops into the fb* atomics; every fbWindow samples the window
-	// is drained and its observed cost per flop compared against
+	// and flops into the fb* atomics; every mispickWindow samples the
+	// window is drained and its observed cost per flop compared against
 	// loserNSPerFlop, the trial loser's measured cost — a window where
 	// the serving plan underperforms the plan the trial rejected is a
 	// mispick (see DESIGN.md §16). loserNSPerFlop and planFP are plain
 	// fields written in decide before winner publishes; the
 	// release-acquire pair on winner makes them safe to read on any
 	// decided call.
-	fbWindow int64 // samples per evaluation window
 	fbCount  atomic.Int64
 	fbNS     atomic.Int64
 	fbFlops  atomic.Int64
@@ -97,28 +96,33 @@ type OnlinePipeline struct {
 	// nrFP caches the no-reorder plan's plan-cache key (an O(nnz) hash),
 	// computed on first use.
 	nrFP atomic.Pointer[string]
-
-	// sink, when set, receives decision events (trial winner, mispick).
-	sink atomic.Pointer[eventSink]
 }
 
-// eventSink binds a decision-event ring to the tenant label its events
-// carry. Shared by OnlinePipeline and LivePipeline.
-type eventSink struct {
-	ring   *obs.EventRing
+// servingEnv is where one tenant's serving objects report: the
+// lifecycle context its lazy builds and rebuilds run under, the trace
+// ring their builds push to, the event ring and tenant label of their
+// decision events, and the histograms timing its mutations. It is
+// built once per tenant and never changes; every base, panel, re-skin
+// and rebuild of the tenant shares the one pointer. Nil rings and
+// histograms drop what they are given.
+type servingEnv struct {
+	ctx    context.Context
+	traces *obs.TraceRing
+	events *obs.EventRing
 	tenant string
+
+	mutateReskin, mutateOverlay *obs.Histogram
 }
 
-func (s *eventSink) emit(e obs.Event) {
-	if s != nil {
-		e.Tenant = s.tenant
-		s.ring.Emit(e)
-	}
+// emit records a decision event labelled with the tenant.
+func (e *servingEnv) emit(ev obs.Event) {
+	ev.Tenant = e.tenant
+	e.events.Emit(ev)
 }
 
-// defaultMispickWindow is the feedback evaluation window (samples per
-// evaluation) every online pipeline starts with.
-const defaultMispickWindow = 64
+// mispickWindow is the feedback evaluation window: samples per
+// evaluation.
+const mispickWindow = 64
 
 // mispickSlack is how much worse (×) than the trial loser a window's
 // observed cost per flop must be before it counts as a mispick —
@@ -144,16 +148,9 @@ func NewOnlinePipeline(m *Matrix, cfg Config) (*OnlinePipeline, error) {
 
 // newOnline returns the online pipeline over the built NR plan with
 // gate, and no reordered build started. The build, once a wide call
-// starts it, runs under bctx and traces into ring when set.
-func newOnline(bctx context.Context, nr *Pipeline, cfg Config, ring *obs.TraceRing, gate reorderGate) *OnlinePipeline {
-	o := &OnlinePipeline{
-		nr:       nr,
-		gate:     gate,
-		bctx:     bctx,
-		cfg:      cfg,
-		ring:     ring,
-		fbWindow: defaultMispickWindow,
-	}
+// starts it, runs under env's context and traces into env's ring.
+func newOnline(env *servingEnv, nr *Pipeline, cfg Config, gate reorderGate) *OnlinePipeline {
+	o := &OnlinePipeline{nr: nr, gate: gate, env: env, cfg: cfg}
 	o.rr.init()
 	return o
 }
@@ -180,7 +177,7 @@ func NewOnlinePipelineCtx(ctx context.Context, m *Matrix, cfg Config) (*OnlinePi
 	if err != nil {
 		return nil, err
 	}
-	return newOnline(ctx, nr, cfg, nil, newReorderGate(m, cfg)), nil
+	return newOnline(&servingEnv{ctx: ctx}, nr, cfg, newReorderGate(m, cfg)), nil
 }
 
 // startBuild starts the reordered build unless it already started;
@@ -189,7 +186,7 @@ func (o *OnlinePipeline) startBuild(width int) {
 	if o.rr.started.Load() {
 		return
 	}
-	o.rr.start(o.bctx, o.cfg.PreprocessBudget, o.ring, width,
+	o.rr.start(o.env.ctx, o.cfg.PreprocessBudget, o.env.traces, width,
 		func(ctx context.Context) (*Pipeline, error) {
 			rr, err := NewPipelineCtx(ctx, o.nr.orig, o.cfg)
 			if err == nil {
@@ -476,10 +473,8 @@ func (o *OnlinePipeline) reskin(ctx context.Context, m *Matrix) (*OnlinePipeline
 	if err != nil {
 		return nil, err
 	}
-	n := newOnline(o.bctx, nr, o.cfg, o.ring, o.gate)
+	n := newOnline(o.env, nr, o.cfg, o.gate)
 	n.nrFP.Store(o.nrFP.Load()) // the key names structure and Config, not values
-	n.fbWindow = o.fbWindow
-	n.sink.Store(o.sink.Load())
 	n.mispicks.Store(o.mispicks.Load())
 	if d := o.rr.failed.Load(); d != nil {
 		// Degraded: the re-skinned NR plan serves, decided.
@@ -544,7 +539,7 @@ func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k in
 	if won > 0 {
 		speedup = float64(loser) / float64(won)
 	}
-	o.sink.Load().emit(obs.Event{
+	o.env.emit(obs.Event{
 		Type:   obs.EventTrialWinner,
 		PlanFP: o.planFP,
 		Kernel: w.Kernel().String(),
@@ -560,7 +555,7 @@ func (o *OnlinePipeline) decide(rr *Pipeline, rrTime, nrTime time.Duration, k in
 func (o *OnlinePipeline) observeServe(d time.Duration, k int) {
 	o.fbNS.Add(d.Nanoseconds())
 	o.fbFlops.Add(int64(kernels.Flops(o.nr.Matrix().NNZ(), k)))
-	if n := o.fbCount.Add(1); n%o.fbWindow == 0 {
+	if n := o.fbCount.Add(1); n%mispickWindow == 0 {
 		o.evaluateWindow()
 	}
 }
@@ -581,7 +576,7 @@ func (o *OnlinePipeline) evaluateWindow() {
 	}
 	o.mispicks.Add(1)
 	recordMispick()
-	o.sink.Load().emit(obs.Event{
+	o.env.emit(obs.Event{
 		Type:   obs.EventMispick,
 		PlanFP: o.planFP,
 		Kernel: o.winner.Load().Kernel().String(),
@@ -613,22 +608,4 @@ func (o *OnlinePipeline) nrFingerprint() string {
 	fp := plancache.Fingerprint(o.nr.orig, o.nr.plan.Cfg)
 	o.nrFP.Store(&fp)
 	return fp
-}
-
-// setEventSink routes this pipeline's decision events (trial winner,
-// mispick) to ring, labelled with tenant. nil rings are ignored.
-func (o *OnlinePipeline) setEventSink(ring *obs.EventRing, tenant string) {
-	if ring == nil {
-		return
-	}
-	o.sink.Store(&eventSink{ring: ring, tenant: tenant})
-}
-
-// setMispickWindow overrides the feedback evaluation window (samples
-// per evaluation; <=0 restores the default). Call before serving.
-func (o *OnlinePipeline) setMispickWindow(n int) {
-	if n <= 0 {
-		n = defaultMispickWindow
-	}
-	o.fbWindow = int64(n)
 }

@@ -325,8 +325,8 @@ type ServerStats struct {
 	// beyond each request's first).
 	Retries int64
 	// Fallbacks counts attempts routed to the no-reorder pipeline
-	// because the breaker rejected the reordered path; it equals the
-	// breaker's Rejected counter.
+	// because the breaker rejected the reordered path: the breaker's
+	// Rejected counter, read from the breaker itself.
 	Fallbacks int64
 	// Degraded reports whether a background reordered build of the
 	// default tenant's base was abandoned (see OnlinePipeline.Degraded).
@@ -475,8 +475,7 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	retries   *obs.Counter
-	fallbacks *obs.Counter
+	retries *obs.Counter
 
 	reqSpMMInto  *obs.Histogram
 	reqSDDMMInto *obs.Histogram
@@ -499,36 +498,37 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		}
 	}
 	reg := obs.NewRegistry()
-	traces := obs.NewTraceRing(traceRingSize)
+	events := obs.NewEventRing(scfg.EventRing)
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
-		adm:     serve.NewAdmissionObs(scfg.MaxInFlight, scfg.MaxQueue, reg),
-		brk:     serve.NewBreakerObs(scfg.BreakerThreshold, scfg.BreakerCooldown, reg),
+		adm: serve.NewAdmission(scfg.MaxInFlight, scfg.MaxQueue, reg),
+		// Every breaker state change lands in the event ring, so the
+		// trips/half-opens/closes counters reconcile against a
+		// replayable ledger (the hook fires under the breaker lock,
+		// exactly once per transition).
+		brk: serve.NewBreaker(scfg.BreakerThreshold, scfg.BreakerCooldown, reg,
+			func(from, to serve.BreakerState) {
+				events.Emit(obs.Event{
+					Type:   obs.EventBreakerTransition,
+					Detail: from.String() + "->" + to.String(),
+				})
+			}),
 		cfg:     scfg,
 		cancel:  cancel,
 		baseCtx: sctx,
 		tenants: map[string]*tenant{},
 		reg:     reg,
-		traces:  traces,
-		events:  obs.NewEventRing(scfg.EventRing),
+		traces:  obs.NewTraceRing(traceRingSize),
+		events:  events,
 	}
-	// Every breaker state change lands in the event ring, so the
-	// trips/half-opens/closes counters reconcile against a replayable
-	// ledger (the hook fires under the breaker lock, exactly once per
-	// transition).
-	s.brk.OnTransition(func(from, to serve.BreakerState) {
-		s.events.Emit(obs.Event{
-			Type:   obs.EventBreakerTransition,
-			Detail: from.String() + "->" + to.String(),
-		})
-	})
+	env := s.tenantEnv(DefaultTenant)
 	target := s.shardTarget(m)
-	base, err := newShardedPipeline(sctx, sctx, m, cfg, target, traces)
+	base, err := newShardedPipeline(sctx, env, m, cfg, target)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	s.def = s.newTenant(DefaultTenant, 1, base, target)
+	s.def = s.newTenant(env, 1, base, target)
 	s.tenants[DefaultTenant] = s.def
 	reg.CounterFunc("spmmrr_server_completed_total", "Requests that returned a result.",
 		func() int64 { return s.Stats().Completed })
@@ -537,8 +537,9 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		func() int64 { return s.Stats().Failed })
 	s.retries = reg.Counter("spmmrr_server_retries_total",
 		"Re-attempts after transient failures (attempts beyond each request's first).")
-	s.fallbacks = reg.Counter("spmmrr_server_fallbacks_total",
-		"Attempts routed to the no-reorder pipeline by the circuit breaker.")
+	reg.CounterFunc("spmmrr_server_fallbacks_total",
+		"Attempts routed to the no-reorder pipeline by the circuit breaker.",
+		func() int64 { return s.brk.Stats().Rejected })
 	reqHelp := "End-to-end request latency through the resilience stack, by operation."
 	s.reqSpMMInto = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
 		obs.LatencyBuckets(), obs.L("op", "spmm_into"))
@@ -574,27 +575,41 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 	return s, nil
 }
 
-// newTenant wires one tenant: its LivePipeline (every tenant serves
-// through one, so every tenant is mutable; background rebuilds run
-// under the server lifecycle and trace into the server ring), outcome
-// counters in the Server registry (labelled by tenant id), the request
-// coalescer when CoalesceWindow is on, and mirror counters so /metrics
-// carries per-tenant coalesce and live-mutation families.
-func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shardNNZ int) *tenant {
+// tenantEnv builds the one servingEnv every serving object of tenant
+// id reports to: the server's lifecycle context (lazy builds and
+// rebuilds run under it), its trace and event rings, and the tenant's
+// mutation-latency histograms.
+func (s *Server) tenantEnv(id string) *servingEnv {
+	mutHelp := "Wall time of published live-matrix mutations, by path (value re-skin or overlay)."
+	return &servingEnv{
+		ctx: s.baseCtx, traces: s.traces, events: s.events, tenant: id,
+		mutateReskin: s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "reskin")),
+		mutateOverlay: s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "overlay")),
+	}
+}
+
+// newTenant wires one tenant over its base, built under env (see
+// tenantEnv): its LivePipeline (every tenant serves through one, so
+// every tenant is mutable), outcome counters in the Server registry
+// (labelled by tenant id), the request coalescer when CoalesceWindow is
+// on, and mirror counters so /metrics carries per-tenant coalesce and
+// live-mutation families.
+func (s *Server) newTenant(env *servingEnv, weight int64, base *ShardedPipeline, shardNNZ int) *tenant {
 	if weight < 1 {
 		weight = 1
 	}
-	live := newLive(s.baseCtx, base, shardNNZ, shardNNZ > 0, LiveConfig{})
-	live.setEventSink(s.events, id)
+	id := env.tenant
+	live := newLive(env, base, shardNNZ, shardNNZ > 0, LiveConfig{})
 	t := &tenant{id: id, weight: weight, live: live,
-		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests),
-		slo:   newSLOWindow(s.cfg.SLOTarget, sloWindowSize)}
-	// Reinstatements are rare control-plane transitions; ledger them in
-	// the event ring so the soak's event/metric reconciliation can
-	// account for every one.
-	t.integ.OnReinstate(func() {
-		s.events.Emit(obs.Event{Type: obs.EventReinstate, Tenant: id, Epoch: live.Epoch()})
-	})
+		// Reinstatements are rare control-plane transitions; ledger them
+		// in the event ring so the soak's event/metric reconciliation
+		// can account for every one.
+		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests, func() {
+			env.emit(obs.Event{Type: obs.EventReinstate, Epoch: live.Epoch()})
+		}),
+		slo: newSLOWindow(s.cfg.SLOTarget, sloWindowSize)}
 	t.admitted = s.reg.Counter("spmmrr_tenant_admitted_total",
 		"Tenant requests admitted through the gate.", obs.L("tenant", id))
 	help := "Tenant requests by terminal outcome."
@@ -616,11 +631,11 @@ func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shard
 				// never a pass that other waiters' operands share. Close
 				// cancels baseCtx only after the gate has drained.
 				return kernels.SpMMBatchIntoCtx(s.baseCtx, live.batchPass(ops), ops)
-			})
-		// Launch-time gate: a mutation landing between submit and launch
-		// excises the now-stale operand (ErrStaleShape) instead of
-		// failing — or torn-writing — the batch it joined.
-		t.coal.SetValidate(live.validateBatchOp)
+			},
+			// Launch-time gate: a mutation landing between submit and
+			// launch excises the now-stale operand (ErrStaleShape)
+			// instead of failing — or torn-writing — the batch it joined.
+			live.validateBatchOp)
 		s.reg.CounterFunc("spmmrr_coalesce_batches_total",
 			"Coalescing batches opened (a launch at once or a pending batch's first arrival).",
 			func() int64 { return t.coal.Stats().Leads }, obs.L("tenant", id))
@@ -650,11 +665,6 @@ func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shard
 	s.reg.CounterFunc("spmmrr_live_reskins_total",
 		"Value-only O(nnz) base re-skins published.",
 		func() int64 { return live.Stats().Reskins }, obs.L("tenant", id))
-	mutHelp := "Wall time of published live-matrix mutations, by path (value re-skin or overlay)."
-	live.mutateReskin = s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
-		obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "reskin"))
-	live.mutateOverlay = s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
-		obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "overlay"))
 	s.reg.CounterFunc("spmmrr_live_swaps_total",
 		"Rebuilt bases atomically swapped into serving.",
 		func() int64 { return live.Stats().Swaps }, obs.L("tenant", id))
@@ -667,7 +677,7 @@ func (s *Server) newTenant(id string, weight int64, base *ShardedPipeline, shard
 		func() int64 { return live.Stats().RebuildsCancelled }, obs.L("tenant", id), obs.L("outcome", "cancelled"))
 	s.reg.GaugeFunc("spmmrr_live_overlay_rows",
 		"Rows currently served through the mutation overlay.",
-		func() float64 { return float64(live.Stats().OverlayRows + live.Stats().TailRows) }, obs.L("tenant", id))
+		func() float64 { ls := live.Stats(); return float64(ls.OverlayRows + ls.TailRows) }, obs.L("tenant", id))
 	s.reg.GaugeFunc("spmmrr_live_overlay_nnz",
 		"Nonzeros currently served through the mutation overlay.",
 		func() float64 { return float64(live.Stats().OverlayNNZ) }, obs.L("tenant", id))
@@ -757,8 +767,9 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
+	env := s.tenantEnv(id)
 	target := s.shardTarget(m)
-	base, err := newShardedPipeline(ctx, s.baseCtx, m, cfg, target, s.traces)
+	base, err := newShardedPipeline(ctx, env, m, cfg, target)
 	if err != nil {
 		return err
 	}
@@ -770,7 +781,7 @@ func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config
 	if _, dup := s.tenants[id]; dup {
 		return fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
-	s.tenants[id] = s.newTenant(id, weight, base, target)
+	s.tenants[id] = s.newTenant(env, weight, base, target)
 	return nil
 }
 
@@ -870,11 +881,12 @@ func (s *Server) LiveTenant(id string) (*LivePipeline, error) {
 // is read from the same registry objects /metrics renders, so the two
 // views cannot disagree.
 func (s *Server) Stats() ServerStats {
+	brk := s.brk.Stats()
 	st := ServerStats{
 		Admission: s.adm.Stats(),
-		Breaker:   s.brk.Stats(),
+		Breaker:   brk,
 		Retries:   s.retries.Value(),
-		Fallbacks: s.fallbacks.Value(),
+		Fallbacks: brk.Rejected,
 		Degraded: s.def.live.state.Load().base.anyPanel(func(o *OnlinePipeline) bool {
 			return o.rr.failure() != nil
 		}),
@@ -1217,7 +1229,6 @@ func (s *Server) attempt(ctx context.Context, t *tenant, k int, run func(context
 	// advance it (Open → HalfOpen).
 	tr.Annotate("breaker", s.brk.State().String())
 	if !s.brk.Allow() {
-		s.fallbacks.Inc()
 		tr.Annotate("path", "fallback")
 		return run(ctx, modeFallback)
 	}

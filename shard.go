@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/dense"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/plancache"
 	"repro/internal/sparse"
@@ -118,13 +117,12 @@ func NewShardedPipeline(m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline,
 // background, started by the first call the panel's reorder gate
 // passes and bounded by cfg.PreprocessBudget alone.
 func NewShardedPipelineCtx(ctx context.Context, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
-	return newShardedPipeline(ctx, context.Background(), m, cfg, targetNNZ, nil)
+	return newShardedPipeline(ctx, &servingEnv{ctx: context.Background()}, m, cfg, targetNNZ)
 }
 
-// newShardedPipeline is NewShardedPipelineCtx with the panels' reordered
-// builds run under bctx and traced into ring when set (the Server
-// passes its lifecycle context and /debug/traces ring).
-func newShardedPipeline(ctx, bctx context.Context, m *Matrix, cfg Config, targetNNZ int, ring *obs.TraceRing) (*ShardedPipeline, error) {
+// newShardedPipeline is NewShardedPipelineCtx with every panel reporting
+// to env, whose context the panels' reordered builds run under.
+func newShardedPipeline(ctx context.Context, env *servingEnv, m *Matrix, cfg Config, targetNNZ int) (*ShardedPipeline, error) {
 	bounds := panelBounds(m, targetNNZ)
 	panels := make([]shardPanel, len(bounds))
 	for i, b := range bounds {
@@ -135,7 +133,7 @@ func newShardedPipeline(ctx, bctx context.Context, m *Matrix, cfg Config, target
 		if err != nil {
 			return nil, err
 		}
-		return newOnline(bctx, nr, cfg, ring, newReorderGate(sub, cfg)), nil
+		return newOnline(env, nr, cfg, newReorderGate(sub, cfg)), nil
 	})
 	if err != nil {
 		return nil, err
@@ -197,13 +195,6 @@ func (s *ShardedPipeline) mispicks() int64 {
 		n += s.panels[i].pipe.Mispicked()
 	}
 	return n
-}
-
-// setSink routes every panel's decision events to es.
-func (s *ShardedPipeline) setSink(es *eventSink) {
-	for i := range s.panels {
-		s.panels[i].pipe.sink.Store(es)
-	}
 }
 
 // reskin re-skins the sharded pipeline for a matrix with the *same
