@@ -64,8 +64,10 @@ nofma:
 	objdump -d --no-show-raw-insn kernels_amd64v3.test | awk -v bin=kernels_amd64v3.test '$(NOFMA_AWK)'
 	rm -f kernels_arm64.test kernels_amd64v3.test
 
-# Chaos soak: the full Server (admission, retry, breaker, persistence)
-# under fault injection, cancellations, and concurrent load, raced —
+# Chaos soak: the full Server (admission, retry, per-tenant reordered
+# path and its fallback, persistence) under fault injection,
+# cancellations, and concurrent load, raced, reconciling each tenant's
+# path counters against its breaker_transition events —
 # plus the coalesced multi-tenant soak, which asserts exact per-tenant
 # outcome reconciliation under the same pressure.
 # PR CI runs the short budget (make soak SOAK_FLAGS=-short); the

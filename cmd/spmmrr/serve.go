@@ -34,7 +34,7 @@ type serveOptions struct {
 }
 
 // runServe hosts m behind the full serving stack (admission control,
-// retry, circuit breaker, durable plans, and — when configured —
+// retry, per-tenant plan health, durable plans, and — when configured —
 // request coalescing and row-panel sharding) and drives it with a
 // self-generated SpMM load until SIGINT/SIGTERM arrives or the optional
 // duration elapses. Shutdown is graceful: the load stops, in-flight
@@ -240,7 +240,7 @@ func runServe(m *repro.Matrix, cfg repro.Config, opts serveOptions) error {
 		trial = fmt.Sprintf("sharded (%d panels: %s)", len(ex.Panels), strings.Join(outcomes, ", "))
 	}
 	fmt.Printf("serve: drained; %d completed, %d failed, %d cancelled, %d shed, %d retries, breaker %s, %s\n",
-		st.Completed, st.Failed, st.Cancelled, st.Admission.Shed, st.Retries, st.Breaker.State, trial)
+		st.Completed, st.Failed, st.Cancelled, st.Admission.Shed, st.Retries, ex.Integrity.Path, trial)
 	if ts, ok := s.TenantStats(repro.DefaultTenant); ok && opts.coalesceWindow > 0 {
 		fmt.Printf("serve: coalescing %d leads, %d joins, %d excised\n",
 			ts.Coalesce.Leads, ts.Coalesce.Joins, ts.Coalesce.Excised)

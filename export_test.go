@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/kernels"
 )
@@ -19,6 +20,13 @@ func SetGateL2ForTest(tb testing.TB, l2 int64) (restore func()) {
 	restore = func() { l2Hook.Store(old) }
 	tb.Cleanup(restore)
 	return restore
+}
+
+// NewServerWithPathForTest is NewServer with every tenant's reordered
+// path opening after threshold consecutive failures and probing again
+// after cooldown (NewServer: pathThreshold and pathCooldown).
+func NewServerWithPathForTest(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig, threshold int, cooldown time.Duration) (*Server, error) {
+	return newServer(ctx, m, cfg, scfg, threshold, cooldown)
 }
 
 // LiveBatchPass returns the pass the Server's coalescer runs a batch

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/integrity"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/plancache"
@@ -522,7 +523,7 @@ func TestShardedPanelsTrialAboveGate(t *testing.T) {
 }
 
 // A sharded tenant whose panels serve their reordered plans consults
-// the breaker, and the tripped breaker's fallback runs every panel's
+// its reordered path, and the open path's fallback runs every panel's
 // no-reorder plan: with every reordered plan's values poisoned, the
 // fallback still matches the row-wise oracle.
 func TestShardedBreakerFallbackRunsEveryNoReorderPlan(t *testing.T) {
@@ -536,12 +537,7 @@ func TestShardedBreakerFallbackRunsEveryNoReorderPlan(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	cfg.PreprocessBudget = time.Hour
-	s, err := NewServer(ctx, m, cfg, ServerConfig{
-		ShardNNZ:         m.NNZ()/3 + 1,
-		MaxAttempts:      1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	})
+	s, err := newServer(ctx, m, cfg, ServerConfig{ShardNNZ: m.NNZ()/3 + 1, MaxAttempts: 1}, 1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,8 +578,8 @@ func TestShardedBreakerFallbackRunsEveryNoReorderPlan(t *testing.T) {
 	restore := faultinject.ErrorAt("kernels.exec")
 	err = s.SpMMInto(ctx, NewDense(m.Rows, k), x)
 	restore()
-	if !errors.Is(err, faultinject.Err) || s.Stats().Breaker.Trips != 1 {
-		t.Fatalf("a failing reordered request = %v and %d trips, want the fault and 1", err, s.Stats().Breaker.Trips)
+	if trips := s.def.integ.Stats().PathTrips; !errors.Is(err, faultinject.Err) || trips != 1 {
+		t.Fatalf("a failing reordered request = %v and %d trips, want the fault and 1", err, trips)
 	}
 	y := NewDense(m.Rows, k)
 	if err := s.SpMMInto(ctx, y, x); err != nil {
@@ -595,8 +591,112 @@ func TestShardedBreakerFallbackRunsEveryNoReorderPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOracle(t, "sddmm fallback", wantO.Val, out.Val)
-	if st := s.Stats(); st.Fallbacks != 2 || st.Fallbacks != st.Breaker.Rejected {
-		t.Fatalf("fallbacks %d, breaker rejected %d; want 2 and equal", st.Fallbacks, st.Breaker.Rejected)
+	if st, rejected := s.Stats(), s.def.integ.Stats().PathRejected; st.Fallbacks != 2 || st.Fallbacks != rejected {
+		t.Fatalf("fallbacks %d, path rejected %d; want 2 and equal", st.Fallbacks, rejected)
+	}
+}
+
+// Each tenant's reordered path is its own: a failure that opens one
+// tenant's path leaves another tenant's reordered plans serving.
+func TestReorderedPathOpensPerTenant(t *testing.T) {
+	SetGateL2ForTest(t, 0)
+	ctx := context.Background()
+	cfg := DefaultConfig()
+	cfg.PreprocessBudget = time.Hour
+	mA, err := GenerateScrambledClusters(1024, 1024, 64, 4451)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mB, err := GenerateScrambledClusters(1024, 1024, 64, 4453)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(ctx, mA, cfg, ServerConfig{MaxAttempts: 1}, 1, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	if err := s.AddTenant(ctx, "b", mB, cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	for _, id := range []string{DefaultTenant, "b"} {
+		tn, _ := s.tenantByID(id)
+		o := tn.live.Online()
+		BuildReorderedForTest(t, o, k)
+		rr := o.rr.Load()
+		if rr == nil {
+			t.Fatalf("tenant %s built no reordered plan", id)
+		}
+		o.mu.Lock()
+		o.decide(rr, time.Millisecond, 2*time.Millisecond, k)
+		o.mu.Unlock()
+		if !reorderedPathActive(tn, k) {
+			t.Fatalf("tenant %s: the decided reordered plan does not count as the reordered path", id)
+		}
+	}
+	// path is the "path" annotation of the latest trace of op.
+	path := func(op string) string {
+		for _, tr := range s.Traces().Snapshot() {
+			if tr.Op == op {
+				return tr.Attrs["path"]
+			}
+		}
+		return ""
+	}
+	fallbacks := func(id string) float64 {
+		for _, smp := range s.Registry().Snapshot() {
+			if smp.Key() == `spmmrr_server_fallbacks_total{tenant="`+id+`"}` {
+				return smp.Value
+			}
+		}
+		t.Fatalf("no fallback series for tenant %s", id)
+		return 0
+	}
+	x, yd := NewRandomDense(1024, k, 1), NewRandomDense(1024, k, 2)
+	restore := faultinject.ErrorAt("kernels.exec")
+	err = s.SpMMInto(ctx, NewDense(1024, k), x)
+	restore()
+	if !errors.Is(err, faultinject.Err) || s.def.integ.Path() != integrity.PathOpen {
+		t.Fatalf("a failing reordered request = %v, path %v; want the fault and an open path", err, s.def.integ.Path())
+	}
+
+	want, err := SpMM(mB, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := NewDense(1024, k)
+	if err := s.SpMMIntoTenant(ctx, "b", y, x); err != nil {
+		t.Fatal(err)
+	}
+	if got := path("spmm_into"); got != "reordered" {
+		t.Fatalf("tenant b's SpMM ran path=%s after tenant default's path opened, want reordered", got)
+	}
+	checkOracle(t, "tenant b spmm", want.Data, y.Data)
+	wantO, err := SDDMM(mB, x, yd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := mB.Clone()
+	if err := s.SDDMMIntoTenant(ctx, "b", out, x, yd); err != nil {
+		t.Fatal(err)
+	}
+	if got := path("sddmm_into"); got != "reordered" {
+		t.Fatalf("tenant b's SDDMM ran path=%s after tenant default's path opened, want reordered", got)
+	}
+	checkOracle(t, "tenant b sddmm", wantO.Val, out.Val)
+	if n := fallbacks("b"); n != 0 {
+		t.Fatalf("tenant b counted %v fallbacks", n)
+	}
+
+	if err := s.SpMMInto(ctx, y, x); err != nil {
+		t.Fatal(err)
+	}
+	if got := path("spmm_into"); got != "fallback" {
+		t.Fatalf("tenant default's next SpMM ran path=%s, want fallback", got)
+	}
+	if n := fallbacks(DefaultTenant); n != 1 {
+		t.Fatalf("tenant default counted %v fallbacks, want 1", n)
 	}
 }
 

@@ -304,8 +304,10 @@ func TestServerIntegritySoak(t *testing.T) {
 	if ring.Emitted() > uint64(ring.Cap()) {
 		t.Fatalf("event ring overflowed (%d emitted, cap %d): ledger no longer exact", ring.Emitted(), ring.Cap())
 	}
+	events := ring.Snapshot()
+	reconcilePaths(t, s, events)
 	var quarantines, reinstates int64
-	for _, e := range ring.Snapshot() {
+	for _, e := range events {
 		switch e.Type {
 		case obs.EventQuarantine:
 			quarantines++

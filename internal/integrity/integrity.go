@@ -1,27 +1,31 @@
-// Package integrity implements the silent-corruption defense for the
+// Package integrity implements the plan-health defense for the
 // serving stack: sampled shadow verification of served SpMM/SDDMM
 // results against the original, unpermuted matrix; a per-tenant
-// quarantine state machine (healthy → quarantined → probation →
-// healthy) that routes traffic to the reference path while a suspect
-// plan is rebuilt; and cheap structural invariant checks run before a
-// rebuilt or re-skinned plan is swapped in.
+// Monitor whose one machine tracks two failure modes of the tenant's
+// plans — wrong numbers (healthy → quarantined → probation → healthy,
+// routing to the reference path while a suspect plan is rebuilt) and
+// a failing reordered path (closed → open → half-open → closed,
+// routing to the no-reorder plans); and cheap structural invariant
+// checks run before a rebuilt or re-skinned plan is swapped in.
 //
 // Every existing check in the stack — CRC'd plan snapshots, chaos-soak
-// ledgers, the breaker — verifies control flow, not results. A single
-// off-by-one in a permutation, value re-skin, or overlay produces
-// plausible but wrong numbers that all of them pass. This package
-// closes that gap: verification recomputes a random subset of output
-// rows with the reference row-wise kernel semantics in float64 and
-// compares under a tolerance that accounts for float reassociation
+// ledgers, the path breaker — verifies control flow, not results. A
+// single off-by-one in a permutation, value re-skin, or overlay
+// produces plausible but wrong numbers that all of them pass. This
+// package closes that gap: verification recomputes a random subset of
+// output rows with the reference row-wise kernel semantics in float64
+// and compares under a tolerance that accounts for float reassociation
 // across kernels.
 package integrity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/obs"
@@ -85,30 +89,105 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int32(s))
 }
 
-// Decision is the routing verdict for one request.
-type Decision struct {
-	// Fallback routes the request to the reference (row-wise,
-	// unpermuted) path instead of the reordered plan.
-	Fallback bool
-	// Verify shadow-verifies the request's result after serving.
-	Verify bool
+// PathState is the reordered path's circuit-breaker state.
+type PathState int32
+
+const (
+	// PathClosed: the reordered plans serve; consecutive failures are
+	// counted.
+	PathClosed PathState = iota
+	// PathOpen: the tenant's reordered-path attempts run its no-reorder
+	// plans until the cooldown elapses.
+	PathOpen
+	// PathHalfOpen: the cooldown elapsed and one probe attempt runs the
+	// reordered path; its outcome closes or re-opens the path.
+	PathHalfOpen
+)
+
+func (s PathState) String() string {
+	switch s {
+	case PathClosed:
+		return "closed"
+	case PathOpen:
+		return "open"
+	case PathHalfOpen:
+		return "half-open"
+	}
+	return fmt.Sprintf("PathState(%d)", int32(s))
 }
 
-// Monitor is the per-tenant quarantine controller. The healthy
-// unsampled fast path is two atomic operations and zero allocations;
-// state transitions take a mutex.
+// Mode is how one attempt serves its request.
+type Mode int8
+
+const (
+	// ModeFull serves through the tenant's plans as its trials decided.
+	ModeFull Mode = iota
+	// ModeVerify is ModeFull, then a shadow verification of sampled
+	// output rows against the unpermuted matrix.
+	ModeVerify
+	// ModeFallback serves through the no-reorder plans: the reordered
+	// path is open.
+	ModeFallback
+	// ModeReference serves through the reference row-wise kernel on the
+	// original matrix: the tenant is quarantined, and its no-reorder
+	// plans may be the suspect ones.
+	ModeReference
+)
+
+// Decision is the routing verdict for one attempt.
+type Decision struct {
+	Mode Mode
+	// Path is set when the attempt runs the reordered path: its outcome
+	// must be reported with Done.
+	Path  bool
+	probe bool // the half-open probe
+}
+
+// Policy tunes a Monitor.
+type Policy struct {
+	// Fraction of healthy requests shadow-verified: <= 0 never (a
+	// mismatch reported by an explicitly verified request still
+	// quarantines), >= 1 every request.
+	Fraction float64
+	// Probation is the number of clean verified requests that reinstate
+	// a quarantined tenant once its rebuild serves (min 1).
+	Probation int
+	// PathThreshold consecutive reordered-path failures open the path
+	// (min 1); PathCooldown is how long it stays open before a
+	// half-open probe (min 1ms).
+	PathThreshold int
+	PathCooldown  time.Duration
+}
+
+// Monitor is the per-tenant plan-health machine. One axis is the
+// quarantine (healthy → quarantined → probation → healthy), driven by
+// shadow-verification mismatches and keyed to the plan generation; the
+// other is the reordered path's breaker (closed → open → half-open →
+// closed), driven by the reordered path's errors. Quarantine dominates:
+// a quarantined tenant serves the reference path whatever its path
+// state. The healthy, closed route is a few atomic operations and zero
+// allocations; state transitions take a mutex.
 type Monitor struct {
 	threshold uint64 // sample when mixed counter < threshold
 	always    bool   // fraction >= 1: verify every request
 	probation int    // clean verified requests required to reinstate
 
-	state atomic.Int32  // State
-	rng   atomic.Uint64 // splitmix64 counter for sampling
+	pathThreshold int32
+	pathCooldown  time.Duration
+	now           func() time.Time // injectable for tests
+
+	state       atomic.Int32  // State
+	path        atomic.Int32  // PathState
+	consecutive atomic.Int32  // consecutive path failures while closed; written under mu
+	rng         atomic.Uint64 // splitmix64 counter for sampling
 
 	mu            sync.Mutex
 	quarGen       uint64 // plan generation the quarantine was declared on
 	probationLeft int
-	onReinstate   func() // fired under mu when probation completes
+	openedAt      time.Time // when the path last opened
+	probing       bool      // a half-open probe is in flight
+	onReinstate   func()    // fired under mu when probation completes
+	onPath        func(from, to PathState)
 
 	checksClean       atomic.Int64
 	checksMismatch    atomic.Int64
@@ -117,29 +196,28 @@ type Monitor struct {
 	quarantines       atomic.Int64
 	reinstated        atomic.Int64
 	probationFailures atomic.Int64
+
+	pathTrips, pathHalfOpens, pathCloses    atomic.Int64
+	pathRejected, pathFailures, pathSuccess atomic.Int64
 }
 
-// NewMonitor returns a Monitor sampling the given fraction of requests
-// for verification while healthy, and requiring probation clean
-// verified requests before reinstating after quarantine. fraction <= 0
-// disables sampling (quarantine still engages if OnMismatch is called,
-// e.g. from an explicitly verified request); fraction >= 1 verifies
-// everything. probation < 1 is treated as 1. A non-nil onReinstate is
-// fired exactly once per reinstatement (probation window completing),
-// under the monitor's lock — it must not call back into the monitor.
-// The serving stack uses it to emit reinstate decision events whose
-// count reconciles with Stats().
-func NewMonitor(fraction float64, probation int, onReinstate func()) *Monitor {
-	m := &Monitor{probation: probation, onReinstate: onReinstate}
-	if m.probation < 1 {
-		m.probation = 1
-	}
+// NewMonitor returns a healthy, closed Monitor tuned by p. The hooks
+// fire under the monitor's lock and must not call back into it: a
+// non-nil onReinstate exactly once per reinstatement (probation window
+// completing), a non-nil onPath exactly once per path state change,
+// with the old and new state, in order. The serving stack uses them to
+// emit reinstate and breaker_transition decision events whose counts
+// reconcile with Stats().
+func NewMonitor(p Policy, onReinstate func(), onPath func(from, to PathState)) *Monitor {
+	m := &Monitor{probation: max(p.Probation, 1), pathThreshold: int32(max(p.PathThreshold, 1)),
+		pathCooldown: max(p.PathCooldown, time.Millisecond), now: time.Now,
+		onReinstate: onReinstate, onPath: onPath}
 	switch {
-	case fraction >= 1:
+	case p.Fraction >= 1:
 		m.always = true
-	case fraction > 0:
+	case p.Fraction > 0:
 		// fraction of the uint64 space; below 2^-64 rounds to never.
-		m.threshold = uint64(fraction * math.Pow(2, 64))
+		m.threshold = uint64(p.Fraction * math.Pow(2, 64))
 	}
 	return m
 }
@@ -172,28 +250,133 @@ func (m *Monitor) Seed() uint64 {
 	return splitmix64(m.rng.Add(0x9E3779B97F4A7C15))
 }
 
-// Route decides how to serve one request. gen is the tenant's current
+// Route decides how one attempt serves. gen is the tenant's current
 // plan generation (LivePipeline.baseGen); while quarantined, a gen
 // different from the one the quarantine was declared on means a
 // rebuild has published, so the monitor moves to probation and starts
-// verifying every request.
-func (m *Monitor) Route(gen uint64) Decision {
+// verifying every request. reordered reports whether the attempt would
+// run some reordered plan; only such an attempt consults the path.
+// While the path is open it serves ModeFallback until the cooldown
+// elapses, when the calling attempt becomes the half-open probe; while
+// a probe is in flight every other such attempt falls back.
+func (m *Monitor) Route(gen uint64, reordered bool) Decision {
+	d := Decision{Mode: ModeVerify}
 	switch State(m.state.Load()) {
 	case Healthy:
-		return Decision{Verify: m.sample()}
+		if !m.sample() {
+			d.Mode = ModeFull
+		}
 	case Quarantined:
 		m.mu.Lock()
-		if State(m.state.Load()) == Quarantined && gen != m.quarGen {
+		if State(m.state.Load()) == Quarantined {
+			if gen == m.quarGen {
+				m.mu.Unlock()
+				return Decision{Mode: ModeReference}
+			}
 			m.probationLeft = m.probation
 			m.state.Store(int32(Probation))
-			m.mu.Unlock()
-			return Decision{Verify: true}
 		}
 		m.mu.Unlock()
-		return Decision{Fallback: true}
-	default: // Probation
-		return Decision{Verify: true}
 	}
+	if !reordered {
+		return d
+	}
+	if PathState(m.path.Load()) == PathClosed {
+		d.Path = true
+		return d
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch PathState(m.path.Load()) {
+	case PathClosed:
+		d.Path = true
+	case PathOpen:
+		if m.now().Sub(m.openedAt) < m.pathCooldown {
+			m.pathRejected.Add(1)
+			return Decision{Mode: ModeFallback}
+		}
+		m.movePathLocked(PathHalfOpen)
+		m.pathHalfOpens.Add(1)
+		m.probing = true
+		d.Path, d.probe = true, true
+	default: // PathHalfOpen
+		if m.probing {
+			m.pathRejected.Add(1)
+			return Decision{Mode: ModeFallback}
+		}
+		// The last probe gave up without a verdict: this one probes.
+		m.probing = true
+		d.Path, d.probe = true, true
+	}
+	return d
+}
+
+// movePathLocked records a path state change and fires the hook.
+// Callers hold m.mu.
+func (m *Monitor) movePathLocked(to PathState) {
+	from := PathState(m.path.Swap(int32(to)))
+	if m.onPath != nil && from != to {
+		m.onPath(from, to)
+	}
+}
+
+// Done reports the outcome err of an attempt Route sent down the
+// reordered path (d.Path; other decisions report nothing). Success
+// closes a half-open path. A context error (the caller gave up) or an
+// ErrMismatch (the quarantine owns wrong numbers) says nothing about
+// the path's health: it is not counted, and a probe that ends so frees
+// the probe for the next attempt. Any other error is a failure: a
+// failed probe re-opens the path for another cooldown, and
+// PathThreshold consecutive failures open a closed one.
+func (m *Monitor) Done(d Decision, err error) {
+	if !d.Path {
+		return
+	}
+	switch {
+	case err == nil:
+		m.pathSuccess.Add(1)
+		if PathState(m.path.Load()) == PathClosed && m.consecutive.Load() == 0 {
+			return
+		}
+		m.mu.Lock()
+		m.consecutive.Store(0)
+		if PathState(m.path.Load()) == PathHalfOpen {
+			m.movePathLocked(PathClosed)
+			m.probing = false
+			m.pathCloses.Add(1)
+		}
+		m.mu.Unlock()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrMismatch):
+		if d.probe {
+			m.mu.Lock()
+			m.probing = false
+			m.mu.Unlock()
+		}
+	default:
+		m.pathFailures.Add(1)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		switch PathState(m.path.Load()) {
+		case PathHalfOpen:
+			m.openPathLocked()
+		case PathClosed:
+			if m.consecutive.Add(1) >= m.pathThreshold {
+				m.openPathLocked()
+			}
+		}
+		// PathOpen: an attempt admitted before the trip reported late;
+		// it changes nothing.
+	}
+}
+
+// openPathLocked trips the path open for a cooldown. Callers hold m.mu.
+func (m *Monitor) openPathLocked() {
+	m.movePathLocked(PathOpen)
+	m.openedAt = m.now()
+	m.probing = false
+	m.consecutive.Store(0)
+	m.pathTrips.Add(1)
 }
 
 // OnMismatch records a confirmed verification mismatch observed
@@ -252,12 +435,17 @@ func (m *Monitor) OnVerified() {
 // landed between snapshot and check). Skips never advance probation.
 func (m *Monitor) OnSkipped() { m.checksSkipped.Add(1) }
 
-// State returns the monitor's current state.
+// State returns the monitor's quarantine state.
 func (m *Monitor) State() State { return State(m.state.Load()) }
 
+// Path returns the reordered path's state (an open path becomes
+// half-open only on the next reordered Route after its cooldown).
+func (m *Monitor) Path() PathState { return PathState(m.path.Load()) }
+
 // Stats is a snapshot of the monitor's ledgers. Invariants after
-// quiescence: Detected == Quarantines, and
-// Reinstated + StillQuarantined == Quarantines.
+// quiescence: Detected == Quarantines,
+// Reinstated + StillQuarantined == Quarantines, and
+// PathCloses <= PathHalfOpens <= PathTrips <= PathFailures.
 type Stats struct {
 	State             State
 	ChecksClean       int64 // verifications that passed
@@ -268,6 +456,14 @@ type Stats struct {
 	Reinstated        int64 // probation windows completed clean
 	ProbationFailures int64 // probation→quarantined relapses
 	StillQuarantined  int64 // 1 while an episode is open (quarantined or probation)
+
+	Path          PathState
+	PathTrips     int64 // closed/half-open → open transitions
+	PathHalfOpens int64 // open → half-open transitions (probe admitted)
+	PathCloses    int64 // half-open → closed transitions (probe succeeded)
+	PathRejected  int64 // reordered attempts sent to the no-reorder fallback
+	PathFailures  int64 // reordered-path failures reported
+	PathSuccesses int64 // reordered-path successes reported
 }
 
 // Stats returns a snapshot of the monitor's ledgers.
@@ -281,6 +477,13 @@ func (m *Monitor) Stats() Stats {
 		Quarantines:       m.quarantines.Load(),
 		Reinstated:        m.reinstated.Load(),
 		ProbationFailures: m.probationFailures.Load(),
+		Path:              m.Path(),
+		PathTrips:         m.pathTrips.Load(),
+		PathHalfOpens:     m.pathHalfOpens.Load(),
+		PathCloses:        m.pathCloses.Load(),
+		PathRejected:      m.pathRejected.Load(),
+		PathFailures:      m.pathFailures.Load(),
+		PathSuccesses:     m.pathSuccess.Load(),
 	}
 	if st.State != Healthy {
 		st.StillQuarantined = 1

@@ -1,10 +1,14 @@
 package integrity
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
@@ -64,12 +68,12 @@ func spmmRef(s *sparse.CSR, x *dense.Matrix) *dense.Matrix {
 }
 
 func TestMonitorLifecycle(t *testing.T) {
-	m := NewMonitor(1.0, 3, nil)
+	m := NewMonitor(Policy{Fraction: 1, Probation: 3}, nil, nil)
 	if st := m.State(); st != Healthy {
 		t.Fatalf("initial state %v", st)
 	}
-	d := m.Route(7)
-	if d.Fallback || !d.Verify {
+	d := m.Route(7, false)
+	if d.Mode != ModeVerify {
 		t.Fatalf("healthy always-verify route = %+v", d)
 	}
 
@@ -85,11 +89,11 @@ func TestMonitorLifecycle(t *testing.T) {
 		t.Fatal("second OnMismatch should be a no-op")
 	}
 	// Same generation still serving: fallback.
-	if d := m.Route(7); !d.Fallback {
+	if d := m.Route(7, false); d.Mode != ModeReference {
 		t.Fatalf("quarantined route = %+v", d)
 	}
 	// Rebuild published gen 8: probation, verify everything.
-	if d := m.Route(8); d.Fallback || !d.Verify {
+	if d := m.Route(8, false); d.Mode != ModeVerify {
 		t.Fatalf("probation route = %+v", d)
 	}
 	if m.State() != Probation {
@@ -105,7 +109,7 @@ func TestMonitorLifecycle(t *testing.T) {
 		t.Fatalf("ledger after relapse: %+v", st)
 	}
 	// Second rebuild lands as gen 9; three clean checks reinstate.
-	if d := m.Route(9); !d.Verify || d.Fallback {
+	if d := m.Route(9, false); d.Mode != ModeVerify {
 		t.Fatalf("re-probation route = %+v", d)
 	}
 	m.OnVerified()
@@ -132,9 +136,9 @@ func TestMonitorLifecycle(t *testing.T) {
 }
 
 func TestMonitorSkipsDoNotAdvanceProbation(t *testing.T) {
-	m := NewMonitor(1.0, 2, nil)
+	m := NewMonitor(Policy{Fraction: 1, Probation: 2}, nil, nil)
 	m.OnMismatch(1)
-	m.Route(2) // enter probation
+	m.Route(2, false) // enter probation
 	m.OnSkipped()
 	m.OnSkipped()
 	if m.State() != Probation {
@@ -160,10 +164,10 @@ func TestMonitorSampleFraction(t *testing.T) {
 		{0.5, 48500, 51500},
 		{1.0, 100000, 100000},
 	} {
-		m := NewMonitor(tc.fraction, 1, nil)
+		m := NewMonitor(Policy{Fraction: tc.fraction, Probation: 1}, nil, nil)
 		hits := 0
 		for i := 0; i < 100000; i++ {
-			if m.Route(0).Verify {
+			if m.Route(0, false).Mode == ModeVerify {
 				hits++
 			}
 		}
@@ -173,10 +177,196 @@ func TestMonitorSampleFraction(t *testing.T) {
 	}
 }
 
-func TestMonitorHealthyRouteZeroAlloc(t *testing.T) {
-	m := NewMonitor(0.01, 8, nil)
-	if n := testing.AllocsPerRun(1000, func() { m.Route(3) }); n != 0 {
-		t.Fatalf("healthy Route allocates %v per call", n)
+// pathMonitor returns a monitor tuned by p whose clock stands still
+// until the test advances it through the returned pointer.
+func pathMonitor(p Policy) (*Monitor, *time.Time) {
+	m := NewMonitor(p, nil, nil)
+	clock := time.Now()
+	m.now = func() time.Time { return clock }
+	return m, &clock
+}
+
+var errPath = errors.New("reordered path fault")
+
+func TestMonitorPathTripHalfOpenCloseCycle(t *testing.T) {
+	m, clock := pathMonitor(Policy{PathThreshold: 3, PathCooldown: time.Hour})
+	fail := func() {
+		t.Helper()
+		d := m.Route(1, true)
+		if !d.Path || d.Mode != ModeFull {
+			t.Fatalf("closed path routed %+v", d)
+		}
+		m.Done(d, errPath)
+	}
+	fail()
+	fail()
+	if m.Path() != PathClosed {
+		t.Fatalf("path after 2 failures = %v, want closed", m.Path())
+	}
+	fail() // third consecutive: trip
+	if m.Path() != PathOpen {
+		t.Fatalf("path = %v, want open", m.Path())
+	}
+	if d := m.Route(1, true); d.Path || d.Mode != ModeFallback {
+		t.Fatalf("open path before cooldown routed %+v, want the fallback", d)
+	}
+	if d := m.Route(1, false); d.Path || d.Mode != ModeFull {
+		t.Fatalf("below-gate call on an open path routed %+v, want full", d)
+	}
+
+	*clock = clock.Add(2 * time.Hour) // cooldown elapses
+	probe := m.Route(1, true)
+	if !probe.Path {
+		t.Fatal("probe not admitted after cooldown")
+	}
+	if m.Path() != PathHalfOpen {
+		t.Fatalf("path = %v, want half-open", m.Path())
+	}
+	if d := m.Route(1, true); d.Path {
+		t.Fatal("second probe admitted while one is in flight")
+	}
+	m.Done(probe, errPath) // probe fails: back to open
+	if m.Path() != PathOpen {
+		t.Fatalf("path after failed probe = %v, want open", m.Path())
+	}
+
+	*clock = clock.Add(2 * time.Hour)
+	probe = m.Route(1, true)
+	if !probe.Path {
+		t.Fatal("second probe not admitted")
+	}
+	m.Done(probe, nil) // probe succeeds: closed
+	if m.Path() != PathClosed {
+		t.Fatalf("path after successful probe = %v, want closed", m.Path())
+	}
+
+	st := m.Stats()
+	if st.PathTrips != 2 || st.PathHalfOpens != 2 || st.PathCloses != 1 {
+		t.Fatalf("stats = %+v, want 2 trips, 2 half-opens, 1 close", st)
+	}
+	if st.PathRejected != 2 || st.PathFailures != 4 || st.PathSuccesses != 1 {
+		t.Fatalf("stats = %+v, want 2 rejected, 4 failures, 1 success", st)
+	}
+}
+
+func TestMonitorPathSuccessResetsConsecutive(t *testing.T) {
+	m := NewMonitor(Policy{PathThreshold: 3, PathCooldown: time.Minute}, nil, nil)
+	for i := 0; i < 10; i++ {
+		for _, err := range []error{errPath, errPath, nil} { // never three in a row
+			m.Done(m.Route(1, true), err)
+		}
+	}
+	if m.Path() != PathClosed {
+		t.Fatalf("path = %v, want closed (failures never consecutive)", m.Path())
+	}
+	if st := m.Stats(); st.PathTrips != 0 {
+		t.Fatalf("trips = %d, want 0", st.PathTrips)
+	}
+}
+
+func TestMonitorPathCounterInvariants(t *testing.T) {
+	var transitions int64 // written by the hook, under the monitor's lock
+	m := NewMonitor(Policy{PathThreshold: 2, PathCooldown: time.Millisecond}, nil,
+		func(from, to PathState) { transitions++ })
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				d := m.Route(1, true)
+				if (g+i)%3 == 0 {
+					m.Done(d, errPath)
+				} else {
+					m.Done(d, nil)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := m.Stats()
+	if st.PathHalfOpens > st.PathTrips {
+		t.Fatalf("half-opens %d > trips %d", st.PathHalfOpens, st.PathTrips)
+	}
+	if st.PathCloses > st.PathHalfOpens {
+		t.Fatalf("closes %d > half-opens %d", st.PathCloses, st.PathHalfOpens)
+	}
+	if st.PathTrips > st.PathFailures {
+		t.Fatalf("trips %d > failures %d", st.PathTrips, st.PathFailures)
+	}
+	if want := st.PathTrips + st.PathHalfOpens + st.PathCloses; transitions != want {
+		t.Fatalf("%d path transitions fired, counters say %d", transitions, want)
+	}
+}
+
+// How the two axes compose. Each case starts from a healthy, closed
+// monitor sampling 1% of requests, whose path opens on one failure and
+// stays open for an hour of its stopped clock.
+func TestMonitorPrecedence(t *testing.T) {
+	open := func(t *testing.T, m *Monitor) {
+		t.Helper()
+		m.Done(m.Route(1, true), errPath)
+		if m.Path() != PathOpen {
+			t.Fatalf("path = %v after a failure at threshold 1", m.Path())
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, m *Monitor, clock *time.Time)
+	}{
+		{"mismatch is never a path failure", func(t *testing.T, m *Monitor, _ *time.Time) {
+			m.Done(m.Route(1, true), fmt.Errorf("%w: row 3", ErrMismatch))
+			if st := m.Stats(); st.Path != PathClosed || st.PathFailures != 0 || st.PathTrips != 0 {
+				t.Fatalf("a mismatch charged the path: %+v", st)
+			}
+		}},
+		{"quarantine routes to the reference path while the path is open", func(t *testing.T, m *Monitor, _ *time.Time) {
+			open(t, m)
+			m.OnMismatch(1)
+			if d := m.Route(1, true); d.Mode != ModeReference || d.Path {
+				t.Fatalf("quarantined tenant with an open path routed %+v", d)
+			}
+			if st := m.Stats(); st.PathRejected != 0 {
+				t.Fatalf("the reference route counted %d path fallbacks", st.PathRejected)
+			}
+		}},
+		{"cancelled probe reports nothing", func(t *testing.T, m *Monitor, clock *time.Time) {
+			open(t, m)
+			*clock = clock.Add(2 * time.Hour)
+			probe := m.Route(1, true)
+			m.Done(probe, fmt.Errorf("attempt: %w", context.Canceled))
+			st := m.Stats()
+			if st.Path != PathHalfOpen || st.PathFailures != 1 || st.PathSuccesses != 0 || st.PathCloses != 0 {
+				t.Fatalf("a cancelled probe was counted: %+v", st)
+			}
+			if d := m.Route(1, true); !d.Path {
+				t.Fatal("the cancelled probe kept the probe slot")
+			}
+			if st := m.Stats(); st.PathHalfOpens != 1 {
+				t.Fatalf("half-opens = %d, want 1 (the path never reopened)", st.PathHalfOpens)
+			}
+		}},
+		{"healthy unsampled route is lock-free and allocation-free", func(t *testing.T, m *Monitor, _ *time.Time) {
+			route := func() { m.Done(m.Route(3, true), nil); m.Route(3, false) }
+			if n := testing.AllocsPerRun(1000, route); n != 0 {
+				t.Fatalf("healthy route allocates %v per call", n)
+			}
+			done := make(chan struct{})
+			m.mu.Lock()
+			go func() { route(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Error("healthy route blocked on the monitor's lock")
+			}
+			m.mu.Unlock()
+			<-done
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, clock := pathMonitor(Policy{Fraction: 0.01, PathThreshold: 1, PathCooldown: time.Hour})
+			tc.run(t, m, clock)
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package serve holds the serving-resilience building blocks composed
 // by the top-level Server: weighted admission control with a bounded
-// FIFO wait queue, a circuit breaker, and retry with exponential
+// FIFO wait queue, request coalescing, and retry with exponential
 // backoff and jitter. The package is deliberately free of any matrix
 // or pipeline types — it bounds and routes *work*, whatever the work
 // is — so each piece is testable in isolation and reusable by any

@@ -207,112 +207,6 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 	}
 }
 
-func TestBreakerTripHalfOpenCloseCycle(t *testing.T) {
-	b := NewBreaker(3, time.Hour, nil, nil)
-	clock := time.Now()
-	b.now = func() time.Time { return clock }
-
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatal("closed breaker rejected")
-		}
-		b.Failure()
-	}
-	if b.State() != Closed {
-		t.Fatalf("state after 2 failures = %v, want closed", b.State())
-	}
-	b.Allow()
-	b.Failure() // third consecutive: trip
-	if b.State() != Open {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted before cooldown")
-	}
-
-	clock = clock.Add(2 * time.Hour) // cooldown elapses
-	if !b.Allow() {
-		t.Fatal("probe not admitted after cooldown")
-	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second probe admitted while one is in flight")
-	}
-	b.Failure() // probe fails: back to open
-	if b.State() != Open {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-
-	clock = clock.Add(2 * time.Hour)
-	if !b.Allow() {
-		t.Fatal("second probe not admitted")
-	}
-	b.Success() // probe succeeds: closed
-	if b.State() != Closed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
-	}
-
-	st := b.Stats()
-	if st.Trips != 2 || st.HalfOpens != 2 || st.Closes != 1 {
-		t.Fatalf("stats = %+v, want 2 trips, 2 half-opens, 1 close", st)
-	}
-	if st.Rejected < 2 {
-		t.Fatalf("rejected = %d, want >= 2", st.Rejected)
-	}
-}
-
-func TestBreakerSuccessResetsConsecutive(t *testing.T) {
-	b := NewBreaker(3, time.Minute, nil, nil)
-	for i := 0; i < 10; i++ {
-		b.Allow()
-		b.Failure()
-		b.Allow()
-		b.Failure()
-		b.Allow()
-		b.Success() // never three in a row
-	}
-	if b.State() != Closed {
-		t.Fatalf("state = %v, want closed (failures never consecutive)", b.State())
-	}
-	if st := b.Stats(); st.Trips != 0 {
-		t.Fatalf("trips = %d, want 0", st.Trips)
-	}
-}
-
-func TestBreakerCounterInvariants(t *testing.T) {
-	b := NewBreaker(2, time.Millisecond, nil, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if !b.Allow() {
-					continue
-				}
-				if (g+i)%3 == 0 {
-					b.Failure()
-				} else {
-					b.Success()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := b.Stats()
-	if st.HalfOpens > st.Trips {
-		t.Fatalf("half-opens %d > trips %d", st.HalfOpens, st.Trips)
-	}
-	if st.Closes > st.HalfOpens {
-		t.Fatalf("closes %d > half-opens %d", st.Closes, st.HalfOpens)
-	}
-	if st.Trips > st.Failures {
-		t.Fatalf("trips %d > failures %d", st.Trips, st.Failures)
-	}
-}
-
 func TestRetryTransientThenSuccess(t *testing.T) {
 	errTransient := errors.New("transient")
 	calls := 0

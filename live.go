@@ -207,6 +207,9 @@ type LivePipeline struct {
 	// context bounds rebuilds and the bases' reordered builds.
 	env  *servingEnv
 	lcfg LiveConfig
+	// mutateReskin and mutateOverlay time published mutations by path
+	// (nil drops the samples).
+	mutateReskin, mutateOverlay *obs.Histogram
 	// shardNNZ is the panel target rebuilds re-shard at (0: one panel);
 	// sharded reports the base as a ShardedPipeline rather than an
 	// OnlinePipeline (Online, Sharded).
@@ -307,14 +310,15 @@ func newLivePipeline(ctx context.Context, m *Matrix, cfg Config, shardNNZ int, s
 	if err != nil {
 		return nil, err
 	}
-	return newLive(env, base, shardNNZ, sharded, lcfg), nil
+	return newLive(env, base, shardNNZ, sharded, lcfg, nil, nil), nil
 }
 
 // newLive wraps an already-built base, reporting to env, whose panels
 // target shardNNZ nonzeros; sharded selects which of Online and Sharded
-// reports it.
-func newLive(env *servingEnv, base *ShardedPipeline, shardNNZ int, sharded bool, lcfg LiveConfig) *LivePipeline {
-	l := &LivePipeline{env: env, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ, sharded: sharded}
+// reports it, and reskin and overlay time its mutations by path.
+func newLive(env *servingEnv, base *ShardedPipeline, shardNNZ int, sharded bool, lcfg LiveConfig, reskin, overlay *obs.Histogram) *LivePipeline {
+	l := &LivePipeline{env: env, lcfg: lcfg.withDefaults(), shardNNZ: shardNNZ, sharded: sharded,
+		mutateReskin: reskin, mutateOverlay: overlay}
 	m := base.Matrix()
 	l.state.Store(&liveState{base: base, baseM: m, cur: m, structEpoch: base.cfg().Epoch})
 	return l
@@ -483,9 +487,9 @@ func (l *LivePipeline) Mutate(ctx context.Context, mu Mutation) error {
 	l.rowsDeleted.Add(int64(len(nm.DeleteRows)))
 	if reskinned {
 		l.reskins.Inc()
-		l.env.mutateReskin.ObserveSince(start)
+		l.mutateReskin.ObserveSince(start)
 	} else {
-		l.env.mutateOverlay.ObserveSince(start)
+		l.mutateOverlay.ObserveSince(start)
 	}
 	if l.rebuilding {
 		l.pending = append(l.pending, nm)
@@ -828,7 +832,7 @@ func (l *LivePipeline) evictPlans() {
 // spmmInto serves y = cur·x against this state in mode:
 //
 //   - modeFull and modeVerify run the base unit, with the overlay merged.
-//   - modeFallback (the breaker's) runs the base at width 0, which no
+//   - modeFallback (an open path's) runs the base at width 0, which no
 //     reorder gate passes: every panel's no-reorder plan, with the same
 //     overlay merge — a mutated tenant's fallback must not resurrect
 //     pre-mutation data or shapes.
@@ -837,7 +841,7 @@ func (l *LivePipeline) evictPlans() {
 //     transformed representation (permutation, tiles, slabs, gather
 //     maps) with any plan under suspicion, and it is bit-identical to
 //     the cold-rebuild oracle (repro.SpMM runs the same kernel on the
-//     same matrix). The breaker's fallback runs the no-reorder plans,
+//     same matrix). An open path's fallback runs the no-reorder plans,
 //     which may be the very thing quarantined.
 //
 // k is the width the base's reorder gate judges: x.Cols, or a coalesced
@@ -874,7 +878,7 @@ func (st *liveState) spmmInto(ctx context.Context, y *Dense, x *Dense, k int, mo
 	// Corruption fault site: flip one entry of the lowest overlay (or
 	// first tail) row in the *served output* — the fused truth stays
 	// intact, modelling a bug in the overlay merge itself. Never fires
-	// into the breaker/quarantine fallback path, and only an armed
+	// into the open-path/quarantine fallback path, and only an armed
 	// CorruptAt hook corrupts (the generic chaos soak's ErrorAt sweep
 	// is a no-op here).
 	if err := faultinject.Fire("integrity.corrupt.overlay"); errors.Is(err, faultinject.ErrCorrupt) && mode != modeFallback && y.Cols > 0 {

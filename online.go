@@ -100,18 +100,15 @@ type OnlinePipeline struct {
 
 // servingEnv is where one tenant's serving objects report: the
 // lifecycle context its lazy builds and rebuilds run under, the trace
-// ring their builds push to, the event ring and tenant label of their
-// decision events, and the histograms timing its mutations. It is
-// built once per tenant and never changes; every base, panel, re-skin
-// and rebuild of the tenant shares the one pointer. Nil rings and
-// histograms drop what they are given.
+// ring their builds push to, and the event ring and tenant label of
+// their decision events. It is built once per tenant and never
+// changes; every base, panel, re-skin and rebuild of the tenant shares
+// the one pointer. Nil rings drop what they are given.
 type servingEnv struct {
 	ctx    context.Context
 	traces *obs.TraceRing
 	events *obs.EventRing
 	tenant string
-
-	mutateReskin, mutateOverlay *obs.Histogram
 }
 
 // emit records a decision event labelled with the tenant.
@@ -316,7 +313,7 @@ func (o *OnlinePipeline) SpMMIntoCtx(ctx context.Context, y *Dense, x *Dense) er
 }
 
 // spmmInto is SpMMIntoCtx with the reorder gate asked about width k
-// rather than x.Cols: 0, which no gate passes, for the breaker's
+// rather than x.Cols: 0, which no gate passes, for an open path's
 // no-reorder fallback and for a coalesced batch whose operands are all
 // below the gate (see narrowPass).
 func (o *OnlinePipeline) spmmInto(ctx context.Context, y *Dense, x *Dense, k int) error {

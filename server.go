@@ -45,9 +45,6 @@ const DefaultTenant = "default"
 // AdmissionStats reports the Server's admission-gate counters.
 type AdmissionStats = serve.AdmissionStats
 
-// BreakerStats reports the Server's circuit-breaker counters.
-type BreakerStats = serve.BreakerStats
-
 // ServerConfig tunes the resilience layer around an online pipeline.
 // The zero value gets sensible serving defaults (see each field).
 type ServerConfig struct {
@@ -72,13 +69,6 @@ type ServerConfig struct {
 	// RetryBase scales the full-jitter exponential backoff between
 	// attempts, which is capped at retryMax. Default 500µs.
 	RetryBase time.Duration
-	// BreakerThreshold trips the reordered-path circuit breaker after
-	// this many consecutive failures. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker routes traffic to
-	// the no-reorder fallback before admitting a half-open probe.
-	// Default 100ms.
-	BreakerCooldown time.Duration
 	// PlanDir, when set, attaches the plan cache's disk tier for a
 	// warm start (previously snapshotted plans are applied in O(nnz)
 	// instead of re-running LSH/clustering) and Close snapshots the
@@ -105,8 +95,8 @@ type ServerConfig struct {
 	// through its own online pipeline (plan cache shared), with SpMM
 	// panels writing disjoint row ranges of the output concurrently.
 	// Each panel has its own reorder gate and §4 trial; a request that
-	// runs any panel's reordered plan consults the reordered-path
-	// circuit breaker, whose fallback runs every panel's no-reorder
+	// runs any panel's reordered plan consults the tenant's reordered
+	// path (see Server), whose fallback runs every panel's no-reorder
 	// plan. 0 disables sharding.
 	ShardNNZ int
 	// VerifyFraction enables sampled shadow verification: this fraction
@@ -155,12 +145,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 500 * time.Microsecond
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 100 * time.Millisecond
-	}
 	if c.CoalesceMaxOps <= 0 {
 		c.CoalesceMaxOps = 16
 	}
@@ -177,13 +161,17 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Fixed serving constants: the cap on the retry backoff between
-// attempts, the per-request trace ring served at /debug/traces, and the
+// attempts, the per-request trace ring served at /debug/traces, the
 // rolling request window (sample count) the SLO watchdog computes
-// quantiles and error-budget burn over.
+// quantiles and error-budget burn over, and the consecutive
+// reordered-path failures that open a tenant's path and the cooldown
+// before its half-open probe.
 const (
 	retryMax      = 20 * time.Millisecond
 	traceRingSize = 256
 	sloWindowSize = 128
+	pathThreshold = 5
+	pathCooldown  = 100 * time.Millisecond
 )
 
 // sloBudget is the error budget the burn rate normalises against: 1%
@@ -315,7 +303,6 @@ func (w *sloWindow) status() SLOStatus {
 //	Admission.Admitted == Completed + Failed + Cancelled
 type ServerStats struct {
 	Admission AdmissionStats
-	Breaker   BreakerStats
 	// Completed counts requests that returned a result; Cancelled
 	// counts admitted requests that ended with their context's error;
 	// Failed counts every other admitted request whose final attempt
@@ -324,9 +311,9 @@ type ServerStats struct {
 	// Retries counts re-attempts after transient failures (attempts
 	// beyond each request's first).
 	Retries int64
-	// Fallbacks counts attempts routed to the no-reorder pipeline
-	// because the breaker rejected the reordered path: the breaker's
-	// Rejected counter, read from the breaker itself.
+	// Fallbacks counts attempts routed to the no-reorder plans because
+	// their tenant's reordered path was open: the tenants'
+	// Integrity.PathRejected, summed.
 	Fallbacks int64
 	// Degraded reports whether a background reordered build of the
 	// default tenant's base was abandoned (see OnlinePipeline.Degraded).
@@ -337,7 +324,7 @@ type ServerStats struct {
 // a tenant's live pipeline serves its base rows through a
 // ShardedPipeline — nnz-balanced row panels, one for an unsharded
 // tenant, each an OnlinePipeline (the §4 trial between reordered and
-// plain execution) whose no-reorder Pipeline is the breaker fallback. Batched
+// plain execution) whose no-reorder Pipeline is the open path's fallback. Batched
 // SpMM needs nothing more: kernels.SpMMBatchIntoCtx runs one SpMMIntoCtx
 // at the combined width. SpMMIntoCtx's y must not share storage with x:
 // the kernels write output rows while they still read operand rows, and
@@ -432,19 +419,22 @@ func (t *tenant) stats() TenantStats {
 	return ts
 }
 
-// Server wraps an OnlinePipeline with the three layers a production
+// Server serves one or more tenants, each a LivePipeline over a
+// sharded base of online panels, behind the three layers a production
 // deployment hits before any kernel runs (DESIGN.md §10):
 //
 //  1. admission control — a weighted semaphore with a bounded FIFO
 //     wait queue and per-request deadlines; overload sheds with a
 //     typed ErrOverloaded instead of letting goroutines pile up;
 //  2. retry with exponential backoff + jitter for transient errors
-//     (fault-injected failures, recovered worker panics), and a
-//     circuit breaker on the reordered execution path that trips
-//     after consecutive failures, routes traffic to the no-reorder
-//     fallback, and half-opens to probe recovery — composing with the
-//     pipeline's Degraded machinery (a degraded pipeline serves the
-//     fallback without consulting the breaker);
+//     (fault-injected failures, recovered worker panics), and one
+//     plan-health monitor per tenant: its reordered path opens after
+//     consecutive failures, routes the tenant's traffic to its
+//     no-reorder plans, and half-opens to probe recovery (a call that
+//     runs no reordered plan — below every gate, degraded, or decided
+//     for no-reorder — never consults it), while a confirmed
+//     verification mismatch quarantines the tenant onto the reference
+//     path;
 //  3. durable plan persistence — with PlanDir set, construction warm
 //     starts from snapshotted plans and Close snapshots the cache.
 //
@@ -452,7 +442,6 @@ func (t *tenant) stats() TenantStats {
 // requests and is idempotent.
 type Server struct {
 	adm     *serve.Admission
-	brk     *serve.Breaker
 	cfg     ServerConfig
 	cancel  context.CancelFunc
 	baseCtx context.Context // server lifecycle: coalesced batches run under it
@@ -477,6 +466,11 @@ type Server struct {
 
 	retries *obs.Counter
 
+	// Every tenant's reordered path opens after pathThreshold
+	// consecutive failures and probes again after pathCooldown.
+	pathThreshold int
+	pathCooldown  time.Duration
+
 	reqSpMMInto  *obs.Histogram
 	reqSDDMMInto *obs.Histogram
 }
@@ -491,6 +485,12 @@ type Server struct {
 // attached first, so both builds warm start from snapshots left by a
 // previous process.
 func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*Server, error) {
+	return newServer(ctx, m, cfg, scfg, pathThreshold, pathCooldown)
+}
+
+// newServer is NewServer with the tenants' reordered paths opening
+// after threshold consecutive failures for cooldown.
+func newServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig, threshold int, cooldown time.Duration) (*Server, error) {
 	scfg = scfg.withDefaults()
 	if scfg.PlanDir != "" {
 		if err := SetPlanCacheDir(scfg.PlanDir); err != nil {
@@ -498,28 +498,18 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		}
 	}
 	reg := obs.NewRegistry()
-	events := obs.NewEventRing(scfg.EventRing)
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
-		adm: serve.NewAdmission(scfg.MaxInFlight, scfg.MaxQueue, reg),
-		// Every breaker state change lands in the event ring, so the
-		// trips/half-opens/closes counters reconcile against a
-		// replayable ledger (the hook fires under the breaker lock,
-		// exactly once per transition).
-		brk: serve.NewBreaker(scfg.BreakerThreshold, scfg.BreakerCooldown, reg,
-			func(from, to serve.BreakerState) {
-				events.Emit(obs.Event{
-					Type:   obs.EventBreakerTransition,
-					Detail: from.String() + "->" + to.String(),
-				})
-			}),
-		cfg:     scfg,
-		cancel:  cancel,
-		baseCtx: sctx,
-		tenants: map[string]*tenant{},
-		reg:     reg,
-		traces:  obs.NewTraceRing(traceRingSize),
-		events:  events,
+		adm:           serve.NewAdmission(scfg.MaxInFlight, scfg.MaxQueue, reg),
+		cfg:           scfg,
+		cancel:        cancel,
+		baseCtx:       sctx,
+		tenants:       map[string]*tenant{},
+		reg:           reg,
+		traces:        obs.NewTraceRing(traceRingSize),
+		events:        obs.NewEventRing(scfg.EventRing),
+		pathThreshold: threshold,
+		pathCooldown:  cooldown,
 	}
 	env := s.tenantEnv(DefaultTenant)
 	target := s.shardTarget(m)
@@ -537,9 +527,6 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 		func() int64 { return s.Stats().Failed })
 	s.retries = reg.Counter("spmmrr_server_retries_total",
 		"Re-attempts after transient failures (attempts beyond each request's first).")
-	reg.CounterFunc("spmmrr_server_fallbacks_total",
-		"Attempts routed to the no-reorder pipeline by the circuit breaker.",
-		func() int64 { return s.brk.Stats().Rejected })
 	reqHelp := "End-to-end request latency through the resilience stack, by operation."
 	s.reqSpMMInto = reg.Histogram("spmmrr_server_request_seconds", reqHelp,
 		obs.LatencyBuckets(), obs.L("op", "spmm_into"))
@@ -577,37 +564,41 @@ func NewServer(ctx context.Context, m *Matrix, cfg Config, scfg ServerConfig) (*
 
 // tenantEnv builds the one servingEnv every serving object of tenant
 // id reports to: the server's lifecycle context (lazy builds and
-// rebuilds run under it), its trace and event rings, and the tenant's
-// mutation-latency histograms.
+// rebuilds run under it) and its trace and event rings. It registers
+// nothing: a tenant's series appear only once newTenant wires it.
 func (s *Server) tenantEnv(id string) *servingEnv {
-	mutHelp := "Wall time of published live-matrix mutations, by path (value re-skin or overlay)."
-	return &servingEnv{
-		ctx: s.baseCtx, traces: s.traces, events: s.events, tenant: id,
-		mutateReskin: s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
-			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "reskin")),
-		mutateOverlay: s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
-			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "overlay")),
-	}
+	return &servingEnv{ctx: s.baseCtx, traces: s.traces, events: s.events, tenant: id}
 }
 
 // newTenant wires one tenant over its base, built under env (see
 // tenantEnv): its LivePipeline (every tenant serves through one, so
-// every tenant is mutable), outcome counters in the Server registry
-// (labelled by tenant id), the request coalescer when CoalesceWindow is
-// on, and mirror counters so /metrics carries per-tenant coalesce and
-// live-mutation families.
+// every tenant is mutable), its plan-health monitor, outcome counters
+// in the Server registry (labelled by tenant id), the request coalescer
+// when CoalesceWindow is on, and mirror counters so /metrics carries
+// per-tenant coalesce, live-mutation, integrity and path families.
 func (s *Server) newTenant(env *servingEnv, weight int64, base *ShardedPipeline, shardNNZ int) *tenant {
 	if weight < 1 {
 		weight = 1
 	}
 	id := env.tenant
-	live := newLive(env, base, shardNNZ, shardNNZ > 0, LiveConfig{})
+	mutHelp := "Wall time of published live-matrix mutations, by path (value re-skin or overlay)."
+	live := newLive(env, base, shardNNZ, shardNNZ > 0, LiveConfig{},
+		s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "reskin")),
+		s.reg.Histogram("spmmrr_live_mutate_seconds", mutHelp,
+			obs.LatencyBuckets(), obs.L("tenant", id), obs.L("kind", "overlay")))
 	t := &tenant{id: id, weight: weight, live: live,
-		// Reinstatements are rare control-plane transitions; ledger them
-		// in the event ring so the soak's event/metric reconciliation
-		// can account for every one.
-		integ: integrity.NewMonitor(s.cfg.VerifyFraction, s.cfg.ProbationRequests, func() {
+		// Reinstatements and path transitions are rare control-plane
+		// events; ledger each in the event ring (the hooks fire under
+		// the monitor's lock, once per transition) so the soaks'
+		// event/metric reconciliation can account for every one.
+		integ: integrity.NewMonitor(integrity.Policy{
+			Fraction: s.cfg.VerifyFraction, Probation: s.cfg.ProbationRequests,
+			PathThreshold: s.pathThreshold, PathCooldown: s.pathCooldown,
+		}, func() {
 			env.emit(obs.Event{Type: obs.EventReinstate, Epoch: live.Epoch()})
+		}, func(from, to integrity.PathState) {
+			env.emit(obs.Event{Type: obs.EventBreakerTransition, Detail: from.String() + "->" + to.String()})
 		}),
 		slo: newSLOWindow(s.cfg.SLOTarget, sloWindowSize)}
 	t.admitted = s.reg.Counter("spmmrr_tenant_admitted_total",
@@ -717,6 +708,23 @@ func (s *Server) newTenant(env *servingEnv, weight int64, base *ShardedPipeline,
 	s.reg.GaugeFunc("spmmrr_integrity_quarantined",
 		"1 while the tenant is quarantined or on probation, else 0.",
 		func() float64 { return float64(t.integ.Stats().StillQuarantined) }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_trips_total", "Reordered-path transitions into the open state.",
+		func() int64 { return t.integ.Stats().PathTrips }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_half_opens_total", "Cooldown expiries that admitted a half-open probe.",
+		func() int64 { return t.integ.Stats().PathHalfOpens }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_closes_total", "Successful probes that closed the reordered path.",
+		func() int64 { return t.integ.Stats().PathCloses }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_rejected_total", "Reordered-path attempts rejected while open or while a probe was in flight.",
+		func() int64 { return t.integ.Stats().PathRejected }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_server_fallbacks_total", "Attempts routed to the no-reorder plans by an open reordered path.",
+		func() int64 { return t.integ.Stats().PathRejected }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_failures_total", "Failure reports from the reordered path.",
+		func() int64 { return t.integ.Stats().PathFailures }, obs.L("tenant", id))
+	s.reg.CounterFunc("spmmrr_breaker_successes_total", "Success reports from the reordered path.",
+		func() int64 { return t.integ.Stats().PathSuccesses }, obs.L("tenant", id))
+	s.reg.GaugeFunc("spmmrr_breaker_state",
+		"Reordered-path breaker state (0=closed, 1=open, 2=half-open).",
+		func() float64 { return float64(t.integ.Path()) }, obs.L("tenant", id))
 	// SLO watchdog families: rolling quantiles and error-budget burn
 	// over the last sloWindowSize requests. Registered unconditionally
 	// (with SLOTarget unset only failures count as violations) so the
@@ -740,8 +748,9 @@ func (s *Server) newTenant(env *servingEnv, weight int64, base *ShardedPipeline,
 }
 
 // AddTenant registers a second matrix under id, served through the
-// same admission gate, breaker, retry policy, and (when configured)
-// its own request coalescer. weight scales the admission cost of the
+// same admission gate and retry policy, with its own plan-health
+// monitor (reordered path and quarantine) and, when configured, its
+// own request coalescer. weight scales the admission cost of the
 // tenant's requests: a request for K dense columns charges K*weight
 // units (min 1), so a weight-4 tenant consumes the shared gate four
 // times faster than a weight-1 tenant at the same K — the lever for
@@ -753,7 +762,8 @@ func (s *Server) newTenant(env *servingEnv, weight int64, base *ShardedPipeline,
 // reordered plans build in the background under the server's
 // lifecycle, only once a request passes their reorder gate, exactly
 // like NewServer's matrix. Plans flow through the shared process-wide
-// plan cache.
+// plan cache. The tenant's metric series are registered only once its
+// build succeeds: a failed AddTenant leaves nothing under its id.
 func (s *Server) AddTenant(ctx context.Context, id string, m *Matrix, cfg Config, weight int64) error {
 	if s.closed.Load() {
 		return ErrServerClosed
@@ -881,12 +891,9 @@ func (s *Server) LiveTenant(id string) (*LivePipeline, error) {
 // is read from the same registry objects /metrics renders, so the two
 // views cannot disagree.
 func (s *Server) Stats() ServerStats {
-	brk := s.brk.Stats()
 	st := ServerStats{
 		Admission: s.adm.Stats(),
-		Breaker:   brk,
 		Retries:   s.retries.Value(),
-		Fallbacks: brk.Rejected,
 		Degraded: s.def.live.state.Load().base.anyPanel(func(o *OnlinePipeline) bool {
 			return o.rr.failure() != nil
 		}),
@@ -895,12 +902,13 @@ func (s *Server) Stats() ServerStats {
 		st.Completed += t.completed.Value()
 		st.Failed += t.failed.Value()
 		st.Cancelled += t.cancelled.Value()
+		st.Fallbacks += t.integ.Stats().PathRejected
 	}
 	return st
 }
 
-// Registry exposes the Server's metric registry (admission, breaker,
-// server, plan-cache families). Process-wide families (kernels,
+// Registry exposes the Server's metric registry (admission, server,
+// per-tenant and plan-cache families). Process-wide families (kernels,
 // preprocessing, online trials) live in obs.Default().
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -977,30 +985,31 @@ func (s *Server) SpMMIntoTenant(ctx context.Context, id string, y *Dense, x *Den
 	})
 }
 
-// serveMode selects how one attempt executes a request. The breaker
-// and the integrity quarantine each own a degraded mode; they are
-// deliberately distinct paths — the breaker's no-reorder fallback can
-// itself be the suspect plan, so quarantined requests run the
+// serveMode selects how one attempt executes a request; the tenant's
+// plan-health monitor picks it (integrity.Monitor.Route). An open
+// reordered path and a quarantine each own a degraded mode, and they
+// are deliberately distinct paths: the open path's no-reorder fallback
+// can itself be the suspect plan, so quarantined requests run the
 // reference row-wise kernels instead.
-type serveMode int
+type serveMode = integrity.Mode
 
 const (
 	// modeFull: the normal serving path (coalesced when configured).
-	modeFull serveMode = iota
+	modeFull = integrity.ModeFull
 	// modeVerify: the normal path, then shadow-verify sampled output
 	// rows against the reference kernel on the unpermuted matrix.
-	modeVerify
-	// modeFallback: the breaker's no-reorder fallback (width 0, which no
-	// reorder gate passes).
-	modeFallback
+	modeVerify = integrity.ModeVerify
+	// modeFallback: the open path's no-reorder fallback (width 0, which
+	// no reorder gate passes).
+	modeFallback = integrity.ModeFallback
 	// modeQuarantine: the integrity reference path — row-wise kernels
 	// on the original matrix, bypassing every transformed plan.
-	modeQuarantine
+	modeQuarantine = integrity.ModeReference
 )
 
 // runSpMM executes one SpMM attempt against the tenant's live state in
 // mode (see liveState.spmmInto; the live overlay is merged in every
-// mode). The breaker's fallback and the quarantine path run direct,
+// mode). The open path's fallback and the quarantine path run direct,
 // per request and uncoalesced; the main path goes through the tenant's
 // coalescer when one is configured, with sampled requests
 // shadow-verified after the batch lands. Shapes are validated before
@@ -1105,13 +1114,13 @@ func (s *Server) SDDMMIntoTenant(ctx context.Context, id string, out *Matrix, x,
 	})
 }
 
-// do runs one request through admission, deadline, retry, breaker,
-// and integrity routing, recording a per-request trace (admission
+// do runs one request through admission, deadline, retry, and the
+// tenant's plan-health routing, recording a per-request trace (admission
 // wait, attempts, retry backoffs, kernel spans recorded further down
 // the stack) that lands in the /debug/traces ring. run receives the
 // serveMode chosen by attempt: the full online path, the same path
-// followed by a sampled shadow verification, the breaker's no-reorder
-// fallback, or the quarantine reference path (the live overlay is
+// followed by a sampled shadow verification, the open path's
+// no-reorder fallback, or the quarantine reference path (the live overlay is
 // merged in every mode). k is the request's dense width. Its gate cost
 // is k scaled by the tenant's admission weight — and by the tenant's
 // current overlay fraction, since overlay rows are computed serially on
@@ -1196,54 +1205,40 @@ func (s *Server) do(ctx context.Context, t *tenant, op string, hist *obs.Histogr
 	return nil
 }
 
-// attempt executes one try. The integrity monitor routes first: a
-// quarantined tenant serves the reference path outright (no breaker
-// accounting — the transformed plans aren't exercised), and a sampled
-// healthy request upgrades to modeVerify. The breaker is then
-// consulted only when the call would actually exercise a reordered
-// plan: a call of width k below every panel's reorder gate, and panels
-// that are degraded, decided for no-reorder, or still building, serve
-// without one, and their outcomes must not open (or close) the
-// reordered path's circuit. A verification mismatch is
-// likewise excluded from breaker accounting: the quarantine owns that
-// failure mode, and double-charging it would conflate "plan computes
-// wrong numbers" with "path is unhealthy" in the fallback ledgers.
+// attempt executes one try in the mode the tenant's monitor routes it
+// to, and reports the outcome back (integrity.Monitor.Done). The
+// monitor's path is consulted only when the call would actually
+// exercise a reordered plan: a call of width k below every panel's
+// reorder gate, and panels that are degraded, decided for no-reorder,
+// or still building, serve without one, and their outcomes must not
+// open (or close) the tenant's reordered path. A quarantined tenant
+// serves the reference path whatever its path state, and neither a
+// context error nor a verification mismatch is charged to the path:
+// the quarantine owns wrong numbers, and double-charging them would
+// conflate "plan computes wrong numbers" with "path is unhealthy" in
+// the fallback ledgers.
 func (s *Server) attempt(ctx context.Context, t *tenant, k int, run func(context.Context, serveMode) error) error {
 	tr := obs.TraceFrom(ctx)
 	sp := tr.StartSpan("attempt")
 	defer sp.End()
-	dec := t.integ.Route(t.live.baseGen())
-	if dec.Fallback {
-		tr.Annotate("path", "quarantine")
-		return run(ctx, modeQuarantine)
-	}
-	mode := modeFull
-	if dec.Verify {
-		mode = modeVerify
-	}
-	if !reorderedPathActive(t, k) {
-		tr.Annotate("path", "plain")
-		return run(ctx, mode)
-	}
-	// Breaker state as observed when this attempt was routed; Allow may
-	// advance it (Open → HalfOpen).
-	tr.Annotate("breaker", s.brk.State().String())
-	if !s.brk.Allow() {
-		tr.Annotate("path", "fallback")
-		return run(ctx, modeFallback)
-	}
-	tr.Annotate("path", "reordered")
-	err := run(ctx, mode)
+	reordered := reorderedPathActive(t, k)
+	dec := t.integ.Route(t.live.baseGen(), reordered)
 	switch {
-	case err == nil:
-		s.brk.Success()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// The caller gave up; says nothing about the path's health.
-	case errors.Is(err, integrity.ErrMismatch):
-		// The quarantine controller owns this outcome.
+	case dec.Mode == modeQuarantine:
+		tr.Annotate("path", "quarantine")
+	case !reordered:
+		tr.Annotate("path", "plain")
+	case dec.Mode == modeFallback:
+		tr.Annotate("path", "fallback")
 	default:
-		s.brk.Failure()
+		tr.Annotate("path", "reordered")
 	}
+	if reordered && dec.Mode != modeQuarantine {
+		// The path state as this attempt's routing left it.
+		tr.Annotate("breaker", t.integ.Path().String())
+	}
+	err := run(ctx, dec.Mode)
+	t.integ.Done(dec, err)
 	return err
 }
 

@@ -617,3 +617,30 @@ func TestServerAddTenantConcurrentDuplicate(t *testing.T) {
 		t.Fatalf("%d of %d concurrent AddTenant calls succeeded, want exactly 1", ok, n)
 	}
 }
+
+// A tenant whose build fails leaves nothing behind: no tenant entry and
+// no metric series under its id, so a scrape never reports a tenant
+// that does not exist.
+func TestServerFailedAddTenantRegistersNothing(t *testing.T) {
+	ma := freshScrambled(t, 3009)
+	mb, err := repro.GenerateScrambledClusters(256, 256, 16, 3010)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := degradedServer(t, ma, repro.ServerConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.AddTenant(ctx, "ghost", mb, repro.DefaultConfig(), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AddTenant under a cancelled context = %v, want context.Canceled", err)
+	}
+	if ids := s.Tenants(); len(ids) != 1 || ids[0] != repro.DefaultTenant {
+		t.Fatalf("tenants after a failed AddTenant = %v", ids)
+	}
+	for _, smp := range s.Registry().Snapshot() {
+		for _, l := range smp.Labels {
+			if l.Name == "tenant" && l.Value == "ghost" {
+				t.Fatalf("failed AddTenant left series %s", smp.Key())
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/faultinject"
+	"repro/internal/integrity"
 	"repro/internal/testutil"
 )
 
@@ -22,13 +23,15 @@ import (
 // call because every width passes the reorder gate, is doomed by an
 // already-expired budget, so every request deterministically serves the
 // no-reorder plan — the simplest substrate for admission and retry
-// tests that do not care about breaker routing.
+// tests that do not care about reordered-path routing. Its reordered
+// path would open on the first failure charged to it, so any charge
+// from the degraded path shows at once.
 func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *repro.Server {
 	t.Helper()
 	repro.SetGateL2ForTest(t, 0)
 	cfg := repro.DefaultConfig()
 	cfg.PreprocessBudget = time.Nanosecond
-	s, err := repro.NewServer(context.Background(), m, cfg, scfg)
+	s, err := repro.NewServerWithPathForTest(context.Background(), m, cfg, scfg, 1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +44,17 @@ func degradedServer(t *testing.T, m *repro.Matrix, scfg repro.ServerConfig) *rep
 		}
 	})
 	return s
+}
+
+// pathStats returns the default tenant's plan-health ledger, which
+// carries its reordered path's counters.
+func pathStats(t *testing.T, s *repro.Server) integrity.Stats {
+	t.Helper()
+	ts, ok := s.TenantStats(repro.DefaultTenant)
+	if !ok {
+		t.Fatal("no default tenant")
+	}
+	return ts.Integrity
 }
 
 func TestServerServesCorrectResults(t *testing.T) {
@@ -238,11 +252,11 @@ func TestServerRetriesTransientFaults(t *testing.T) {
 	}
 }
 
-// The full breaker lifecycle over a live pipeline: consecutive failures
-// on the reordered path trip the circuit, tripped traffic routes to the
-// no-reorder fallback (and succeeds once the fault clears), and after
-// the cooldown a successful probe closes the circuit again. Fallback
-// routing and the breaker's Rejected counter must agree exactly.
+// The full reordered-path lifecycle over a live pipeline: consecutive
+// failures on the reordered path open it, the tenant's traffic routes to
+// the no-reorder fallback (and succeeds once the fault clears), and
+// after the cooldown a successful probe closes the path again. Fallback
+// routing and the tenant's PathRejected counter must agree exactly.
 func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	repro.SetGateL2ForTest(t, 0)
 	m := freshScrambled(t, 2005)
@@ -252,11 +266,8 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	cfg := repro.DefaultConfig()
 	cfg.PreprocessBudget = time.Hour
 	const cooldown = 50 * time.Millisecond
-	s, err := repro.NewServer(context.Background(), m, cfg, repro.ServerConfig{
-		MaxAttempts:      4,
-		BreakerThreshold: 2,
-		BreakerCooldown:  cooldown,
-	})
+	s, err := repro.NewServerWithPathForTest(context.Background(), m, cfg,
+		repro.ServerConfig{MaxAttempts: 4}, 2, cooldown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,25 +283,25 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Request 1 under a persistent kernel fault: attempts 1–2 fail on the
-	// reordered path and trip the breaker; attempts 3–4 are rejected by
-	// the open circuit, route to the fallback, and fail there too (same
-	// fault site), exhausting the retry budget.
+	// reordered path and open it; attempts 3–4 are rejected by the open
+	// path, route to the fallback, and fail there too (same fault site),
+	// exhausting the retry budget.
 	restore := faultinject.ErrorAt("kernels.exec")
 	_, err = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	restore()
 	if !errors.Is(err, faultinject.Err) {
 		t.Fatalf("request under persistent fault = %v, want faultinject.Err", err)
 	}
-	st := s.Stats()
-	if st.Breaker.Trips != 1 {
-		t.Fatalf("breaker stats after fault burst = %+v, want 1 trip", st.Breaker)
+	st, path := s.Stats(), pathStats(t, s)
+	if path.PathTrips != 1 {
+		t.Fatalf("path stats after fault burst = %+v, want 1 trip", path)
 	}
-	if st.Fallbacks != 2 || st.Fallbacks != st.Breaker.Rejected {
-		t.Fatalf("fallbacks = %d, breaker rejected = %d; want 2 and equal",
-			st.Fallbacks, st.Breaker.Rejected)
+	if st.Fallbacks != 2 || st.Fallbacks != path.PathRejected {
+		t.Fatalf("fallbacks = %d, path rejected = %d; want 2 and equal",
+			st.Fallbacks, path.PathRejected)
 	}
 
-	// Request 2, fault cleared but circuit still open (within cooldown):
+	// Request 2, fault cleared but path still open (within cooldown):
 	// served by the no-reorder fallback, correctly.
 	got, err := serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
@@ -301,14 +312,14 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("fallback result diverges at %d", i)
 		}
 	}
-	st = s.Stats()
-	if st.Fallbacks != 3 || st.Fallbacks != st.Breaker.Rejected {
+	st, path = s.Stats(), pathStats(t, s)
+	if st.Fallbacks != 3 || st.Fallbacks != path.PathRejected {
 		t.Fatalf("post-recovery fallbacks = %d, rejected = %d; want 3 and equal",
-			st.Fallbacks, st.Breaker.Rejected)
+			st.Fallbacks, path.PathRejected)
 	}
 
 	// Request 3 after the cooldown: admitted as the half-open probe,
-	// succeeds on the reordered path, and closes the circuit.
+	// succeeds on the reordered path, and closes the path.
 	time.Sleep(2 * cooldown)
 	got, err = serverSpMM(context.Background(), s, repro.DefaultTenant, x)
 	if err != nil {
@@ -319,9 +330,9 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("probe result diverges at %d", i)
 		}
 	}
-	st = s.Stats()
-	if st.Breaker.State != 0 /* Closed */ || st.Breaker.Closes != 1 || st.Breaker.HalfOpens != 1 {
-		t.Fatalf("breaker did not recover: %+v", st.Breaker)
+	st, path = s.Stats(), pathStats(t, s)
+	if path.Path != integrity.PathClosed || path.PathCloses != 1 || path.PathHalfOpens != 1 {
+		t.Fatalf("path did not recover: %+v", path)
 	}
 	if st.Completed != 2 || st.Failed != 1 {
 		t.Fatalf("stats = %+v, want 2 completed / 1 failed", st)
@@ -334,14 +345,14 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// A degraded pipeline serves the no-reorder plan without consulting the
-// breaker: faults there must not trip it, and nothing is ever counted
-// as a fallback (there is no reordered path to fall back from).
+// A degraded pipeline serves the no-reorder plan without consulting its
+// reordered path: faults there must not open it, and nothing is ever
+// counted as a fallback (there is no reordered path to fall back from).
 func TestServerDegradedBypassesBreaker(t *testing.T) {
 	m := freshScrambled(t, 2006)
 	warmKernelPool(t, m)
 
-	s := degradedServer(t, m, repro.ServerConfig{MaxAttempts: 1, BreakerThreshold: 1})
+	s := degradedServer(t, m, repro.ServerConfig{MaxAttempts: 1})
 
 	restore := faultinject.ErrorAt("kernels.exec")
 	x := repro.NewRandomDense(m.Cols, 8, 27)
@@ -351,10 +362,10 @@ func TestServerDegradedBypassesBreaker(t *testing.T) {
 		}
 	}
 	restore()
-	st := s.Stats()
-	if st.Breaker.Trips != 0 || st.Breaker.Failures != 0 || st.Fallbacks != 0 {
-		t.Fatalf("degraded-path faults leaked into the breaker: %+v, fallbacks=%d",
-			st.Breaker, st.Fallbacks)
+	st, path := s.Stats(), pathStats(t, s)
+	if path.PathTrips != 0 || path.PathFailures != 0 || st.Fallbacks != 0 {
+		t.Fatalf("degraded-path faults leaked into the reordered path: %+v, fallbacks=%d",
+			path, st.Fallbacks)
 	}
 	if !st.Degraded {
 		t.Fatalf("stats did not report degradation")

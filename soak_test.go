@@ -95,8 +95,8 @@ func (sm *soakMutator) halt() {
 // bounded wall-clock budget. It then asserts the system-level
 // robustness contract: no goroutine leaks, no wedged requests (Close
 // drains within its deadline), client-observed outcomes reconcile
-// exactly with the server's counters, the breaker's counters satisfy
-// their invariants, and the plan cache still snapshots cleanly.
+// exactly with the server's counters, the reordered path's counters
+// satisfy their invariants, and the plan cache still snapshots cleanly.
 //
 // Run under -race (the CI soak job does); the test is also the
 // designated chaos budget for `make soak`.
@@ -128,19 +128,17 @@ func TestServerChaosSoak(t *testing.T) {
 	cfg.PreprocessBudget = time.Hour
 	// Small capacities on purpose: weight-8 requests against a 16-unit
 	// gate admit two at a time, so six clients constantly queue and shed.
-	s, err := repro.NewServer(context.Background(), m, cfg, repro.ServerConfig{
-		MaxInFlight:      16,
-		MaxQueue:         2,
-		DefaultDeadline:  2 * time.Second,
-		MaxAttempts:      3,
-		RetryBase:        200 * time.Microsecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  20 * time.Millisecond,
-		PlanDir:          dir,
+	s, err := repro.NewServerWithPathForTest(context.Background(), m, cfg, repro.ServerConfig{
+		MaxInFlight:     16,
+		MaxQueue:        2,
+		DefaultDeadline: 2 * time.Second,
+		MaxAttempts:     3,
+		RetryBase:       200 * time.Microsecond,
+		PlanDir:         dir,
 		// Large enough that nothing is evicted during the soak, so the
 		// decision-event ledger below reconciles exactly.
 		EventRing: 1 << 15,
-	})
+	}, 3, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,8 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 
 	// Chaos phase, then a fault-free tail so in-flight retries and the
-	// breaker's recovery probe get a clean runway before reconciliation.
+	// reordered path's recovery probe get a clean runway before
+	// reconciliation.
 	// Halfway through, scrape /metrics under full load: the exposition
 	// must stay well-formed and every counter monotone even while faults
 	// fire and requests race the collector.
@@ -361,7 +360,7 @@ func TestServerChaosSoak(t *testing.T) {
 	t.Logf("soak: %d requests, %d ok, %d shed, %d ctx, %d fault; %d fault fires injected",
 		total.requests, total.successes, total.sheds, total.ctxErrs, total.faults, injected.Load())
 
-	// A post-chaos request must succeed (the breaker may still be open —
+	// A post-chaos request must succeed (the path may still be open —
 	// then it is served by the fallback, which is precisely the point).
 	if _, err := serverSpMM(context.Background(), s, repro.DefaultTenant, prime); err != nil {
 		t.Fatalf("post-chaos request: %v", err)
@@ -393,21 +392,19 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Fatalf("requests still wedged in the gate: %+v", st.Admission)
 	}
 
-	// Breaker invariants: every recovery requires a preceding trip, every
-	// trip requires real failures, and fallback routing must agree with
-	// the breaker's own rejection count exactly.
-	b := st.Breaker
-	if st.Fallbacks != b.Rejected {
-		t.Fatalf("fallbacks %d != breaker rejected %d", st.Fallbacks, b.Rejected)
+	// Reordered-path invariants (the lifecycle and event ledger are
+	// checked per tenant by reconcilePaths below): every trip requires
+	// real failures, and fallback routing must agree with the path's own
+	// rejection count exactly.
+	b := pathStats(t, s)
+	if st.Fallbacks != b.PathRejected {
+		t.Fatalf("fallbacks %d != path rejected %d", st.Fallbacks, b.PathRejected)
 	}
-	if b.HalfOpens > b.Trips || b.Closes > b.HalfOpens {
-		t.Fatalf("impossible breaker lifecycle: %+v", b)
+	if b.PathTrips > 0 && injected.Load() == 0 {
+		t.Fatalf("path opened %d times with no injected faults", b.PathTrips)
 	}
-	if b.Trips > 0 && injected.Load() == 0 {
-		t.Fatalf("breaker tripped %d times with no injected faults", b.Trips)
-	}
-	if b.Failures > 0 && injected.Load() == 0 && total.ctxErrs == 0 {
-		t.Fatalf("breaker recorded %d failures with no fault source", b.Failures)
+	if b.PathFailures > 0 && injected.Load() == 0 && total.ctxErrs == 0 {
+		t.Fatalf("path recorded %d failures with no fault source", b.PathFailures)
 	}
 	if st.Degraded {
 		t.Fatalf("serving-time faults degraded the pipeline (build finished pre-chaos)")
@@ -419,15 +416,15 @@ func TestServerChaosSoak(t *testing.T) {
 	final := scrape()
 	assertMonotone(mid, final)
 	for key, want := range map[string]float64{
-		"spmmrr_server_completed_total":   float64(st.Completed),
-		"spmmrr_server_failed_total":      float64(st.Failed),
-		"spmmrr_server_retries_total":     float64(st.Retries),
-		"spmmrr_server_fallbacks_total":   float64(st.Fallbacks),
-		"spmmrr_admission_admitted_total": float64(st.Admission.Admitted),
-		"spmmrr_admission_shed_total":     float64(st.Admission.Shed),
-		"spmmrr_admission_expired_total":  float64(st.Admission.Expired),
-		"spmmrr_breaker_trips_total":      float64(st.Breaker.Trips),
-		"spmmrr_breaker_rejected_total":   float64(st.Breaker.Rejected),
+		"spmmrr_server_completed_total":                   float64(st.Completed),
+		"spmmrr_server_failed_total":                      float64(st.Failed),
+		"spmmrr_server_retries_total":                     float64(st.Retries),
+		"spmmrr_admission_admitted_total":                 float64(st.Admission.Admitted),
+		"spmmrr_admission_shed_total":                     float64(st.Admission.Shed),
+		"spmmrr_admission_expired_total":                  float64(st.Admission.Expired),
+		`spmmrr_server_fallbacks_total{tenant="default"}`: float64(st.Fallbacks),
+		`spmmrr_breaker_trips_total{tenant="default"}`:    float64(b.PathTrips),
+		`spmmrr_breaker_rejected_total{tenant="default"}`: float64(b.PathRejected),
 	} {
 		if got, ok := final[key]; !ok || got != want {
 			t.Fatalf("scrape %s = %v (present=%v), Stats() says %v", key, got, ok, want)
@@ -488,10 +485,7 @@ func TestServerChaosSoak(t *testing.T) {
 	for _, e := range events {
 		counts[e.Type]++
 	}
-	if got, want := counts[obs.EventBreakerTransition], b.Trips+b.HalfOpens+b.Closes; got != want {
-		t.Fatalf("breaker_transition events %d != trips %d + half-opens %d + closes %d",
-			got, b.Trips, b.HalfOpens, b.Closes)
-	}
+	reconcilePaths(t, s, events)
 	if got := counts[obs.EventPlanSwap]; got != lst.Swaps {
 		t.Fatalf("plan_swap events %d != live swaps %d", got, lst.Swaps)
 	}
@@ -515,6 +509,37 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// reconcilePaths checks every tenant's reordered-path ledger against
+// the decision events and the Server's summed fallbacks: per tenant the
+// lifecycle is possible (each close needs a half-open, each half-open a
+// trip, each trip a failure) and its breaker_transition events equal
+// trips + half-opens + closes; the Server's Fallbacks is the tenants'
+// rejected attempts summed.
+func reconcilePaths(t *testing.T, s *repro.Server, events []obs.Event) {
+	t.Helper()
+	transitions := map[string]int64{}
+	for _, e := range events {
+		if e.Type == obs.EventBreakerTransition {
+			transitions[e.Tenant]++
+		}
+	}
+	var rejected int64
+	for _, ts := range s.AllTenantStats() {
+		p := ts.Integrity
+		rejected += p.PathRejected
+		if p.PathHalfOpens > p.PathTrips || p.PathCloses > p.PathHalfOpens || p.PathTrips > p.PathFailures {
+			t.Fatalf("tenant %s: impossible path lifecycle: %+v", ts.ID, p)
+		}
+		if got, want := transitions[ts.ID], p.PathTrips+p.PathHalfOpens+p.PathCloses; got != want {
+			t.Fatalf("tenant %s: breaker_transition events %d != trips %d + half-opens %d + closes %d",
+				ts.ID, got, p.PathTrips, p.PathHalfOpens, p.PathCloses)
+		}
+	}
+	if st := s.Stats(); st.Fallbacks != rejected {
+		t.Fatalf("server fallbacks %d != tenants' rejected %d", st.Fallbacks, rejected)
+	}
 }
 
 func isPanicError(err error) bool {
