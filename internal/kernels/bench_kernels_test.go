@@ -20,8 +20,10 @@ import (
 // padding) and the scrambled-cluster matrix the serving benchmarks are
 // built around, both as its no-reordering plan and as its reordered
 // plan (whose dense tiles are ASpT's regime) — at the widths a server
-// sees (K = 1, 4, 16), at K = 8 and 12 (where the AVX2 strip walks a
-// row once or twice and SSE's two or three times) and at K = 64.
+// sees (K = 1, 4, 16), at K = 2, 3 and 5 (where the strip primitive's
+// scalar last walk carries some or all of a row's columns), at K = 8
+// and 12 (where the AVX2 strip walks a row once or twice and SSE's two
+// or three times) and at K = 64.
 // Run with `go test -run '^$' -bench KernelCorpus ./internal/kernels`; the
 // autotuner thresholds in internal/reorder/autotune.go are checked
 // against these numbers (see DESIGN.md §12).
@@ -116,7 +118,7 @@ var benchFamilies = []benchFamily{
 	{"scrambled-rr", true, scrambledClusters},
 }
 
-var benchWidths = []int{1, 4, 8, 12, 16, 64}
+var benchWidths = []int{1, 2, 3, 4, 5, 8, 12, 16, 64}
 
 // planRowMap is the row map a pipeline passes the *IntoRowsCtx kernels:
 // the plan's RowPerm, or nil when that is the identity.

@@ -109,11 +109,15 @@ func TestASpTKernelFaultInjection(t *testing.T) {
 // outside X's rows, planted past validation into a CSR, an ASpT part
 // (tile or rest) or a HYB part (slab or spill), fails every SpMM kernel
 // and kernels.SpMMRow with a *par.PanicError instead of reading outside
-// X — in each strip width of every strip path, in the scalar tail, and
-// in a row's second run. The CSR and ASpT kernels walk a row range per
-// strip call, so their bad column also sits at both ends of the range:
-// the first pair of the first non-empty row and the last pair of the
-// last non-empty row.
+// X — in each strip width of every strip path, in the strip
+// primitive's scalar last walk (the K%4 columns, and below K = 4 the
+// row's only walk), and in a row's second run. The CSR and ASpT kernels
+// walk a row range per strip call, so their bad column also sits at
+// both ends of the range: the first pair of the first non-empty row and
+// the last pair of the last non-empty row. At K = 1 rows are walked two
+// at a time, so row-wise also plants it at the first pair of the hub
+// and of each neighbour: one of those lies in the part of a row pair
+// that both rows walk together, whichever row each pair starts at.
 func TestSpMMBadColumnFails(t *testing.T) {
 	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
 	hub := m.Rows / 5
@@ -150,6 +154,9 @@ func TestSpMMBadColumnFails(t *testing.T) {
 	last := func(n int) int { return n - 1 }
 	cases := []corrupt{
 		csrCase("rowwise", int(m.RowPtr[hub+1])-1, SpMMRowWiseIntoCtx),
+		csrCase("rowwise/prev", int(m.RowPtr[hub-1]), SpMMRowWiseIntoCtx),
+		csrCase("rowwise/hubfirst", int(m.RowPtr[hub]), SpMMRowWiseIntoCtx),
+		csrCase("rowwise/next", int(m.RowPtr[hub+1]), SpMMRowWiseIntoCtx),
 		csrCase("rowwise/first", 0, SpMMRowWiseIntoCtx),
 		csrCase("rowwise/last", m.NNZ()-1, SpMMRowWiseIntoCtx),
 		csrCase("merge", int(m.RowPtr[hub])+1, SpMMMergeIntoCtx),
@@ -187,7 +194,7 @@ func TestSpMMBadColumnFails(t *testing.T) {
 		}},
 	}
 	onStripPaths(t, func(t *testing.T) {
-		for _, k := range []int{3, 4, 8, 16, 21} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 16, 21} {
 			x := dense.NewRandom(m.Cols, k, 1)
 			y := dense.New(m.Rows, k)
 			for _, bad := range []int32{int32(m.Cols), -1} {
@@ -206,9 +213,10 @@ func TestSpMMBadColumnFails(t *testing.T) {
 // that Go did not bounds-check, so it checks each row's span itself. A
 // row pointer that decreases, points past the pairs or is negative
 // fails the row-wise kernel and both ASpT parts with a *par.PanicError
-// instead of reading outside the operand, in the strip primitive
-// (K = 16), in the scalar tail alone (K = 3) and in both (K = 21), on
-// every strip path. Past each operand's pairs sits spare capacity of
+// instead of reading outside the operand, on every strip path: at K =
+// 16 (strips only), at K = 1, 2 and 3 (the scalar last walk alone,
+// where ASpT's rest is the accum run) and at K = 5, 7 and 21 (both).
+// Past each operand's pairs sits spare capacity of
 // valid pairs, so only the span check can catch a read there.
 func TestSpMMBadRowPointerFails(t *testing.T) {
 	m := oracleMatrix(rand.New(rand.NewSource(5)), 40, 16)
@@ -250,7 +258,7 @@ func TestSpMMBadRowPointerFails(t *testing.T) {
 		},
 	}
 	onStripPaths(t, func(t *testing.T) {
-		for _, k := range []int{3, 16, 21} {
+		for _, k := range []int{1, 2, 3, 5, 7, 16, 21} {
 			x := dense.NewRandom(m.Cols, k, 1)
 			y := dense.New(m.Rows, k)
 			for cname, bad := range corrupt {

@@ -7,18 +7,20 @@
 // equal values.
 //
 // Every SpMM kernel computes its rows through spmmRows, which hands a
-// range of rows to one strip primitive, addRows, for the first K&^3
-// output columns, and sums the last K%4 in Go in one loop over the same
-// rows. Row i of the range is a span of a strided run of (col, val)
+// range of rows to one strip primitive, addRows, for all K output
+// columns: strips of 16, 8 and 4 columns, then one scalar walk with an
+// accumulator per column for the last K%4, the only walk below K = 4
+// (at K = 1 the assembly walks two rows at a time).
+// Row i of the range is a span of a strided run of (col, val)
 // pairs given by a row pointer, written to output row dst[i]. Row-wise
 // makes one call per executor chunk, merge one for a chunk's owned
 // whole rows and ASpT two (tile, then rest). HYB's slab and spill,
 // merge's head fragments and cut rows, and SpMMRow use the one-row
 // form, spmmRun. On amd64 addRows is assembly with two paths behind one
 // entry point: AVX2 (16-wide strips of two YMM lanes, then one 8-wide
-// strip, then the SSE 4-wide loop) when CPUID and XGETBV show AVX2 at
-// start-up, and SSE (16-, then 4-wide strips), the amd64 baseline,
-// otherwise. StripPath names the path. Elsewhere, and under the
+// strip, then the SSE 4-wide and scalar loops) when CPUID and XGETBV
+// show AVX2 at start-up, and SSE (16-, then 4-wide strips, then the
+// scalar walk), the amd64 baseline, otherwise. StripPath names the path. Elsewhere, and under the
 // standard purego build tag, addRows is plain Go. Every SDDMM row goes
 // through sddmmRow, one dot per nonzero in k order.
 //

@@ -368,18 +368,20 @@ func TestRowMapLengthChecked(t *testing.T) {
 
 // TestRowMapRangeChecked plants a row-map entry outside y's rows, at
 // y.Rows and at -1, into every row-mapped SpMM kernel: each must fail
-// with a *par.PanicError on every strip path, at K = 3 (scalar tail
-// only), 4 and 16 (strip primitive only) and 21 (both), whether the
-// entry is the first row's, the hub's or the last row's.
+// with a *par.PanicError on every strip path, at K = 1 and 3 (the
+// strip primitive's scalar last walk only), 4 and 16 (strips only) and
+// 5 and 21 (both), whether the entry is the first row's, the hub's or
+// the last row's, or the row after the first or the hub (K = 1 checks
+// rows two at a time, so both rows of a pair are planted).
 func TestRowMapRangeChecked(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := oracleMatrix(rng, 40, 16)
 	cases := oracleCases(t, m)
 	onStripPaths(t, func(t *testing.T) {
-		for _, k := range []int{3, 4, 16, 21} {
+		for _, k := range []int{1, 3, 4, 5, 16, 21} {
 			x := dense.NewRandom(m.Cols, k, 1)
 			y := dense.New(m.Rows, k)
-			for _, at := range []int{0, m.Rows / 5, m.Rows - 1} {
+			for _, at := range []int{0, 1, m.Rows / 5, m.Rows/5 + 1, m.Rows - 1} {
 				for _, bad := range []int32{int32(m.Rows), -1} {
 					dst := randomRowMap(rng, m.Rows)
 					dst[at] = bad

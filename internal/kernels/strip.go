@@ -55,13 +55,6 @@ func spillRun(spill []sparse.Entry) run {
 	return run{&spill[0].Col, &spill[0].Val, len(spill), int(unsafe.Sizeof(spill[0]))}
 }
 
-// at returns pair j of r.
-func (r run) at(j int) (int32, float32) {
-	o := uintptr(j * r.stride)
-	return *(*int32)(unsafe.Add(unsafe.Pointer(r.cols), o)),
-		*(*float32)(unsafe.Add(unsafe.Pointer(r.vals), o))
-}
-
 // spmmRows computes rows [lo, hi) of S·X into yd, the row-major
 // k-column output: row i of S holds the pairs [rowptr[i], rowptr[i+1])
 // of the run p and is written to output row dst[i], or row i when dst
@@ -70,15 +63,13 @@ func (r run) at(j int) (int32, float32) {
 // is how a row given as two runs (ASpT's tile then rest, HYB's slab
 // then spill) sums them into one accumulator.
 //
-// The first K&^3 columns of every row go through one call of addRows,
-// the register-blocked strip primitive: AVX2 or SSE assembly on amd64,
-// plain Go elsewhere (and under the purego tag). The last K%4 columns
-// run after it, one loop over the same rows with one scalar accumulator
-// per column. Every element starts at +0 and adds its products, each
-// rounded to float32 before the add (never fused), in pair order, so
-// the result is bit-identical to Alg 1's unblocked yi[k] += v·X[c][k]
-// loop (TestSpMMKernelsMatchOracle). An index out of range panics with
-// errBadIndex, or with the scalar tail's index error.
+// Every column of every row goes through one call of addRows, the
+// register-blocked strip primitive: AVX2 or SSE assembly on amd64,
+// plain Go elsewhere (and under the purego tag). Each element starts
+// at +0 and adds its products, each rounded to float32 before the add
+// (never fused), in pair order, so the result is bit-identical to Alg
+// 1's unblocked yi[k] += v·X[c][k] loop (TestSpMMKernelsMatchOracle).
+// An index out of range panics with errBadIndex.
 func spmmRows(yd, xd []float32, k int, dst, rowptr []int32, lo, hi int, p run, accum bool) {
 	if k == 0 {
 		return
@@ -88,36 +79,10 @@ func spmmRows(yd, xd []float32, k int, dst, rowptr []int32, lo, hi int, p run, a
 	if dst != nil {
 		_ = dst[lo:hi]
 	}
-	k4 := k &^ 3
-	if k4 > 0 && !addRows(unsafe.SliceData(yd), unsafe.SliceData(dst), len(yd)/k,
+	if !addRows(unsafe.SliceData(yd), unsafe.SliceData(dst), len(yd)/k,
 		unsafe.SliceData(rowptr), lo, hi, p.cols, p.vals, p.n, p.stride,
 		unsafe.SliceData(xd), k, len(xd)/k, accum) {
 		panic(errBadIndex)
-	}
-	if k4 == k {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		a, b := int(rowptr[i]), int(rowptr[i+1])
-		if uint(b) > uint(p.n) || uint(a) > uint(b) {
-			panic(errBadIndex)
-		}
-		r := i
-		if dst != nil {
-			r = int(dst[i])
-		}
-		yi := yd[r*k : r*k+k]
-		for off := k4; off < k; off++ {
-			var acc float32
-			if accum {
-				acc = yi[off]
-			}
-			for j := a; j < b; j++ {
-				c, v := p.at(j)
-				acc += float32(v * xd[int(c)*k+off])
-			}
-			yi[off] = acc
-		}
 	}
 }
 

@@ -9,9 +9,17 @@ import "unsafe"
 // build tag.
 func StripPath() string { return "purego" }
 
+// at returns pair j of r.
+func (r run) at(j int) (int32, float32) {
+	o := uintptr(j * r.stride)
+	return *(*int32)(unsafe.Add(unsafe.Pointer(r.cols), o)),
+		*(*float32)(unsafe.Add(unsafe.Pointer(r.vals), o))
+}
+
 // addRows is the portable form of the strip primitive (see
 // strip_amd64.go): the same index checks and the same per-lane sums in
-// the same order, blocked in strips of 8, then 4, columns. Each product
+// the same order, blocked in strips of 8, then 4, columns, and a last
+// walk with one accumulator per column for the K%4 left. Each product
 // is converted to float32 before the add: the Go spec lets a compiler
 // fuse x*y+z into one FMA (arm64, ppc64 and s390x do) but never across
 // an explicit conversion, so every target rounds the product as SSE's
@@ -42,7 +50,7 @@ func addRows(y *float32, dst *int32, yrows int, rowptr *int32, lo, hi int, cols 
 				return false
 			}
 		}
-		yr := yd[r*k : r*k+k4]
+		yr := yd[r*k : r*k+k]
 		off := 0
 		for ; off+8 <= k4; off += 8 {
 			yo := yr[off : off+8 : off+8]
@@ -82,6 +90,22 @@ func addRows(y *float32, dst *int32, yrows int, rowptr *int32, lo, hi int, cols 
 				a3 += float32(v * xr[3])
 			}
 			yo[0], yo[1], yo[2], yo[3] = a0, a1, a2, a3
+			off += 4
+		}
+		if n := k - off; n > 0 {
+			// The last one to three columns, one accumulator each.
+			yo := yr[off:k:k]
+			var acc [3]float32
+			if accum {
+				copy(acc[:], yo)
+			}
+			for j := a; j < b; j++ {
+				c, v := p.at(j)
+				for t, xv := range xd[int(c)*k+off:][:n] {
+					acc[t] += float32(v * xv)
+				}
+			}
+			copy(yo, acc[:n])
 		}
 	}
 	return true
